@@ -246,7 +246,7 @@ int main() {
     options.sampling.kernel = kmode == 0 ? atpm::SamplingKernel::kGeometricJump
                                          : atpm::SamplingKernel::kPerEdge;
     std::unique_ptr<atpm::SamplingEngine> engine = atpm::CreateSamplingEngine(
-        graph, options.model, options.sampling.EngineOptions());
+        graph, options.model, options.sampling);
     atpm::HatpPolicy hatp(options);
     hatp.set_engine(engine.get());
     atpm::AdaptiveEnvironment env{atpm::Realization(runner.worlds()[0])};

@@ -161,8 +161,8 @@ void BM_HandleCountCovering(benchmark::State& state) {
   BitVector base(g.num_nodes());
   for (NodeId v = 100; v < 200; ++v) base.Set(v);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  SamplingEngineOptions options;
-  options.backend =
+  SamplingOptions options;
+  options.engine =
       threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   SamplingEngineHandle handle;
@@ -184,8 +184,8 @@ BENCHMARK(BM_HandleCountCovering)->Arg(1)->Arg(4)->Arg(8);
 void BM_SamplingEngineCountScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  SamplingEngineOptions options;
-  options.backend =
+  SamplingOptions options;
+  options.engine =
       threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
@@ -212,8 +212,8 @@ BENCHMARK(BM_SamplingEngineCountScaling)
 void BM_SamplingEngineBatchCountScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  SamplingEngineOptions options;
-  options.backend =
+  SamplingOptions options;
+  options.engine =
       threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
@@ -296,8 +296,8 @@ BENCHMARK(BM_RrCollectionAnswerBatch)->Arg(16)->Arg(64)->Arg(256);
 void BM_SamplingEnginePoolScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  SamplingEngineOptions options;
-  options.backend =
+  SamplingOptions options;
+  options.engine =
       threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(

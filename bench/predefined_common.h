@@ -32,7 +32,7 @@ namespace atpm_bench {
 inline double EstimateTopSpread(const atpm::Graph& graph, uint64_t seed,
                                 uint32_t threads) {
   atpm::Rng rng(seed);
-  atpm::SamplingEngineOptions engine_options;
+  atpm::SamplingOptions engine_options;
   engine_options.num_threads = threads;
   std::unique_ptr<atpm::SamplingEngine> engine = atpm::CreateSamplingEngine(
       graph, atpm::DiffusionModel::kIndependentCascade, engine_options);

@@ -2,280 +2,86 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
-#include "common/bit_vector.h"
-#include "common/math_util.h"
-#include "common/trace.h"
 #include "core/concentration.h"
-#include "rris/coverage_batch.h"
-#include "rris/sampling_engine.h"
+#include "core/decision_loop.h"
 
 namespace atpm {
+
+namespace {
+
+// Algorithm 3's rule: additive error only, with the optional dynamic C2 bar
+// of the paper's Discussion after Theorem 2.
+class AdditiveErrorRule final : public DoubleGreedyRule {
+ public:
+  AdditiveErrorRule(const ProfitProblem& problem, const AddAtpOptions& options)
+      : problem_(problem), options_(options) {}
+
+  uint64_t SampleSize(const ErrorSchedule& s) const override {
+    return AddAtpSampleSize(s.zeta, s.delta);
+  }
+
+  // C2 stopping bar: fixed at 1 in Algorithm 3; raised adaptively in the
+  // dynamic variant while 2 * (eta_sum + eta) + 2 <= ε * profit-so-far.
+  void BeginDecision(uint32_t num_activated,
+                     std::span<const NodeId> seeds) override {
+    eta_ = 1.0;
+    if (!options_.dynamic_threshold) return;
+    const double profit_so_far =
+        static_cast<double>(num_activated) - problem_.CostOfSet(seeds);
+    const double slack =
+        options_.dynamic_epsilon * profit_so_far - 2.0 * eta_sum_ - 2.0;
+    eta_ = std::max(1.0, slack / 2.0);
+  }
+
+  bool Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
+    const double rho_f = RhoFront(e);
+    const double rho_r = RhoRear(e);
+    const double additive = e.nd * s.zeta;  // n_i ζ_i, in spread units
+    const bool c1 = std::abs(rho_f - rho_r) >= 2.0 * additive ||
+                    rho_f <= -additive || rho_r <= -additive;
+    const bool c2 = additive <= eta_;
+    if (!c1 && c2) eta_sum_ += eta_;  // η̃_i = η_i iff C2 fired
+    return c1 || c2;
+  }
+
+  void Tighten(const RoundEstimates& /*e*/, ErrorSchedule* s) const override {
+    s->zeta /= std::sqrt(2.0);
+    s->delta /= 2.0;
+  }
+
+  bool Select(const RoundEstimates& e) const override {
+    return RhoFront(e) >= RhoRear(e);
+  }
+
+ private:
+  // Front / rear profit estimates ρ̃f = fest − c(u), ρ̃r = c(u) − rest.
+  static double RhoFront(const RoundEstimates& e) { return e.fest - e.cost; }
+  static double RhoRear(const RoundEstimates& e) { return -e.rest + e.cost; }
+
+  const ProfitProblem& problem_;
+  const AddAtpOptions& options_;
+  // η_i of the decision in flight, and the sum of the bars η̃_j of the
+  // decisions that stopped via C2.
+  double eta_ = 1.0;
+  double eta_sum_ = 0.0;
+};
+
+}  // namespace
 
 Result<AdaptiveRunResult> AddAtpPolicy::Run(const ProfitProblem& problem,
                                             AdaptiveEnvironment* env,
                                             Rng* rng) {
-  ATPM_RETURN_NOT_OK(problem.Validate());
-  if (&env->graph() != problem.graph) {
-    return Status::InvalidArgument("ADDATP: environment graph mismatch");
-  }
-  if (env->num_activated() != 0) {
-    return Status::InvalidArgument("ADDATP: environment must be fresh");
-  }
-
-  const Graph& graph = *problem.graph;
-  const NodeId n = graph.num_nodes();
-  const uint32_t k = problem.k();
-  if (k == 0) return AdaptiveRunResult{};
-
-  SamplingEngine* engine =
-      engine_.Get(graph, options_.model, options_.sampling.EngineOptions());
-  if (&engine->graph() != &graph || engine->model() != options_.model) {
-    return Status::InvalidArgument(
-        "ADDATP: sampling engine bound to a different graph/model");
-  }
-
-  AdaptiveRunResult result;
-  result.steps.reserve(k);
-  SpeculativeRoundPlanner planner(options_.sampling, problem.targets);
-
-  // Run-level resource envelope (see HATP; inactive budgets arm nothing).
-  BudgetGate gate(options_.sampling.budget);
-  ScopedEngineBudget scoped_budget(engine, &gate);
-
-  // Worst-case guarantee aggregation. ADDATP's bound is additive, so
-  // effective_epsilon stays 0 and achieved_additive_error carries the
-  // worst per-decision n_i ζ_i.
-  double worst_additive = 0.0;
-  uint64_t min_decided_theta = UINT64_MAX;
-  bool any_estimate_decision = false;
-  bool any_blind_decision = false;
-
-  // Selected seeds (all activated, so never present in residual RR sets —
-  // kept as a bitmap to evaluate Cov(u | S_{i-1}) by the paper's formula).
-  BitVector seed_bitmap(n);
-  // Undecided candidates (neither abandoned, activated, nor selected).
-  BitVector candidates(n);
-  for (NodeId t : problem.targets) candidates.Set(t);
-
-  // Dynamic C2-threshold state (Discussion after Theorem 2): eta_sum
-  // accumulates the bars η̃_j of iterations that stopped via C2.
-  double eta_sum = 0.0;
-
-  for (size_t pos = 0; pos < problem.targets.size(); ++pos) {
-    const NodeId u = problem.targets[pos];
-    obs::TraceSpan decision_span("decision");
-    decision_span.AnnotateU64("node", u);
-    AdaptiveStepRecord step;
-    step.node = u;
-    candidates.Clear(u);  // u is under examination; rear base is T \ {u}
-
-    if (env->IsActivated(u)) {
-      step.decision = SeedDecision::kSkippedActivated;
-      NotePolicyDecision();
-      result.steps.push_back(step);
-      continue;
-    }
-
-    const uint32_t ni = env->num_remaining();
-    const double nd = static_cast<double>(ni);
-    const double cost = problem.CostOf(u);
-    const BitVector& removed = env->activated();
-    const uint64_t epoch = env->residual_epoch();
-
-    double zeta =
-        Clamp(options_.initial_spread_error / nd, 1.0 / nd, 0.5);
-    double delta = 1.0 / (static_cast<double>(k) * static_cast<double>(n));
-
-    // C2 stopping bar: fixed at 1 in Algorithm 3; raised adaptively in the
-    // dynamic variant while 2 * (eta_sum + eta) + 2 <= ε * profit-so-far.
-    double eta = 1.0;
-    if (options_.dynamic_threshold) {
-      const double profit_so_far =
-          static_cast<double>(env->num_activated()) -
-          problem.CostOfSet(result.seeds);
-      const double slack =
-          options_.dynamic_epsilon * profit_so_far - 2.0 * eta_sum - 2.0;
-      eta = std::max(1.0, slack / 2.0);
-    }
-
-    double rho_f = 0.0;
-    double rho_r = 0.0;
-    uint64_t used_this_iter = 0;
-    bool decided = false;
-    bool stopped_via_c2 = false;
-    bool budget_exhausted = false;
-    // Evidence the decision ends up standing on when the schedule is cut
-    // short (updated after every completed round).
-    uint64_t last_theta = 0;
-    double last_az = nd;
-
-    while (!decided) {
-      const uint64_t theta = AddAtpSampleSize(zeta, delta);
-      obs::TraceSpan round_span("round");
-      round_span.AnnotateU64("theta", theta);
-      if (step.rounds == 0) planner.Begin(pos, u, epoch, theta);
-      // One round: served from a stored speculative answer (free, estimates
-      // scale by the answering pool's size), or sampled — batched rounds
-      // share one pool across both queries, the literal Algorithm 3 pays
-      // two independent pools R1, R2.
-      FrontRearHits hits;
-      const Result<SpeculativeRoundPlanner::RoundStep> round =
-          planner.NextRound(
-              engine, u, seed_bitmap, candidates, &removed, ni, theta, epoch,
-              options_.sampling.max_rr_sets_per_decision - used_this_iter,
-              rng, &hits);
-      if (!round.ok()) {
-        // Allocation failure is absorbed — the decision proceeds on the
-        // rounds already completed; real engine faults propagate.
-        if (!round.status().IsResourceExhausted()) return round.status();
-        budget_exhausted = step.rounds == 0;
-        result.degradation_events.push_back(
-            {DegradationReason::kAllocFailure, u, step.rounds, theta,
-             last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(DegradationReason::kAllocFailure));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      const SpeculativeRoundPlanner::RoundStep round_step = round.value();
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kOverBudget) {
-        if (options_.fail_on_budget_exhausted) {
-          return Status::OutOfBudget(
-              "ADDATP: deciding node " + std::to_string(u) + " needs " +
-              std::to_string(RoundRrSets(theta, planner.batched())) +
-              " more RR sets (budget " +
-              std::to_string(options_.sampling.max_rr_sets_per_decision) +
-              ")");
-        }
-        // No completed round means no estimate at all: mark the decision
-        // explicitly instead of selecting on ρ̃f = ρ̃r = 0. With at least
-        // one round, the decision is forced from the last estimates.
-        budget_exhausted = step.rounds == 0;
-        result.degradation_events.push_back(
-            {DegradationReason::kRrBudget, u, step.rounds, theta,
-             last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(DegradationReason::kRrBudget));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kDegraded) {
-        // The run budget tripped. A truncated pool (hits.theta > 0) still
-        // gives honest estimates over what it drew — it becomes the final
-        // round; otherwise the previous round's estimates stand.
-        if (hits.theta > 0) {
-          used_this_iter += RoundRrSets(hits.theta, planner.batched());
-          ++step.rounds;
-          NotePolicyRound();
-          step.coverage_queries += hits.queries;
-          result.total_count_pools += hits.pools;
-          const double scale = nd / static_cast<double>(hits.theta);
-          rho_f = static_cast<double>(hits.front) * scale - cost;
-          rho_r = -static_cast<double>(hits.rear) * scale + cost;
-          last_theta = hits.theta;
-          last_az = nd * zeta;
-        }
-        budget_exhausted = step.rounds == 0;
-        const BudgetGate* engine_gate = engine->budget();
-        result.degradation_events.push_back(
-            {ReasonFromBudgetStop(engine_gate != nullptr
-                                      ? engine_gate->Exhausted()
-                                      : BudgetStop::kNone),
-             u, step.rounds, theta, last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(result.degradation_events.back().reason));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kSampled) {
-        used_this_iter += RoundRrSets(theta, planner.batched());
-      } else if (step.rounds == 0) {
-        step.first_round_speculative = true;
-      }
-      ++step.rounds;
-      NotePolicyRound();
-      step.coverage_queries += hits.queries;
-      result.total_count_pools += hits.pools;
-      const double scale = nd / static_cast<double>(hits.theta);
-      rho_f = static_cast<double>(hits.front) * scale - cost;
-      rho_r = -static_cast<double>(hits.rear) * scale + cost;
-      last_theta = hits.theta;
-      last_az = nd * zeta;
-
-      const double additive = nd * zeta;  // n_i ζ_i, in spread units
-      const bool c1 = std::abs(rho_f - rho_r) >= 2.0 * additive ||
-                      rho_f <= -additive || rho_r <= -additive;
-      const bool c2 = additive <= eta;
-      if (c1 || c2) {
-        decided = true;
-        stopped_via_c2 = !c1 && c2;
-      } else {
-        zeta /= std::sqrt(2.0);
-        delta /= 2.0;
-      }
-    }
-    if (stopped_via_c2) eta_sum += eta;  // η̃_i = η_i iff C2 fired
-
-    step.rr_sets_used = used_this_iter;
-    result.total_rr_sets += used_this_iter;
-    result.total_coverage_queries += step.coverage_queries;
-    result.max_rr_sets_per_iteration =
-        std::max(result.max_rr_sets_per_iteration, used_this_iter);
-
-    if (budget_exhausted) {
-      // No estimate at all: the additive error takes its trivial bound n_i.
-      step.decision = SeedDecision::kBudgetExhausted;
-      any_blind_decision = true;
-      worst_additive = std::max(worst_additive, nd);
-    } else if (rho_f >= rho_r) {
-      const std::vector<NodeId>& activated = env->SeedAndObserve(u);
-      step.decision = SeedDecision::kSelected;
-      step.newly_activated = static_cast<uint32_t>(activated.size());
-      result.seeds.push_back(u);
-      seed_bitmap.Set(u);
-      for (NodeId v : activated) {
-        if (candidates.Test(v)) candidates.Clear(v);
-      }
-    } else {
-      step.decision = SeedDecision::kAbandoned;
-    }
-    if (!budget_exhausted) {
-      any_estimate_decision = true;
-      min_decided_theta = std::min(min_decided_theta, last_theta);
-      worst_additive = std::max(worst_additive, last_az);
-    }
-    NotePolicyDecision();
-    result.steps.push_back(step);
-  }
-
-  // effective_epsilon stays 0: ADDATP's guarantee is additive.
-  result.achieved_additive_error = worst_additive;
-  result.achieved_theta = (!any_estimate_decision || any_blind_decision)
-                              ? 0
-                              : min_decided_theta;
-  planner.ExportStats(&result);
-  FinalizeAdaptiveResult(problem, *env, &result);
-  return result;
+  // No relative error: the guarantee is additive, so effective_epsilon
+  // stays 0 and achieved_additive_error carries the worst n_i ζ_i.
+  const DoubleGreedyDriver driver(
+      {.name = "ADDATP",
+       .model = options_.model,
+       .sampling = options_.sampling,
+       .initial_spread_error = options_.initial_spread_error,
+       .fail_on_budget_exhausted = options_.fail_on_budget_exhausted});
+  AdditiveErrorRule rule(problem, options_);
+  return driver.Run(problem, env, &engine_, &rule, rng);
 }
 
 }  // namespace atpm

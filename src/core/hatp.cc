@@ -4,303 +4,105 @@
 #include <cmath>
 #include <string>
 
-#include "common/bit_vector.h"
-#include "common/math_util.h"
-#include "common/trace.h"
 #include "core/concentration.h"
-#include "rris/coverage_batch.h"
-#include "rris/sampling_engine.h"
+#include "core/decision_loop.h"
 
 namespace atpm {
+
+namespace {
+
+// Algorithm 4's rule: hybrid (relative + additive) error. HNTP, the
+// nonadaptive tailoring, runs the same rule.
+class HybridErrorRule final : public DoubleGreedyRule {
+ public:
+  explicit HybridErrorRule(double eps_threshold) : eps_thr_(eps_threshold) {}
+
+  uint64_t SampleSize(const ErrorSchedule& s) const override {
+    return HatpSampleSize(s.eps, s.zeta, s.delta);
+  }
+
+  bool Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
+    const double fest = e.fest;
+    const double rest = e.rest;
+    const double cost = e.cost;
+    const double eps = s.eps;
+    const double az = e.nd * s.zeta;  // n_i ζ_i in spread units
+    // C'1: the hybrid confidence interval certifies the comparison
+    // fest + rest vs 2 c(u) (select side on the first two disjuncts,
+    // abandon side on the last two).
+    const bool c1 =
+        (fest + rest - 2.0 * az) / (1.0 + eps) >= 2.0 * cost ||
+        (rest - az) / (1.0 + eps) >= cost ||
+        (fest + rest + 2.0 * az) / (1.0 - eps) <= 2.0 * cost ||
+        (fest + az) / (1.0 - eps) <= cost;
+    const bool c2 = eps <= eps_thr_ && az <= 1.0;
+    return c1 || c2;
+  }
+
+  // Adaptive error schedule (Alg 4, Lines 19–23): shrink whichever error
+  // dominates the uncertainty around this node's marginal spread.
+  void Tighten(const RoundEstimates& e, ErrorSchedule* s) const override {
+    const double az = e.nd * s->zeta;
+    const bool eps_floored = s->eps <= eps_thr_;
+    const bool zeta_floored = az <= 1.0;
+    if (eps_floored && !zeta_floored) {
+      s->zeta /= 2.0;
+    } else if (!eps_floored && zeta_floored) {
+      s->eps /= 2.0;
+    } else if (e.fest >= 10.0 * az) {
+      s->eps /= 2.0;
+    } else if (e.fest <= az) {
+      s->zeta /= 2.0;
+    } else {
+      s->eps /= std::sqrt(2.0);
+      s->zeta /= std::sqrt(2.0);
+    }
+    s->eps = std::max(s->eps, eps_thr_);
+    s->zeta = std::max(s->zeta, 1.0 / e.nd);
+    s->delta /= 2.0;
+  }
+
+  // Line 13: select iff fest + rest >= 2 c(u) (equivalently ρ̃f >= ρ̃r).
+  bool Select(const RoundEstimates& e) const override {
+    return e.fest + e.rest >= 2.0 * e.cost;
+  }
+
+ private:
+  double eps_thr_;
+};
+
+}  // namespace
+
+Result<AdaptiveRunResult> RunHybridDoubleGreedy(const char* name,
+                                                const HatpOptions& options,
+                                                const ProfitProblem& problem,
+                                                AdaptiveEnvironment* env,
+                                                SamplingEngineHandle* engine,
+                                                Rng* rng) {
+  const double eps_thr = options.relative_error_threshold;
+  if (eps_thr <= 0.0 || eps_thr >= 1.0 ||
+      options.initial_relative_error < eps_thr ||
+      options.initial_relative_error >= 1.0) {
+    return Status::InvalidArgument(
+        std::string(name) +
+        ": need 0 < threshold <= initial_relative_error < 1");
+  }
+  const DoubleGreedyDriver driver(
+      {.name = name,
+       .model = options.model,
+       .sampling = options.sampling,
+       .initial_spread_error = options.initial_spread_error,
+       .initial_relative_error = options.initial_relative_error,
+       .relative_error_threshold = eps_thr,
+       .fail_on_budget_exhausted = options.fail_on_budget_exhausted});
+  HybridErrorRule rule(eps_thr);
+  return driver.Run(problem, env, engine, &rule, rng);
+}
 
 Result<AdaptiveRunResult> HatpPolicy::Run(const ProfitProblem& problem,
                                           AdaptiveEnvironment* env,
                                           Rng* rng) {
-  ATPM_RETURN_NOT_OK(problem.Validate());
-  if (&env->graph() != problem.graph) {
-    return Status::InvalidArgument("HATP: environment graph mismatch");
-  }
-  if (env->num_activated() != 0) {
-    return Status::InvalidArgument("HATP: environment must be fresh");
-  }
-  const double eps_thr = options_.relative_error_threshold;
-  if (eps_thr <= 0.0 || eps_thr >= 1.0 ||
-      options_.initial_relative_error < eps_thr ||
-      options_.initial_relative_error >= 1.0) {
-    return Status::InvalidArgument(
-        "HATP: need 0 < threshold <= initial_relative_error < 1");
-  }
-
-  const Graph& graph = *problem.graph;
-  const NodeId n = graph.num_nodes();
-  const uint32_t k = problem.k();
-  if (k == 0) return AdaptiveRunResult{};
-
-  SamplingEngine* engine =
-      engine_.Get(graph, options_.model, options_.sampling.EngineOptions());
-  if (&engine->graph() != &graph || engine->model() != options_.model) {
-    return Status::InvalidArgument(
-        "HATP: sampling engine bound to a different graph/model");
-  }
-
-  AdaptiveRunResult result;
-  result.steps.reserve(k);
-  SpeculativeRoundPlanner planner(options_.sampling, problem.targets);
-
-  // Run-level resource envelope: the gate is polled by the engine at batch
-  // boundaries and by the planner before each sampled round. Inactive
-  // budgets arm nothing and the sampling paths stay bit-identical.
-  BudgetGate gate(options_.sampling.budget);
-  ScopedEngineBudget scoped_budget(engine, &gate);
-
-  // Worst-case guarantee aggregation across decisions (see
-  // AdaptiveRunResult::effective_epsilon / achieved_theta).
-  double worst_eps = eps_thr;
-  double worst_additive = 0.0;
-  uint64_t min_decided_theta = UINT64_MAX;
-  bool any_estimate_decision = false;
-  bool any_blind_decision = false;
-
-  BitVector seed_bitmap(n);
-  BitVector candidates(n);
-  for (NodeId t : problem.targets) candidates.Set(t);
-
-  for (size_t pos = 0; pos < problem.targets.size(); ++pos) {
-    const NodeId u = problem.targets[pos];
-    obs::TraceSpan decision_span("decision");
-    decision_span.AnnotateU64("node", u);
-    AdaptiveStepRecord step;
-    step.node = u;
-    candidates.Clear(u);
-
-    if (env->IsActivated(u)) {
-      step.decision = SeedDecision::kSkippedActivated;
-      NotePolicyDecision();
-      result.steps.push_back(step);
-      continue;
-    }
-
-    const uint32_t ni = env->num_remaining();
-    const double nd = static_cast<double>(ni);
-    const double cost = problem.CostOf(u);
-    const BitVector& removed = env->activated();
-    const uint64_t epoch = env->residual_epoch();
-
-    double eps = options_.initial_relative_error;
-    double zeta = Clamp(options_.initial_spread_error / nd, 1.0 / nd, 0.5);
-    double delta = 1.0 / (static_cast<double>(k) * static_cast<double>(n));
-
-    double fest = 0.0;
-    double rest = 0.0;
-    uint64_t used_this_iter = 0;
-    bool decided = false;
-    bool budget_exhausted = false;
-    // Evidence the decision ends up standing on when the schedule is cut
-    // short (updated after every completed round).
-    uint64_t last_theta = 0;
-    double last_eps = 1.0;
-    double last_az = nd;
-    bool forced = false;
-
-    while (!decided) {
-      const uint64_t theta = HatpSampleSize(eps, zeta, delta);
-      obs::TraceSpan round_span("round");
-      round_span.AnnotateU64("theta", theta);
-      if (step.rounds == 0) planner.Begin(pos, u, epoch, theta);
-      // One round: served from a stored speculative answer (free, estimates
-      // scale by the answering pool's size), or sampled — batched rounds
-      // share one pool across the front and rear queries (and thereby the
-      // Lines 19–23 error-tuning probes reading them), the literal
-      // Algorithm 4 pays two independent pools R1, R2.
-      FrontRearHits hits;
-      const Result<SpeculativeRoundPlanner::RoundStep> round =
-          planner.NextRound(
-              engine, u, seed_bitmap, candidates, &removed, ni, theta, epoch,
-              options_.sampling.max_rr_sets_per_decision - used_this_iter,
-              rng, &hits);
-      if (!round.ok()) {
-        // Allocation failure is absorbed — the decision proceeds on the
-        // rounds already completed; real engine faults propagate.
-        if (!round.status().IsResourceExhausted()) return round.status();
-        forced = true;
-        budget_exhausted = step.rounds == 0;
-        result.degradation_events.push_back(
-            {DegradationReason::kAllocFailure, u, step.rounds, theta,
-             last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(DegradationReason::kAllocFailure));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      const SpeculativeRoundPlanner::RoundStep round_step = round.value();
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kOverBudget) {
-        if (options_.fail_on_budget_exhausted) {
-          return Status::OutOfBudget(
-              "HATP: deciding node " + std::to_string(u) + " needs " +
-              std::to_string(RoundRrSets(theta, planner.batched())) +
-              " more RR sets (budget " +
-              std::to_string(options_.sampling.max_rr_sets_per_decision) +
-              ")");
-        }
-        // No completed round means no estimate at all — mark the decision
-        // explicitly instead of comparing fest = rest = 0 against the
-        // cost. With at least one round, decide from its estimates.
-        forced = true;
-        budget_exhausted = step.rounds == 0;
-        result.degradation_events.push_back(
-            {DegradationReason::kRrBudget, u, step.rounds, theta,
-             last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(DegradationReason::kRrBudget));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kDegraded) {
-        // The run budget tripped. A truncated pool (hits.theta > 0) still
-        // gives honest estimates over what it drew — it becomes the final
-        // round; otherwise the previous round's estimates stand.
-        if (hits.theta > 0) {
-          used_this_iter += RoundRrSets(hits.theta, planner.batched());
-          ++step.rounds;
-          NotePolicyRound();
-          step.coverage_queries += hits.queries;
-          result.total_count_pools += hits.pools;
-          const double scale = nd / static_cast<double>(hits.theta);
-          fest = static_cast<double>(hits.front) * scale;
-          rest = static_cast<double>(hits.rear) * scale;
-          last_theta = hits.theta;
-          last_eps = eps;
-          last_az = nd * zeta;
-        }
-        forced = true;
-        budget_exhausted = step.rounds == 0;
-        const BudgetGate* engine_gate = engine->budget();
-        result.degradation_events.push_back(
-            {ReasonFromBudgetStop(engine_gate != nullptr
-                                      ? engine_gate->Exhausted()
-                                      : BudgetStop::kNone),
-             u, step.rounds, theta, last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(result.degradation_events.back().reason));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kSampled) {
-        used_this_iter += RoundRrSets(theta, planner.batched());
-      } else if (step.rounds == 0) {
-        step.first_round_speculative = true;
-      }
-      ++step.rounds;
-      NotePolicyRound();
-      step.coverage_queries += hits.queries;
-      result.total_count_pools += hits.pools;
-      const double scale = nd / static_cast<double>(hits.theta);
-      fest = static_cast<double>(hits.front) * scale;
-      rest = static_cast<double>(hits.rear) * scale;
-      last_theta = hits.theta;
-      last_eps = eps;
-      last_az = nd * zeta;
-
-      const double az = nd * zeta;  // n_i ζ_i in spread units
-      // C'1: the hybrid confidence interval certifies the comparison
-      // fest + rest vs 2 c(u) (select side on the first two disjuncts,
-      // abandon side on the last two).
-      const bool c1 =
-          (fest + rest - 2.0 * az) / (1.0 + eps) >= 2.0 * cost ||
-          (rest - az) / (1.0 + eps) >= cost ||
-          (fest + rest + 2.0 * az) / (1.0 - eps) <= 2.0 * cost ||
-          (fest + az) / (1.0 - eps) <= cost;
-      const bool c2 = eps <= eps_thr && az <= 1.0;
-      if (c1 || c2) {
-        decided = true;
-        break;
-      }
-
-      // Adaptive error schedule (Alg 4, Lines 19–23): shrink whichever
-      // error dominates the uncertainty around this node's marginal spread.
-      const bool eps_floored = eps <= eps_thr;
-      const bool zeta_floored = az <= 1.0;
-      if (eps_floored && !zeta_floored) {
-        zeta /= 2.0;
-      } else if (!eps_floored && zeta_floored) {
-        eps /= 2.0;
-      } else if (fest >= 10.0 * az) {
-        eps /= 2.0;
-      } else if (fest <= az) {
-        zeta /= 2.0;
-      } else {
-        eps /= std::sqrt(2.0);
-        zeta /= std::sqrt(2.0);
-      }
-      eps = std::max(eps, eps_thr);
-      zeta = std::max(zeta, 1.0 / nd);
-      delta /= 2.0;
-    }
-
-    step.rr_sets_used = used_this_iter;
-    result.total_rr_sets += used_this_iter;
-    result.total_coverage_queries += step.coverage_queries;
-    result.max_rr_sets_per_iteration =
-        std::max(result.max_rr_sets_per_iteration, used_this_iter);
-
-    if (budget_exhausted) {
-      // No estimate at all: the comparison is vacuous, so the worst-case
-      // guarantee trackers take their trivial bounds.
-      step.decision = SeedDecision::kBudgetExhausted;
-      any_blind_decision = true;
-      worst_eps = 1.0;
-      worst_additive = std::max(worst_additive, nd);
-    } else if (fest + rest >= 2.0 * cost) {
-      // Line 13: select iff fest + rest >= 2 c(u) (equivalently ρ̃f >= ρ̃r).
-      const std::vector<NodeId>& activated = env->SeedAndObserve(u);
-      step.decision = SeedDecision::kSelected;
-      step.newly_activated = static_cast<uint32_t>(activated.size());
-      result.seeds.push_back(u);
-      seed_bitmap.Set(u);
-      for (NodeId v : activated) {
-        if (candidates.Test(v)) candidates.Clear(v);
-      }
-    } else {
-      step.decision = SeedDecision::kAbandoned;
-    }
-    if (!budget_exhausted) {
-      // A certified stop (C'1/C'2) delivers the requested guarantee; a
-      // forced decision stands on the last round's coarser (ε, n_i ζ).
-      any_estimate_decision = true;
-      min_decided_theta = std::min(min_decided_theta, last_theta);
-      if (forced) worst_eps = std::max(worst_eps, last_eps);
-      worst_additive = std::max(worst_additive, last_az);
-    }
-    NotePolicyDecision();
-    result.steps.push_back(step);
-  }
-
-  result.effective_epsilon = worst_eps;
-  result.achieved_additive_error = worst_additive;
-  result.achieved_theta = (!any_estimate_decision || any_blind_decision)
-                              ? 0
-                              : min_decided_theta;
-  planner.ExportStats(&result);
-  FinalizeAdaptiveResult(problem, *env, &result);
-  return result;
+  return RunHybridDoubleGreedy("HATP", options_, problem, env, &engine_, rng);
 }
 
 }  // namespace atpm

@@ -63,6 +63,16 @@ class HatpPolicy final : public AdaptivePolicy {
   SamplingEngineHandle engine_;
 };
 
+/// Algorithm 4's loop, shared by HatpPolicy (`env` set) and RunHntp (`env`
+/// null: the nonadaptive mode of DoubleGreedyDriver). `name` prefixes
+/// error messages.
+Result<AdaptiveRunResult> RunHybridDoubleGreedy(const char* name,
+                                                const HatpOptions& options,
+                                                const ProfitProblem& problem,
+                                                AdaptiveEnvironment* env,
+                                                SamplingEngineHandle* engine,
+                                                Rng* rng);
+
 }  // namespace atpm
 
 #endif  // ATPM_CORE_HATP_H_

@@ -1,273 +1,15 @@
 #include "core/hntp.h"
 
-#include <algorithm>
-#include <cmath>
-#include <string>
-
-#include "common/bit_vector.h"
-#include "common/math_util.h"
-#include "common/trace.h"
-#include "core/concentration.h"
-#include "core/policy.h"
-#include "rris/coverage_batch.h"
-#include "rris/sampling_engine.h"
-
 namespace atpm {
-
-Result<HntpResult> RunHntp(const ProfitProblem& problem,
-                           const HatpOptions& options, Rng* rng) {
-  ATPM_RETURN_NOT_OK(problem.Validate());
-  std::unique_ptr<SamplingEngine> engine = CreateSamplingEngine(
-      *problem.graph, options.model, options.sampling.EngineOptions());
-  return RunHntp(problem, options, rng, engine.get());
-}
 
 Result<HntpResult> RunHntp(const ProfitProblem& problem,
                            const HatpOptions& options, Rng* rng,
                            SamplingEngine* engine) {
-  ATPM_RETURN_NOT_OK(problem.Validate());
-  if (&engine->graph() != problem.graph ||
-      engine->model() != options.model) {
-    return Status::InvalidArgument(
-        "HNTP: sampling engine bound to a different graph/model");
-  }
-  const double eps_thr = options.relative_error_threshold;
-  if (eps_thr <= 0.0 || eps_thr >= 1.0 ||
-      options.initial_relative_error < eps_thr ||
-      options.initial_relative_error >= 1.0) {
-    return Status::InvalidArgument(
-        "HNTP: need 0 < threshold <= initial_relative_error < 1");
-  }
-
-  const Graph& graph = *problem.graph;
-  const NodeId n = graph.num_nodes();
-  const double nd = static_cast<double>(n);
-  const uint32_t k = problem.k();
-  HntpResult result;
-  if (k == 0) return result;
-  SpeculativeRoundPlanner planner(options.sampling, problem.targets);
-
-  // Run-level resource envelope (see HATP; inactive budgets arm nothing).
-  BudgetGate gate(options.sampling.budget);
-  ScopedEngineBudget scoped_budget(engine, &gate);
-
-  // Worst-case guarantee aggregation (see AdaptiveRunResult docs).
-  double worst_eps = eps_thr;
-  double worst_additive = 0.0;
-  uint64_t min_decided_theta = UINT64_MAX;
-  bool any_estimate_decision = false;
-  bool any_blind_decision = false;
-  // HNTP has no environment: the bases a speculative answer depends on
-  // (seed bitmap, T \ examined) only change shape on a SELECTION (abandons
-  // are exactly the progressive clears the planner models), so the
-  // staleness epoch is simply the number of selections so far.
-  uint64_t selection_epoch = 0;
-
-  // S_{i-1}: selected so far (stays in the graph — nonadaptive).
-  BitVector seed_bitmap(n);
-  // T_{i-1} \ {u_i}: selected seeds + undecided candidates.
-  BitVector t_bitmap(n);
-  for (NodeId t : problem.targets) t_bitmap.Set(t);
-
-  for (size_t pos = 0; pos < problem.targets.size(); ++pos) {
-    const NodeId u = problem.targets[pos];
-    obs::TraceSpan decision_span("decision");
-    decision_span.AnnotateU64("node", u);
-    t_bitmap.Clear(u);  // rear base excludes the node under examination
-
-    const double cost = problem.CostOf(u);
-    double eps = options.initial_relative_error;
-    double zeta = Clamp(options.initial_spread_error / nd, 1.0 / nd, 0.5);
-    double delta = 1.0 / (static_cast<double>(k) * nd);
-
-    double fest = 0.0;
-    double rest = 0.0;
-    uint64_t used_this_iter = 0;
-    uint32_t rounds = 0;
-    bool decided = false;
-    bool budget_exhausted = false;
-    // Evidence the decision ends up standing on when the schedule is cut
-    // short (updated after every completed round).
-    uint64_t last_theta = 0;
-    double last_eps = 1.0;
-    double last_az = nd;
-    bool forced = false;
-
-    while (!decided) {
-      const uint64_t theta = HatpSampleSize(eps, zeta, delta);
-      obs::TraceSpan round_span("round");
-      round_span.AnnotateU64("theta", theta);
-      if (rounds == 0) planner.Begin(pos, u, selection_epoch, theta);
-      // One round: served from a stored speculative answer, or front/rear
-      // conditional coverage on one shared pool (batched) / two independent
-      // pools R1, R2 (the literal Section VI-A tailoring).
-      FrontRearHits hits;
-      const Result<SpeculativeRoundPlanner::RoundStep> round =
-          planner.NextRound(
-              engine, u, seed_bitmap, t_bitmap, /*removed=*/nullptr, n,
-              theta, selection_epoch,
-              options.sampling.max_rr_sets_per_decision - used_this_iter,
-              rng, &hits);
-      if (!round.ok()) {
-        // Allocation failure is absorbed — the decision proceeds on the
-        // rounds already completed; real engine faults propagate.
-        if (!round.status().IsResourceExhausted()) return round.status();
-        forced = true;
-        budget_exhausted = rounds == 0;
-        result.degradation_events.push_back(
-            {DegradationReason::kAllocFailure, u, rounds, theta,
-             last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(DegradationReason::kAllocFailure));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      const SpeculativeRoundPlanner::RoundStep round_step = round.value();
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kOverBudget) {
-        if (options.fail_on_budget_exhausted) {
-          return Status::OutOfBudget(
-              "HNTP: deciding node " + std::to_string(u) + " needs " +
-              std::to_string(RoundRrSets(theta, planner.batched())) +
-              " more RR sets (budget " +
-              std::to_string(options.sampling.max_rr_sets_per_decision) +
-              ")");
-        }
-        // No completed round: nothing to decide from — do not select on
-        // fest = rest = 0, count the abort explicitly.
-        forced = true;
-        budget_exhausted = rounds == 0;
-        result.degradation_events.push_back(
-            {DegradationReason::kRrBudget, u, rounds, theta, last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(DegradationReason::kRrBudget));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kDegraded) {
-        // The run budget tripped. A truncated pool (hits.theta > 0) still
-        // gives honest estimates over what it drew — it becomes the final
-        // round; otherwise the previous round's estimates stand.
-        if (hits.theta > 0) {
-          used_this_iter += RoundRrSets(hits.theta, planner.batched());
-          ++rounds;
-          NotePolicyRound();
-          result.total_coverage_queries += hits.queries;
-          result.total_count_pools += hits.pools;
-          const double scale = nd / static_cast<double>(hits.theta);
-          fest = static_cast<double>(hits.front) * scale;
-          rest = static_cast<double>(hits.rear) * scale;
-          last_theta = hits.theta;
-          last_eps = eps;
-          last_az = nd * zeta;
-        }
-        forced = true;
-        budget_exhausted = rounds == 0;
-        const BudgetGate* engine_gate = engine->budget();
-        result.degradation_events.push_back(
-            {ReasonFromBudgetStop(engine_gate != nullptr
-                                      ? engine_gate->Exhausted()
-                                      : BudgetStop::kNone),
-             u, rounds, theta, last_theta});
-        NoteDegradationEvent(result.degradation_events.back());
-        decision_span.AnnotateU64(
-            "degraded_reason",
-            static_cast<uint64_t>(result.degradation_events.back().reason));
-        if (budget_exhausted) {
-          ++result.budget_exhausted_decisions;
-        } else {
-          ++result.budget_truncated_decisions;
-        }
-        break;
-      }
-      if (round_step == SpeculativeRoundPlanner::RoundStep::kSampled) {
-        used_this_iter += RoundRrSets(theta, planner.batched());
-      }
-      ++rounds;
-      NotePolicyRound();
-      result.total_coverage_queries += hits.queries;
-      result.total_count_pools += hits.pools;
-      const double scale = nd / static_cast<double>(hits.theta);
-      fest = static_cast<double>(hits.front) * scale;
-      rest = static_cast<double>(hits.rear) * scale;
-      last_theta = hits.theta;
-      last_eps = eps;
-      last_az = nd * zeta;
-
-      const double az = nd * zeta;
-      const bool c1 =
-          (fest + rest - 2.0 * az) / (1.0 + eps) >= 2.0 * cost ||
-          (rest - az) / (1.0 + eps) >= cost ||
-          (fest + rest + 2.0 * az) / (1.0 - eps) <= 2.0 * cost ||
-          (fest + az) / (1.0 - eps) <= cost;
-      const bool c2 = eps <= eps_thr && az <= 1.0;
-      if (c1 || c2) {
-        decided = true;
-        break;
-      }
-
-      const bool eps_floored = eps <= eps_thr;
-      const bool zeta_floored = az <= 1.0;
-      if (eps_floored && !zeta_floored) {
-        zeta /= 2.0;
-      } else if (!eps_floored && zeta_floored) {
-        eps /= 2.0;
-      } else if (fest >= 10.0 * az) {
-        eps /= 2.0;
-      } else if (fest <= az) {
-        zeta /= 2.0;
-      } else {
-        eps /= std::sqrt(2.0);
-        zeta /= std::sqrt(2.0);
-      }
-      eps = std::max(eps, eps_thr);
-      zeta = std::max(zeta, 1.0 / nd);
-      delta /= 2.0;
-    }
-
-    result.total_rr_sets += used_this_iter;
-    result.max_rr_sets_per_iteration =
-        std::max(result.max_rr_sets_per_iteration, used_this_iter);
-
-    if (budget_exhausted) {
-      // No estimate at all: the guarantee trackers take trivial bounds
-      // (the candidate is conservatively not selected).
-      any_blind_decision = true;
-      worst_eps = 1.0;
-      worst_additive = std::max(worst_additive, nd);
-    } else {
-      any_estimate_decision = true;
-      min_decided_theta = std::min(min_decided_theta, last_theta);
-      if (forced) worst_eps = std::max(worst_eps, last_eps);
-      worst_additive = std::max(worst_additive, last_az);
-      if (fest + rest >= 2.0 * cost) {
-        result.seeds.push_back(u);
-        seed_bitmap.Set(u);
-        t_bitmap.Set(u);  // selected nodes remain in T (Alg 1 semantics)
-        ++selection_epoch;
-      }
-    }
-    NotePolicyDecision();
-  }
-
-  result.effective_epsilon = worst_eps;
-  result.achieved_additive_error = worst_additive;
-  result.achieved_theta = (!any_estimate_decision || any_blind_decision)
-                              ? 0
-                              : min_decided_theta;
-  planner.ExportStats(&result);
-  return result;
+  // Builds the options' backend unless an engine was injected.
+  SamplingEngineHandle handle;
+  handle.Use(engine);
+  return RunHybridDoubleGreedy("HNTP", options, problem, /*env=*/nullptr,
+                               &handle, rng);
 }
 
 }  // namespace atpm

@@ -1,8 +1,6 @@
 #ifndef ATPM_CORE_HNTP_H_
 #define ATPM_CORE_HNTP_H_
 
-#include <vector>
-
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/hatp.h"
@@ -15,48 +13,10 @@ namespace atpm {
 /// the alias names the nonadaptive tailoring at call sites.
 using HntpOptions = HatpOptions;
 
-/// Output of RunHntp.
-struct HntpResult {
-  /// Selected seed batch (nonadaptive: deployed all at once).
-  std::vector<NodeId> seeds;
-  /// Total RR sets generated.
-  uint64_t total_rr_sets = 0;
-  /// Coverage queries answered (2 per sampled halving round, plus
-  /// speculative cross-candidate queries riding those pools).
-  uint64_t total_coverage_queries = 0;
-  /// Throwaway pools sampled (1 per round batched, 2 unbatched; rounds
-  /// served from speculative answers sample none).
-  uint64_t total_count_pools = 0;
-  /// Largest RR-set spend on a single candidate decision.
-  uint64_t max_rr_sets_per_iteration = 0;
-  /// Decisions aborted by the per-decision RR budget before one halving
-  /// round completed (the candidate is conservatively not selected).
-  uint64_t budget_exhausted_decisions = 0;
-  /// Decisions whose error schedule was cut short by the budget after at
-  /// least one completed round (decided from the last round's estimates).
-  uint64_t budget_truncated_decisions = 0;
-  /// Speculative pipelining telemetry; see AdaptiveRunResult.
-  uint64_t speculation_hits = 0;
-  uint64_t speculation_rounds_served = 0;
-  uint64_t speculation_misses = 0;
-  uint64_t speculation_discarded = 0;
-  uint64_t speculative_queries = 0;
-  /// Lookahead window at each speculating examination (see
-  /// AdaptiveRunResult::lookahead_window_trace).
-  std::vector<uint32_t> lookahead_window_trace;
-  /// Decisions forced to conclude early; see
-  /// AdaptiveRunResult::degradation_events.
-  std::vector<DegradationEvent> degradation_events;
-  /// Worst per-decision relative error actually certified; see
-  /// AdaptiveRunResult::effective_epsilon.
-  double effective_epsilon = 0.0;
-  /// Worst per-decision additive spread error n ζ at decision time; see
-  /// AdaptiveRunResult::achieved_additive_error.
-  double achieved_additive_error = 0.0;
-  /// Smallest RR pool any estimate-based decision was made from; see
-  /// AdaptiveRunResult::achieved_theta.
-  uint64_t achieved_theta = 0;
-};
+/// Output of RunHntp: the adaptive result shape. `seeds` is the batch to
+/// deploy all at once; nothing is observed, so the realized_* fields stay
+/// 0 and no step is kSkippedActivated.
+using HntpResult = AdaptiveRunResult;
 
 /// HNTP — the nonadaptive tailoring of HATP (Section VI-A). Identical
 /// estimation machinery (fresh hybrid-error RR pools per candidate — one
@@ -67,15 +27,12 @@ struct HntpResult {
 /// the rear base T_{i-1} \ {u_i} includes the selected seeds. The whole
 /// batch is returned for one-shot deployment.
 ///
-/// Reuses HatpOptions; n_i = n throughout. The engine overload samples
-/// through `engine` (must be bound to problem.graph and options.model);
-/// the two-argument form builds the backend selected by options.engine /
-/// options.num_threads internally.
-Result<HntpResult> RunHntp(const ProfitProblem& problem,
-                           const HatpOptions& options, Rng* rng);
+/// Reuses HatpOptions; n_i = n throughout. Samples through `engine` when
+/// given (must be bound to problem.graph and options.model), otherwise
+/// through the backend selected by options.sampling.
 Result<HntpResult> RunHntp(const ProfitProblem& problem,
                            const HatpOptions& options, Rng* rng,
-                           SamplingEngine* engine);
+                           SamplingEngine* engine = nullptr);
 
 }  // namespace atpm
 

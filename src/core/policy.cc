@@ -203,12 +203,11 @@ Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
     const BitVector& rear_base, const BitVector* removed, uint32_t num_alive,
     uint64_t theta, uint64_t epoch, uint64_t budget_remaining, Rng* rng,
     FrontRearHits* hits) {
+  *hits = FrontRearHits{};
   if (std::optional<FirstRoundAnswer> served = Serve(theta)) {
     hits->front = served->front_hits;
     hits->rear = served->rear_hits;
     hits->theta = served->theta;
-    hits->pools = 0;
-    hits->queries = 0;
     return RoundStep::kServed;
   }
   // An exhausted run budget blocks all further sampling (serving stored
@@ -216,17 +215,13 @@ Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
   // whatever evidence it already holds.
   const BudgetGate* gate = engine->budget();
   if (gate != nullptr && gate->Exhausted() != BudgetStop::kNone) {
-    hits->theta = 0;
     return RoundStep::kDegraded;
   }
   if (RoundRrSets(theta, batched_) > budget_remaining) {
     return RoundStep::kOverBudget;
   }
-  Result<FrontRearHits> sampled = SampleRound(
-      engine, u, front_base, rear_base, removed, num_alive, theta, epoch,
-      rng);
-  if (!sampled.ok()) return sampled.status();
-  *hits = std::move(sampled).value();
+  ATPM_RETURN_NOT_OK(SampleRound(engine, u, front_base, rear_base, removed,
+                                 num_alive, theta, epoch, rng, hits));
   // A pool cut short mid-round (hits->theta < theta, possibly 0) is the
   // gate tripping between the check above and the batch finishing.
   return hits->theta == theta ? RoundStep::kSampled : RoundStep::kDegraded;
@@ -285,64 +280,62 @@ void SpeculativeRoundPlanner::AddSpeculativeQueries(
   stats_.speculative_queries += 2 * pending_.size();
 }
 
-Result<FrontRearHits> SpeculativeRoundPlanner::SampleRound(
+Status SpeculativeRoundPlanner::SampleRound(
     SamplingEngine* engine, NodeId u, const BitVector& front_base,
     const BitVector& rear_base, const BitVector* removed, uint32_t num_alive,
-    uint64_t theta, uint64_t epoch, Rng* rng) {
-  FrontRearHits hits;
-  hits.theta = theta;
+    uint64_t theta, uint64_t epoch, Rng* rng, FrontRearHits* hits) {
+  batch_.Clear();
+  pending_.clear();
   if (!batched_) {
     // The literal two-pool sampling, each a one-query batch — the same RNG
     // consumption (one 64-bit draw per pool) as the historical
     // CountConditionalCoverage path, so fixed-seed runs stay bit-identical.
-    batch_.Clear();
-    pending_.clear();
     const uint32_t front = batch_.Add(u, &front_base);
     const Result<uint64_t> front_sampled = engine->TryCountCoverageBatch(
         &batch_, removed, num_alive, theta, rng);
-    if (!front_sampled.ok()) return front_sampled.status();
-    hits.front = batch_.hits(front);
+    ATPM_RETURN_NOT_OK(front_sampled.status());
+    hits->front = batch_.hits(front);
+    hits->sets = front_sampled.value();
+    hits->pools = hits->queries = 1;
     batch_.Clear();
     const uint32_t rear = batch_.Add(u, &rear_base);
     const Result<uint64_t> rear_sampled = engine->TryCountCoverageBatch(
         &batch_, removed, num_alive, theta, rng);
-    if (!rear_sampled.ok()) return rear_sampled.status();
-    hits.rear = batch_.hits(rear);
-    hits.pools = 2;
-    hits.queries = 2;
-    if (front_sampled.value() != theta || rear_sampled.value() != theta) {
-      // Truncated independent pools have mismatched denominators — no
-      // single honest scale exists, so the round is unusable.
-      hits.theta = 0;
-    }
-    return hits;
+    ATPM_RETURN_NOT_OK(rear_sampled.status());
+    hits->rear = batch_.hits(rear);
+    hits->sets += rear_sampled.value();
+    hits->pools = hits->queries = 2;
+    // Truncated independent pools have mismatched denominators — no single
+    // honest scale exists, so the round is unusable.
+    const bool whole =
+        front_sampled.value() == theta && rear_sampled.value() == theta;
+    hits->theta = whole ? theta : 0;
+    return Status::OK();
   }
-  batch_.Clear();
-  pending_.clear();
   const uint32_t front = batch_.Add(u, &front_base);
   const uint32_t rear = batch_.Add(u, &rear_base);
   if (window_ > 0) AddSpeculativeQueries(front_base, rear_base, epoch, theta);
   const Result<uint64_t> sampled = engine->TryCountCoverageBatch(
       &batch_, removed, num_alive, theta, rng);
-  if (!sampled.ok()) return sampled.status();
-  hits.theta = sampled.value();
-  if (hits.theta > 0) {
+  ATPM_RETURN_NOT_OK(sampled.status());
+  hits->theta = hits->sets = sampled.value();
+  if (hits->theta > 0) {
     for (const PendingAnswer& pending : pending_) {
       Entry& entry = entries_[pending.position];
       entry.epoch = epoch;
       // Stored under the pool's ACTUAL size: a truncated pool still
       // certifies (and scales) honestly over what it drew.
-      entry.theta = hits.theta;
+      entry.theta = hits->theta;
       entry.front_hits = batch_.hits(pending.front_index);
       entry.rear_hits = batch_.hits(pending.rear_index);
       entry.valid = true;
     }
   }
-  hits.front = batch_.hits(front);
-  hits.rear = batch_.hits(rear);
-  hits.pools = 1;
-  hits.queries = batch_.size();
-  return hits;
+  hits->front = batch_.hits(front);
+  hits->rear = batch_.hits(rear);
+  hits->pools = 1;
+  hits->queries = batch_.size();
+  return Status::OK();
 }
 
 }  // namespace atpm

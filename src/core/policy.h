@@ -237,6 +237,10 @@ struct FrontRearHits {
   /// round mid-pool. Estimates must scale by THIS, not by the requested
   /// theta.
   uint64_t theta = 0;
+  /// RR sets the round's pool(s) actually drew — the budget charge. Can be
+  /// nonzero while `theta` is 0: unbatched pools truncated to mismatched
+  /// sizes give no usable estimate but were still paid for.
+  uint64_t sets = 0;
   /// Throwaway pools this round sampled (1 batched, 2 unbatched, 0 when the
   /// round was served from a speculative answer).
   uint64_t pools = 0;
@@ -246,7 +250,7 @@ struct FrontRearHits {
 };
 
 /// Running telemetry of the speculative pipelining layer (mirrored into
-/// AdaptiveRunResult / HntpResult after a run).
+/// AdaptiveRunResult after a run).
 struct SpeculationStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -309,8 +313,8 @@ class SpeculativeRoundPlanner {
   enum class RoundStep {
     /// Served from the active speculative answer: no pool, no budget.
     kServed,
-    /// Sampled pool(s); the caller charges RoundRrSets(theta, batched())
-    /// to its per-decision budget.
+    /// Sampled pool(s); the caller charges hits->sets to its per-decision
+    /// budget.
     kSampled,
     /// The budget cannot fund the round's pool(s); nothing happened.
     kOverBudget,
@@ -345,6 +349,7 @@ class SpeculativeRoundPlanner {
   /// A non-OK result means the engine failed (injected fault, worker
   /// exception, IO error): kResourceExhausted is the caller's cue to
   /// degrade onto the estimates it already has, anything else propagates.
+  /// Either way `hits` counts the sets and pools drawn before the failure.
   /// Serving a stored answer is free, so it happens even when the engine's
   /// BudgetGate is already exhausted; sampling is what kDegraded guards.
   Result<RoundStep> NextRound(SamplingEngine* engine, NodeId u,
@@ -361,18 +366,9 @@ class SpeculativeRoundPlanner {
   bool speculating() const { return window_ > 0; }
 
   const SpeculationStats& stats() const { return stats_; }
-
-  /// Copies the telemetry into an AdaptiveRunResult / HntpResult (both
-  /// carry the same speculation_* field names).
-  template <typename ResultT>
-  void ExportStats(ResultT* result) const {
-    result->speculation_hits = stats_.hits;
-    result->speculation_rounds_served = stats_.rounds_served;
-    result->speculation_misses = stats_.misses;
-    result->speculation_discarded = stats_.discarded;
-    result->speculative_queries = stats_.speculative_queries;
-    result->lookahead_window_trace = window_trace_;
-  }
+  /// Window in effect at each speculating Begin (see
+  /// AdaptiveRunResult::lookahead_window_trace).
+  const std::vector<uint32_t>& window_trace() const { return window_trace_; }
 
  private:
   struct Entry {
@@ -392,17 +388,17 @@ class SpeculativeRoundPlanner {
   /// Serves the active answer for a round of `theta` sets, or retires it.
   std::optional<FirstRoundAnswer> Serve(uint64_t theta);
 
-  /// Samples the round's pool(s) and answers the front/rear queries (plus
-  /// speculative lookahead queries in batched mode). hits.theta is the
-  /// sets actually drawn: θ normally, less when the engine's BudgetGate
-  /// truncated the batched pool, 0 when the round produced nothing usable
-  /// (empty truncation, or unbatched pools with mismatched sizes).
-  Result<FrontRearHits> SampleRound(SamplingEngine* engine, NodeId u,
-                                    const BitVector& front_base,
-                                    const BitVector& rear_base,
-                                    const BitVector* removed,
-                                    uint32_t num_alive, uint64_t theta,
-                                    uint64_t epoch, Rng* rng);
+  /// Samples the round's pool(s) into `hits` and answers the front/rear
+  /// queries (plus speculative lookahead queries in batched mode).
+  /// hits->theta is the estimates' denominator: θ normally, less when the
+  /// engine's BudgetGate truncated the batched pool, 0 when the round
+  /// produced nothing usable (empty truncation, or unbatched pools with
+  /// mismatched sizes).
+  Status SampleRound(SamplingEngine* engine, NodeId u,
+                     const BitVector& front_base, const BitVector& rear_base,
+                     const BitVector* removed, uint32_t num_alive,
+                     uint64_t theta, uint64_t epoch, Rng* rng,
+                     FrontRearHits* hits);
 
   /// Appends up to window_ speculative first-round queries to batch_,
   /// refreshing stored answers whose pool is smaller than `theta`.

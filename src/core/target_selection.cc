@@ -39,12 +39,12 @@ Result<double> EstimateSpreadLowerBound(SamplingEngine* engine,
 // One engine drives every stage of a pipeline call.
 std::unique_ptr<SamplingEngine> PipelineEngine(
     const Graph& graph, const TargetSelectionOptions& options) {
-  SamplingEngineOptions engine_options;
-  engine_options.backend = options.engine;
-  engine_options.num_threads = options.num_threads;
-  engine_options.kernel = options.kernel;
+  SamplingOptions sampling;
+  sampling.engine = options.engine;
+  sampling.num_threads = options.num_threads;
+  sampling.kernel = options.kernel;
   return CreateSamplingEngine(graph, DiffusionModel::kIndependentCascade,
-                              engine_options);
+                              sampling);
 }
 
 }  // namespace

@@ -14,12 +14,12 @@ namespace atpm {
 
 Result<ImmResult> RunImm(const Graph& graph, uint32_t k,
                          const ImmOptions& options) {
-  SamplingEngineOptions engine_options;
-  engine_options.backend = options.engine;
-  engine_options.num_threads = options.num_threads;
-  engine_options.kernel = options.kernel;
+  SamplingOptions sampling;
+  sampling.engine = options.engine;
+  sampling.num_threads = options.num_threads;
+  sampling.kernel = options.kernel;
   std::unique_ptr<SamplingEngine> engine = CreateSamplingEngine(
-      graph, DiffusionModel::kIndependentCascade, engine_options);
+      graph, DiffusionModel::kIndependentCascade, sampling);
   return RunImm(graph, k, options, engine.get());
 }
 

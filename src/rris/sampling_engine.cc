@@ -450,11 +450,11 @@ void ParallelSamplingEngine::ResetPool() {
 
 std::unique_ptr<SamplingEngine> CreateSamplingEngine(
     const Graph& graph, DiffusionModel model,
-    const SamplingEngineOptions& options) {
+    const SamplingOptions& options) {
   uint32_t threads = options.num_threads == 0
                          ? std::max(1u, std::thread::hardware_concurrency())
                          : options.num_threads;
-  SamplingBackend backend = options.backend;
+  SamplingBackend backend = options.engine;
   if (backend == SamplingBackend::kAuto) {
     backend =
         threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
@@ -468,14 +468,14 @@ std::unique_ptr<SamplingEngine> CreateSamplingEngine(
   }
   if (backend == SamplingBackend::kParallel) {
     return std::make_unique<ParallelSamplingEngine>(
-        graph, model, threads, options.min_parallel_batch, options.kernel);
+        graph, model, threads, ParallelSamplingEngine::kDefaultMinParallelBatch, options.kernel);
   }
   return std::make_unique<SerialSamplingEngine>(graph, model, options.kernel);
 }
 
 SamplingEngine* SamplingEngineHandle::Get(const Graph& graph,
                                           DiffusionModel model,
-                                          const SamplingEngineOptions& options) {
+                                          const SamplingOptions& options) {
   if (external_ != nullptr) return external_;
   // Reuse is keyed by graph identity (address + shape): the caller owns the
   // graph's lifetime and must not recycle it while the handle is live. The
@@ -487,9 +487,8 @@ SamplingEngine* SamplingEngineHandle::Get(const Graph& graph,
       owned_->graph().num_nodes() == graph.num_nodes() &&
       owned_->graph().num_edges() == graph.num_edges() &&
       owned_->model() == model &&
-      owned_options_.backend == options.backend &&
+      owned_options_.engine == options.engine &&
       owned_options_.num_threads == options.num_threads &&
-      owned_options_.min_parallel_batch == options.min_parallel_batch &&
       owned_options_.kernel == options.kernel;
   if (!reusable) {
     owned_ = CreateSamplingEngine(graph, model, options);

@@ -39,24 +39,10 @@ enum class SamplingBackend {
 /// Human-readable backend name ("serial" / "parallel" / "auto").
 const char* SamplingBackendName(SamplingBackend backend);
 
-/// Backend selection knobs, threaded through policy options.
-struct SamplingEngineOptions {
-  SamplingBackend backend = SamplingBackend::kAuto;
-  /// Worker threads for the parallel backend; 0 = hardware concurrency.
-  uint32_t num_threads = 1;
-  /// Batches below this size run on the calling thread even under the
-  /// parallel backend — fan-out overhead dominates tiny jobs, and the
-  /// adaptive policies issue plenty of them early in the error schedule.
-  uint64_t min_parallel_batch = 4096;
-  /// RR-generation kernel of every generator the engine owns (see
-  /// SamplingKernel in graph/graph.h): geometric jumps where the weight
-  /// classes allow by default, kPerEdge for bit-compat reruns.
-  SamplingKernel kernel = SamplingKernel::kGeometricJump;
-};
-
 /// Sampling knobs shared by every RIS-driven decision loop (ADDATP, HATP,
 /// HNTP). Policy option structs embed one of these instead of copy-pasting
-/// the fields.
+/// the fields; engine construction (CreateSamplingEngine) reads the
+/// backend, thread count, and kernel from it.
 struct SamplingOptions {
   /// RR sampling backend. kAuto engages the persistent thread pool iff
   /// num_threads > 1; kSerial reproduces the single-threaded code path bit
@@ -101,7 +87,8 @@ struct SamplingOptions {
   /// Discard-rate bar for widening: while discarded / resolved candidates
   /// stays below this, a stable residual graph keeps doubling the window.
   double lookahead_discard_threshold = 0.25;
-  /// RR-generation kernel. The default geometric-jump kernel is
+  /// RR-generation kernel of every generator the engine owns (see
+  /// SamplingKernel in graph/graph.h). The default geometric-jump kernel is
   /// statistically equivalent to the historical per-edge loop but consumes
   /// a different RNG stream; set kPerEdge to reproduce pre-kernel decision
   /// sequences bit for bit for a fixed seed.
@@ -114,15 +101,6 @@ struct SamplingOptions {
   /// (DegradationEvent / achieved_theta / effective_epsilon) instead of
   /// crashing or silently answering with less evidence than requested.
   RunBudget budget;
-
-  /// Engine-construction view of these knobs.
-  SamplingEngineOptions EngineOptions() const {
-    SamplingEngineOptions engine_options;
-    engine_options.backend = engine;
-    engine_options.num_threads = num_threads;
-    engine_options.kernel = kernel;
-    return engine_options;
-  }
 };
 
 /// The substrate boundary between RR-set sampling and the TPM algorithms.
@@ -348,10 +326,16 @@ class SerialSamplingEngine final : public SamplingEngine {
 /// caller's stream directly, the inline path from one reseeded draw).
 class ParallelSamplingEngine final : public SamplingEngine {
  public:
+  /// Batches below this size run on the calling thread — fan-out overhead
+  /// dominates tiny jobs, and the adaptive policies issue plenty of them
+  /// early in the error schedule.
+  static constexpr uint64_t kDefaultMinParallelBatch = 4096;
+
   explicit ParallelSamplingEngine(
       const Graph& graph,
       DiffusionModel model = DiffusionModel::kIndependentCascade,
-      uint32_t num_threads = 0, uint64_t min_parallel_batch = 4096,
+      uint32_t num_threads = 0,
+      uint64_t min_parallel_batch = kDefaultMinParallelBatch,
       SamplingKernel kernel = SamplingKernel::kGeometricJump);
   ~ParallelSamplingEngine() override;
 
@@ -463,19 +447,20 @@ class ScopedEngineBudget {
   bool armed_;
 };
 
-/// Builds the backend selected by `options` for (graph, model). kAuto
-/// resolves to kParallel iff the resolved thread count (num_threads, with 0
-/// meaning hardware concurrency) exceeds 1. An explicit kParallel request
-/// whose resolved thread count is 1 also degrades to the serial backend:
-/// a one-worker pool would route every query through its inline serial path
-/// anyway, so the worker thread + condvar machinery would be pure overhead.
+/// Builds the backend selected by `options` (engine, num_threads, kernel)
+/// for (graph, model). kAuto resolves to kParallel iff the resolved thread
+/// count (num_threads, with 0 meaning hardware concurrency) exceeds 1. An
+/// explicit kParallel request whose resolved thread count is 1 also
+/// degrades to the serial backend: a one-worker pool would route every
+/// query through its inline serial path anyway, so the worker thread +
+/// condvar machinery would be pure overhead.
 /// Consequently engine->name() (and anything logging it next to
-/// SamplingBackendName(options.backend)) reports "serial" for that
-/// configuration.
+/// SamplingBackendName(options.engine)) reports "serial" for that
+/// configuration. A parallel engine keeps its default min_parallel_batch.
 std::unique_ptr<SamplingEngine> CreateSamplingEngine(
     const Graph& graph,
     DiffusionModel model = DiffusionModel::kIndependentCascade,
-    const SamplingEngineOptions& options = {});
+    const SamplingOptions& options = {});
 
 /// Engine slot embedded by policies: hands out an injected (borrowed)
 /// engine when one was set, otherwise lazily builds — and caches across
@@ -491,12 +476,12 @@ class SamplingEngineHandle {
 
   /// The engine to use for (graph, model, options).
   SamplingEngine* Get(const Graph& graph, DiffusionModel model,
-                      const SamplingEngineOptions& options);
+                      const SamplingOptions& options);
 
  private:
   SamplingEngine* external_ = nullptr;
   std::unique_ptr<SamplingEngine> owned_;
-  SamplingEngineOptions owned_options_{};
+  SamplingOptions owned_options_{};
 };
 
 }  // namespace atpm

@@ -125,7 +125,7 @@ TEST(ExperimentRunnerTest, SharedRoundPoolsReuseAcrossWorlds) {
 
   std::unique_ptr<SamplingEngine> inner = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade,
-      options.sampling.EngineOptions());
+      options.sampling);
   SharedRoundPoolEngine shared(inner.get());
   Result<AlgoStats> stats = runner.RunAdaptive(&policy, &shared);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

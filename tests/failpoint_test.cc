@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "common/bit_vector.h"
 #include "common/rng.h"
 #include "common/run_budget.h"
+#include "core/addatp.h"
 #include "core/hatp.h"
 #include "core/hntp.h"
 #include "core/target_selection.h"
@@ -72,14 +74,47 @@ ProfitProblem GoldenProblem(const Graph& g) {
   return selection.value().problem;
 }
 
+Result<AdaptiveRunResult> RunGoldenPolicy(const Graph& g,
+                                          const ProfitProblem& problem,
+                                          AdaptivePolicy* policy) {
+  Rng world_rng(42);
+  AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
+  Rng rng(1);
+  return policy->Run(problem, &env, &rng);
+}
+
 Result<AdaptiveRunResult> RunGoldenHatp(const Graph& g,
                                         const ProfitProblem& problem,
                                         const HatpOptions& hopt) {
   HatpPolicy policy(hopt);
-  Rng world_rng(42);
-  AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
-  Rng rng(1);
-  return policy.Run(problem, &env, &rng);
+  return RunGoldenPolicy(g, problem, &policy);
+}
+
+// Everything a run golden pins, as one comparable line: seeds, per-step
+// decision:rounds (when `with_steps`), the effort totals, every degradation
+// event, and the certified guarantee (doubles in hex, so equality is
+// bit-exact).
+std::string Fingerprint(const AdaptiveRunResult& r, bool with_steps) {
+  std::ostringstream s;
+  s << "seeds";
+  for (NodeId v : r.seeds) s << ' ' << v;
+  if (with_steps) {
+    s << " | steps";
+    for (const AdaptiveStepRecord& step : r.steps) {
+      s << ' ' << static_cast<int>(step.decision) << ':' << step.rounds;
+    }
+  }
+  s << " | rr " << r.total_rr_sets << " pools " << r.total_count_pools
+    << " queries " << r.total_coverage_queries << " | events";
+  for (const DegradationEvent& e : r.degradation_events) {
+    s << ' ' << static_cast<int>(e.reason) << '/' << e.node << '/'
+      << e.rounds_completed << '/' << e.requested_theta << '/'
+      << e.achieved_theta;
+  }
+  s << " | eps " << std::hexfloat << r.effective_epsilon << " add "
+    << r.achieved_additive_error << std::defaultfloat << " theta "
+    << r.achieved_theta;
+  return s.str();
 }
 
 // Every test leaves the process failpoint-free, however it exits.
@@ -190,6 +225,199 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
                    hopt.relative_error_threshold);
   EXPECT_GT(run.value().achieved_theta, 0u);
   EXPECT_GT(run.value().achieved_additive_error, 0.0);
+}
+
+// ---- Decision-loop goldens for every policy of the shared double-greedy
+// driver: clean runs, RR-cap truncation, and pre-cancelled runs, all
+// serial. The expected lines were captured from the three separate
+// decision loops the driver replaced.
+
+// Runs `algorithm` ("ADDATP", "HATP", "HNTP") on the golden instance and
+// fingerprints the result (HNTP without steps: the pre-driver HNTP result
+// carried none).
+std::string GoldenFingerprint(const Graph& g, const ProfitProblem& problem,
+                              const std::string& algorithm,
+                              const SamplingOptions& sampling,
+                              bool dynamic_threshold = false) {
+  if (algorithm == "HNTP") {
+    HatpOptions options;
+    options.sampling = sampling;
+    Rng rng(1);
+    auto run = RunHntp(problem, options, &rng);
+    return run.ok() ? Fingerprint(run.value(), false)
+                    : run.status().ToString();
+  }
+  Result<AdaptiveRunResult> run = Status::Internal("unknown algorithm");
+  if (algorithm == "ADDATP") {
+    AddAtpOptions options;
+    options.sampling = sampling;
+    options.fail_on_budget_exhausted = false;
+    options.dynamic_threshold = dynamic_threshold;
+    // Large enough that the bar actually rises on this small instance.
+    options.dynamic_epsilon = 1.0;
+    AddAtpPolicy policy(options);
+    run = RunGoldenPolicy(g, problem, &policy);
+  } else if (algorithm == "HATP") {
+    HatpOptions options;
+    options.sampling = sampling;
+    HatpPolicy policy(options);
+    run = RunGoldenPolicy(g, problem, &policy);
+  }
+  return run.ok() ? Fingerprint(run.value(), true) : run.status().ToString();
+}
+
+SamplingOptions SerialSampling() {
+  SamplingOptions sampling;
+  sampling.engine = SamplingBackend::kSerial;
+  return sampling;
+}
+
+TEST_F(FailpointTest, CleanRunGoldens) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  SamplingOptions unbatched = SerialSampling();
+  unbatched.batched_rounds = false;
+  EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", SerialSampling()),
+            "seeds 2 7 18 17 9 | steps 0:11 1:13 0:13 0:13 2:0 0:11 1:12 "
+            "0:12 1:13 2:0 | rr 5516789 pools 98 queries 196 | events | eps "
+            "0x0p+0 add 0x1.fffffffffffffp+0 theta 115482");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", SerialSampling(),
+                              /*dynamic_threshold=*/true),
+            "seeds 2 7 18 17 9 | steps 0:11 1:8 0:13 0:13 2:0 0:11 1:11 "
+            "0:12 1:13 2:0 | rr 4187536 pools 92 queries 184 | events | eps "
+            "0x0p+0 add 0x1.6a09e667f3bc8p+2 theta 15178");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", SerialSampling()),
+            "seeds 2 18 9 22 | rr 1182856 pools 109 queries 218 | events | "
+            "eps 0x1.999999999999ap-5 add 0x1p+0 theta 39094");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", unbatched),
+            "seeds 2 7 18 17 9 | steps 0:11 1:11 0:11 0:11 2:0 0:8 1:10 "
+            "0:11 1:11 2:0 | rr 1324312 pools 168 queries 168 | events | eps "
+            "0x1.999999999999ap-5 add 0x1.ffffffffffffcp+0 theta 7203");
+}
+
+TEST_F(FailpointTest, RrCapTruncatedRunGoldens) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  SamplingOptions capped = SerialSampling();
+  capped.max_rr_sets_per_decision = 20000;
+  EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", capped),
+            "seeds 2 18 17 9 41 | steps 0:7 1:7 1:7 0:7 2:0 0:7 1:7 0:7 0:7 "
+            "2:0 | rr 106583 pools 56 queries 112 | events 3/2/7/21007/10016 "
+            "3/4/7/15178/7237 3/7/7/15178/7237 3/18/7/15178/7237 "
+            "3/17/7/14356/6845 3/8/7/12455/5939 3/9/7/12455/5939 "
+            "3/41/7/12240/5836 | eps 0x0p+0 add 0x1.fffffffffffffp+2 theta "
+            "5836");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", capped),
+            "seeds 2 4 17 9 | steps 0:8 0:8 1:8 1:8 2:0 0:8 1:8 0:8 1:8 2:0 "
+            "| rr 118273 pools 64 queries 128 | events 3/2/8/11580/8907 "
+            "3/4/8/16148/7883 3/7/8/15256/7398 3/18/8/15515/7574 "
+            "3/17/8/15256/7398 3/8/8/14438/7049 3/9/8/14438/7049 "
+            "3/41/8/14312/6987 | eps 0x1.ffffffffffffdp-4 add "
+            "0x1.fffffffffffffp+1 theta 6987");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", capped),
+            "seeds 2 18 41 22 | rr 180717 pools 80 queries 160 | events "
+            "3/2/8/11580/8907 3/4/8/18681/9058 3/7/8/18681/9058 "
+            "3/18/8/18998/9274 3/13/8/18998/9274 3/17/8/18998/9274 "
+            "3/8/8/18998/9274 3/9/8/18998/9274 3/41/8/18998/9274 "
+            "3/22/8/18998/9274 | eps 0x1.ffffffffffffdp-4 add "
+            "0x1.fffffffffffffp+1 theta 8907");
+}
+
+TEST_F(FailpointTest, PreCancelledRunGoldens) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  CancelToken cancel;
+  cancel.Cancel();
+  SamplingOptions cancelled = SerialSampling();
+  cancelled.budget.cancel = &cancel;
+  EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", cancelled),
+            "seeds | steps 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 | rr 0 "
+            "pools 0 queries 0 | events 2/2/0/111/0 2/4/0/111/0 2/7/0/111/0 "
+            "2/18/0/111/0 2/13/0/111/0 2/17/0/111/0 2/8/0/111/0 2/9/0/111/0 "
+            "2/41/0/111/0 2/22/0/111/0 | eps 0x0p+0 add 0x1.2cp+8 theta 0");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", cancelled),
+            "seeds | steps 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 | rr 0 "
+            "pools 0 queries 0 | events 2/2/0/60/0 2/4/0/60/0 2/7/0/60/0 "
+            "2/18/0/60/0 2/13/0/60/0 2/17/0/60/0 2/8/0/60/0 2/9/0/60/0 "
+            "2/41/0/60/0 2/22/0/60/0 | eps 0x1p+0 add 0x1.2cp+8 theta 0");
+  EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", cancelled),
+            "seeds | rr 0 pools 0 queries 0 | events 2/2/0/60/0 2/4/0/60/0 "
+            "2/7/0/60/0 2/18/0/60/0 2/13/0/60/0 2/17/0/60/0 2/8/0/60/0 "
+            "2/9/0/60/0 2/41/0/60/0 2/22/0/60/0 | eps 0x1p+0 add 0x1.2cp+8 "
+            "theta 0");
+}
+
+// A serial engine that cancels `token` right after its `cancel_after`-th
+// counting pool: a run budget tripping at an exact point between pools.
+class CancelAfterCountsEngine final : public SamplingEngine {
+ public:
+  CancelAfterCountsEngine(const Graph& g, CancelToken* token,
+                          uint64_t cancel_after)
+      : inner_(g), token_(token), cancel_after_(cancel_after) {}
+
+  Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
+                         uint64_t count, Rng* rng) override {
+    return inner_.TryGeneratePool(removed, num_alive, count, rng);
+  }
+  Result<uint64_t> TryCountCoverageBatchSeeded(CoverageQueryBatch* batch,
+                                               const BitVector* removed,
+                                               uint32_t num_alive,
+                                               uint64_t theta,
+                                               uint64_t seed) override {
+    Result<uint64_t> sampled = inner_.TryCountCoverageBatchSeeded(
+        batch, removed, num_alive, theta, seed);
+    if (++calls_ == cancel_after_) token_->Cancel();
+    return sampled;
+  }
+  void set_budget(BudgetGate* budget) override {
+    SamplingEngine::set_budget(budget);
+    inner_.set_budget(budget);
+  }
+
+  RRCollection& pool() override { return inner_.pool(); }
+  void ResetPool() override { inner_.ResetPool(); }
+  uint64_t total_edges_examined() const override {
+    return inner_.total_edges_examined();
+  }
+  const Graph& graph() const override { return inner_.graph(); }
+  DiffusionModel model() const override { return inner_.model(); }
+  SamplingKernel kernel() const override { return inner_.kernel(); }
+  uint32_t num_workers() const override { return 1; }
+  std::string_view name() const override { return "cancel-after"; }
+
+  /// What the sampling substrate actually drew.
+  const SamplingStats& drawn() const { return inner_.stats(); }
+
+ private:
+  SerialSamplingEngine inner_;
+  CancelToken* token_;
+  uint64_t cancel_after_;
+  uint64_t calls_ = 0;
+};
+
+TEST_F(FailpointTest, DegradedRoundsChargeWhatTheyDrew) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  // A cancel between an unbatched round's R1 and R2 leaves the round with
+  // no usable estimate, but its pools were drawn and must be charged.
+  for (const bool batched : {false, true}) {
+    for (const uint64_t cancel_after : {1u, 3u}) {
+      CancelToken cancel;
+      CancelAfterCountsEngine engine(g, &cancel, cancel_after);
+      HatpOptions hopt;
+      hopt.sampling.batched_rounds = batched;
+      hopt.sampling.budget.cancel = &cancel;
+      HatpPolicy policy(hopt);
+      policy.set_engine(&engine);
+      auto run = RunGoldenPolicy(g, problem, &policy);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_FALSE(run.value().degradation_events.empty());
+      EXPECT_EQ(run.value().total_rr_sets, engine.drawn().rr_sets_generated)
+          << "batched=" << batched << " cancel_after=" << cancel_after;
+      EXPECT_EQ(run.value().total_count_pools, engine.drawn().count_pools)
+          << "batched=" << batched << " cancel_after=" << cancel_after;
+    }
+  }
 }
 
 // ---- Armed sites surface as Statuses; disarming restores the exact

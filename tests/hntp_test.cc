@@ -55,6 +55,17 @@ TEST(HntpTest, NoFeedbackCandidatesNeverSkipped) {
   // Node 0 (spread 4, cost .1) is clearly kept.
   EXPECT_FALSE(result.value().seeds.empty());
   EXPECT_EQ(result.value().seeds[0], 0u);
+  // One examined step per target, none skipped, and nothing realized.
+  ASSERT_EQ(result.value().steps.size(), 3u);
+  size_t selected = 0;
+  for (const AdaptiveStepRecord& step : result.value().steps) {
+    EXPECT_NE(step.decision, SeedDecision::kSkippedActivated);
+    EXPECT_GT(step.rounds, 0u);
+    EXPECT_EQ(step.newly_activated, 0u);
+    if (step.decision == SeedDecision::kSelected) ++selected;
+  }
+  EXPECT_EQ(selected, result.value().seeds.size());
+  EXPECT_EQ(result.value().realized_spread, 0u);
 }
 
 TEST(HntpTest, ValidatesErrorConfiguration) {

@@ -300,8 +300,8 @@ TEST_P(KernelAgreementTest, CoverageEstimatesAgreeWithin3Sigma) {
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   const uint64_t theta = 120000;
 
-  SamplingEngineOptions options;
-  options.backend =
+  SamplingOptions options;
+  options.engine =
       parallel ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = parallel ? 4 : 1;
 
@@ -652,8 +652,8 @@ TEST(KernelKnobTest, NamesAndEngineReporting) {
                "geometric-jump");
   EXPECT_STREQ(SamplingKernelName(SamplingKernel::kPerEdge), "per-edge");
   const Graph g = TestGraph(100, Weighting::kWeightedCascade);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kSerial;
+  SamplingOptions options;
+  options.engine = SamplingBackend::kSerial;
   options.kernel = SamplingKernel::kPerEdge;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
@@ -663,8 +663,8 @@ TEST(KernelKnobTest, NamesAndEngineReporting) {
 
 TEST(KernelKnobTest, HandleRebuildsWhenKernelChanges) {
   const Graph g = TestGraph(100, Weighting::kWeightedCascade);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kSerial;
+  SamplingOptions options;
+  options.engine = SamplingBackend::kSerial;
   SamplingEngineHandle handle;
   SamplingEngine* jump =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);

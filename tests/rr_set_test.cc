@@ -229,16 +229,12 @@ TEST(CountCoveringTest, EarlyAbortDoesNotBiasCounts) {
 
 TEST(ParallelCountingTest, DeterministicGivenSeedAndThreads) {
   const Graph g = MakeStarGraph(20, 0.3);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kParallel;
-  options.num_threads = 4;
-  options.min_parallel_batch = 1024;  // engage the pool at this theta
-  SamplingEngineHandle handle;
-  SamplingEngine* engine =
-      handle.Get(g, DiffusionModel::kIndependentCascade, options);
-  const uint64_t a = engine->CountConditionalCoverageSeeded(
+  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                /*num_threads=*/4,
+                                /*min_parallel_batch=*/1024);
+  const uint64_t a = engine.CountConditionalCoverageSeeded(
       0, nullptr, nullptr, 20, 50000, 42);
-  const uint64_t b = engine->CountConditionalCoverageSeeded(
+  const uint64_t b = engine.CountConditionalCoverageSeeded(
       0, nullptr, nullptr, 20, 50000, 42);
   EXPECT_EQ(a, b);
 }
@@ -247,14 +243,14 @@ TEST(ParallelCountingTest, ThreadCountsAgreeStatistically) {
   const Graph g = MakeStarGraph(20, 0.3);
   const uint64_t theta = 200000;
   SamplingEngineHandle handle;
-  SamplingEngineOptions serial_options;
-  serial_options.backend = SamplingBackend::kSerial;
+  SamplingOptions serial_options;
+  serial_options.engine = SamplingBackend::kSerial;
   const uint64_t single =
       handle.Get(g, DiffusionModel::kIndependentCascade, serial_options)
           ->CountConditionalCoverageSeeded(0, nullptr, nullptr, 20, theta,
                                            1);
-  SamplingEngineOptions parallel_options;
-  parallel_options.backend = SamplingBackend::kParallel;
+  SamplingOptions parallel_options;
+  parallel_options.engine = SamplingBackend::kParallel;
   parallel_options.num_threads = 8;
   const uint64_t multi =
       handle.Get(g, DiffusionModel::kIndependentCascade, parallel_options)

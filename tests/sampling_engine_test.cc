@@ -363,8 +363,8 @@ TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossBackends) {
 
 TEST(CreateSamplingEngineTest, AutoResolvesByThreadCount) {
   const Graph g = TestGraph(100);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kAuto;
+  SamplingOptions options;
+  options.engine = SamplingBackend::kAuto;
   options.num_threads = 1;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
@@ -375,7 +375,7 @@ TEST(CreateSamplingEngineTest, AutoResolvesByThreadCount) {
                                  options)
                 ->name(),
             "parallel");
-  options.backend = SamplingBackend::kSerial;
+  options.engine = SamplingBackend::kSerial;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
                 ->name(),
@@ -388,8 +388,8 @@ TEST(CreateSamplingEngineTest, ExplicitParallelWithOneThreadDegradesToSerial) {
   // engine consequently reports name() == "serial" even though the option
   // said kParallel.
   const Graph g = TestGraph(100);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kParallel;
+  SamplingOptions options;
+  options.engine = SamplingBackend::kParallel;
   options.num_threads = 1;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
@@ -438,8 +438,8 @@ TEST(RRCollectionAppendShardTest, MatchesPerSetInsertion) {
 
 TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
   const Graph g = TestGraph(100);
-  SamplingEngineOptions options;
-  options.backend = SamplingBackend::kSerial;
+  SamplingOptions options;
+  options.engine = SamplingBackend::kSerial;
 
   SamplingEngineHandle handle;
   SamplingEngine* first =
@@ -448,7 +448,7 @@ TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
       handle.Get(g, DiffusionModel::kIndependentCascade, options);
   EXPECT_EQ(first, second);  // cached across calls
 
-  options.backend = SamplingBackend::kParallel;
+  options.engine = SamplingBackend::kParallel;
   options.num_threads = 2;
   SamplingEngine* third =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);

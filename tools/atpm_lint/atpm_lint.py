@@ -53,11 +53,8 @@ that no general-purpose tool checks:
                        timing flows through the obs:: helpers so the
                        disabled path stays one relaxed atomic load.
 
-Engines: with the libclang Python bindings installed the AST engine
-resolves types and range-for statements precisely; without them (or on
-any libclang failure) a conservative regex engine runs instead. The two
-engines report the same rule ids, and the self-test (tests/lint_test.py)
-asserts they agree on the fixture tree when both are available.
+Engine: a conservative regex pass over comment- and string-stripped
+source. The rules are lexical, so no compiler front end is needed.
 
 Suppression: a finding on line N is suppressed by the annotation
 `// atpm-lint: allow(<rule>[,<rule>...])` on line N or line N-1.
@@ -190,8 +187,8 @@ def in_determinism_scope(rel):
 
 
 # --------------------------------------------------------------------- regex
-# The conservative fallback engine. Operates on comment/string-stripped
-# source so documentation never trips a rule.
+# The rule engine. Operates on comment/string-stripped source so
+# documentation never trips a rule.
 
 RNG_PATTERNS = (
     (re.compile(r"\brandom_device\b"),
@@ -493,103 +490,6 @@ def lint_file_regex(rel, raw_text, root):
     return findings
 
 
-# ------------------------------------------------------------------ libclang
-# AST engine: precise types for the RNG and determinism rules. The
-# structural rules (mmap-safety, format-stability) are lexical by nature
-# and reuse the regex implementations. Any failure — import, missing
-# libclang.so, parse error — falls back to the regex engine for that file.
-
-
-def _load_cindex():
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        # Bindings present but libclang.so unresolvable.
-        for probe in ("libclang.so", "libclang-14.so.1", "libclang.so.1"):
-            try:
-                cindex.Config.loaded = False
-                cindex.Config.set_library_file(probe)
-                cindex.Index.create()
-                return cindex
-            except Exception:
-                continue
-    return None
-
-
-_RNG_BANNED_TYPES = ("random_device", "mt19937", "mt19937_64")
-_RNG_BANNED_CALLS = ("rand", "srand")
-
-
-def lint_file_clang(cindex, rel, abs_path, root):
-    args = ["-std=c++20", "-x", "c++", "-I", os.path.join(root, "src")]
-    tu = cindex.Index.create().parse(
-        abs_path, args=args,
-        options=cindex.TranslationUnit.PARSE_INCOMPLETE
-        | cindex.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES * 0)
-    findings = []
-    ck = cindex.CursorKind
-
-    def here(cursor):
-        loc = cursor.location
-        return (loc.file is not None
-                and os.path.realpath(loc.file.name)
-                == os.path.realpath(abs_path))
-
-    for cursor in tu.cursor.walk_preorder():
-        if not here(cursor):
-            continue
-        line = cursor.location.line
-        # ---- rng-discipline
-        if rel != "src/common/rng.h":
-            if cursor.kind in (ck.TYPE_REF, ck.DECL_REF_EXPR, ck.VAR_DECL):
-                spelling = cursor.type.spelling if cursor.kind == ck.VAR_DECL \
-                    else cursor.spelling
-                if any(b in spelling for b in _RNG_BANNED_TYPES):
-                    findings.append(Finding(
-                        rel, line, "rng-discipline",
-                        "%s outside common/rng.h; draws must flow through "
-                        "atpm::Rng / SplitSeed streams" % spelling))
-            if cursor.kind == ck.CALL_EXPR:
-                if cursor.spelling in _RNG_BANNED_CALLS:
-                    findings.append(Finding(
-                        rel, line, "rng-discipline",
-                        "%s() bypasses the SplitSeed stream discipline; use "
-                        "atpm::Rng" % cursor.spelling))
-                elif cursor.spelling == "time":
-                    findings.append(Finding(
-                        rel, line, "rng-discipline",
-                        "wall-clock time() in a seeding context is "
-                        "non-reproducible; derive seeds via SplitSeed"))
-        # ---- determinism-hygiene
-        if in_determinism_scope(rel):
-            if cursor.kind == ck.CXX_FOR_RANGE_STMT:
-                children = list(cursor.get_children())
-                if children:
-                    range_type = children[-2].type.spelling \
-                        if len(children) >= 2 else ""
-                    if "unordered_" in range_type:
-                        findings.append(Finding(
-                            rel, line, "determinism-hygiene",
-                            "range-for over %s in a decision/serialization "
-                            "path; iteration order is hash-seed dependent"
-                            % range_type))
-            if cursor.kind in (ck.VAR_DECL, ck.FIELD_DECL):
-                spelling = cursor.type.spelling
-                if re.search(r"\b(?:std::)?(map|set|multimap|multiset)<"
-                             r"[^<>]*\*", spelling) \
-                        and "unordered" not in spelling:
-                    findings.append(Finding(
-                        rel, line, "determinism-hygiene",
-                        "pointer-keyed ordered container %s: address order "
-                        "is allocation dependent" % spelling))
-    return findings
-
-
 # ---------------------------------------------------------------------- main
 
 
@@ -624,8 +524,6 @@ def main(argv):
     parser.add_argument("--root", default=None,
                         help="repo root the rule scopes are relative to "
                         "(default: two levels above this script)")
-    parser.add_argument("--engine", choices=("auto", "libclang", "regex"),
-                        default="auto")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: %s under root)"
@@ -643,15 +541,6 @@ def main(argv):
         print("atpm_lint: no such root: %s" % root, file=sys.stderr)
         return 2
 
-    cindex = None
-    if opts.engine in ("auto", "libclang"):
-        cindex = _load_cindex()
-        if cindex is None and opts.engine == "libclang":
-            print("atpm_lint: libclang bindings unavailable "
-                  "(pip install libclang or apt install python3-clang)",
-                  file=sys.stderr)
-            return 2
-
     findings = []
     checked = 0
     for abs_path in iter_files(root, opts.paths):
@@ -667,23 +556,7 @@ def main(argv):
         checked += 1
         raw_lines = raw.split("\n")
         allows = collect_allows(raw_lines)
-        file_findings = None
-        if cindex is not None:
-            try:
-                file_findings = lint_file_clang(cindex, rel, abs_path, root)
-                # Structural rules stay lexical even under the AST engine.
-                stripped = strip_comments_and_strings(raw)
-                regex_mmap_safety(rel, stripped, file_findings)
-                regex_format_stability(rel, stripped, file_findings)
-                regex_failpoint_discipline(rel, raw, stripped,
-                                           file_findings, root)
-                regex_metrics_discipline(rel, raw, stripped,
-                                         file_findings, root)
-            except Exception:
-                file_findings = None  # fall back to regex for this file
-        if file_findings is None:
-            file_findings = lint_file_regex(rel, raw, root)
-        findings.extend(f for f in file_findings
+        findings.extend(f for f in lint_file_regex(rel, raw, root)
                         if not allowed(allows, f.line, f.rule))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
@@ -697,9 +570,8 @@ def main(argv):
     findings = deduped
     for f in findings:
         print(f)
-    engine = "libclang" if cindex is not None else "regex"
-    print("atpm_lint: %d file(s) checked (%s engine), %d finding(s)"
-          % (checked, engine, len(findings)), file=sys.stderr)
+    print("atpm_lint: %d file(s) checked, %d finding(s)"
+          % (checked, len(findings)), file=sys.stderr)
     return 1 if findings else 0
 
 
