@@ -28,6 +28,13 @@ The observability-overhead pair written by
   enabling metrics+tracing must cost <= --obs-tolerance (2%) on the
   pool-fill hot path.
 
+The perfbench ledger's deterministic counters (--fresh-ledger, the
+captured standard output of `perfbench/run.py --workload <w> --seed 1
+--seconds 0.1 --trace 1`, one file per workload) are compared for exact
+equality against bench/baselines/perfbench_counters.json: RR sets, pools,
+edges, RNG draws, pool fills, decisions, seeds and profit are functions of
+the seed alone, so any change is a behaviour change, not noise.
+
 Stdlib only; exit 0 = no regression, 1 = regression or malformed input.
 """
 
@@ -253,6 +260,52 @@ def check_obs(check, fresh, obs_tolerance, obs_slack_ns):
             f"{disabled:.0f}ns * (1+{obs_tolerance:g}) + {obs_slack_ns:g}ns")
 
 
+def load_ledger_run(path):
+    """Ledger stdout -> (workload, seed, {metric: value}).
+
+    The input record line names the workload and seed; the last line is the
+    result JSON.
+    """
+    with open(path) as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    workload = seed = None
+    for line in lines:
+        if line.startswith("{") and '"input"' in line:
+            record = json.loads(line)["input"]
+            workload, seed = record["workload"], record["seed"]
+            break
+    result = json.loads(lines[-1])
+    metrics = {name: entry["value"]
+               for name, entry in result["metrics"].items()}
+    return workload, seed, metrics
+
+
+def check_ledger(check, fresh_paths, baseline):
+    counters = baseline["counters"]
+    expected = baseline["workloads"]
+    print(f"perfbench ledger: {len(fresh_paths)} run(s), seed "
+          f"{baseline['seed']}, {len(counters)} exact counters")
+    seen = set()
+    for path in fresh_paths:
+        workload, seed, metrics = load_ledger_run(path)
+        if workload not in expected:
+            check.expect(False, f"{path}: workload {workload} has a baseline")
+            continue
+        seen.add(workload)
+        check.expect(seed == baseline["seed"],
+                     f"{workload}: seed {seed} == baseline seed "
+                     f"{baseline['seed']}")
+        for name in counters:
+            want = expected[workload][name]
+            got = metrics.get(name)
+            check.expect(got == want,
+                         f"{workload}: {name} {got} == baseline {want}")
+    missing = sorted(set(expected) - seen)
+    check.expect(not missing,
+                 f"every baseline workload ran (missing: {missing})"
+                 if missing else "every baseline workload ran")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Fail CI when the kernel benchmarks regress vs the "
@@ -271,6 +324,13 @@ def main():
     parser.add_argument("--fresh-obs",
                         help="BENCH_obs.json from this run (same-run "
                              "enabled/disabled pair, no baseline needed)")
+    parser.add_argument("--fresh-ledger", nargs="+",
+                        help="captured perfbench/run.py standard output, "
+                             "one file per workload")
+    parser.add_argument("--baseline-ledger",
+                        default="bench/baselines/perfbench_counters.json",
+                        help="checked-in ledger counters (default "
+                             "bench/baselines/perfbench_counters.json)")
     parser.add_argument("--obs-tolerance", type=float, default=0.02,
                         help="max relative overhead of enabled "
                              "observability on the pool-fill hot path "
@@ -293,9 +353,9 @@ def main():
                              "(default 1.3)")
     args = parser.parse_args()
     if (not args.fresh and not args.fresh_e2e and not args.fresh_graphstore
-            and not args.fresh_obs):
+            and not args.fresh_obs and not args.fresh_ledger):
         parser.error("nothing to check: pass --fresh, --fresh-e2e, "
-                     "--fresh-graphstore and/or --fresh-obs")
+                     "--fresh-graphstore, --fresh-obs and/or --fresh-ledger")
     if bool(args.fresh) != bool(args.baseline):
         parser.error("--fresh and --baseline go together")
     if bool(args.fresh_e2e) != bool(args.baseline_e2e):
@@ -326,6 +386,10 @@ def main():
     if args.fresh_obs:
         check_obs(check, load_benchmarks(args.fresh_obs),
                   args.obs_tolerance, args.obs_slack_ns)
+    if args.fresh_ledger:
+        with open(args.baseline_ledger) as f:
+            baseline_ledger = json.load(f)
+        check_ledger(check, args.fresh_ledger, baseline_ledger)
 
     if check.failures:
         print(f"\n{len(check.failures)}/{check.checks} checks FAILED")

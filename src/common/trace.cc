@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <tuple>
 
 #include "common/metrics.h"
 
@@ -193,6 +195,51 @@ std::string MicrosFromNs(uint64_t ns) {
 }
 
 }  // namespace
+
+std::vector<SpanSummary> SummarizeSpans(
+    const std::vector<OwnedTraceEvent>& events) {
+  // Spans on one tid at one depth never overlap, so a child's direct
+  // parent is the latest-starting span one level up on its tid that starts
+  // no later than the child; it is the parent iff it also contains it.
+  std::vector<size_t> order(events.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const auto key = [&](size_t i) {
+    return std::make_tuple(events[i].tid, events[i].depth,
+                           events[i].start_ns);
+  };
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return key(a) < key(b); });
+  std::vector<uint64_t> child_ns(events.size(), 0);
+  for (const OwnedTraceEvent& child : events) {
+    if (child.depth == 0) continue;
+    // First span at (tid, depth - 1) starting after the child, minus one.
+    auto it = std::upper_bound(
+        order.begin(), order.end(),
+        std::make_tuple(child.tid, child.depth - 1, child.start_ns),
+        [&](const auto& value, size_t i) { return value < key(i); });
+    if (it == order.begin()) continue;
+    const size_t parent = *--it;
+    const OwnedTraceEvent& p = events[parent];
+    if (p.tid != child.tid || p.depth + 1 != child.depth) continue;
+    if (child.start_ns + child.dur_ns <= p.start_ns + p.dur_ns) {
+      child_ns[parent] += child.dur_ns;
+    }
+  }
+  std::map<std::string, SpanSummary> by_name;  // ordered: stable output
+  for (size_t i = 0; i < events.size(); ++i) {
+    const OwnedTraceEvent& event = events[i];
+    SpanSummary& row = by_name[event.name];
+    row.name = event.name;
+    ++row.count;
+    row.total_ns += event.dur_ns;
+    row.self_ns += event.dur_ns - std::min(event.dur_ns, child_ns[i]);
+    row.max_ns = std::max(row.max_ns, event.dur_ns);
+  }
+  std::vector<SpanSummary> rows;
+  rows.reserve(by_name.size());
+  for (auto& [name, row] : by_name) rows.push_back(std::move(row));
+  return rows;
+}
 
 std::string ChromeTraceJsonFromOwned(
     const std::vector<OwnedTraceEvent>& events) {

@@ -125,6 +125,21 @@ Status ReadBinaryTrace(const std::string& path,
 std::string ChromeTraceJsonFromOwned(
     const std::vector<OwnedTraceEvent>& events);
 
+/// Per-span-name totals of a trace. `self_ns` is each span's duration minus
+/// the durations of its direct children — the spans on the same tid at
+/// depth + 1 that lie inside it — summed over the name's spans, so the
+/// self times of a fully nested trace add up to its root spans' total.
+struct SpanSummary {
+  std::string name;
+  uint64_t count = 0;
+  uint64_t total_ns = 0;
+  uint64_t self_ns = 0;
+  uint64_t max_ns = 0;
+};
+/// One row per distinct span name, sorted by name.
+std::vector<SpanSummary> SummarizeSpans(
+    const std::vector<OwnedTraceEvent>& events);
+
 }  // namespace obs
 }  // namespace atpm
 

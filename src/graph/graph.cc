@@ -35,7 +35,10 @@ namespace {
 // Relative cost of one log() against one Bernoulli trial (RNG step +
 // multiply + compare) on commodity x86 — the break-even constant of the
 // jump gate below. Erring low only forfeits upside on marginal segments;
-// erring high regresses short low-probability runs.
+// erring high regresses short low-probability runs. The scan's table log
+// now makes most successes cheaper than this, but the gate stays as
+// calibrated: it decides which segments jump, so moving it would change
+// every jump-kernel RNG stream.
 constexpr double kGeometricLogCost = 3.0;
 
 // log1p(-p) for the geometric inverse CDF — or 0 when the segment should

@@ -15,9 +15,11 @@ namespace atpm {
 /// sets contain `node` while avoiding every node of `base` — i.e.,
 /// Cov_R(node | base). `base` may be nullptr for the unconditional
 /// Cov_R({node}); when non-null it must not contain `node` and must outlive
-/// the query's evaluation. Kept minimal on purpose: the counting kernels
-/// scan the query array once per RR set, so caller-side bookkeeping (e.g.
-/// the speculative layer's epoch tags) lives with the harvested answers
+/// the query's evaluation. Kept minimal on purpose: the counting kernel
+/// turns a batch into per-base and per-node query masks plus one bitmap of
+/// the nodes that can change a query's state (RRSetGenerator::
+/// CountCoveringBatch), so caller-side bookkeeping (e.g. the speculative
+/// layer's epoch tags) lives with the harvested answers
 /// (SpeculativeRoundPlanner::Entry), not here.
 struct CoverageQuery {
   NodeId node = 0;

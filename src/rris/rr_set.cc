@@ -1,5 +1,7 @@
 #include "rris/rr_set.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "graph/geometric_scan.h"
@@ -281,6 +283,65 @@ uint64_t RRSetGenerator::CountCovering(const BitVector* removed,
   return hits;
 }
 
+void RRSetGenerator::BuildQueryMasks(const BitVector* removed,
+                                     std::span<const CoverageQuery> queries) {
+  const size_t num_queries = queries.size();
+  const size_t words = (num_queries + 63) / 64;
+  interesting_.assign((graph_->num_nodes() + 63) / 64, 0);
+  mask_bases_.clear();
+  mask_nodes_.clear();
+  const auto mask_slot = [&](auto* keys, auto key) {
+    for (size_t i = 0; i < keys->size(); ++i) {
+      if ((*keys)[i] == key) return i;
+    }
+    keys->push_back(key);
+    return keys->size() - 1;
+  };
+  for (const CoverageQuery& query : queries) {
+    if (query.base != nullptr) mask_slot(&mask_bases_, query.base);
+  }
+  // A base whose nodes are all removed can never be reached by a walk (the
+  // root is alive, and removed endpoints are skipped before any test), so
+  // it drops out; the others mark their alive nodes interesting.
+  const std::span<const uint64_t> removed_words =
+      removed != nullptr ? removed->words() : std::span<const uint64_t>();
+  size_t kept = 0;
+  for (const BitVector* base : mask_bases_) {
+    const std::span<const uint64_t> base_words = base->words();
+    const size_t n = std::min(base_words.size(), interesting_.size());
+    uint64_t any = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t removed_bits =
+          i < removed_words.size() ? removed_words[i] : 0;
+      const uint64_t alive = base_words[i] & ~removed_bits;
+      interesting_[i] |= alive;
+      any |= alive;
+    }
+    if (any != 0) mask_bases_[kept++] = base;
+  }
+  mask_bases_.resize(kept);
+  for (const CoverageQuery& query : queries) {
+    mask_slot(&mask_nodes_, query.node);
+    interesting_[query.node >> 6] |= 1ULL << (query.node & 63);
+  }
+  // Layout: one W-word mask per kept base, then one per distinct node.
+  query_masks_.assign((mask_bases_.size() + mask_nodes_.size()) * words, 0);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const uint64_t bit = 1ULL << (q & 63);
+    for (size_t b = 0; b < mask_bases_.size(); ++b) {
+      if (mask_bases_[b] == queries[q].base) {
+        query_masks_[b * words + q / 64] |= bit;
+      }
+    }
+    const size_t node = mask_slot(&mask_nodes_, queries[q].node);
+    query_masks_[(mask_bases_.size() + node) * words + q / 64] |= bit;
+  }
+  // Per-set state: dead, found, and the all-queries mask.
+  set_masks_.assign(3 * words, 0);
+  uint64_t* all = set_masks_.data() + 2 * words;
+  for (size_t q = 0; q < num_queries; ++q) all[q / 64] |= 1ULL << (q & 63);
+}
+
 uint64_t RRSetGenerator::CountCoveringBatch(
     const BitVector* removed, uint32_t num_alive, uint64_t theta,
     std::span<const CoverageQuery> queries, uint64_t* hits, Rng* rng,
@@ -290,37 +351,50 @@ uint64_t RRSetGenerator::CountCoveringBatch(
   if (sampled != nullptr) *sampled = theta;
   for (size_t q = 0; q < num_queries; ++q) hits[q] = 0;
   if (num_queries == 0) return 0;
-  query_dead_.resize(num_queries);
-  query_found_.resize(num_queries);
-  uint8_t* dead = query_dead_.data();
-  uint8_t* found = query_found_.data();
+  BuildQueryMasks(removed, queries);
+  const size_t words = (num_queries + 63) / 64;
+  const size_t num_bases = mask_bases_.size();
+  const uint64_t* base_masks = query_masks_.data();
+  const uint64_t* node_masks = base_masks + num_bases * words;
+  uint64_t* dead = set_masks_.data();
+  uint64_t* found = dead + words;
+  const uint64_t* all = found + words;
   alive_cache_valid_ = false;  // the residual graph may have moved on
   const bool jump = kernel_ == SamplingKernel::kGeometricJump;
   uint64_t edges_examined = 0;
   uint64_t draws = 0;
-  size_t live = 0;
 
-  // Shared per-success handling for every kernel path: dead endpoints are
-  // ignored, base hits disqualify queries (aborting once all are dead),
-  // survivors are marked, enqueued, and matched against the query seeds.
-  const auto skip = [&](NodeId w) {
-    return visited_.IsMarked(w) ||
-           (removed != nullptr && removed->Test(w));
-  };
-  const auto process = [&](NodeId w) -> bool {
-    if (skip(w)) return true;
-    for (size_t q = 0; q < num_queries; ++q) {
-      if (!dead[q] && queries[q].base != nullptr && queries[q].base->Test(w)) {
-        dead[q] = 1;
-        --live;
-      }
+  // An interesting node (alive in some base, or a query node) folds its
+  // queries into the per-set masks; returns true once every query is dead.
+  // Out of line: it runs on few visits, and inlined it slows every visit.
+  const auto fold = [&](NodeId w) __attribute__((noinline)) {
+    for (size_t b = 0; b < num_bases; ++b) {
+      if (!mask_bases_[b]->Test(w)) continue;
+      for (size_t k = 0; k < words; ++k) dead[k] |= base_masks[b * words + k];
     }
-    if (live == 0) return false;  // the set is dead for every query: abort
+    for (size_t i = 0; i < mask_nodes_.size(); ++i) {
+      if (mask_nodes_[i] != w) continue;
+      for (size_t k = 0; k < words; ++k) found[k] |= node_masks[i * words + k];
+      break;
+    }
+    for (size_t k = 0; k < words; ++k) {
+      if (dead[k] != all[k]) return false;
+    }
+    return true;
+  };
+  const auto interesting = [&](NodeId w) {
+    return (interesting_[w >> 6] >> (w & 63)) & 1ULL;
+  };
+  // Shared per-success handling for every kernel path: dead endpoints are
+  // ignored, a visit that kills the last live query aborts the walk, and
+  // survivors are marked and enqueued.
+  const auto process = [&](NodeId w) -> bool {
+    if (visited_.IsMarked(w) || (removed != nullptr && removed->Test(w))) {
+      return true;
+    }
+    if (interesting(w) && fold(w)) return false;
     visited_.Mark(w);
     scratch_.push_back(w);
-    for (size_t q = 0; q < num_queries; ++q) {
-      if (!dead[q] && w == queries[q].node) found[q] = 1;
-    }
     return true;
   };
 
@@ -334,21 +408,14 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     scratch_.clear();
 
     const NodeId root = SampleAliveRoot(removed, num_alive, rng, &draws);
-    live = num_queries;
-    for (size_t q = 0; q < num_queries; ++q) {
-      const CoverageQuery& query = queries[q];
-      const bool disqualified =
-          query.base != nullptr && query.base->Test(root);
-      dead[q] = disqualified;
-      found[q] = !disqualified && root == query.node;
-      if (disqualified) --live;
-    }
-    if (live == 0) continue;  // every query disqualified at the root
+    std::fill(dead, dead + 2 * words, 0);
+    // Every query disqualified at the root: nothing to walk.
+    if (interesting(root) && fold(root)) continue;
 
     visited_.Mark(root);
     scratch_.push_back(root);
 
-    for (size_t head = 0; head < scratch_.size() && live > 0; ++head) {
+    for (size_t head = 0; head < scratch_.size(); ++head) {
       const NodeId v = scratch_[head];
       if (model_ == DiffusionModel::kLinearThreshold) {
         edges_examined += g.InDegree(v);
@@ -385,8 +452,11 @@ uint64_t RRSetGenerator::CountCoveringBatch(
       }
       if (abort) break;
     }
-    for (size_t q = 0; q < num_queries; ++q) {
-      if (found[q] && !dead[q]) ++hits[q];
+    for (size_t k = 0; k < words; ++k) {
+      for (uint64_t live_hits = found[k] & ~dead[k]; live_hits != 0;
+           live_hits &= live_hits - 1) {
+        ++hits[k * 64 + static_cast<size_t>(std::countr_zero(live_hits))];
+      }
     }
   }
   rng_draws_ += draws;

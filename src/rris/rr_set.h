@@ -106,6 +106,12 @@ class RRSetGenerator {
   /// abort-on-base-hit and is bit-identical — same RNG consumption, same
   /// count — to the historical CountCovering under the same kernel.
   ///
+  /// Cost per visited node is one bit test against a per-call
+  /// "interesting" bitmap (the alive nodes of every base plus the query
+  /// nodes), independent of the batch width. Only interesting nodes fold
+  /// their per-base and per-node query masks into the set's dead / found
+  /// masks (ceil(Q/64) words each).
+  ///
   /// `hits` must have room for queries.size() counters; they are zeroed
   /// first. Returns the number of edges examined (each frontier node
   /// charges its full in-degree, as in Generate, even if the walk aborts
@@ -148,15 +154,28 @@ class RRSetGenerator {
   NodeId SampleAliveRoot(const BitVector* removed, uint32_t num_alive,
                          Rng* rng, uint64_t* draws);
   void RebuildAliveCache(const BitVector* removed, uint32_t num_alive);
+  void BuildQueryMasks(const BitVector* removed,
+                       std::span<const CoverageQuery> queries);
 
   const Graph* graph_;
   DiffusionModel model_;
   SamplingKernel kernel_;
   EpochVisitedSet visited_;
   std::vector<NodeId> scratch_;
-  /// Per-query per-set flags of CountCoveringBatch (reused across calls).
-  std::vector<uint8_t> query_dead_;
-  std::vector<uint8_t> query_found_;
+  /// CountCoveringBatch's query masks, rebuilt per call by BuildQueryMasks
+  /// (capacity reused). A query is one bit in W = ceil(Q/64) words.
+  /// `interesting_` has a bit per node that is alive in some query base or
+  /// is a query node; every other visited node costs one bit test.
+  std::vector<uint64_t> interesting_;
+  /// Distinct query bases with at least one alive node (bases wholly
+  /// inside `removed` can never be hit, so they drop out), and the
+  /// distinct query nodes.
+  std::vector<const BitVector*> mask_bases_;
+  std::vector<NodeId> mask_nodes_;
+  /// W words per kept base (its queries), then W per distinct node.
+  std::vector<uint64_t> query_masks_;
+  /// Per-set dead and found masks, then the all-queries mask.
+  std::vector<uint64_t> set_masks_;
   uint64_t rng_draws_ = 0;
 
   /// Alive-node list for heavily depleted residual graphs: built (and then

@@ -5,19 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "common/rng.h"
+#include "common/run_budget.h"
 #include "core/addatp.h"
 #include "core/hatp.h"
 #include "core/hntp.h"
 #include "core/target_selection.h"
 #include "diffusion/spread_oracle.h"
 #include "graph/generators.h"
+#include "graph/geometric_scan.h"
 #include "graph/weighting.h"
 #include "rris/coverage_batch.h"
 #include "rris/rr_collection.h"
+#include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
 
 namespace atpm {
@@ -145,6 +149,413 @@ TEST(CountCoveringBatchTest, SingleQueryBitIdenticalToCountCovering) {
   EXPECT_EQ(covered, hits);
   // Both consumed the identical stream.
   EXPECT_EQ(rng_a.Next(), rng_b.Next());
+}
+
+// --- Query-mask kernel vs the per-query kernel it replaced.
+
+// CountCoveringBatch as it stood before the interesting bitmap and the
+// query masks: every visited node loops over all queries, probing each
+// base and comparing each target. Frozen here, with the kernel helpers it
+// called, as the reference the mask kernel must reproduce bit for bit.
+class PerQueryReferenceKernel {
+ public:
+  PerQueryReferenceKernel(const Graph& graph, DiffusionModel model,
+                          SamplingKernel kernel)
+      : g_(graph),
+        model_(model),
+        kernel_(kernel),
+        visited_(graph.num_nodes()) {}
+
+  uint64_t Count(const BitVector* removed, uint32_t num_alive, uint64_t theta,
+                 std::span<const CoverageQuery> queries, uint64_t* hits,
+                 Rng* rng, const BudgetGate* budget, uint64_t* sampled) {
+    const size_t num_queries = queries.size();
+    if (sampled != nullptr) *sampled = theta;
+    for (size_t q = 0; q < num_queries; ++q) hits[q] = 0;
+    if (num_queries == 0) return 0;
+    std::vector<uint8_t> dead(num_queries), found(num_queries);
+    const bool jump = kernel_ == SamplingKernel::kGeometricJump;
+    uint64_t edges_examined = 0;
+    size_t live = 0;
+    const auto skip = [&](NodeId w) {
+      return visited_.IsMarked(w) ||
+             (removed != nullptr && removed->Test(w));
+    };
+    const auto process = [&](NodeId w) -> bool {
+      if (skip(w)) return true;
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (!dead[q] && queries[q].base != nullptr &&
+            queries[q].base->Test(w)) {
+          dead[q] = 1;
+          --live;
+        }
+      }
+      if (live == 0) return false;
+      visited_.Mark(w);
+      scratch_.push_back(w);
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (!dead[q] && w == queries[q].node) found[q] = 1;
+      }
+      return true;
+    };
+    for (uint64_t t = 0; t < theta; ++t) {
+      if (budget != nullptr && (t & 63) == 0 &&
+          budget->Exhausted() != BudgetStop::kNone) {
+        if (sampled != nullptr) *sampled = t;
+        break;
+      }
+      visited_.NextEpoch();
+      scratch_.clear();
+      const NodeId root = SampleRoot(removed, num_alive, rng);
+      live = num_queries;
+      for (size_t q = 0; q < num_queries; ++q) {
+        const bool disqualified =
+            queries[q].base != nullptr && queries[q].base->Test(root);
+        dead[q] = disqualified;
+        found[q] = !disqualified && root == queries[q].node;
+        if (disqualified) --live;
+      }
+      if (live == 0) continue;
+      visited_.Mark(root);
+      scratch_.push_back(root);
+      for (size_t head = 0; head < scratch_.size() && live > 0; ++head) {
+        const NodeId v = scratch_[head];
+        if (model_ == DiffusionModel::kLinearThreshold) {
+          edges_examined += g_.InDegree(v);
+          NodeId w;
+          if (jump) {
+            w = PickLtFast(v, removed, rng);
+          } else {
+            ++draws_;
+            w = PickLtPrefix(v, removed, rng);
+          }
+          if (w >= g_.num_nodes()) continue;
+          if (!process(w)) break;
+          continue;
+        }
+        const NodeWeightClass cls = g_.InWeightClass(v);
+        if (jump && (cls == NodeWeightClass::kUniform ||
+                     cls == NodeWeightClass::kFewDistinct ||
+                     cls == NodeWeightClass::kSegmentedRuns)) {
+          edges_examined += g_.InDegree(v);
+          const auto arcs = g_.JumpInArcs(v);
+          const auto neigh = g_.InNeighbors(v);
+          const bool few = cls == NodeWeightClass::kFewDistinct;
+          if (!GeometricSegmentScan(g_.InProbSegments(v), rng, &draws_,
+                                    [&](uint32_t j) {
+                                      return process(few ? arcs[j].src
+                                                         : neigh[j]);
+                                    })) {
+            break;
+          }
+          continue;
+        }
+        const auto neigh = g_.InNeighbors(v);
+        const auto probs = g_.InProbs(v);
+        edges_examined += neigh.size();
+        bool abort = false;
+        for (uint32_t j = 0; j < neigh.size(); ++j) {
+          const NodeId w = neigh[j];
+          if (visited_.IsMarked(w)) continue;
+          if (removed != nullptr && removed->Test(w)) continue;
+          ++draws_;
+          if (!rng->Bernoulli(probs[j])) continue;
+          if (!process(w)) {
+            abort = true;
+            break;
+          }
+        }
+        if (abort) break;
+      }
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (found[q] && !dead[q]) ++hits[q];
+      }
+    }
+    return edges_examined;
+  }
+
+  uint64_t rng_draws() const { return draws_; }
+
+ private:
+  // Rejection sampling, then the target-th alive node (what the alive
+  // cache serves on depleted graphs).
+  NodeId SampleRoot(const BitVector* removed, uint32_t num_alive, Rng* rng) {
+    const NodeId n = g_.num_nodes();
+    if (removed == nullptr) {
+      ++draws_;
+      return static_cast<NodeId>(rng->UniformInt(n));
+    }
+    for (int t = 0; t < 64; ++t) {
+      ++draws_;
+      const NodeId v = static_cast<NodeId>(rng->UniformInt(n));
+      if (!removed->Test(v)) return v;
+    }
+    ++draws_;
+    uint64_t target = rng->UniformInt(num_alive);
+    for (NodeId v = 0;; ++v) {
+      if (!removed->Test(v) && target-- == 0) return v;
+    }
+  }
+
+  NodeId PickLtPrefix(NodeId v, const BitVector* removed, Rng* rng) {
+    const auto neigh = g_.InNeighbors(v);
+    const auto probs = g_.InProbs(v);
+    double r = rng->UniformDouble();
+    for (uint32_t j = 0; j < neigh.size(); ++j) {
+      if (removed != nullptr && removed->Test(neigh[j])) continue;
+      if (r < probs[j]) return neigh[j];
+      r -= probs[j];
+    }
+    return g_.num_nodes();
+  }
+
+  NodeId PickLtFast(NodeId v, const BitVector* removed, Rng* rng) {
+    const NodeId n = g_.num_nodes();
+    switch (g_.LtInPlan(v)) {
+      case LtPickPlan::kNone:
+        return n;
+      case LtPickPlan::kUniform: {
+        const ProbSegment seg = g_.InProbSegments(v)[0];
+        const double p = static_cast<double>(seg.prob);
+        if (p <= 0.0) return n;
+        ++draws_;
+        const double j = rng->UniformDouble() / p;
+        if (j >= static_cast<double>(seg.length)) return n;
+        const NodeId u = g_.InNeighbors(v)[static_cast<uint32_t>(j)];
+        return (removed != nullptr && removed->Test(u)) ? n : u;
+      }
+      case LtPickPlan::kAlias: {
+        const auto slots = g_.LtAliasSlots(v);
+        ++draws_;
+        const double x =
+            rng->UniformDouble() * static_cast<double>(slots.size());
+        uint32_t i = static_cast<uint32_t>(x);
+        if (i >= slots.size()) i = static_cast<uint32_t>(slots.size()) - 1;
+        if (x - static_cast<double>(i) >= slots[i].threshold) {
+          i = slots[i].alias;
+        }
+        if (i + 1 >= slots.size()) return n;
+        const NodeId u = g_.InNeighbors(v)[i];
+        return (removed != nullptr && removed->Test(u)) ? n : u;
+      }
+      case LtPickPlan::kPrefix:
+        ++draws_;
+        return PickLtPrefix(v, removed, rng);
+    }
+    return n;
+  }
+
+  const Graph& g_;
+  DiffusionModel model_;
+  SamplingKernel kernel_;
+  EpochVisitedSet visited_;
+  std::vector<NodeId> scratch_;
+  uint64_t draws_ = 0;
+};
+
+struct KernelRun {
+  std::vector<uint64_t> hits;
+  uint64_t edges = 0;
+  uint64_t draws = 0;
+  uint64_t sampled = 0;
+  uint64_t next_rng = 0;
+
+  bool operator==(const KernelRun&) const = default;
+};
+
+KernelRun RunMaskKernel(const Graph& g, DiffusionModel model,
+                        SamplingKernel kernel, const BitVector* removed,
+                        uint32_t num_alive, uint64_t theta,
+                        std::span<const CoverageQuery> queries, uint64_t seed,
+                        const BudgetGate* budget = nullptr) {
+  RRSetGenerator generator(g, model, kernel);
+  KernelRun run;
+  run.hits.resize(queries.size());
+  Rng rng(seed);
+  run.edges = generator.CountCoveringBatch(removed, num_alive, theta, queries,
+                                           run.hits.data(), &rng, budget,
+                                           &run.sampled);
+  run.draws = generator.rng_draws();
+  run.next_rng = rng.Next();
+  return run;
+}
+
+KernelRun RunPerQueryKernel(const Graph& g, DiffusionModel model,
+                            SamplingKernel kernel, const BitVector* removed,
+                            uint32_t num_alive, uint64_t theta,
+                            std::span<const CoverageQuery> queries,
+                            uint64_t seed) {
+  PerQueryReferenceKernel reference(g, model, kernel);
+  KernelRun run;
+  run.hits.resize(queries.size());
+  Rng rng(seed);
+  run.edges = reference.Count(removed, num_alive, theta, queries,
+                              run.hits.data(), &rng, nullptr, &run.sampled);
+  run.draws = reference.rng_draws();
+  run.next_rng = rng.Next();
+  return run;
+}
+
+TEST(QueryMaskKernelTest, MatchesPerQueryKernelAcrossBatchShapes) {
+  const Graph wc = TestGraph(300);
+  Graph uniform_random = [] {
+    Rng rng(7);
+    BarabasiAlbertOptions options;
+    options.num_nodes = 300;
+    options.edges_per_node = 3;
+    Graph g = GenerateBarabasiAlbert(options, &rng).value();
+    Rng wrng(8);
+    ApplyUniformRandomProbability(&g, 0.01, 0.3, &wrng);
+    return g;
+  }();
+  const NodeId n = wc.num_nodes();
+
+  Rng setup(2014);
+  BitVector removed(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (setup.UniformInt(10) == 0) removed.Set(v);
+  }
+  const uint32_t num_alive = n - static_cast<uint32_t>(removed.Count());
+  // Base pool: random alive subsets, one base inside `removed` (drops out
+  // of the masks), and one base holding every alive node (any query on it
+  // dies at the root).
+  std::vector<BitVector> bases(6, BitVector(n));
+  for (int b = 0; b < 4; ++b) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (!removed.Test(v) && setup.UniformInt(8 + 8 * b) == 0) {
+        bases[b].Set(v);
+      }
+    }
+  }
+  bases[0].Clear(0);  // node 0 may query bases[0]
+  for (NodeId v = 0; v < n; ++v) {
+    if (removed.Test(v) && setup.UniformInt(2) == 0) bases[4].Set(v);
+    if (!removed.Test(v)) bases[5].Set(v);
+  }
+  const BitVector* full = &bases[5];
+
+  struct Config {
+    const Graph* graph;
+    DiffusionModel model;
+  };
+  const Config configs[] = {
+      {&wc, DiffusionModel::kIndependentCascade},
+      {&wc, DiffusionModel::kLinearThreshold},
+      {&uniform_random, DiffusionModel::kIndependentCascade},
+  };
+  int compared = 0;
+  // Repeated query nodes (a small node range) and repeated base pointers
+  // (a small base pool, nullptr included); a node is never in its base.
+  const auto random_queries = [&](size_t num_queries) {
+    std::vector<CoverageQuery> queries;
+    while (queries.size() < num_queries) {
+      const NodeId node = static_cast<NodeId>(setup.UniformInt(40));
+      const uint64_t pick = setup.UniformInt(7);
+      const BitVector* base = pick == 6 ? nullptr : &bases[pick];
+      if (base != nullptr && base->Test(node)) continue;
+      queries.push_back(CoverageQuery{node, base});
+    }
+    return queries;
+  };
+  std::vector<std::vector<CoverageQuery>> batches;
+  for (const size_t num_queries : {1, 2, 8, 63, 64, 65, 130}) {
+    batches.push_back(random_queries(num_queries));
+  }
+  // Batches wider than one mask word whose words die apart: the first 64
+  // queries share one base and the rest have none, or the reverse, so only
+  // a walk that checks every word keeps going after one word is all dead.
+  for (const size_t num_queries : {65, 130}) {
+    for (const bool based_first : {true, false}) {
+      std::vector<CoverageQuery> queries = random_queries(num_queries);
+      for (size_t q = 0; q < num_queries; ++q) {
+        queries[q].base = (q < 64) == based_first ? &bases[0] : nullptr;
+        if (queries[q].base != nullptr && bases[0].Test(queries[q].node)) {
+          queries[q].node = 0;  // ensured below to sit outside bases[0]
+        }
+      }
+      batches.push_back(queries);
+    }
+  }
+  for (const std::vector<CoverageQuery>& queries : batches) {
+    const size_t num_queries = queries.size();
+    for (const Config& config : configs) {
+      for (const SamplingKernel kernel :
+           {SamplingKernel::kGeometricJump, SamplingKernel::kPerEdge}) {
+        for (const bool residual : {false, true}) {
+          const BitVector* rem = residual ? &removed : nullptr;
+          const uint32_t alive = residual ? num_alive : n;
+          const uint64_t seed = 1000 + compared;
+          EXPECT_EQ(RunMaskKernel(*config.graph, config.model, kernel, rem,
+                                  alive, 3000, queries, seed),
+                    RunPerQueryKernel(*config.graph, config.model, kernel,
+                                      rem, alive, 3000, queries, seed))
+              << "Q=" << num_queries << " model="
+              << static_cast<int>(config.model) << " kernel="
+              << SamplingKernelName(kernel) << " residual=" << residual;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 11 * 3 * 2 * 2);
+
+  // Every query on the all-alive base (its nodes removed, so never in
+  // their base's alive part): each set dies at its root, so no edge is
+  // examined and nothing is ever hit.
+  std::vector<CoverageQuery> doomed;
+  for (NodeId v = 0; v < n && doomed.size() < 3; ++v) {
+    if (removed.Test(v)) doomed.push_back(CoverageQuery{v, full});
+  }
+  for (const SamplingKernel kernel :
+       {SamplingKernel::kGeometricJump, SamplingKernel::kPerEdge}) {
+    const KernelRun run =
+        RunMaskKernel(wc, DiffusionModel::kIndependentCascade, kernel,
+                      &removed, num_alive, 2000, doomed, 77);
+    EXPECT_EQ(run, RunPerQueryKernel(wc, DiffusionModel::kIndependentCascade,
+                                     kernel, &removed, num_alive, 2000,
+                                     doomed, 77));
+    EXPECT_EQ(run.hits, std::vector<uint64_t>(doomed.size(), 0));
+    EXPECT_EQ(run.edges, 0u);
+  }
+}
+
+TEST(QueryMaskKernelTest, BudgetTruncationMatchesThePerQueryPrefix) {
+  const Graph g = TestGraph(300);
+  BitVector base(g.num_nodes());
+  for (NodeId v = 30; v < 90; ++v) base.Set(v);
+  std::vector<CoverageQuery> queries;
+  for (NodeId v = 0; v < 70; ++v) {
+    if (!base.Test(v)) queries.push_back(CoverageQuery{v, &base});
+    queries.push_back(CoverageQuery{v, nullptr});
+  }
+  // A 2 ms deadline stops a 10^8-set request at some poll boundary; the
+  // truncated run must equal the per-query kernel asked for exactly the
+  // sets that were drawn.
+  RunBudget budget;
+  budget.deadline_seconds = 0.002;
+  const BudgetGate gate(budget);
+  const KernelRun truncated =
+      RunMaskKernel(g, DiffusionModel::kIndependentCascade,
+                    SamplingKernel::kGeometricJump, nullptr, g.num_nodes(),
+                    100'000'000, queries, 9, &gate);
+  ASSERT_LT(truncated.sampled, 100'000'000u);
+  EXPECT_EQ(truncated.sampled % RRSetGenerator::kBudgetStride, 0u);
+  KernelRun prefix = RunPerQueryKernel(
+      g, DiffusionModel::kIndependentCascade, SamplingKernel::kGeometricJump,
+      nullptr, g.num_nodes(), truncated.sampled, queries, 9);
+  EXPECT_EQ(truncated, prefix);
+
+  // An already-exhausted gate: nothing drawn, nothing counted.
+  RunBudget capped;
+  capped.rr_pool_byte_cap = 1;
+  BudgetGate spent(capped);
+  spent.AddPoolBytes(1);
+  const KernelRun none = RunMaskKernel(
+      g, DiffusionModel::kIndependentCascade, SamplingKernel::kGeometricJump,
+      nullptr, g.num_nodes(), 5000, queries, 9, &spent);
+  EXPECT_EQ(none.sampled, 0u);
+  EXPECT_EQ(none.draws, 0u);
+  EXPECT_EQ(none.next_rng, Rng(9).Next());
 }
 
 // --- Engine layer: serial single-query batch ≡ historical per-query path,

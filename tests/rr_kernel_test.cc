@@ -7,7 +7,9 @@
 // draws-per-edge reduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/bit_vector.h"
@@ -256,6 +258,315 @@ TEST(GeometricScanTest, DegenerateProbabilitiesAreExactAndDrawless) {
     return true;
   });
   EXPECT_EQ(draws, 0u);
+}
+
+// ---- Exactness of the guarded scan against the historical one.
+
+// GeometricSegmentScan as it stood before the table log, the guard band and
+// the mid-segment no-success test: one std::log1p per ledger walk. Frozen
+// here as the reference the fast paths must reproduce bit for bit.
+template <typename Visit>
+bool ReferenceSegmentScan(std::span<const ProbSegment> segments, Rng* rng,
+                          uint64_t* draws, Visit&& visit) {
+  const size_t num_segments = segments.size();
+  uint32_t base = 0;
+  size_t s = 0;
+  while (s < num_segments) {
+    const ProbSegment& seg = segments[s];
+    if (seg.log1p_neg == 0.0) {
+      if (seg.prob >= 1.0f) {
+        for (uint32_t j = 0; j < seg.length; ++j) {
+          if (!visit(base + j)) return false;
+        }
+      } else if (seg.prob > 0.0f) {
+        for (uint32_t j = 0; j < seg.length; ++j) {
+          ++*draws;
+          if (rng->Bernoulli(seg.prob) && !visit(base + j)) return false;
+        }
+      }
+      base += seg.length;
+      ++s;
+      continue;
+    }
+    size_t e = s;
+    uint32_t run_length = 0;
+    while (e < num_segments && segments[e].log1p_neg != 0.0) {
+      run_length += segments[e].length;
+      ++e;
+    }
+    size_t cs = s;
+    uint32_t cj = 0;
+    uint32_t seg_base = base;
+    for (;;) {
+      if (cs >= e) break;
+      ++*draws;
+      const double u = rng->UniformDouble();
+      if (cj == 0 && segments[cs].run_any_prob > 0.0 &&
+          u >= segments[cs].run_any_prob) {
+        break;
+      }
+      const double target = std::log1p(-u);
+      double cum = 0.0;
+      bool found = false;
+      while (cs < e) {
+        const ProbSegment& cur = segments[cs];
+        const uint32_t remaining = cur.length - cj;
+        const double seg_mass =
+            static_cast<double>(remaining) * cur.log1p_neg;
+        if (cum + seg_mass <= target) {
+          uint32_t k =
+              static_cast<uint32_t>((target - cum) / cur.log1p_neg);
+          if (k >= remaining) k = remaining - 1;
+          if (!visit(seg_base + cj + k)) return false;
+          cj += k + 1;
+          if (cj >= cur.length) {
+            seg_base += cur.length;
+            ++cs;
+            cj = 0;
+          }
+          found = true;
+          break;
+        }
+        cum += seg_mass;
+        seg_base += cur.length;
+        ++cs;
+        cj = 0;
+      }
+      if (!found) break;
+    }
+    base += run_length;
+    s = e;
+  }
+  return true;
+}
+
+// Suffix any-success probabilities per jump run, back to front, exactly as
+// the graph's weight-class index fills them (FillRunAnyProb).
+void FillRunAnyProbLikeIndex(std::vector<ProbSegment>* segments) {
+  double suffix_ln = 0.0;
+  for (size_t i = segments->size(); i-- > 0;) {
+    ProbSegment& seg = (*segments)[i];
+    if (seg.log1p_neg == 0.0) {
+      suffix_ln = 0.0;
+      continue;
+    }
+    suffix_ln += static_cast<double>(seg.length) * seg.log1p_neg;
+    seg.run_any_prob = -std::expm1(suffix_ln);
+  }
+}
+
+// A random segment vector covering the scan's regimes: 1-5 segments of
+// log-uniform length 1-5000, p in {0, 1, 1e-9, 1/d, 0.5, 0.999} or random
+// (uniform or log-uniform), and about a fifth of the (0, 1) segments gated
+// to the per-edge Bernoulli loop.
+std::vector<ProbSegment> RandomSegments(Rng* rng) {
+  const uint32_t num_segments = 1 + static_cast<uint32_t>(rng->UniformInt(5));
+  std::vector<ProbSegment> segments;
+  for (uint32_t i = 0; i < num_segments; ++i) {
+    const uint32_t length = std::min<uint32_t>(
+        5000, static_cast<uint32_t>(
+                  std::exp(rng->UniformDouble() * std::log(5001.0))));
+    const uint32_t d = 1 + static_cast<uint32_t>(rng->UniformInt(5000));
+    float p = 0.0f;
+    switch (rng->UniformInt(8)) {
+      case 0: p = 0.0f; break;
+      case 1: p = 1.0f; break;
+      case 2: p = 1e-9f; break;
+      case 3: p = 1.0f / static_cast<float>(d); break;
+      case 4: p = 0.5f; break;
+      case 5: p = 0.999f; break;
+      case 6: p = static_cast<float>(rng->UniformDouble()); break;
+      default:
+        p = static_cast<float>(std::exp(-rng->UniformDouble() * 14.0));
+    }
+    const bool jump = p > 0.0f && p < 1.0f && rng->UniformInt(5) != 0;
+    segments.push_back(ProbSegment{
+        std::max<uint32_t>(1, length), p,
+        jump ? std::log1p(-static_cast<double>(p)) : 0.0, 0.0});
+  }
+  FillRunAnyProbLikeIndex(&segments);
+  return segments;
+}
+
+TEST(GeometricScanExactnessTest, MatchesFrozenReferenceOverRandomScans) {
+  Rng config_rng(14);
+  uint64_t scans = 0;
+  uint64_t visits = 0;
+  while (scans < 10'000'000) {
+    const std::vector<ProbSegment> segments = RandomSegments(&config_rng);
+    // Cost control: many scans of cheap configurations, few of dense ones
+    // (expected visits, plus one draw per edge of a gated segment).
+    double expected_cost = 1.0;
+    for (const ProbSegment& seg : segments) {
+      expected_cost += seg.length * static_cast<double>(seg.prob);
+      if (seg.log1p_neg == 0.0 && seg.prob < 1.0f) expected_cost += seg.length;
+    }
+    const uint64_t repeats = std::max<uint64_t>(
+        1, std::min<uint64_t>(256, static_cast<uint64_t>(
+                                       2048.0 / expected_cost)));
+    // Some configurations abort the scan at a random visit.
+    const uint64_t abort_at = config_rng.UniformInt(4) == 0
+                                  ? 1 + config_rng.UniformInt(8)
+                                  : ~0ULL;
+    const uint64_t seed = config_rng.Next();
+    Rng ref_rng(seed);
+    Rng new_rng(seed);
+    for (uint64_t r = 0; r < repeats; ++r, ++scans) {
+      uint64_t ref_draws = 0, new_draws = 0;
+      uint64_t ref_hash = 0, new_hash = 0;
+      uint64_t ref_count = 0, new_count = 0;
+      const bool ref_done = ReferenceSegmentScan(
+          segments, &ref_rng, &ref_draws, [&](uint32_t j) {
+            ref_hash = ref_hash * 0x100000001b3ULL + j + 1;
+            return ++ref_count < abort_at;
+          });
+      const bool new_done = GeometricSegmentScan(
+          segments, &new_rng, &new_draws, [&](uint32_t j) {
+            new_hash = new_hash * 0x100000001b3ULL + j + 1;
+            return ++new_count < abort_at;
+          });
+      visits += new_count;
+      ASSERT_EQ(ref_done, new_done) << "scan " << scans;
+      ASSERT_EQ(ref_count, new_count) << "scan " << scans;
+      ASSERT_EQ(ref_hash, new_hash) << "scan " << scans;
+      ASSERT_EQ(ref_draws, new_draws) << "scan " << scans;
+      ASSERT_EQ(ref_rng.Next(), new_rng.Next()) << "scan " << scans;
+    }
+  }
+  EXPECT_GT(visits, scans);  // the workload is not all no-success scans
+}
+
+// The walk outcome at std::log1p(-m·2^-53), the reference target.
+LedgerPosition ReferenceWalk(std::span<const ProbSegment> segments,
+                             size_t run_end, LedgerPosition from,
+                             uint64_t m) {
+  return WalkLogSurvivalLedger(
+      segments, run_end, from,
+      std::log1p(-static_cast<double>(m) * 0x1p-53));
+}
+
+TEST(GeometricScanExactnessTest, IndexBoundariesResolveExactly) {
+  // Adjacent grid draws m, m + 1 whose reference outcomes differ straddle
+  // an index boundary: found by bisection on the 2^-53 grid, they are
+  // exactly where the guard band can disagree and the log1p fallback runs.
+  Rng rng(1910);
+  uint64_t boundaries = 0;
+  uint64_t fallbacks = 0;
+  while (boundaries < 20000) {
+    std::vector<ProbSegment> segments = RandomSegments(&rng);
+    for (ProbSegment& seg : segments) {  // a single jump run
+      if (seg.log1p_neg == 0.0) {
+        seg.prob = 0.25f;
+        seg.log1p_neg = std::log1p(-0.25);
+      }
+    }
+    FillRunAnyProbLikeIndex(&segments);
+    const size_t run_end = segments.size();
+    LedgerPosition from{rng.UniformInt(run_end), 0, 0, true};
+    from.index = static_cast<uint32_t>(
+        rng.UniformInt(segments[from.segment].length));
+    for (size_t i = 0; i < from.segment; ++i) {
+      from.segment_base += segments[i].length;
+    }
+    uint64_t lo = rng.UniformInt(1ULL << 53);
+    uint64_t hi = rng.UniformInt(1ULL << 53);
+    if (lo > hi) std::swap(lo, hi);
+    const LedgerPosition at_lo = ReferenceWalk(segments, run_end, from, lo);
+    if (at_lo == ReferenceWalk(segments, run_end, from, hi)) continue;
+    while (hi - lo > 1) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      (ReferenceWalk(segments, run_end, from, mid) == at_lo ? lo : hi) = mid;
+    }
+    ++boundaries;
+    for (uint64_t m = lo >= 2 ? lo - 2 : 0; m <= hi + 2 && m < (1ULL << 53);
+         ++m) {
+      const double u = static_cast<double>(m) * 0x1p-53;
+      const double approx = TableLog1pNeg(u);
+      const double band = LogGuardBand(approx);
+      if (WalkLogSurvivalLedger(segments, run_end, from, approx - band) !=
+          WalkLogSurvivalLedger(segments, run_end, from,
+                                std::min(approx + band, 0.0))) {
+        ++fallbacks;
+      }
+      ASSERT_EQ(NextLedgerSuccess(segments, run_end, from, u),
+                ReferenceWalk(segments, run_end, from, m))
+          << "m = " << m;
+    }
+  }
+  EXPECT_GT(fallbacks, boundaries);  // each boundary hit the fallback
+}
+
+TEST(GeometricScanExactnessTest, MidRunNoSuccessNeverHidesASuccess) {
+  // Tightest case of the mid-segment test: the first grid draw at or past
+  // run_any_prob, from a position inside a segment. Whenever the test
+  // fires, the reference walk must find no success either. Runs mix
+  // segments near the 2^-30 log floor with heavy ones: a heavy suffix puts
+  // run_any_prob so close to 1 that its rounding outweighs a light edge's
+  // mass, which is what the 1 - 2^-20 cap is for. The unguarded compare is
+  // counted too, to show the data reaches that regime.
+  Rng rng(2020);
+  uint64_t fired = 0;
+  uint64_t unguarded_misses = 0;
+  for (int trial = 0; trial < 400000; ++trial) {
+    std::vector<ProbSegment> segments;
+    const uint32_t num_segments = 1 + static_cast<uint32_t>(rng.UniformInt(4));
+    for (uint32_t i = 0; i < num_segments; ++i) {
+      double p = 0.0;
+      switch (rng.UniformInt(3)) {
+        case 0: p = 0x1p-30 * (1.0 + rng.UniformDouble()); break;
+        case 1: p = 0.3 + 0.6 * rng.UniformDouble(); break;
+        default: p = std::exp(-1.0 - rng.UniformDouble() * 12.0);
+      }
+      const float pf = static_cast<float>(p);
+      const uint32_t length = 1 + static_cast<uint32_t>(rng.UniformInt(60));
+      segments.push_back(
+          ProbSegment{length, pf, std::log1p(-static_cast<double>(pf)), 0.0});
+    }
+    FillRunAnyProbLikeIndex(&segments);
+    const size_t cs = rng.UniformInt(num_segments);
+    const ProbSegment& seg = segments[cs];
+    if (seg.length < 2) continue;
+    const LedgerPosition from{
+        cs, 1 + static_cast<uint32_t>(rng.UniformInt(seg.length - 1)), 0,
+        true};
+    const uint64_t m =
+        static_cast<uint64_t>(std::ceil(seg.run_any_prob * 0x1p53));
+    if (m >= (1ULL << 53)) continue;
+    const double u = static_cast<double>(m) * 0x1p-53;
+    const bool found = ReferenceWalk(segments, num_segments, from, m).found;
+    if (found && u >= seg.run_any_prob) ++unguarded_misses;
+    if (!MidRunNoSuccess(seg, num_segments - cs, u)) continue;
+    ++fired;
+    ASSERT_FALSE(found) << "trial " << trial;
+  }
+  EXPECT_GT(fired, 50000u);
+  EXPECT_GT(unguarded_misses, 1000u);
+}
+
+TEST(GeometricScanExactnessTest, TableLogErrorStaysWithinBandOver1e8Draws) {
+  // Worst |TableLog1pNeg(u) - log1p(-u)| as a fraction of the guard band,
+  // over uniform grid draws, log-uniform u and 1 - u down to 2^-53, and
+  // every grid value with u <= 2^-40 or 1 - u <= 2^-40.
+  double worst = 0.0;
+  const auto check = [&](uint64_t m) {
+    const double u = static_cast<double>(m) * 0x1p-53;
+    const double approx = TableLog1pNeg(u);
+    worst = std::max(worst, std::abs(approx - std::log1p(-u)) /
+                                LogGuardBand(approx));
+  };
+  for (uint64_t m = 0; m <= (1ULL << 13); ++m) {
+    check(m);                           // u <= 2^-40
+    check((1ULL << 53) - 1 - m);        // 1 - u <= 2^-40
+  }
+  Rng rng(53);
+  uint64_t checked = 2 * ((1ULL << 13) + 1);
+  for (; checked < 100'000'000; checked += 3) {
+    check(rng.Next() >> 11);  // uniform draw
+    const uint64_t scale = 1ULL << rng.UniformInt(54);  // 2^0 .. 2^53
+    check((rng.Next() >> 11) % scale);                       // small u
+    check((1ULL << 53) - 1 - (rng.Next() >> 11) % scale);    // small 1 - u
+  }
+  EXPECT_LE(worst, 1.0 / 16.0) << "worst error / band = " << worst;
 }
 
 // ---- Exact kernel equivalence on degenerate probabilities: for p in

@@ -219,6 +219,45 @@ TEST_F(TraceTest, ChromeTraceJsonExport) {
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
 }
 
+TEST(TraceSummaryTest, SelfTimeSubtractsDirectChildrenOnly) {
+  // tid 1: root [0, 100) holds a [10, 40) (which holds a grandchild
+  // [12, 17)) and b [50, 70); tid 2 has a depth-1 span inside root's time
+  // range (another thread: not root's child) and its own root. A second
+  // tid-1 root [200, 230) holds c [205, 215).
+  const auto span = [](const char* name, uint32_t tid, uint32_t depth,
+                       uint64_t start, uint64_t dur) {
+    obs::OwnedTraceEvent event;
+    event.name = name;
+    event.tid = tid;
+    event.depth = depth;
+    event.start_ns = start;
+    event.dur_ns = dur;
+    return event;
+  };
+  const std::vector<obs::OwnedTraceEvent> events = {
+      span("child", 1, 1, 50, 20),   span("root", 1, 0, 0, 100),
+      span("grand", 1, 2, 12, 5),    span("child", 1, 1, 10, 30),
+      span("other", 2, 1, 20, 7),    span("root", 2, 0, 15, 30),
+      span("root", 1, 0, 200, 30),   span("child", 1, 1, 205, 10),
+  };
+  const std::vector<obs::SpanSummary> rows = obs::SummarizeSpans(events);
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].name, "child");
+  EXPECT_EQ(rows[0].count, 3u);
+  EXPECT_EQ(rows[0].total_ns, 60u);
+  EXPECT_EQ(rows[0].self_ns, 55u);  // the grandchild leaves a's self time
+  EXPECT_EQ(rows[0].max_ns, 30u);
+  EXPECT_EQ(rows[1].name, "grand");
+  EXPECT_EQ(rows[1].self_ns, 5u);
+  EXPECT_EQ(rows[2].name, "other");
+  EXPECT_EQ(rows[2].self_ns, 7u);
+  EXPECT_EQ(rows[3].name, "root");
+  EXPECT_EQ(rows[3].count, 3u);
+  EXPECT_EQ(rows[3].total_ns, 160u);
+  // tid 1: (100 - 30 - 20) + (30 - 10); tid 2: 30 - 7.
+  EXPECT_EQ(rows[3].self_ns, 50u + 20u + 23u);
+}
+
 TEST_F(TraceTest, BinaryRoundTrip) {
   obs::SetTraceEnabled(true);
   {

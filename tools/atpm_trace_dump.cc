@@ -1,15 +1,13 @@
 // atpm_trace_dump — turn a binary .atrace capture (common/trace.h,
 // written by bench/fig9_sample_scaling or any ATPM_TRACE=1 run) into
 // Chrome trace_event JSON for Perfetto / chrome://tracing, or print a
-// per-span-name summary to stdout.
+// per-span-name summary (count, inclusive and self time) to stdout.
 //
 // Usage:
 //   atpm_trace_dump to-json <in.atrace> [out.json]
 //   atpm_trace_dump summary <in.atrace>
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -61,30 +59,21 @@ int Summary(const std::string& in_path) {
     std::fprintf(stderr, "atpm_trace_dump: %s\n", status.ToString().c_str());
     return 1;
   }
-  struct Agg {
-    uint64_t count = 0;
-    uint64_t total_ns = 0;
-    uint64_t max_ns = 0;
-  };
-  std::map<std::string, Agg> by_name;  // ordered: stable output
-  for (const auto& event : events) {
-    Agg& agg = by_name[event.name];
-    ++agg.count;
-    agg.total_ns += event.dur_ns;
-    agg.max_ns = std::max(agg.max_ns, event.dur_ns);
-  }
-  std::printf("%-28s %10s %14s %14s %14s\n", "span", "count", "total_ms",
-              "mean_us", "max_us");
-  for (const auto& [name, agg] : by_name) {
-    std::printf("%-28s %10llu %14.3f %14.3f %14.3f\n", name.c_str(),
-                static_cast<unsigned long long>(agg.count),
-                static_cast<double>(agg.total_ns) * 1e-6,
-                static_cast<double>(agg.total_ns) * 1e-3 /
-                    static_cast<double>(agg.count),
-                static_cast<double>(agg.max_ns) * 1e-3);
+  const std::vector<atpm::obs::SpanSummary> rows =
+      atpm::obs::SummarizeSpans(events);
+  std::printf("%-28s %10s %14s %14s %14s %14s\n", "span", "count",
+              "total_ms", "self_ms", "mean_us", "max_us");
+  for (const atpm::obs::SpanSummary& row : rows) {
+    std::printf("%-28s %10llu %14.3f %14.3f %14.3f %14.3f\n",
+                row.name.c_str(), static_cast<unsigned long long>(row.count),
+                static_cast<double>(row.total_ns) * 1e-6,
+                static_cast<double>(row.self_ns) * 1e-6,
+                static_cast<double>(row.total_ns) * 1e-3 /
+                    static_cast<double>(row.count),
+                static_cast<double>(row.max_ns) * 1e-3);
   }
   std::printf("%zu events, %zu distinct spans\n", events.size(),
-              by_name.size());
+              rows.size());
   return 0;
 }
 
