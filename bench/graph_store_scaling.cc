@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_util/datasets.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "graph/edge_list_io.h"
@@ -78,9 +79,14 @@ RrBatchResult TimeRrBatch(const Graph& g, uint64_t rss_before) {
   Rng rng(77);
   SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade);
   WallTimer timer;
-  const RRCollection& pool =
-      engine.GeneratePool(nullptr, g.num_nodes(), kRrBatch, &rng);
+  const Status filled =
+      engine.TryGeneratePool(nullptr, g.num_nodes(), kRrBatch, &rng);
   result.seconds = timer.ElapsedSeconds();
+  if (!filled.ok()) {
+    std::fprintf(stderr, "RR batch failed: %s\n", filled.ToString().c_str());
+  }
+  ATPM_CHECK(filled.ok());
+  const RRCollection& pool = engine.pool();
   result.pool_hash = PoolHash(pool);
   const uint64_t rss_after = ResidentBytes();
   result.rss_delta_bytes = rss_after > rss_before ? rss_after - rss_before : 0;

@@ -34,6 +34,13 @@ Graph BenchGraph(NodeId n) {
   return g;
 }
 
+// Fails the benchmark on a sampling error (a micro benchmark has no
+// degraded mode worth timing); returns whether the call succeeded.
+bool Sampled(benchmark::State& state, const Status& status) {
+  if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+  return status.ok();
+}
+
 // Weighting schemes for the kernel benches: 0 = weighted cascade,
 // 1 = trivalency, 2 = uniform-random (the general-class fallback).
 // `edges_per_node` controls vector length: the reverse series keeps the
@@ -166,12 +173,17 @@ void BM_HandleCountCovering(benchmark::State& state) {
       threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   SamplingEngineHandle handle;
+  CoverageQueryBatch batch;
+  batch.Add(0, &base);
   uint64_t salt = 1;
   for (auto _ : state) {
     SamplingEngine* engine =
         handle.Get(g, DiffusionModel::kIndependentCascade, options);
-    benchmark::DoNotOptimize(engine->CountConditionalCoverageSeeded(
-        0, &base, nullptr, g.num_nodes(), 1 << 15, ++salt));
+    const Result<uint64_t> sampled =
+        engine->TryCountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(),
+                                            1 << 15, ++salt);
+    if (!Sampled(state, sampled.status())) break;
+    benchmark::DoNotOptimize(batch.hits(0));
   }
   state.SetItemsProcessed(state.iterations() * (1 << 15));
 }
@@ -194,9 +206,14 @@ void BM_SamplingEngineCountScaling(benchmark::State& state) {
   for (NodeId v = 100; v < 200; ++v) base.Set(v);
   Rng rng(37);
   const uint64_t theta = 1 << 15;
+  CoverageQueryBatch batch;
+  batch.Add(0, &base);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->CountConditionalCoverage(
-        0, &base, nullptr, g.num_nodes(), theta, &rng));
+    const Result<uint64_t> sampled =
+        engine->TryCountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
+                                      &rng);
+    if (!Sampled(state, sampled.status())) break;
+    benchmark::DoNotOptimize(batch.hits(0));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(theta));
 }
@@ -229,7 +246,10 @@ void BM_SamplingEngineBatchCountScaling(benchmark::State& state) {
     batch.Clear();
     batch.Add(0, &front_base);
     batch.Add(0, &rear_base);
-    engine->CountCoverageBatch(&batch, nullptr, g.num_nodes(), theta, &rng);
+    const Result<uint64_t> sampled =
+        engine->TryCountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
+                                      &rng);
+    if (!Sampled(state, sampled.status())) break;
     benchmark::DoNotOptimize(batch.hits(0) + batch.hits(1));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(theta));
@@ -306,9 +326,10 @@ void BM_SamplingEnginePoolScaling(benchmark::State& state) {
   const uint64_t count = 1 << 14;
   for (auto _ : state) {
     engine->ResetPool();
-    RRCollection& pool =
-        engine->GeneratePool(nullptr, g.num_nodes(), count, &rng);
-    benchmark::DoNotOptimize(pool.total_nodes());
+    const Status filled =
+        engine->TryGeneratePool(nullptr, g.num_nodes(), count, &rng);
+    if (!Sampled(state, filled)) break;
+    benchmark::DoNotOptimize(engine->pool().total_nodes());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
 }
@@ -384,9 +405,14 @@ void BM_KernelCountCovering(benchmark::State& state) {
   for (NodeId v = 100; v < 200; ++v) base.Set(v);
   Rng rng(23);
   const uint64_t theta = 1 << 12;
+  CoverageQueryBatch batch;
+  batch.Add(0, &base);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.CountConditionalCoverage(
-        0, &base, nullptr, g.num_nodes(), theta, &rng));
+    const Result<uint64_t> sampled =
+        engine.TryCountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
+                                     &rng);
+    if (!Sampled(state, sampled.status())) break;
+    benchmark::DoNotOptimize(batch.hits(0));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(theta));
   state.counters["draws_per_edge"] = engine.stats().DrawsPerEdge();
@@ -498,9 +524,10 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
   const uint64_t count = 1 << 13;
   for (auto _ : state) {
     engine.ResetPool();
-    RRCollection& pool =
-        engine.GeneratePool(nullptr, g.num_nodes(), count, &rng);
-    benchmark::DoNotOptimize(pool.total_nodes());
+    const Status filled =
+        engine.TryGeneratePool(nullptr, g.num_nodes(), count, &rng);
+    if (!Sampled(state, filled)) break;
+    benchmark::DoNotOptimize(engine.pool().total_nodes());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
   // Restore the process defaults (metrics on, tracing off) so later

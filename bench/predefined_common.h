@@ -19,6 +19,7 @@
 #include "bench_util/experiment.h"
 #include "bench_util/grid.h"
 #include "bench_util/table_printer.h"
+#include "common/logging.h"
 #include "common/timer.h"
 #include "core/hatp.h"
 #include "core/nonadaptive_greedy.h"
@@ -37,8 +38,13 @@ inline double EstimateTopSpread(const atpm::Graph& graph, uint64_t seed,
   std::unique_ptr<atpm::SamplingEngine> engine = atpm::CreateSamplingEngine(
       graph, atpm::DiffusionModel::kIndependentCascade, engine_options);
   const uint64_t theta = 1u << 15;
-  atpm::RRCollection& pool =
-      engine->GeneratePool(nullptr, graph.num_nodes(), theta, &rng);
+  const atpm::Status filled =
+      engine->TryGeneratePool(nullptr, graph.num_nodes(), theta, &rng);
+  if (!filled.ok()) {
+    std::fprintf(stderr, "RR pool failed: %s\n", filled.ToString().c_str());
+  }
+  ATPM_CHECK(filled.ok());
+  atpm::RRCollection& pool = engine->pool();
   pool.BuildIndex();
   uint64_t best = 0;
   for (atpm::NodeId u = 0; u < graph.num_nodes(); ++u) {

@@ -22,7 +22,7 @@ namespace atpm {
 /// answer every later world's identical round; runs diverge only once
 /// their worlds produce different observations.
 ///
-/// This decorator memoizes CountCoverageBatchSeeded on the round's
+/// This decorator memoizes TryCountCoverageBatchSeeded on the round's
 /// *content* — (num_alive, θ, removed bitmap, query nodes, base bitmaps) —
 /// with the seed deliberately excluded, and replays stored hit counters on
 /// a match. Per-world decision sequences stay valid HATP/ADDATP decisions

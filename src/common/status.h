@@ -22,8 +22,9 @@ enum class StatusCode {
 /// Result of a fallible operation: an error code plus a human-readable
 /// message. `Status::OK()` is the success value. Statuses are cheap to copy
 /// in the success case (empty message) and are intended to be checked at
-/// every call site (`ATPM_RETURN_NOT_OK`, `status.ok()`).
-class Status {
+/// every call site (`ATPM_RETURN_NOT_OK`, `status.ok()`); [[nodiscard]]
+/// makes a dropped one a compiler warning (an error under ATPM_WERROR).
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -105,7 +106,7 @@ class Status {
 /// Value-or-error wrapper in the spirit of arrow::Result. Holds either a T
 /// (on success) or a non-OK Status. Access to `value()` requires `ok()`.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Constructs a successful result holding `value`.
   Result(T value)  // NOLINT(google-explicit-constructor)

@@ -232,7 +232,6 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
   result.speculation_misses = spec.misses;
   result.speculation_discarded = spec.discarded;
   result.speculative_queries = spec.speculative_queries;
-  result.lookahead_window_trace = planner.window_trace();
   if (env != nullptr) FinalizeAdaptiveResult(problem, *env, &result);
   return result;
 }

@@ -1,7 +1,5 @@
 #include "core/policy.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -132,18 +130,10 @@ SpeculativeRoundPlanner::SpeculativeRoundPlanner(
       // Speculation shares a round's pool, so it needs batched rounds; the
       // literal two-pool sampling ignores the window.
       window_(sampling.batched_rounds ? sampling.lookahead_window : 0),
-      adaptive_(sampling.adaptive_lookahead),
-      base_window_(window_),
-      discard_threshold_(sampling.lookahead_discard_threshold),
       targets_(targets) {
-  max_window_ = adaptive_
-                    ? std::max(window_, sampling.max_lookahead_window)
-                    : window_;
   if (window_ > 0) {
     entries_.resize(targets.size());
-    // Pre-sized to the widest window the adaptive controller may reach, so
-    // the batch's base pointers stay stable however far it widens.
-    rear_bases_.resize(max_window_);
+    rear_bases_.resize(window_);
   }
 }
 
@@ -153,29 +143,6 @@ void SpeculativeRoundPlanner::Begin(size_t position, [[maybe_unused]] NodeId u,
   active_.reset();
   if (window_ == 0) return;
   ATPM_DCHECK(position < targets_.size() && targets_[position] == u);
-  if (adaptive_) {
-    if (!epoch_seen_ || epoch != last_epoch_) {
-      // A seeding just voided every in-flight answer; restart narrow so the
-      // next pools don't pay for speculation that cannot survive another
-      // imminent selection streak.
-      window_ = base_window_;
-      epoch_seen_ = true;
-      last_epoch_ = epoch;
-    } else if (window_ < max_window_) {
-      // The residual graph held still: widen while the realized discard
-      // rate says speculated answers are actually being consumed.
-      const uint64_t resolved = stats_.hits + stats_.misses;
-      const double rate =
-          resolved == 0
-              ? 0.0
-              : static_cast<double>(stats_.discarded) /
-                    static_cast<double>(resolved);
-      if (rate < discard_threshold_) {
-        window_ = std::min<uint32_t>(window_ * 2, max_window_);
-      }
-    }
-  }
-  window_trace_.push_back(window_);
   // The per-planner stats stay the exact source the run result exports;
   // the global counters are a scrape-time mirror of the same events.
   const PolicyMetrics& metrics = PolicyMetrics::Get();
@@ -288,8 +255,8 @@ Status SpeculativeRoundPlanner::SampleRound(
   pending_.clear();
   if (!batched_) {
     // The literal two-pool sampling, each a one-query batch — the same RNG
-    // consumption (one 64-bit draw per pool) as the historical
-    // CountConditionalCoverage path, so fixed-seed runs stay bit-identical.
+    // consumption (one 64-bit draw per pool) as the historical per-query
+    // path, so fixed-seed runs stay bit-identical.
     const uint32_t front = batch_.Add(u, &front_base);
     const Result<uint64_t> front_sampled = engine->TryCountCoverageBatch(
         &batch_, removed, num_alive, theta, rng);

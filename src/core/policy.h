@@ -164,11 +164,6 @@ struct AdaptiveRunResult {
   uint64_t speculation_discarded = 0;
   /// Speculative cross-candidate queries appended to round pools.
   uint64_t speculative_queries = 0;
-  /// Lookahead window in effect at each speculating candidate examination
-  /// (one entry per Begin while speculation is active; empty otherwise).
-  /// Under a fixed window this is constant; under adaptive_lookahead it
-  /// shows the widen/reset trajectory.
-  std::vector<uint32_t> lookahead_window_trace;
   /// Decisions forced to conclude early (RunBudget, RR cap, allocation
   /// failure), in examination order. Empty = every decision ran its full
   /// error schedule and the requested guarantee holds.
@@ -366,9 +361,6 @@ class SpeculativeRoundPlanner {
   bool speculating() const { return window_ > 0; }
 
   const SpeculationStats& stats() const { return stats_; }
-  /// Window in effect at each speculating Begin (see
-  /// AdaptiveRunResult::lookahead_window_trace).
-  const std::vector<uint32_t>& window_trace() const { return window_trace_; }
 
  private:
   struct Entry {
@@ -407,17 +399,8 @@ class SpeculativeRoundPlanner {
                              uint64_t theta);
 
   bool batched_ = true;
-  /// Window in effect for the candidate under examination (fixed, or the
-  /// adaptive trajectory between base_window_ and max_window_).
+  /// Speculated candidates per round (0 = speculation off).
   uint32_t window_ = 0;
-  bool adaptive_ = false;
-  uint32_t base_window_ = 0;
-  uint32_t max_window_ = 0;
-  double discard_threshold_ = 0.0;
-  /// Epoch seen by the previous speculating Begin (adaptive reset signal).
-  uint64_t last_epoch_ = 0;
-  bool epoch_seen_ = false;
-  std::vector<uint32_t> window_trace_;
   std::span<const NodeId> targets_;
   size_t position_ = 0;
   /// The answer activated by Begin for the candidate under examination.

@@ -1,8 +1,10 @@
 #include "diffusion/spread_oracle.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
+#include "common/logging.h"
 #include "diffusion/ic_model.h"
 #include "diffusion/realization.h"
 
@@ -126,6 +128,21 @@ uint32_t HashedWorldSpread(const Graph& graph, DiffusionModel model,
              : SpreadInHashedWorld(graph, seeds, salt, removed);
 }
 
+/// Refills `engine`'s pool with `count` RR sets. The oracle interface
+/// returns plain doubles and has no error channel, so a failure aborts.
+const RRCollection& RefillPool(SamplingEngine* engine,
+                               const BitVector* removed, uint32_t num_alive,
+                               uint64_t count, Rng* rng) {
+  engine->ResetPool();
+  const Status status = engine->TryGeneratePool(removed, num_alive, count,
+                                                rng);
+  if (!status.ok()) {
+    std::fprintf(stderr, "RisSpreadOracle: %s\n", status.ToString().c_str());
+  }
+  ATPM_CHECK(status.ok());
+  return engine->pool();
+}
+
 }  // namespace
 
 double MonteCarloSpreadOracle::ExpectedSpread(std::span<const NodeId> seeds,
@@ -162,9 +179,8 @@ double RisSpreadOracle::ExpectedSpread(std::span<const NodeId> seeds,
       n - static_cast<uint32_t>(removed != nullptr ? removed->Count() : 0);
   if (num_alive == 0 || seeds.empty()) return 0.0;
 
-  engine_->ResetPool();
-  const RRCollection& pool = engine_->GeneratePool(
-      removed, num_alive, options_.num_rr_sets, &rng_);
+  const RRCollection& pool =
+      RefillPool(engine_, removed, num_alive, options_.num_rr_sets, &rng_);
   // Scale by the sets actually in the pool — identical to num_rr_sets
   // normally, and the honest denominator when a BudgetGate truncated it.
   if (pool.num_sets() == 0) return 0.0;
@@ -203,9 +219,8 @@ std::vector<double> RisSpreadOracle::ExpectedMarginalSpreads(
   // paired-difference estimator (low variance) at half the sampling of the
   // generic two-ExpectedSpread fallback — and a k-candidate sweep costs one
   // pool instead of k.
-  engine_->ResetPool();
-  const RRCollection& pool = engine_->GeneratePool(
-      removed, num_alive, options_.num_rr_sets, &rng_);
+  const RRCollection& pool =
+      RefillPool(engine_, removed, num_alive, options_.num_rr_sets, &rng_);
   if (pool.num_sets() == 0) return marginals;
 
   CoverageQueryBatch batch;

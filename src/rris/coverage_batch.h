@@ -70,7 +70,7 @@ struct CoverageQuery {
 ///   batch.Clear();
 ///   uint32_t front = batch.Add(u, &seed_bitmap);
 ///   uint32_t rear  = batch.Add(u, &candidates);
-///   engine->CountCoverageBatch(&batch, &removed, n_i, theta, rng);
+///   engine->TryCountCoverageBatch(&batch, &removed, n_i, theta, rng);
 ///   ... batch.hits(front), batch.hits(rear) ...
 ///
 /// The batch owns the hit counters; an answering backend zeroes them

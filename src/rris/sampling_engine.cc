@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <new>
+#include <string>
+#include <string_view>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -62,7 +64,7 @@ struct EngineMetrics {
 /// Translates an exception that escaped a sampling job into the Status the
 /// engine API surfaces: allocation exhaustion is a degradable condition
 /// (callers keep what they have), everything else is an internal fault.
-Status ExceptionToStatus(const char* where, std::exception_ptr error) {
+Status ExceptionToStatus(std::string_view where, std::exception_ptr error) {
   try {
     std::rethrow_exception(std::move(error));
   } catch (const std::bad_alloc&) {
@@ -109,18 +111,17 @@ const char* SamplingBackendName(SamplingBackend backend) {
   return "?";
 }
 
-// ------------------------------------------------------------------ serial
+// ----------------------------------------------------------- caller thread
 
-SerialSamplingEngine::SerialSamplingEngine(const Graph& graph,
-                                           DiffusionModel model,
-                                           SamplingKernel kernel)
-    : model_(model),
-      generator_(graph, model, kernel),
-      pool_(graph.num_nodes()) {}
+CallerThreadSamplingEngine::CallerThreadSamplingEngine(const Graph& graph,
+                                                       DiffusionModel model,
+                                                       SamplingKernel kernel)
+    : pool_(graph.num_nodes()),
+      model_(model),
+      generator_(graph, model, kernel) {}
 
-Status SerialSamplingEngine::TryGeneratePool(const BitVector* removed,
-                                             uint32_t num_alive,
-                                             uint64_t count, Rng* rng) {
+Status CallerThreadSamplingEngine::FillOnCallerThread(
+    const BitVector* removed, uint32_t num_alive, uint64_t count, Rng* rng) {
   ATPM_FAILPOINT("engine.serial_batch");
   obs::TraceSpan span("pool_fill");
   span.AnnotateU64("count", count);
@@ -144,7 +145,7 @@ Status SerialSamplingEngine::TryGeneratePool(const BitVector* removed,
     // A bad_alloc mid-batch leaves the staging shard partially grown (it
     // is cleared on the next call) and the pool untouched; the draws the
     // generator consumed are still accounted.
-    status = ExceptionToStatus("serial pool generation",
+    status = ExceptionToStatus(std::string(name()) + " pool generation",
                                std::current_exception());
   }
   edges_examined_ += status.ok() ? edges : 0;
@@ -154,7 +155,7 @@ Status SerialSamplingEngine::TryGeneratePool(const BitVector* removed,
   return status;
 }
 
-Result<uint64_t> SerialSamplingEngine::TryCountCoverageBatchSeeded(
+Result<uint64_t> CallerThreadSamplingEngine::CountOnCallerThread(
     CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
     uint64_t theta, uint64_t seed) {
   if (batch->empty()) return uint64_t{0};
@@ -177,7 +178,7 @@ Result<uint64_t> SerialSamplingEngine::TryCountCoverageBatchSeeded(
                                           &rng, budget_, &sampled);
   } catch (...) {
     AccrueGeneration(0, 0, generator_.rng_draws() - draws_before);
-    return ExceptionToStatus("serial coverage counting",
+    return ExceptionToStatus(std::string(name()) + " coverage counting",
                              std::current_exception());
   }
   AccrueGeneration(sampled, edges, generator_.rng_draws() - draws_before);
@@ -185,7 +186,7 @@ Result<uint64_t> SerialSamplingEngine::TryCountCoverageBatchSeeded(
   return sampled;
 }
 
-void SerialSamplingEngine::ResetPool() {
+void CallerThreadSamplingEngine::ResetPool() {
   pool_.Clear();
   edges_examined_ = 0;
 }
@@ -197,11 +198,8 @@ ParallelSamplingEngine::ParallelSamplingEngine(const Graph& graph,
                                                uint32_t num_threads,
                                                uint64_t min_parallel_batch,
                                                SamplingKernel kernel)
-    : graph_(&graph),
-      model_(model),
-      min_parallel_batch_(min_parallel_batch),
-      pool_(graph.num_nodes()),
-      inline_generator_(graph, model, kernel) {
+    : CallerThreadSamplingEngine(graph, model, kernel),
+      min_parallel_batch_(min_parallel_batch) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -291,38 +289,16 @@ void ParallelSamplingEngine::AssignQuotas(uint64_t total) {
 Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
                                                uint32_t num_alive,
                                                uint64_t count, Rng* rng) {
-  obs::TraceSpan span("pool_fill");
-  span.AnnotateU64("count", count);
-  obs::ScopedLatency latency(EngineMetrics::Get().pool_fill_seconds);
   // One draw from the caller's stream per query, independent of the worker
   // count; the fan-out is derived from it via SplitSeed.
   const uint64_t base_seed = rng->Next();
-  if (workers_.size() <= 1 || count < min_parallel_batch_) {
-    ATPM_FAILPOINT("engine.serial_batch");
+  if (RunsInline(count)) {
     Rng local(base_seed);
-    shard_nodes_.clear();
-    shard_sizes_.clear();
-    const uint64_t draws_before = inline_generator_.rng_draws();
-    Status status = Status::OK();
-    uint64_t edges = 0;
-    try {
-      ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-      edges = inline_generator_.GenerateBatch(removed, num_alive, count,
-                                              &local, &shard_nodes_,
-                                              &shard_sizes_, budget_);
-      ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_append");
-      pool_.AppendShard(shard_nodes_, shard_sizes_);
-    } catch (...) {
-      status = ExceptionToStatus("inline pool generation",
-                                 std::current_exception());
-    }
-    edges_examined_ += status.ok() ? edges : 0;
-    AccrueGeneration(status.ok() ? shard_sizes_.size() : 0,
-                     status.ok() ? edges : 0,
-                     inline_generator_.rng_draws() - draws_before);
-    return status;
+    return FillOnCallerThread(removed, num_alive, count, &local);
   }
-
+  obs::TraceSpan span("pool_fill");
+  span.AnnotateU64("count", count);
+  obs::ScopedLatency latency(EngineMetrics::Get().pool_fill_seconds);
   AssignQuotas(count);
   const Status pool_status = RunOnPool([&](uint32_t w) {
     Worker& worker = workers_[w];
@@ -372,38 +348,15 @@ Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
 Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
     CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
     uint64_t theta, uint64_t seed) {
+  if (RunsInline(theta)) {
+    return CountOnCallerThread(batch, removed, num_alive, theta, seed);
+  }
   const size_t num_queries = batch->size();
   if (num_queries == 0) return uint64_t{0};
   obs::TraceSpan span("count_batch");
   span.AnnotateU64("theta", theta);
   span.AnnotateU64("queries", num_queries);
   obs::ScopedLatency latency(EngineMetrics::Get().count_batch_seconds);
-  // Counting accounting accrues up front on this backend (the historical
-  // shape — a failed fan-out still consumed the pool attempt).
-  AccrueCounting(1, num_queries);
-
-  if (workers_.size() <= 1 || theta < min_parallel_batch_) {
-    ATPM_FAILPOINT("engine.serial_batch");
-    Rng rng(seed);
-    const uint64_t draws_before = inline_generator_.rng_draws();
-    uint64_t sampled = theta;
-    uint64_t edges = 0;
-    try {
-      // See the serial engine: counting scratch growth shares the alloc
-      // failpoint so injected bad_alloc reaches the degrade path.
-      ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-      edges = inline_generator_.CountCoveringBatch(
-          removed, num_alive, theta, batch->queries(), batch->hit_data(),
-          &rng, budget_, &sampled);
-    } catch (...) {
-      AccrueGeneration(0, 0, inline_generator_.rng_draws() - draws_before);
-      return ExceptionToStatus("inline coverage counting",
-                               std::current_exception());
-    }
-    AccrueGeneration(sampled, edges,
-                     inline_generator_.rng_draws() - draws_before);
-    return sampled;
-  }
 
   AssignQuotas(theta);
   const Status pool_status = RunOnPool([&](uint32_t w) {
@@ -438,12 +391,8 @@ Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
     sampled += worker.sampled_result;
   }
   AccrueGeneration(sampled, edges, draws);
+  AccrueCounting(1, num_queries);
   return sampled;
-}
-
-void ParallelSamplingEngine::ResetPool() {
-  pool_.Clear();
-  edges_examined_ = 0;
 }
 
 // ----------------------------------------------------------------- factory

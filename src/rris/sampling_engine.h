@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "common/bit_vector.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/run_budget.h"
 #include "common/status.h"
@@ -71,22 +69,6 @@ struct SamplingOptions {
   /// default) disables speculation and is bit-identical to plain batched
   /// rounds for a fixed seed. Requires batched_rounds; ignored otherwise.
   uint32_t lookahead_window = 0;
-  /// Adaptive window control: when true (and speculation is active, i.e.
-  /// lookahead_window > 0 with batched rounds), the window widens
-  /// geometrically up to max_lookahead_window while the observed discard
-  /// rate stays below lookahead_discard_threshold, and resets to
-  /// lookahead_window whenever the residual-graph epoch moves (a seeding
-  /// voids every in-flight answer, so a wide window right after one only
-  /// buys wasted queries). Decision sequences are identical to any fixed
-  /// window — speculation serves the exact answers a native first round
-  /// would compute; only the sampling layout adapts.
-  bool adaptive_lookahead = false;
-  /// Widest window adaptive control may reach (clamped to at least
-  /// lookahead_window).
-  uint32_t max_lookahead_window = 64;
-  /// Discard-rate bar for widening: while discarded / resolved candidates
-  /// stays below this, a stable residual graph keeps doubling the window.
-  double lookahead_discard_threshold = 0.25;
   /// RR-generation kernel of every generator the engine owns (see
   /// SamplingKernel in graph/graph.h). The default geometric-jump kernel is
   /// statistically equivalent to the historical per-edge loop but consumes
@@ -108,23 +90,23 @@ struct SamplingOptions {
 /// Every policy needs exactly two operations on the residual graph
 /// G \ removed (`num_alive` = nodes outside `removed`):
 ///
-///  * GeneratePool — append `count` stored RR sets to the engine's pool
+///  * TryGeneratePool — append `count` stored RR sets to the engine's pool
 ///    (NSG/NDG/IMM-style fixed pools, spread lower bounds), with the total
 ///    edges examined (the IMM/EPT cost measure) accumulated in
 ///    total_edges_examined() so concentration accounting aggregates
 ///    correctly across parallel shards;
-///  * CountCoverageBatch — draw ONE pool of θ throwaway RR sets and answer
-///    every Cov(u | base) query of a CoverageQueryBatch in a single pass
-///    (the ADDATP/HATP per-decision hot path; a round's front and rear
+///  * TryCountCoverageBatch — draw ONE pool of θ throwaway RR sets and
+///    answer every Cov(u | base) query of a CoverageQueryBatch in a single
+///    pass (the ADDATP/HATP per-decision hot path; a round's front and rear
 ///    estimates share the pool instead of paying a fan-out each).
-///    CountConditionalCoverage is the one-query convenience form.
 ///
-/// Engines are bound to one (graph, diffusion model) pair and are *not*
-/// re-entrant: one query runs at a time. Randomness is always drawn from
-/// the caller's Rng, so runs remain reproducible; the parallel backend
-/// consumes exactly one 64-bit draw per query and splits it into
-/// per-worker streams (SplitSeed), making results deterministic for a
-/// fixed (caller stream, thread count) pair.
+/// Both return a Status and never abort; callers with no error channel
+/// check it themselves. Engines are bound to one (graph, diffusion model)
+/// pair and are *not* re-entrant: one query runs at a time. Randomness is
+/// always drawn from the caller's Rng, so runs remain reproducible; the
+/// parallel backend consumes exactly one 64-bit draw per query and splits
+/// it into per-worker streams (SplitSeed), making results deterministic for
+/// a fixed (caller stream, thread count) pair.
 class SamplingEngine {
  public:
   virtual ~SamplingEngine() = default;
@@ -141,19 +123,6 @@ class SamplingEngine {
                                  uint32_t num_alive, uint64_t count,
                                  Rng* rng) = 0;
 
-  /// Historical convenience form of TryGeneratePool for callers with no
-  /// failure channel (benchmarks, tests): aborts on error and returns the
-  /// pool. Identical to the pre-Status API when nothing fails.
-  RRCollection& GeneratePool(const BitVector* removed, uint32_t num_alive,
-                             uint64_t count, Rng* rng) {
-    const Status status = TryGeneratePool(removed, num_alive, count, rng);
-    if (!status.ok()) {
-      std::fprintf(stderr, "GeneratePool: %s\n", status.ToString().c_str());
-    }
-    ATPM_CHECK(status.ok());
-    return pool();
-  }
-
   /// Samples one shared pool of `theta` RR sets without storing them and
   /// fills in `batch`'s per-query hit counters. Consumes one 64-bit draw
   /// from `rng` regardless of batch width or worker count. Returns the
@@ -168,58 +137,15 @@ class SamplingEngine {
                                        rng->Next());
   }
 
-  /// Abort-on-error convenience form of TryCountCoverageBatch (the
-  /// historical API shape; callers without budgets always sample θ sets).
-  void CountCoverageBatch(CoverageQueryBatch* batch, const BitVector* removed,
-                          uint32_t num_alive, uint64_t theta, Rng* rng) {
-    CountCoverageBatchSeeded(batch, removed, num_alive, theta, rng->Next());
-  }
-
   /// Seed-level variant of TryCountCoverageBatch: the serial backend
   /// counts with the stream Rng(seed); the parallel backend gives worker w
   /// the stream Rng(SplitSeed(seed, w)) and a private counter shard,
   /// merged deterministically in worker order. Returns the sets actually
-  /// drawn (see TryCountCoverageBatch).
+  /// drawn (see TryCountCoverageBatch). A one-query batch is bit-identical
+  /// to the historical per-query sampling for a fixed seed.
   virtual Result<uint64_t> TryCountCoverageBatchSeeded(
       CoverageQueryBatch* batch, const BitVector* removed,
       uint32_t num_alive, uint64_t theta, uint64_t seed) = 0;
-
-  /// Abort-on-error convenience form of TryCountCoverageBatchSeeded.
-  void CountCoverageBatchSeeded(CoverageQueryBatch* batch,
-                                const BitVector* removed, uint32_t num_alive,
-                                uint64_t theta, uint64_t seed) {
-    const Result<uint64_t> sampled =
-        TryCountCoverageBatchSeeded(batch, removed, num_alive, theta, seed);
-    if (!sampled.ok()) {
-      std::fprintf(stderr, "CountCoverageBatchSeeded: %s\n",
-                   sampled.status().ToString().c_str());
-    }
-    ATPM_CHECK(sampled.ok());
-  }
-
-  /// One-query convenience form: samples `theta` RR sets and returns how
-  /// many contain `u` while avoiding every node of `base` (nullptr base =
-  /// plain Cov({u}) count). Consumes one 64-bit draw from `rng`.
-  uint64_t CountConditionalCoverage(NodeId u, const BitVector* base,
-                                    const BitVector* removed,
-                                    uint32_t num_alive, uint64_t theta,
-                                    Rng* rng) {
-    return CountConditionalCoverageSeeded(u, base, removed, num_alive, theta,
-                                          rng->Next());
-  }
-
-  /// Seed-level variant of CountConditionalCoverage; a one-query batch, so
-  /// bit-identical to the historical per-query sampling for a fixed seed.
-  uint64_t CountConditionalCoverageSeeded(NodeId u, const BitVector* base,
-                                          const BitVector* removed,
-                                          uint32_t num_alive, uint64_t theta,
-                                          uint64_t seed) {
-    scratch_batch_.Clear();
-    scratch_batch_.Add(u, base);
-    CountCoverageBatchSeeded(&scratch_batch_, removed, num_alive, theta,
-                             seed);
-    return scratch_batch_.hits(0);
-  }
 
   /// Installs (or clears, with nullptr) the budget gate the sampling
   /// paths poll at batch boundaries. Borrowed: the caller keeps the gate
@@ -229,11 +155,11 @@ class SamplingEngine {
   /// The installed budget gate (null = unbudgeted).
   BudgetGate* budget() const { return budget_; }
 
-  /// The engine's pool of stored RR sets (as filled by GeneratePool).
+  /// The engine's pool of stored RR sets (as filled by TryGeneratePool).
   virtual RRCollection& pool() = 0;
   /// Empties the pool (keeps capacity) and zeroes the edge accounting.
   virtual void ResetPool() = 0;
-  /// Total edges examined by all GeneratePool calls since the last
+  /// Total edges examined by all TryGeneratePool calls since the last
   /// ResetPool, aggregated across workers.
   virtual uint64_t total_edges_examined() const = 0;
 
@@ -265,50 +191,74 @@ class SamplingEngine {
 
   SamplingStats stats_;
   BudgetGate* budget_ = nullptr;
-
- private:
-  /// Scratch for the one-query convenience path (engines are one query at a
-  /// time by contract, so a single slot suffices).
-  CoverageQueryBatch scratch_batch_;
 };
 
-/// Single-threaded backend: a persistent RRSetGenerator driven by the
-/// caller's Rng. For a fixed (seed, kernel) pair this reproduces the raw
-/// generator code paths (RRCollection::Generate / CountCoveringBatch with
-/// the stream Rng(seed)) bit for bit.
-class SerialSamplingEngine final : public SamplingEngine {
+/// What the two backends share: the stored pool with its edge accounting,
+/// and one RRSetGenerator that samples on the calling thread. The serial
+/// backend runs every call through it; the parallel backend runs the
+/// batches below its fan-out threshold through it. A count batch charges
+/// its pool and queries only once the pool has been drawn.
+class CallerThreadSamplingEngine : public SamplingEngine {
  public:
-  explicit SerialSamplingEngine(
-      const Graph& graph,
-      DiffusionModel model = DiffusionModel::kIndependentCascade,
-      SamplingKernel kernel = SamplingKernel::kGeometricJump);
-
-  Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
-                         uint64_t count, Rng* rng) override;
-  Result<uint64_t> TryCountCoverageBatchSeeded(CoverageQueryBatch* batch,
-                                               const BitVector* removed,
-                                               uint32_t num_alive,
-                                               uint64_t theta,
-                                               uint64_t seed) override;
-
   RRCollection& pool() override { return pool_; }
   void ResetPool() override;
   uint64_t total_edges_examined() const override { return edges_examined_; }
   const Graph& graph() const override { return generator_.graph(); }
   DiffusionModel model() const override { return model_; }
   SamplingKernel kernel() const override { return generator_.kernel(); }
-  uint32_t num_workers() const override { return 1; }
-  std::string_view name() const override { return "serial"; }
+
+ protected:
+  CallerThreadSamplingEngine(const Graph& graph, DiffusionModel model,
+                             SamplingKernel kernel);
+
+  /// TryGeneratePool on the calling thread, drawing from `rng` directly.
+  Status FillOnCallerThread(const BitVector* removed, uint32_t num_alive,
+                            uint64_t count, Rng* rng);
+  /// TryCountCoverageBatchSeeded on the calling thread with the stream
+  /// Rng(seed).
+  Result<uint64_t> CountOnCallerThread(CoverageQueryBatch* batch,
+                                       const BitVector* removed,
+                                       uint32_t num_alive, uint64_t theta,
+                                       uint64_t seed);
+
+  RRCollection pool_;
+  uint64_t edges_examined_ = 0;
 
  private:
   DiffusionModel model_;
   RRSetGenerator generator_;
-  RRCollection pool_;
   /// Batch staging in AppendShard layout (flat nodes + per-set sizes),
-  /// reused across GeneratePool calls so the hot loop never reallocates.
+  /// reused across fills so the hot loop never reallocates.
   std::vector<NodeId> shard_nodes_;
   std::vector<uint32_t> shard_sizes_;
-  uint64_t edges_examined_ = 0;
+};
+
+/// Single-threaded backend: a persistent RRSetGenerator driven by the
+/// caller's Rng. For a fixed (seed, kernel) pair this reproduces the raw
+/// generator code paths (RRCollection::Generate / CountCoveringBatch with
+/// the stream Rng(seed)) bit for bit.
+class SerialSamplingEngine final : public CallerThreadSamplingEngine {
+ public:
+  explicit SerialSamplingEngine(
+      const Graph& graph,
+      DiffusionModel model = DiffusionModel::kIndependentCascade,
+      SamplingKernel kernel = SamplingKernel::kGeometricJump)
+      : CallerThreadSamplingEngine(graph, model, kernel) {}
+
+  Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
+                         uint64_t count, Rng* rng) override {
+    return FillOnCallerThread(removed, num_alive, count, rng);
+  }
+  Result<uint64_t> TryCountCoverageBatchSeeded(CoverageQueryBatch* batch,
+                                               const BitVector* removed,
+                                               uint32_t num_alive,
+                                               uint64_t theta,
+                                               uint64_t seed) override {
+    return CountOnCallerThread(batch, removed, num_alive, theta, seed);
+  }
+
+  uint32_t num_workers() const override { return 1; }
+  std::string_view name() const override { return "serial"; }
 };
 
 /// Thread-pool backend: `num_threads` persistent workers, each with its own
@@ -319,12 +269,13 @@ class SerialSamplingEngine final : public SamplingEngine {
 /// every worker a private per-query counter shard merged by summation in
 /// worker order — so merged pools, batch counts, and aggregated edge counts
 /// are all deterministic for a fixed (seed, num_threads) pair. Queries
-/// below min_parallel_batch bypass the pool and run on the calling thread;
-/// for the counting paths that inline path is bit-identical to the serial
-/// backend (both count with the stream Rng(base seed)), while GeneratePool
-/// is only statistically equivalent (the serial backend generates from the
-/// caller's stream directly, the inline path from one reseeded draw).
-class ParallelSamplingEngine final : public SamplingEngine {
+/// below min_parallel_batch bypass the pool and run on the calling thread
+/// through the serial backend's code; for the counting path that is
+/// bit-identical to the serial backend (both count with the stream
+/// Rng(base seed)), while TryGeneratePool is only statistically equivalent
+/// (the serial backend generates from the caller's stream directly, the
+/// inline path from one reseeded draw).
+class ParallelSamplingEngine final : public CallerThreadSamplingEngine {
  public:
   /// Batches below this size run on the calling thread — fan-out overhead
   /// dominates tiny jobs, and the adaptive policies issue plenty of them
@@ -350,14 +301,6 @@ class ParallelSamplingEngine final : public SamplingEngine {
                                                uint64_t theta,
                                                uint64_t seed) override;
 
-  RRCollection& pool() override { return pool_; }
-  void ResetPool() override;
-  uint64_t total_edges_examined() const override { return edges_examined_; }
-  const Graph& graph() const override { return *graph_; }
-  DiffusionModel model() const override { return model_; }
-  SamplingKernel kernel() const override {
-    return inline_generator_.kernel();
-  }
   uint32_t num_workers() const override {
     return static_cast<uint32_t>(workers_.size());
   }
@@ -396,18 +339,12 @@ class ParallelSamplingEngine final : public SamplingEngine {
   void WorkerLoop(uint32_t index);
   /// Splits `total` draws over the workers (remainder to the lowest ids).
   void AssignQuotas(uint64_t total);
+  /// Whether a batch of `size` sets runs on the calling thread.
+  bool RunsInline(uint64_t size) const {
+    return workers_.size() <= 1 || size < min_parallel_batch_;
+  }
 
-  const Graph* graph_;
-  DiffusionModel model_;
   uint64_t min_parallel_batch_;
-
-  RRCollection pool_;
-  uint64_t edges_examined_ = 0;
-  /// Serial fallback generator for sub-threshold queries.
-  RRSetGenerator inline_generator_;
-  /// Inline-path batch staging in AppendShard layout.
-  std::vector<NodeId> shard_nodes_;
-  std::vector<uint32_t> shard_sizes_;
 
   std::vector<Worker> workers_;
   std::vector<std::thread> threads_;

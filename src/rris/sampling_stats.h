@@ -21,7 +21,7 @@ namespace atpm {
 /// friends) mirrors the same accruals across all engines and can be
 /// disabled without perturbing these counts.
 struct SamplingStats {
-  /// RR sets sampled by GeneratePool + every counting query.
+  /// RR sets sampled by TryGeneratePool + every counting query.
   uint64_t rr_sets_generated = 0;
   /// Edges examined by all of the above (the IMM/EPT cost proxy).
   uint64_t edges_examined = 0;

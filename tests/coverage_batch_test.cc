@@ -23,6 +23,7 @@
 #include "rris/rr_collection.h"
 #include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -574,8 +575,7 @@ TEST(EngineBatchTest, SerialBatchBitIdenticalToPerQueryCounts) {
   CoverageQueryBatch batch;
   const uint32_t qf = batch.Add(0, &front);
   const uint32_t qr = batch.Add(0, &rear);
-  engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), theta,
-                                  seed);
+  CountBatch(engine, &batch, nullptr, g.num_nodes(), theta, seed);
 
   // A one-query batch from the same seed must agree with the front slot
   // only when the front query alone never aborts differently — with a
@@ -586,13 +586,12 @@ TEST(EngineBatchTest, SerialBatchBitIdenticalToPerQueryCounts) {
   CoverageQueryBatch again;
   again.Add(0, &front);
   again.Add(0, &rear);
-  engine.CountCoverageBatchSeeded(&again, nullptr, g.num_nodes(), theta,
-                                  seed);
+  CountBatch(engine, &again, nullptr, g.num_nodes(), theta, seed);
   EXPECT_EQ(batch.hits(qf), again.hits(0));
   EXPECT_EQ(batch.hits(qr), again.hits(1));
 
-  const uint64_t single = engine.CountConditionalCoverageSeeded(
-      0, &front, nullptr, g.num_nodes(), theta, seed);
+  const uint64_t single = CountOne(engine, 0, &front, nullptr, g.num_nodes(),
+                                   theta, seed);
   RRSetGenerator reference(g);
   Rng ref_rng(seed);
   EXPECT_EQ(single, reference.CountCovering(nullptr, g.num_nodes(), theta, 0,
@@ -613,8 +612,7 @@ TEST(EngineBatchTest, ParallelBatchDeterministicForFixedSeedAndThreads) {
     CoverageQueryBatch batch;
     batch.Add(1, &front);
     batch.Add(1, &rear);
-    engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), theta,
-                                    777);
+    CountBatch(engine, &batch, nullptr, g.num_nodes(), theta, 777);
     hits[trial][0] = batch.hits(0);
     hits[trial][1] = batch.hits(1);
   }
@@ -633,15 +631,13 @@ TEST(EngineBatchTest, ParallelInlinePathBitIdenticalToSerial) {
   CoverageQueryBatch serial_batch;
   serial_batch.Add(0);
   serial_batch.Add(0, &rear);
-  serial.CountCoverageBatchSeeded(&serial_batch, nullptr, g.num_nodes(),
-                                  theta, 31);
+  CountBatch(serial, &serial_batch, nullptr, g.num_nodes(), theta, 31);
 
   ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   CoverageQueryBatch parallel_batch;
   parallel_batch.Add(0);
   parallel_batch.Add(0, &rear);
-  parallel.CountCoverageBatchSeeded(&parallel_batch, nullptr, g.num_nodes(),
-                                    theta, 31);
+  CountBatch(parallel, &parallel_batch, nullptr, g.num_nodes(), theta, 31);
 
   EXPECT_EQ(serial_batch.hits(0), parallel_batch.hits(0));
   EXPECT_EQ(serial_batch.hits(1), parallel_batch.hits(1));
@@ -657,15 +653,13 @@ TEST(EngineBatchTest, BackendsAgreeWithinThreeSigma) {
   CoverageQueryBatch serial_batch;
   serial_batch.Add(0, &base);
   serial_batch.Add(3);
-  serial.CountCoverageBatchSeeded(&serial_batch, nullptr, g.num_nodes(),
-                                  theta, 2024);
+  CountBatch(serial, &serial_batch, nullptr, g.num_nodes(), theta, 2024);
 
   ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   CoverageQueryBatch parallel_batch;
   parallel_batch.Add(0, &base);
   parallel_batch.Add(3);
-  parallel.CountCoverageBatchSeeded(&parallel_batch, nullptr, g.num_nodes(),
-                                    theta, 4048);
+  CountBatch(parallel, &parallel_batch, nullptr, g.num_nodes(), theta, 4048);
 
   for (int q = 0; q < 2; ++q) {
     const double p_serial = static_cast<double>(serial_batch.hits(q)) /
@@ -688,10 +682,9 @@ TEST(EngineBatchTest, StatsTrackPoolsQueriesAndReuse) {
   CoverageQueryBatch batch;
   batch.Add(0);
   batch.Add(1);
-  engine.CountCoverageBatch(&batch, nullptr, g.num_nodes(), 1000, &rng);
-  engine.CountConditionalCoverage(2, nullptr, nullptr, g.num_nodes(), 500,
-                                  &rng);
-  engine.GeneratePool(nullptr, g.num_nodes(), 300, &rng);
+  CountBatch(engine, &batch, nullptr, g.num_nodes(), 1000, rng.Next());
+  CountOne(engine, 2, nullptr, nullptr, g.num_nodes(), 500, rng.Next());
+  FillPool(engine, nullptr, g.num_nodes(), 300, &rng);
 
   const SamplingStats& stats = engine.stats();
   EXPECT_EQ(stats.rr_sets_generated, 1000u + 500u + 300u);

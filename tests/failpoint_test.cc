@@ -35,6 +35,7 @@
 #include "graph/weighting.h"
 #include "rris/rr_collection.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -183,7 +184,7 @@ TEST_F(FailpointTest, InactiveSitesKeepSerialPoolGolden) {
   SerialSamplingEngine engine(g);
   Rng rng(77);
   const RRCollection& pool =
-      engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
+      FillPool(engine, nullptr, g.num_nodes(), 2000, &rng);
   EXPECT_EQ(pool.num_sets(), 2000u);
   EXPECT_EQ(PoolTotalNodes(pool), 9141u);
   EXPECT_EQ(PoolHash(pool), 11827176579932382309ull);
@@ -195,8 +196,7 @@ TEST_F(FailpointTest, InactiveSitesKeepParallelSeededCountGolden) {
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
                                 4096);
-  EXPECT_EQ(engine.CountConditionalCoverageSeeded(0, &base, nullptr,
-                                                  g.num_nodes(), 60000, 42),
+  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 60000, 42),
             809u);
 }
 
@@ -417,6 +417,29 @@ TEST_F(FailpointTest, DegradedRoundsChargeWhatTheyDrew) {
       EXPECT_EQ(run.value().total_count_pools, engine.drawn().count_pools)
           << "batched=" << batched << " cancel_after=" << cancel_after;
     }
+  }
+  // A bad_alloc inside a parallel engine's count batch: the failed batch
+  // drew no pool, so neither the run nor the engine may charge one.
+  for (const uint64_t fire_at : {1u, 3u}) {
+    failpoint::Spec spec;
+    spec.action = failpoint::Action::kBadAlloc;
+    spec.fire_at = fire_at;
+    spec.count = 1;
+    ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve", spec));
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 2);
+    HatpPolicy policy(HatpOptions{});
+    policy.set_engine(&engine);
+    auto run = RunGoldenPolicy(g, problem, &policy);
+    failpoint::DisarmAll();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(run.value().degradation_events.empty());
+    const SamplingStats& drawn = engine.stats();
+    EXPECT_EQ(run.value().total_rr_sets, drawn.rr_sets_generated)
+        << "fire_at=" << fire_at;
+    EXPECT_EQ(run.value().total_count_pools, drawn.count_pools)
+        << "fire_at=" << fire_at;
+    EXPECT_EQ(run.value().total_coverage_queries, drawn.coverage_queries)
+        << "fire_at=" << fire_at;
   }
 }
 

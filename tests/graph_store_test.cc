@@ -21,6 +21,7 @@
 #include "graph/graph_builder.h"
 #include "graph/weighting.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -106,7 +107,7 @@ uint64_t PoolHashFor(const Graph& g, DiffusionModel model, uint64_t seed,
                      uint64_t num_sets) {
   Rng rng(seed);
   SerialSamplingEngine engine(g, model);
-  return PoolHash(engine.GeneratePool(nullptr, g.num_nodes(), num_sets, &rng));
+  return PoolHash(FillPool(engine, nullptr, g.num_nodes(), num_sets, &rng));
 }
 
 class GraphStoreTest : public ::testing::Test {

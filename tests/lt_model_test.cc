@@ -14,6 +14,7 @@
 #include "graph/weighting.h"
 #include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -327,15 +328,15 @@ TEST(LtSamplingEngineTest, ParallelCountAgreesWithSerialUnderLt) {
   Rng serial_rng(20);
   SerialSamplingEngine serial(g, DiffusionModel::kLinearThreshold);
   const double p_serial =
-      static_cast<double>(serial.CountConditionalCoverage(
-          0, nullptr, nullptr, g.num_nodes(), theta, &serial_rng)) /
+      static_cast<double>(CountOne(serial, 0, nullptr, nullptr, g.num_nodes(),
+                                   theta, serial_rng.Next())) /
       static_cast<double>(theta);
 
   Rng parallel_rng(21);
   ParallelSamplingEngine parallel(g, DiffusionModel::kLinearThreshold, 4);
   const double p_parallel =
-      static_cast<double>(parallel.CountConditionalCoverage(
-          0, nullptr, nullptr, g.num_nodes(), theta, &parallel_rng)) /
+      static_cast<double>(CountOne(parallel, 0, nullptr, nullptr, g.num_nodes(),
+                                   theta, parallel_rng.Next())) /
       static_cast<double>(theta);
   EXPECT_NEAR(p_serial, p_parallel, 0.01);
 }

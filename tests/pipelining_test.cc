@@ -19,6 +19,7 @@
 #include "graph/weighting.h"
 #include "rris/coverage_batch.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -179,8 +180,7 @@ TEST(ZeroQuotaWorkerTest, CountCoverageBatchSeededIsDeterministic) {
     batch.Add(0);
     batch.Add(1, &base);
     for (int repeat = 0; repeat < 2; ++repeat) {
-      engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), theta,
-                                      1234);
+      CountBatch(engine, &batch, nullptr, g.num_nodes(), theta, 1234);
       if (trial == 0 && repeat == 0) {
         reference[0] = batch.hits(0);
         reference[1] = batch.hits(1);
@@ -200,7 +200,7 @@ TEST(ZeroQuotaWorkerTest, ZeroThetaBatchLeavesZeroHits) {
                                 /*min_parallel_batch=*/1);
   CoverageQueryBatch batch;
   batch.Add(0);
-  engine.CountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), 0, 9);
+  CountBatch(engine, &batch, nullptr, g.num_nodes(), 0, 9);
   EXPECT_EQ(batch.hits(0), 0u);
 }
 
@@ -332,101 +332,6 @@ TEST(SpeculativePipeliningTest, UnbatchedRoundsIgnoreTheWindow) {
   EXPECT_EQ(run.speculative_queries, 0u);
   // The literal two-pools-per-round accounting is untouched.
   EXPECT_EQ(run.total_coverage_queries, run.total_count_pools);
-}
-
-// --- Adaptive lookahead: the window controller changes only the sampling
-// layout (how many speculative queries ride each pool), never decisions.
-
-TEST(AdaptiveLookaheadTest, DecisionsMatchFixedWindowAndTraceWidens) {
-  const Graph g = TestGraph(2000);
-  const ProfitProblem problem = CalibratedProblem(g);
-
-  HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
-  options.sampling.kernel = SamplingKernel::kPerEdge;
-  options.sampling.lookahead_window = 1;
-  const AdaptiveRunResult fixed = RunPolicy<HatpPolicy>(g, problem, options,
-                                                        /*world_seed=*/42);
-  // A fixed window traces as a constant.
-  ASSERT_FALSE(fixed.lookahead_window_trace.empty());
-  for (uint32_t w : fixed.lookahead_window_trace) EXPECT_EQ(w, 1u);
-
-  options.sampling.adaptive_lookahead = true;
-  options.sampling.max_lookahead_window = 16;
-  // This instance seeds often, so discards pile up fast; a permissive bar
-  // keeps the controller widening on every stationary (abandon) streak —
-  // the reset-on-seeding behavior is what this instance exercises.
-  options.sampling.lookahead_discard_threshold = 0.95;
-  const AdaptiveRunResult adaptive =
-      RunPolicy<HatpPolicy>(g, problem, options, /*world_seed=*/42);
-
-  // Same decisions as the fixed window (and hence as window 0, by the
-  // equivalence suite above): speculation serves identical answers.
-  EXPECT_EQ(adaptive.seeds, fixed.seeds);
-  ASSERT_EQ(adaptive.steps.size(), fixed.steps.size());
-  for (size_t i = 0; i < adaptive.steps.size(); ++i) {
-    EXPECT_EQ(adaptive.steps[i].decision, fixed.steps[i].decision)
-        << "step " << i;
-  }
-
-  // The trace starts at the base window, widens somewhere (the calibrated
-  // instance has abandon streaks that hold the epoch still), never exceeds
-  // the cap, and every widening step at most doubles.
-  ASSERT_EQ(adaptive.lookahead_window_trace.size(),
-            fixed.lookahead_window_trace.size());
-  const std::vector<uint32_t>& trace = adaptive.lookahead_window_trace;
-  EXPECT_EQ(trace.front(), 1u);
-  uint32_t widest = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_GE(trace[i], 1u);
-    EXPECT_LE(trace[i], 16u);
-    if (i > 0) {
-      EXPECT_LE(trace[i], trace[i - 1] * 2);
-    }
-    widest = std::max(widest, trace[i]);
-  }
-  EXPECT_GT(widest, 1u);
-  // Every selection bumps the epoch, so each seed forces a reset to the
-  // base window at the next speculating examination.
-  if (adaptive.seeds.size() > 1) {
-    uint64_t resets = 0;
-    for (size_t i = 1; i < trace.size(); ++i) {
-      if (trace[i] == 1u && trace[i - 1] > 1u) ++resets;
-    }
-    EXPECT_GT(resets, 0u);
-  }
-  // A wider window speculates at least as much as the fixed one.
-  EXPECT_GE(adaptive.speculative_queries, fixed.speculative_queries);
-}
-
-TEST(AdaptiveLookaheadTest, StationaryEpochWidensGeometricallyToTheCap) {
-  // Overpriced targets: every examination abandons, the residual epoch
-  // never moves, and nothing is ever discarded — the controller's pure
-  // widening trajectory: base, 2x, 4x, ... capped at max_lookahead_window.
-  const Graph g = TestGraph(500);
-  ProfitProblem problem;
-  problem.graph = &g;
-  problem.costs.assign(g.num_nodes(), 0.0);
-  for (NodeId u = 0; u < 12; ++u) {
-    problem.targets.push_back(u);
-    problem.costs[u] = 500.0;  // above any possible spread
-  }
-
-  HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
-  options.sampling.lookahead_window = 1;
-  options.sampling.adaptive_lookahead = true;
-  options.sampling.max_lookahead_window = 8;
-  const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
-
-  EXPECT_TRUE(run.seeds.empty());
-  EXPECT_EQ(run.speculation_discarded, 0u);
-  ASSERT_EQ(run.lookahead_window_trace.size(), problem.targets.size());
-  uint32_t expected = 1;
-  for (size_t i = 0; i < run.lookahead_window_trace.size(); ++i) {
-    EXPECT_EQ(run.lookahead_window_trace[i], expected) << "step " << i;
-    expected = std::min(expected * 2, 8u);
-  }
 }
 
 TEST(SpeculativePipeliningTest, EpochBumpDiscardsEveryInFlightAnswer) {

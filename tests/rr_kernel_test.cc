@@ -23,6 +23,7 @@
 #include "graph/weighting.h"
 #include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -618,13 +619,13 @@ TEST_P(KernelAgreementTest, CoverageEstimatesAgreeWithin3Sigma) {
 
   options.kernel = SamplingKernel::kPerEdge;
   auto reference = CreateSamplingEngine(g, model, options);
-  const uint64_t ref_hits = reference->CountConditionalCoverageSeeded(
-      0, &base, nullptr, g.num_nodes(), theta, 1234);
+  const uint64_t ref_hits = CountOne(*reference, 0, &base, nullptr,
+                                     g.num_nodes(), theta, 1234);
 
   options.kernel = SamplingKernel::kGeometricJump;
   auto fast = CreateSamplingEngine(g, model, options);
-  const uint64_t fast_hits = fast->CountConditionalCoverageSeeded(
-      0, &base, nullptr, g.num_nodes(), theta, 5678);
+  const uint64_t fast_hits = CountOne(*fast, 0, &base, nullptr, g.num_nodes(),
+                                      theta, 5678);
 
   const double p_ref = static_cast<double>(ref_hits) / theta;
   const double p_fast = static_cast<double>(fast_hits) / theta;
@@ -644,7 +645,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1)));
 
 // Pool-based agreement: per-node membership frequencies of stored pools
-// agree across kernels (the GeneratePool path, both models).
+// agree across kernels (the TryGeneratePool path, both models).
 
 TEST(KernelAgreementTest, PoolMembershipAgreesAcrossKernels) {
   for (int m = 0; m < 2; ++m) {
@@ -656,12 +657,12 @@ TEST(KernelAgreementTest, PoolMembershipAgreesAcrossKernels) {
     SerialSamplingEngine per_edge(g, model, SamplingKernel::kPerEdge);
     Rng rng_a(10);
     const RRCollection& pool_a =
-        per_edge.GeneratePool(nullptr, g.num_nodes(), count, &rng_a);
+        FillPool(per_edge, nullptr, g.num_nodes(), count, &rng_a);
 
     SerialSamplingEngine jump(g, model, SamplingKernel::kGeometricJump);
     Rng rng_b(20);
     const RRCollection& pool_b =
-        jump.GeneratePool(nullptr, g.num_nodes(), count, &rng_b);
+        FillPool(jump, nullptr, g.num_nodes(), count, &rng_b);
 
     for (NodeId u = 0; u < 20; ++u) {
       const double f_a =
@@ -700,8 +701,8 @@ TEST(PerEdgeGoldenTest, SerialIcCountMatchesPreKernelTree) {
   Rng rng(5);
   SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
                               SamplingKernel::kPerEdge);
-  EXPECT_EQ(engine.CountConditionalCoverage(0, &base, nullptr, g.num_nodes(),
-                                            20000, &rng),
+  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 20000,
+                     rng.Next()),
             314u);
 }
 
@@ -711,7 +712,7 @@ TEST(PerEdgeGoldenTest, SerialIcPoolMatchesPreKernelTree) {
   SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
                               SamplingKernel::kPerEdge);
   const RRCollection& pool =
-      engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
+      FillPool(engine, nullptr, g.num_nodes(), 2000, &rng);
   EXPECT_EQ(pool.total_nodes(), 11288u);
   EXPECT_EQ(PoolHash(pool), 8984351673573768080ull);
 }
@@ -724,8 +725,8 @@ TEST(PerEdgeGoldenTest, SerialLtCountAndPoolMatchPreKernelTree) {
     Rng rng(5);
     SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold,
                                 SamplingKernel::kPerEdge);
-    EXPECT_EQ(engine.CountConditionalCoverage(0, &base, nullptr,
-                                              g.num_nodes(), 20000, &rng),
+    EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 20000,
+                       rng.Next()),
               526u);
   }
   {
@@ -733,7 +734,7 @@ TEST(PerEdgeGoldenTest, SerialLtCountAndPoolMatchPreKernelTree) {
     SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold,
                                 SamplingKernel::kPerEdge);
     const RRCollection& pool =
-        engine.GeneratePool(nullptr, g.num_nodes(), 1000, &rng);
+        FillPool(engine, nullptr, g.num_nodes(), 1000, &rng);
     EXPECT_EQ(PoolHash(pool), 1754442299263415209ull);
   }
 }
@@ -745,8 +746,8 @@ TEST(PerEdgeGoldenTest, SerialIcTrivalencyCountMatchesPreKernelTree) {
   Rng rng(5);
   SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
                               SamplingKernel::kPerEdge);
-  EXPECT_EQ(engine.CountConditionalCoverage(0, &base, nullptr, g.num_nodes(),
-                                            20000, &rng),
+  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 20000,
+                     rng.Next()),
             146u);
 }
 
@@ -756,8 +757,7 @@ TEST(PerEdgeGoldenTest, ParallelSeededCountMatchesPreKernelTree) {
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
                                 4096, SamplingKernel::kPerEdge);
-  EXPECT_EQ(engine.CountConditionalCoverageSeeded(0, &base, nullptr,
-                                                  g.num_nodes(), 60000, 42),
+  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 60000, 42),
             997u);
 }
 
@@ -866,8 +866,7 @@ TEST(RngDrawStatsTest, GeometricJumpHalvesDrawsPerEdgeOnWeightedCascade) {
                                 k == 0 ? SamplingKernel::kPerEdge
                                        : SamplingKernel::kGeometricJump);
     Rng rng(33);
-    engine.CountConditionalCoverage(0, nullptr, nullptr, g.num_nodes(),
-                                    theta, &rng);
+    CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), theta, rng.Next());
     const SamplingStats& stats = engine.stats();
     EXPECT_GT(stats.rng_draws, 0u);
     EXPECT_GT(stats.edges_examined, 0u);
@@ -882,8 +881,7 @@ TEST(RngDrawStatsTest, ParallelBackendAggregatesWorkerDraws) {
   const Graph g = TestGraph(400, Weighting::kWeightedCascade);
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   const uint64_t theta = 20000;  // above min_parallel_batch
-  engine.CountConditionalCoverageSeeded(0, nullptr, nullptr, g.num_nodes(),
-                                        theta, 7);
+  CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), theta, 7);
   EXPECT_GT(engine.stats().rng_draws, theta);  // >= 1 root draw per set
 }
 

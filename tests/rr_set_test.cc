@@ -10,6 +10,7 @@
 #include "diffusion/spread_oracle.h"
 #include "graph/generators.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -232,10 +233,8 @@ TEST(ParallelCountingTest, DeterministicGivenSeedAndThreads) {
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
                                 /*num_threads=*/4,
                                 /*min_parallel_batch=*/1024);
-  const uint64_t a = engine.CountConditionalCoverageSeeded(
-      0, nullptr, nullptr, 20, 50000, 42);
-  const uint64_t b = engine.CountConditionalCoverageSeeded(
-      0, nullptr, nullptr, 20, 50000, 42);
+  const uint64_t a = CountOne(engine, 0, nullptr, nullptr, 20, 50000, 42);
+  const uint64_t b = CountOne(engine, 0, nullptr, nullptr, 20, 50000, 42);
   EXPECT_EQ(a, b);
 }
 
@@ -245,17 +244,15 @@ TEST(ParallelCountingTest, ThreadCountsAgreeStatistically) {
   SamplingEngineHandle handle;
   SamplingOptions serial_options;
   serial_options.engine = SamplingBackend::kSerial;
-  const uint64_t single =
-      handle.Get(g, DiffusionModel::kIndependentCascade, serial_options)
-          ->CountConditionalCoverageSeeded(0, nullptr, nullptr, 20, theta,
-                                           1);
+  const uint64_t single = CountOne(
+      *handle.Get(g, DiffusionModel::kIndependentCascade, serial_options), 0,
+      nullptr, nullptr, 20, theta, 1);
   SamplingOptions parallel_options;
   parallel_options.engine = SamplingBackend::kParallel;
   parallel_options.num_threads = 8;
-  const uint64_t multi =
-      handle.Get(g, DiffusionModel::kIndependentCascade, parallel_options)
-          ->CountConditionalCoverageSeeded(0, nullptr, nullptr, 20, theta,
-                                           1);
+  const uint64_t multi = CountOne(
+      *handle.Get(g, DiffusionModel::kIndependentCascade, parallel_options), 0,
+      nullptr, nullptr, 20, theta, 1);
   EXPECT_NEAR(static_cast<double>(single) / theta,
               static_cast<double>(multi) / theta, 0.01);
 }

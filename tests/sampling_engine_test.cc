@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/bit_vector.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "rris/coverage_batch.h"
 #include "graph/generators.h"
@@ -15,6 +16,7 @@
 #include "rris/rr_collection.h"
 #include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -42,6 +44,14 @@ void ExpectSamePools(const RRCollection& a, const RRCollection& b) {
   }
 }
 
+void ExpectSameStats(const SamplingStats& a, const SamplingStats& b) {
+  EXPECT_EQ(a.rr_sets_generated, b.rr_sets_generated);
+  EXPECT_EQ(a.edges_examined, b.edges_examined);
+  EXPECT_EQ(a.count_pools, b.count_pools);
+  EXPECT_EQ(a.coverage_queries, b.coverage_queries);
+  EXPECT_EQ(a.rng_draws, b.rng_draws);
+}
+
 // (a) The serial backend reproduces the raw-generator code paths bit for
 // bit for a fixed seed.
 
@@ -52,7 +62,7 @@ TEST(SerialSamplingEngineTest, PoolBitIdenticalToRawGenerator) {
   Rng engine_rng(77);
   SerialSamplingEngine engine(g);
   const RRCollection& engine_pool =
-      engine.GeneratePool(nullptr, g.num_nodes(), count, &engine_rng);
+      FillPool(engine, nullptr, g.num_nodes(), count, &engine_rng);
 
   Rng raw_rng(77);
   RRSetGenerator generator(g);
@@ -73,7 +83,7 @@ TEST(SerialSamplingEngineTest, PoolBitIdenticalOnResidualGraph) {
   Rng engine_rng(78);
   SerialSamplingEngine engine(g);
   const RRCollection& engine_pool =
-      engine.GeneratePool(&removed, alive, 1500, &engine_rng);
+      FillPool(engine, &removed, alive, 1500, &engine_rng);
 
   Rng raw_rng(78);
   RRSetGenerator generator(g);
@@ -94,8 +104,9 @@ TEST(SerialSamplingEngineTest, CountBitIdenticalToRawGenerator) {
   // that reseeded stream.
   Rng engine_rng(5);
   SerialSamplingEngine engine(g);
-  const uint64_t engine_count = engine.CountConditionalCoverage(
-      0, &base, nullptr, g.num_nodes(), theta, &engine_rng);
+  const uint64_t engine_count = CountOne(engine, 0, &base, nullptr,
+                                         g.num_nodes(), theta,
+                                         engine_rng.Next());
 
   Rng reference_rng(5);
   RRSetGenerator reference_generator(g);
@@ -112,7 +123,7 @@ TEST(SerialSamplingEngineTest, ResetPoolClearsSetsAndAccounting) {
   const Graph g = TestGraph(100);
   Rng rng(9);
   SerialSamplingEngine engine(g);
-  engine.GeneratePool(nullptr, g.num_nodes(), 100, &rng);
+  FillPool(engine, nullptr, g.num_nodes(), 100, &rng);
   EXPECT_GT(engine.pool().num_sets(), 0u);
   EXPECT_GT(engine.total_edges_examined(), 0u);
   engine.ResetPool();
@@ -130,13 +141,13 @@ TEST(ParallelSamplingEngineTest, PoolDeterministicForFixedSeedAndThreads) {
   {
     Rng rng(123);
     ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-    first = engine.GeneratePool(nullptr, g.num_nodes(), count, &rng);
+    first = FillPool(engine, nullptr, g.num_nodes(), count, &rng);
     EXPECT_EQ(engine.num_workers(), 4u);
   }
   Rng rng(123);
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
   const RRCollection& second =
-      engine.GeneratePool(nullptr, g.num_nodes(), count, &rng);
+      FillPool(engine, nullptr, g.num_nodes(), count, &rng);
   ExpectSamePools(first, second);
 }
 
@@ -147,8 +158,8 @@ TEST(ParallelSamplingEngineTest, CountDeterministicForFixedSeedAndThreads) {
   for (int trial = 0; trial < 2; ++trial) {
     Rng rng(321);
     ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-    counts[trial] = engine.CountConditionalCoverage(
-        1, nullptr, nullptr, g.num_nodes(), theta, &rng);
+    counts[trial] = CountOne(engine, 1, nullptr, nullptr, g.num_nodes(), theta,
+                             rng.Next());
   }
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_GT(counts[0], 0u);
@@ -160,7 +171,7 @@ TEST(ParallelSamplingEngineTest, EdgeAccountingDeterministicAndAggregated) {
   for (int trial = 0; trial < 2; ++trial) {
     Rng rng(55);
     ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-    engine.GeneratePool(nullptr, g.num_nodes(), 8192, &rng);
+    FillPool(engine, nullptr, g.num_nodes(), 8192, &rng);
     edges[trial] = engine.total_edges_examined();
   }
   EXPECT_EQ(edges[0], edges[1]);
@@ -175,15 +186,37 @@ TEST(ParallelSamplingEngineTest, SmallBatchesFallBackToSerialBitExactly) {
 
   Rng parallel_rng(42);
   ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
-  const uint64_t parallel_count = parallel.CountConditionalCoverage(
-      0, nullptr, nullptr, g.num_nodes(), theta, &parallel_rng);
+  const uint64_t parallel_count = CountOne(parallel, 0, nullptr, nullptr,
+                                           g.num_nodes(), theta,
+                                           parallel_rng.Next());
 
   Rng serial_rng(42);
   SerialSamplingEngine serial(g);
-  const uint64_t serial_count = serial.CountConditionalCoverage(
-      0, nullptr, nullptr, g.num_nodes(), theta, &serial_rng);
+  const uint64_t serial_count = CountOne(serial, 0, nullptr, nullptr,
+                                         g.num_nodes(), theta,
+                                         serial_rng.Next());
 
   EXPECT_EQ(parallel_count, serial_count);
+  ExpectSameStats(parallel.stats(), serial.stats());
+
+  // A failed batch is charged alike too: its draws, but no pool and no
+  // queries.
+  ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve"));
+  CoverageQueryBatch batch;
+  batch.Add(0);
+  const Status parallel_failed =
+      parallel.TryCountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(),
+                                           theta, 7)
+          .status();
+  const Status serial_failed =
+      serial.TryCountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), theta,
+                                         7)
+          .status();
+  failpoint::DisarmAll();
+  EXPECT_TRUE(parallel_failed.IsResourceExhausted())
+      << parallel_failed.ToString();
+  EXPECT_TRUE(serial_failed.IsResourceExhausted()) << serial_failed.ToString();
+  ExpectSameStats(parallel.stats(), serial.stats());
 }
 
 // (c) Serial and parallel backends agree within concentration bounds on a
@@ -193,7 +226,7 @@ TEST(ParallelSamplingEngineTest, SmallBatchesFallBackToSerialBitExactly) {
 
 // Concurrency stress for the TSan lane: min_parallel_batch = 1 forces
 // every job through the worker pool, and the alternating small
-// GeneratePool / CountCoverageBatchSeeded rounds keep the hand-off
+// TryGeneratePool / TryCountCoverageBatchSeeded rounds keep the hand-off
 // machinery hot — job-epoch publication, the pending-counter rendezvous,
 // per-worker shard fills, the worker-order merge, and the per-worker
 // draw/edge stat harvest. Under -fsanitize=thread this is the data-race
@@ -218,8 +251,8 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
   base.Set(21);
   for (int round = 0; round < kRounds; ++round) {
     const uint64_t count = 16 + round;  // odd sizes exercise quota remainders
-    a.GeneratePool(&removed, alive, count, &rng_a);
-    b.GeneratePool(&removed, alive, count, &rng_b);
+    FillPool(a, &removed, alive, count, &rng_a);
+    FillPool(b, &removed, alive, count, &rng_b);
     CoverageQueryBatch batch_a;
     CoverageQueryBatch batch_b;
     for (NodeId q = 30; q < 34; ++q) {
@@ -227,8 +260,8 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
       batch_b.Add(q, &base);
     }
     const uint64_t theta = 64 + 8 * static_cast<uint64_t>(round);
-    a.CountCoverageBatchSeeded(&batch_a, &removed, alive, theta, 17 + round);
-    b.CountCoverageBatchSeeded(&batch_b, &removed, alive, theta, 17 + round);
+    CountBatch(a, &batch_a, &removed, alive, theta, 17 + round);
+    CountBatch(b, &batch_b, &removed, alive, theta, 17 + round);
     for (size_t q = 0; q < batch_a.size(); ++q) {
       ASSERT_EQ(batch_a.hits(q), batch_b.hits(q))
           << "round " << round << " query " << q;
@@ -250,15 +283,15 @@ TEST(SamplingEngineAgreementTest, SerialVsParallelCoverageEstimates) {
   Rng serial_rng(2024);
   SerialSamplingEngine serial(g);
   const double p_serial =
-      static_cast<double>(serial.CountConditionalCoverage(
-          u, &base, nullptr, g.num_nodes(), theta, &serial_rng)) /
+      static_cast<double>(CountOne(serial, u, &base, nullptr, g.num_nodes(),
+                                   theta, serial_rng.Next())) /
       static_cast<double>(theta);
 
   Rng parallel_rng(4048);
   ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   const double p_parallel =
-      static_cast<double>(parallel.CountConditionalCoverage(
-          u, &base, nullptr, g.num_nodes(), theta, &parallel_rng)) /
+      static_cast<double>(CountOne(parallel, u, &base, nullptr, g.num_nodes(),
+                                   theta, parallel_rng.Next())) /
       static_cast<double>(theta);
 
   const double p_hat = 0.5 * (p_serial + p_parallel);
@@ -276,14 +309,14 @@ TEST(SamplingEngineAgreementTest, PoolCoverageAcrossBackends) {
   Rng serial_rng(10);
   SerialSamplingEngine serial(g);
   const RRCollection& serial_pool =
-      serial.GeneratePool(nullptr, g.num_nodes(), count, &serial_rng);
+      FillPool(serial, nullptr, g.num_nodes(), count, &serial_rng);
   const double f_serial =
       static_cast<double>(serial_pool.CoverageOfNode(u)) / count;
 
   Rng parallel_rng(20);
   ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   const RRCollection& parallel_pool =
-      parallel.GeneratePool(nullptr, g.num_nodes(), count, &parallel_rng);
+      FillPool(parallel, nullptr, g.num_nodes(), count, &parallel_rng);
   ASSERT_EQ(parallel_pool.num_sets(), count);
   const double f_parallel =
       static_cast<double>(parallel_pool.CoverageOfNode(u)) / count;
@@ -295,7 +328,7 @@ TEST(SamplingEngineAgreementTest, PoolCoverageAcrossBackends) {
 }
 
 // (d) Batched vs unbatched estimates: a one-query CoverageQueryBatch is the
-// same code path as CountConditionalCoverage (bit-identity on the serial
+// same code path as the one-query CountOne helper (bit-identity on the serial
 // backend), and a two-query batch agrees with per-query sampling within
 // concentration bounds on every backend (±3σ).
 
@@ -309,12 +342,11 @@ TEST(SamplingEngineBatchTest, OneQueryBatchBitIdenticalOnSerialBackend) {
   Rng batch_rng(55);
   CoverageQueryBatch batch;
   batch.Add(0, &base);
-  engine.CountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
-                            &batch_rng);
+  CountBatch(engine, &batch, nullptr, g.num_nodes(), theta, batch_rng.Next());
 
   Rng query_rng(55);
-  const uint64_t unbatched = engine.CountConditionalCoverage(
-      0, &base, nullptr, g.num_nodes(), theta, &query_rng);
+  const uint64_t unbatched = CountOne(engine, 0, &base, nullptr, g.num_nodes(),
+                                      theta, query_rng.Next());
 
   EXPECT_EQ(batch.hits(0), unbatched);
   EXPECT_EQ(batch_rng.Next(), query_rng.Next());  // same caller stream use
@@ -335,15 +367,16 @@ TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossBackends) {
   batch.Add(0, &front);
   batch.Add(0, &rear);
   Rng serial_rng(808);
-  serial.CountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
-                            &serial_rng);
+  CountBatch(serial, &batch, nullptr, g.num_nodes(), theta, serial_rng.Next());
 
   ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
   Rng parallel_rng(909);
-  const uint64_t front_hits = parallel.CountConditionalCoverage(
-      0, &front, nullptr, g.num_nodes(), theta, &parallel_rng);
-  const uint64_t rear_hits = parallel.CountConditionalCoverage(
-      0, &rear, nullptr, g.num_nodes(), theta, &parallel_rng);
+  const uint64_t front_hits = CountOne(parallel, 0, &front, nullptr,
+                                       g.num_nodes(), theta,
+                                       parallel_rng.Next());
+  const uint64_t rear_hits = CountOne(parallel, 0, &rear, nullptr,
+                                      g.num_nodes(), theta,
+                                      parallel_rng.Next());
 
   const uint64_t unbatched[2] = {front_hits, rear_hits};
   for (int q = 0; q < 2; ++q) {

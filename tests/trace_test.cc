@@ -26,6 +26,7 @@
 #include "graph/weighting.h"
 #include "rris/rr_collection.h"
 #include "rris/sampling_engine.h"
+#include "engine_test_util.h"
 
 namespace atpm {
 namespace {
@@ -67,7 +68,7 @@ uint64_t SerialGoldenPoolHash() {
   SerialSamplingEngine engine(g);
   Rng rng(77);
   const RRCollection& pool =
-      engine.GeneratePool(nullptr, g.num_nodes(), 2000, &rng);
+      FillPool(engine, nullptr, g.num_nodes(), 2000, &rng);
   EXPECT_EQ(pool.num_sets(), 2000u);
   EXPECT_EQ(PoolTotalNodes(pool), kGoldenPoolNodes);
   return PoolHash(pool);
@@ -79,8 +80,7 @@ uint64_t ParallelGoldenSeededCount() {
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
                                 4096);
-  return engine.CountConditionalCoverageSeeded(0, &base, nullptr,
-                                               g.num_nodes(), 60000, 42);
+  return CountOne(engine, 0, &base, nullptr, g.num_nodes(), 60000, 42);
 }
 
 Result<AdaptiveRunResult> RunGoldenHatp() {
