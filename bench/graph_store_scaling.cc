@@ -98,7 +98,6 @@ struct DatasetRow {
   uint64_t nodes = 0;
   uint64_t edges = 0;
   uint64_t file_bytes = 0;
-  uint32_t tile_size = 0;
   double parse_build_seconds = 0.0;
   double pack_seconds = 0.0;
   double cold_load_seconds = 0.0;
@@ -160,7 +159,6 @@ bool RunDataset(const std::string& name, double scale, DatasetRow* row) {
   Result<GraphStoreInfo> info = ReadGraphStoreInfo(store_path);
   if (!info.ok()) return false;
   row->file_bytes = info.value().file_bytes;
-  row->tile_size = info.value().tile_size;
 
   GraphStoreLoadOptions load;
   load.verify_payload = false;  // the out-of-core serving configuration
@@ -204,7 +202,7 @@ void PrintRow(std::FILE* out, const DatasetRow& row, bool last) {
   std::fprintf(
       out,
       "    {\"dataset\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-      "\"file_bytes\": %llu, \"tile_size\": %u, "
+      "\"file_bytes\": %llu, "
       "\"parse_build_seconds\": %.6f, \"pack_seconds\": %.6f, "
       "\"cold_load_seconds\": %.6f, \"warm_load_seconds\": %.6f, "
       "\"warm_speedup\": %.1f, \"cold_speedup\": %.1f, "
@@ -214,7 +212,7 @@ void PrintRow(std::FILE* out, const DatasetRow& row, bool last) {
       "\"pool_hash_match\": %s}%s\n",
       row.name.c_str(), static_cast<unsigned long long>(row.nodes),
       static_cast<unsigned long long>(row.edges),
-      static_cast<unsigned long long>(row.file_bytes), row.tile_size,
+      static_cast<unsigned long long>(row.file_bytes),
       row.parse_build_seconds, row.pack_seconds, row.cold_load_seconds,
       row.warm_load_seconds, row.WarmSpeedup(), row.ColdSpeedup(),
       row.built_batch.seconds, row.mapped_batch.seconds,

@@ -83,7 +83,7 @@ std::string DatasetStorePath(std::string_view name, double scale,
 
 Result<BenchDataset> BuildDataset(std::string_view name, double scale,
                                   uint64_t seed) {
-  if (scale <= 0.0 || scale > 1.0) {
+  if (!(scale > 0.0 && scale <= 1.0)) {  // also rejects NaN
     return Status::InvalidArgument("dataset scale must be in (0, 1]");
   }
   BenchDataset dataset;

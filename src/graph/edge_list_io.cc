@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -74,6 +75,12 @@ struct LineParser {
       p = next;
       // Anything after the probability (timestamps, labels) is ignored,
       // like the rest-of-line remainder always has been.
+    }
+    // NaN (a parsed "nan" or a NaN default) fails both range compares
+    // below, so it is rejected on its own.
+    if (std::isnan(prob)) {
+      return Status::InvalidArgument("probability is NaN at " + path + ":" +
+                                     std::to_string(line_no));
     }
     const double clamped = prob < 0.0 ? 0.0 : prob;
     if (clamped > 1.0) {

@@ -24,7 +24,8 @@ struct EdgeListLoadOptions {
 ///
 /// Node ids must be non-negative integers; ids are used verbatim (the graph
 /// has max_id + 1 nodes). Fails with IOError if the file cannot be opened
-/// and InvalidArgument on malformed lines or out-of-range probabilities.
+/// and InvalidArgument on malformed lines or out-of-range or NaN
+/// probabilities.
 Result<Graph> LoadEdgeList(const std::string& path,
                            const EdgeListLoadOptions& options = {});
 

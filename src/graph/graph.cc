@@ -423,7 +423,7 @@ void Graph::RebuildOutWeightIndex() {
 }
 
 void Graph::EnsureOwnedStorage() {
-  if (tiled_reverse_ || out_offsets_.IsView()) {
+  if (out_offsets_.IsView()) {
     // Count only real detaches (store-backed views about to be copied),
     // not the no-op calls on already-owned graphs.
     static obs::Counter* const detaches =
@@ -431,29 +431,6 @@ void Graph::EnsureOwnedStorage() {
             "atpm_graph_detach_total",
             "Store-backed graphs copied into owned storage");
     detaches->Increment();
-  }
-  if (tiled_reverse_) {
-    // Materialize the tile-grouped reverse CSR back into flat arrays.
-    const uint64_t m = in_offsets_[n_];
-    std::vector<NodeId> in_adj(m);
-    std::vector<float> in_prob(m);
-    std::vector<uint64_t> in_eidx(m);
-    for (NodeId v = 0; v < n_; ++v) {
-      const uint64_t base = in_offsets_[v];
-      const uint32_t deg = InDegree(v);
-      std::copy_n(InAdjPtr(v), deg, in_adj.begin() + base);
-      std::copy_n(InProbPtr(v), deg, in_prob.begin() + base);
-      std::copy_n(InEdgeIndexPtr(v), deg, in_eidx.begin() + base);
-    }
-    in_adj_.Adopt(std::move(in_adj));
-    in_prob_.Adopt(std::move(in_prob));
-    in_edge_index_.Adopt(std::move(in_eidx));
-    tiled_reverse_ = false;
-    tile_shift_ = 0;
-    tile_in_adj_.clear();
-    tile_in_prob_.clear();
-    tile_in_eidx_.clear();
-    tile_edge_start_.clear();
   }
   out_offsets_.EnsureOwned();
   out_adj_.EnsureOwned();

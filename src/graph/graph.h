@@ -213,12 +213,12 @@ class Graph {
   /// Incoming neighbor ids of `v` (sources of arcs * -> v).
   std::span<const NodeId> InNeighbors(NodeId v) const {
     ATPM_DCHECK(v < n_);
-    return {InAdjPtr(v), InDegree(v)};
+    return {in_adj_.data() + in_offsets_[v], InDegree(v)};
   }
   /// Probabilities aligned with InNeighbors(v); prob of arc (neighbor -> v).
   std::span<const float> InProbs(NodeId v) const {
     ATPM_DCHECK(v < n_);
-    return {InProbPtr(v), InDegree(v)};
+    return {in_prob_.data() + in_offsets_[v], InDegree(v)};
   }
 
   /// Global edge index of the j-th outgoing arc of `u`. Edge indices are
@@ -236,7 +236,7 @@ class Graph {
   uint64_t InEdgeIndex(NodeId v, uint32_t j) const {
     ATPM_DCHECK(v < n_);
     ATPM_DCHECK(j < InDegree(v));
-    return InEdgeIndexPtr(v)[j];
+    return in_edge_index_[in_offsets_[v] + j];
   }
 
   /// Enumerates all arcs as WeightedEdge records (for IO and tests).
@@ -404,21 +404,10 @@ class Graph {
   }
 
   // ---- Mapped storage (the graph-store mmap load path, graph_store.h).
-  // A mapped graph's blocks are read-only views into one mapping; the
-  // reverse CSR may additionally be tile-grouped: nodes are partitioned
-  // into fixed-size tiles whose in_adj / in_prob / in_edge_index slices
-  // are stored adjacently, so an RR walk entering a tile faults one
-  // locality group instead of three distant pages.
+  // A mapped graph's blocks are read-only views into one mapping.
 
   /// True when this graph's arrays are views into a graph-store mapping.
   bool is_mapped() const { return backing_ != nullptr; }
-
-  /// Nodes per reverse-CSR tile when mapped with a tiled layout; 0 when
-  /// the reverse CSR is a single contiguous span (built graphs, untiled
-  /// stores).
-  uint32_t reverse_tile_size() const {
-    return tiled_reverse_ ? (1u << tile_shift_) : 0;
-  }
 
   /// Detaches every array from the mapping into owned storage and drops
   /// the mapping handle (no-op on an owned graph). The copy-on-write hook
@@ -430,32 +419,12 @@ class Graph {
   friend class GraphBuilder;
   friend class GraphStoreIO;
 
-  // Per-node base pointers of the reverse CSR. One predictable branch on
-  // the storage mode; the tiled path adds one tile-table load.
-  const NodeId* InAdjPtr(NodeId v) const {
-    if (!tiled_reverse_) return in_adj_.data() + in_offsets_[v];
-    const NodeId t = v >> tile_shift_;
-    return tile_in_adj_[t] + (in_offsets_[v] - tile_edge_start_[t]);
-  }
-  const float* InProbPtr(NodeId v) const {
-    if (!tiled_reverse_) return in_prob_.data() + in_offsets_[v];
-    const NodeId t = v >> tile_shift_;
-    return tile_in_prob_[t] + (in_offsets_[v] - tile_edge_start_[t]);
-  }
-  const uint64_t* InEdgeIndexPtr(NodeId v) const {
-    if (!tiled_reverse_) return in_edge_index_.data() + in_offsets_[v];
-    const NodeId t = v >> tile_shift_;
-    return tile_in_eidx_[t] + (in_offsets_[v] - tile_edge_start_[t]);
-  }
-
   NodeId n_ = 0;
   // Forward CSR.
   ArrayBlock<uint64_t> out_offsets_{0};
   ArrayBlock<NodeId> out_adj_;
   ArrayBlock<float> out_prob_;
-  // Reverse CSR. In tiled mapped mode the three payload blocks are empty
-  // and per-node access resolves through the tile tables below;
-  // in_offsets_ stays global in every mode (it is the degree index).
+  // Reverse CSR.
   ArrayBlock<uint64_t> in_offsets_{0};
   ArrayBlock<NodeId> in_adj_;
   ArrayBlock<float> in_prob_;
@@ -485,16 +454,6 @@ class Graph {
   ArrayBlock<uint32_t> jump_out_slots_;
   uint64_t in_jumpable_edges_ = 0;
   uint64_t out_jumpable_edges_ = 0;
-
-  // Tiled mapped reverse CSR: per-tile base pointers into the mapping and
-  // each tile's first global in-edge offset (tile_edge_start_[t] =
-  // in_offsets_[t << tile_shift_]). Empty unless tiled_reverse_.
-  bool tiled_reverse_ = false;
-  uint32_t tile_shift_ = 0;
-  std::vector<const NodeId*> tile_in_adj_;
-  std::vector<const float*> tile_in_prob_;
-  std::vector<const uint64_t*> tile_in_eidx_;
-  std::vector<uint64_t> tile_edge_start_;
 
   // Keeps the graph-store mapping alive for as long as any block views it
   // (type-erased to keep graph.h free of mmap details).

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
@@ -27,7 +26,6 @@ namespace {
 // the slow path anyway; registration is one-time and leaked (see metrics.h).
 struct StoreMetrics {
   obs::Counter* loads;
-  obs::Counter* tile_binds;
   obs::Histogram* load_seconds;
   obs::Histogram* map_seconds;
 
@@ -38,9 +36,6 @@ struct StoreMetrics {
       sm->loads = reg.RegisterCounter(
           "atpm_graph_store_loads_total",
           "Successful graph store loads (mmap + bind, no rebuild)");
-      sm->tile_binds = reg.RegisterCounter(
-          "atpm_graph_store_tile_binds_total",
-          "Reverse-CSR tiles bound directly from the mapping");
       sm->load_seconds = reg.RegisterHistogram(
           "atpm_graph_store_load_seconds",
           "End-to-end graph store load latency",
@@ -89,7 +84,6 @@ enum SectionId : uint32_t {
   kOutJumpOffsets = 20,
   kJumpOutArcs = 21,
   kJumpOutSlots = 22,
-  kTileDirectory = 23,
 };
 
 struct GraphStoreHeader {
@@ -100,7 +94,7 @@ struct GraphStoreHeader {
   uint64_t num_edges;
   uint64_t file_bytes;
   uint32_t section_count;
-  uint32_t tile_size;  // nodes per tile (power of two); 0 = untiled
+  uint32_t reserved;  // written as 0
   uint64_t in_jumpable_edges;
   uint64_t out_jumpable_edges;
   uint64_t payload_hash;  // [payload_start, file_bytes), padding included
@@ -115,7 +109,7 @@ static_assert(offsetof(GraphStoreHeader, version) == 8);
 static_assert(offsetof(GraphStoreHeader, endian) == 12);
 static_assert(offsetof(GraphStoreHeader, num_nodes) == 16);
 static_assert(offsetof(GraphStoreHeader, section_count) == 40);
-static_assert(offsetof(GraphStoreHeader, tile_size) == 44);
+static_assert(offsetof(GraphStoreHeader, reserved) == 44);
 static_assert(offsetof(GraphStoreHeader, payload_hash) == 64);
 static_assert(offsetof(GraphStoreHeader, header_hash) == 80);
 
@@ -130,19 +124,6 @@ static_assert(sizeof(GraphStoreSection) == 32, "section layout is frozen");
 static_assert(std::is_trivially_copyable_v<GraphStoreSection>);
 static_assert(offsetof(GraphStoreSection, offset) == 8);
 static_assert(offsetof(GraphStoreSection, element_count) == 24);
-
-// One tile's reverse-CSR locality group: absolute file offsets of the
-// tile's in_adj / in_prob / in_edge_index slices (lengths derive from
-// in_offsets). Stored in the kTileDirectory section.
-struct TileDirEntry {
-  uint64_t adj_offset;
-  uint64_t prob_offset;
-  uint64_t eidx_offset;
-};
-static_assert(sizeof(TileDirEntry) == 24, "tile entry layout is frozen");
-static_assert(std::is_trivially_copyable_v<TileDirEntry>);
-static_assert(offsetof(TileDirEntry, prob_offset) == 8);
-static_assert(offsetof(TileDirEntry, eidx_offset) == 16);
 
 // The array element types are memcpy'd to disk verbatim; freeze their
 // layout so a compiler/ABI change cannot silently corrupt stores.
@@ -289,14 +270,6 @@ class StoreWriter {
   Hash64 hash_;
 };
 
-bool IsPowerOfTwo(uint32_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-uint32_t Log2(uint32_t x) {
-  uint32_t shift = 0;
-  while ((1u << shift) < x) ++shift;
-  return shift;
-}
-
 const char* ExpectedSectionName(uint32_t id) {
   switch (id) {
     case kOutOffsets: return "out_offsets";
@@ -321,7 +294,6 @@ const char* ExpectedSectionName(uint32_t id) {
     case kOutJumpOffsets: return "out_jump_offsets";
     case kJumpOutArcs: return "jump_out_arcs";
     case kJumpOutSlots: return "jump_out_slots";
-    case kTileDirectory: return "tile_directory";
   }
   return "?";
 }
@@ -332,8 +304,7 @@ const char* ExpectedSectionName(uint32_t id) {
 
 class GraphStoreIO {
  public:
-  static Status Save(const Graph& g, const std::string& path,
-                     const GraphStoreWriteOptions& options);
+  static Status Save(const Graph& g, const std::string& path);
   static Result<Graph> Load(const std::string& path,
                             const GraphStoreLoadOptions& options);
 
@@ -386,55 +357,18 @@ class GraphStoreIO {
   }
 };
 
-Status GraphStoreIO::Save(const Graph& g, const std::string& path,
-                          const GraphStoreWriteOptions& options) {
-  if (options.tile_size != 0 && !IsPowerOfTwo(options.tile_size)) {
-    return Status::InvalidArgument(
-        "graph store tile_size must be 0 or a power of two, got " +
-        std::to_string(options.tile_size));
-  }
+Status GraphStoreIO::Save(const Graph& g, const std::string& path) {
   const NodeId n = g.num_nodes();
   const uint64_t m = g.num_edges();
 
-  // A tiled-mapped source graph has no flat reverse arrays to point at;
-  // materialize temporaries through the per-node accessors. (Rare path:
-  // re-packing an mmap-loaded graph.)
-  std::vector<NodeId> in_adj_copy;
-  std::vector<float> in_prob_copy;
-  std::vector<uint64_t> in_eidx_copy;
-  const NodeId* in_adj = g.in_adj_.data();
-  const float* in_prob = g.in_prob_.data();
-  const uint64_t* in_eidx = g.in_edge_index_.data();
-  if (g.tiled_reverse_) {
-    in_adj_copy.resize(m);
-    in_prob_copy.resize(m);
-    in_eidx_copy.resize(m);
-    for (NodeId v = 0; v < n; ++v) {
-      const uint64_t base = g.in_offsets_[v];
-      const uint32_t deg = g.InDegree(v);
-      std::memcpy(in_adj_copy.data() + base, g.InAdjPtr(v),
-                  deg * sizeof(NodeId));
-      std::memcpy(in_prob_copy.data() + base, g.InProbPtr(v),
-                  deg * sizeof(float));
-      std::memcpy(in_eidx_copy.data() + base, g.InEdgeIndexPtr(v),
-                  deg * sizeof(uint64_t));
-    }
-    in_adj = in_adj_copy.data();
-    in_prob = in_prob_copy.data();
-    in_eidx = in_eidx_copy.data();
-  }
-
-  const bool tiled = options.tile_size != 0 && n > 0;
-  const uint32_t tile_size = tiled ? options.tile_size : 0;
-  const uint32_t num_tiles =
-      tiled ? static_cast<uint32_t>((n + tile_size - 1) / tile_size) : 0;
-
-  // Flat sections (everything except the possibly-tiled reverse payload).
-  std::vector<SectionSpec> specs = {
+  const std::vector<SectionSpec> specs = {
       {kOutOffsets, sizeof(uint64_t), g.out_offsets_.data(), uint64_t{n} + 1},
       {kOutAdj, sizeof(NodeId), g.out_adj_.data(), m},
       {kOutProb, sizeof(float), g.out_prob_.data(), m},
       {kInOffsets, sizeof(uint64_t), g.in_offsets_.data(), uint64_t{n} + 1},
+      {kInAdj, sizeof(NodeId), g.in_adj_.data(), m},
+      {kInProb, sizeof(float), g.in_prob_.data(), m},
+      {kInEdgeIndex, sizeof(uint64_t), g.in_edge_index_.data(), m},
       {kInClass, sizeof(NodeWeightClass), g.in_class_.data(), uint64_t{n}},
       {kSegOffsets, sizeof(uint64_t), g.seg_offsets_.data(), uint64_t{n} + 1},
       {kInSegments, sizeof(ProbSegment), g.in_segments_.data(),
@@ -461,17 +395,11 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path,
       {kJumpOutSlots, sizeof(uint32_t), g.jump_out_slots_.data(),
        g.jump_out_slots_.size()},
   };
-  if (!tiled) {
-    specs.push_back({kInAdj, sizeof(NodeId), in_adj, m});
-    specs.push_back({kInProb, sizeof(float), in_prob, m});
-    specs.push_back({kInEdgeIndex, sizeof(uint64_t), in_eidx, m});
-  }
 
-  // Layout: preamble, flat sections, tile directory, tile blocks. Offsets
-  // are computed up front so the section table can be written after the
+  // Layout: preamble, then one aligned section per array. Offsets are
+  // computed up front so the section table can be written after the
   // payload without a second pass over the data.
-  const uint32_t section_count =
-      static_cast<uint32_t>(specs.size()) + (tiled ? 1 : 0);
+  const uint32_t section_count = static_cast<uint32_t>(specs.size());
   const uint64_t preamble_bytes =
       sizeof(GraphStoreHeader) + section_count * sizeof(GraphStoreSection);
   uint64_t offset = AlignUp(preamble_bytes);
@@ -483,26 +411,6 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path,
     table.push_back({spec.id, spec.element_size, offset, bytes,
                      spec.element_count});
     offset = AlignUp(offset + bytes);
-  }
-
-  std::vector<TileDirEntry> tile_dir(num_tiles);
-  if (tiled) {
-    table.push_back({kTileDirectory, sizeof(TileDirEntry), offset,
-                     num_tiles * sizeof(TileDirEntry), num_tiles});
-    offset = AlignUp(offset + num_tiles * sizeof(TileDirEntry));
-    for (uint32_t t = 0; t < num_tiles; ++t) {
-      const uint64_t first = g.in_offsets_[static_cast<NodeId>(
-          std::min<uint64_t>(uint64_t{t} * tile_size, n))];
-      const uint64_t last = g.in_offsets_[static_cast<NodeId>(
-          std::min<uint64_t>((uint64_t{t} + 1) * tile_size, n))];
-      const uint64_t count = last - first;
-      tile_dir[t].adj_offset = offset;
-      offset = AlignUp(offset + count * sizeof(NodeId));
-      tile_dir[t].prob_offset = offset;
-      offset = AlignUp(offset + count * sizeof(float));
-      tile_dir[t].eidx_offset = offset;
-      offset = AlignUp(offset + count * sizeof(uint64_t));
-    }
   }
   const uint64_t file_bytes = offset;
 
@@ -528,24 +436,6 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path,
     writer.Write(spec.data, spec.element_count * spec.element_size);
     writer.PadToAlignment();
   }
-  if (tiled) {
-    writer.Write(tile_dir.data(), num_tiles * sizeof(TileDirEntry));
-    writer.PadToAlignment();
-    for (uint32_t t = 0; t < num_tiles; ++t) {
-      const NodeId lo = static_cast<NodeId>(
-          std::min<uint64_t>(uint64_t{t} * tile_size, n));
-      const NodeId hi = static_cast<NodeId>(
-          std::min<uint64_t>((uint64_t{t} + 1) * tile_size, n));
-      const uint64_t first = g.in_offsets_[lo];
-      const uint64_t count = g.in_offsets_[hi] - first;
-      writer.Write(in_adj + first, count * sizeof(NodeId));
-      writer.PadToAlignment();
-      writer.Write(in_prob + first, count * sizeof(float));
-      writer.PadToAlignment();
-      writer.Write(in_eidx + first, count * sizeof(uint64_t));
-      writer.PadToAlignment();
-    }
-  }
 
   GraphStoreHeader header = {};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
@@ -555,7 +445,6 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path,
   header.num_edges = m;
   header.file_bytes = file_bytes;
   header.section_count = section_count;
-  header.tile_size = tile_size;
   header.in_jumpable_edges = g.in_jumpable_edges_;
   header.out_jumpable_edges = g.out_jumpable_edges_;
   header.payload_hash = writer.payload_hash();
@@ -752,6 +641,9 @@ Result<Graph> GraphStoreIO::Load(const std::string& path,
   ATPM_RETURN_NOT_OK(BindSection(view, kOutAdj, m, &g.out_adj_));
   ATPM_RETURN_NOT_OK(BindSection(view, kOutProb, m, &g.out_prob_));
   ATPM_RETURN_NOT_OK(BindSection(view, kInOffsets, n64 + 1, &g.in_offsets_));
+  ATPM_RETURN_NOT_OK(BindSection(view, kInAdj, m, &g.in_adj_));
+  ATPM_RETURN_NOT_OK(BindSection(view, kInProb, m, &g.in_prob_));
+  ATPM_RETURN_NOT_OK(BindSection(view, kInEdgeIndex, m, &g.in_edge_index_));
   ATPM_RETURN_NOT_OK(BindSection(view, kInClass, n64, &g.in_class_));
   ATPM_RETURN_NOT_OK(BindSection(view, kSegOffsets, n64 + 1, &g.seg_offsets_));
   const GraphStoreSection* in_segments = view.Find(kInSegments);
@@ -801,73 +693,6 @@ Result<Graph> GraphStoreIO::Load(const std::string& path,
         "graph store '" + path + "' CSR offsets disagree with header counts");
   }
 
-  if (header.tile_size != 0) {
-    if (!IsPowerOfTwo(header.tile_size)) {
-      return Status::InvalidArgument("graph store '" + path +
-                                     "' tile_size is not a power of two");
-    }
-    const uint32_t num_tiles = static_cast<uint32_t>(
-        (n64 + header.tile_size - 1) / header.tile_size);
-    const GraphStoreSection* dir = view.Find(kTileDirectory);
-    if (dir == nullptr || dir->element_size != sizeof(TileDirEntry) ||
-        dir->element_count != num_tiles) {
-      return Status::InvalidArgument("graph store '" + path +
-                                     "' tile directory missing or mis-sized");
-    }
-    const TileDirEntry* entries =
-        reinterpret_cast<const TileDirEntry*>(view.file->base + dir->offset);
-    g.tiled_reverse_ = true;
-    g.tile_shift_ = Log2(header.tile_size);
-    g.tile_in_adj_.resize(num_tiles);
-    g.tile_in_prob_.resize(num_tiles);
-    g.tile_in_eidx_.resize(num_tiles);
-    g.tile_edge_start_.resize(num_tiles);
-    const uint64_t size = view.file->size;
-    for (uint32_t t = 0; t < num_tiles; ++t) {
-      const uint64_t lo = std::min<uint64_t>(uint64_t{t} * header.tile_size,
-                                             n64);
-      const uint64_t hi = std::min<uint64_t>(
-          (uint64_t{t} + 1) * header.tile_size, n64);
-      const uint64_t first = g.in_offsets_[static_cast<NodeId>(lo)];
-      const uint64_t count = g.in_offsets_[static_cast<NodeId>(hi)] - first;
-      // Non-monotonic in_offsets (tail corruption the CSR-extent check
-      // cannot see) make `count` wrap huge: pin the edge range to [0, m]
-      // before it reaches any pointer arithmetic.
-      if (first > m || count > m - first) {
-        return Status::InvalidArgument(
-            "graph store '" + path + "' tile " + std::to_string(t) +
-            " spans an invalid edge range");
-      }
-      const TileDirEntry& e = entries[t];
-      // Division-based extents: `count * sizeof(T)` can wrap and sneak
-      // under `size - offset`, so compare counts against the capacity of
-      // the remaining file instead.
-      if (e.adj_offset % kAlignment != 0 || e.prob_offset % kAlignment != 0 ||
-          e.eidx_offset % kAlignment != 0 || e.adj_offset > size ||
-          count > (size - e.adj_offset) / sizeof(NodeId) ||
-          e.prob_offset > size ||
-          count > (size - e.prob_offset) / sizeof(float) ||
-          e.eidx_offset > size ||
-          count > (size - e.eidx_offset) / sizeof(uint64_t)) {
-        return Status::InvalidArgument(
-            "graph store '" + path + "' tile " + std::to_string(t) +
-            " block exceeds the file");
-      }
-      g.tile_in_adj_[t] =
-          reinterpret_cast<const NodeId*>(view.file->base + e.adj_offset);
-      g.tile_in_prob_[t] =
-          reinterpret_cast<const float*>(view.file->base + e.prob_offset);
-      g.tile_in_eidx_[t] =
-          reinterpret_cast<const uint64_t*>(view.file->base + e.eidx_offset);
-      g.tile_edge_start_[t] = first;
-    }
-    metrics.tile_binds->Increment(num_tiles);
-  } else {
-    ATPM_RETURN_NOT_OK(BindSection(view, kInAdj, m, &g.in_adj_));
-    ATPM_RETURN_NOT_OK(BindSection(view, kInProb, m, &g.in_prob_));
-    ATPM_RETURN_NOT_OK(BindSection(view, kInEdgeIndex, m, &g.in_edge_index_));
-  }
-
   g.in_jumpable_edges_ = header.in_jumpable_edges;
   g.out_jumpable_edges_ = header.out_jumpable_edges;
   g.backing_ = std::static_pointer_cast<const void>(view.file);
@@ -877,9 +702,8 @@ Result<Graph> GraphStoreIO::Load(const std::string& path,
   return g;
 }
 
-Status SaveGraphStore(const Graph& graph, const std::string& path,
-                      const GraphStoreWriteOptions& options) {
-  return GraphStoreIO::Save(graph, path, options);
+Status SaveGraphStore(const Graph& graph, const std::string& path) {
+  return GraphStoreIO::Save(graph, path);
 }
 
 Result<Graph> LoadGraphStore(const std::string& path,
@@ -894,12 +718,6 @@ Result<GraphStoreInfo> ReadGraphStoreInfo(const std::string& path) {
   const GraphStoreHeader& header = *mapped.value().header;
   GraphStoreInfo info;
   info.version = header.version;
-  info.tile_size = header.tile_size;
-  info.num_tiles =
-      header.tile_size == 0
-          ? 0
-          : static_cast<uint32_t>((header.num_nodes + header.tile_size - 1) /
-                                  header.tile_size);
   info.section_count = header.section_count;
   info.num_nodes = header.num_nodes;
   info.num_edges = header.num_edges;

@@ -24,15 +24,6 @@ namespace atpm {
 ///   [GraphStoreHeader]           magic, version, counts, checksums
 ///   [GraphStoreSection x N]      section table: id, elem size, offset, len
 ///   [section payloads...]        one aligned blob per array
-///   [tile blocks...]             tiled reverse CSR (when tile_size > 0)
-///
-/// Tiled layout: nodes are partitioned into fixed-size tiles (power-of-two
-/// node count). Each tile's reverse-CSR slices — in_adj, in_prob,
-/// in_edge_index for that tile's nodes — are stored adjacently as one
-/// locality group, addressed by the kTileDirectory section. An RR walk
-/// entering a cold tile faults one compact group instead of three pages
-/// scattered across giant arrays. tile_size = 0 stores the reverse CSR as
-/// three flat sections (identical semantics, coarser fault granularity).
 ///
 /// Integrity: header, section table, and payload carry independent 64-bit
 /// FNV-1a checksums. The header + table checks always run (microseconds);
@@ -45,15 +36,7 @@ namespace atpm {
 /// shims — repack from the edge list with atpm_graph_pack).
 
 /// Current store format version. Readers reject any other value.
-inline constexpr uint32_t kGraphStoreVersion = 1;
-
-/// Options for SaveGraphStore.
-struct GraphStoreWriteOptions {
-  /// Nodes per reverse-CSR tile; must be a power of two. 0 writes the
-  /// reverse CSR untiled (three flat sections). The default keeps tiles
-  /// around page scale for weighted-cascade degree distributions.
-  uint32_t tile_size = 4096;
-};
+inline constexpr uint32_t kGraphStoreVersion = 2;
 
 /// Options for LoadGraphStore.
 struct GraphStoreLoadOptions {
@@ -65,8 +48,6 @@ struct GraphStoreLoadOptions {
 /// Store metadata, readable without mapping the payload.
 struct GraphStoreInfo {
   uint32_t version = 0;
-  uint32_t tile_size = 0;
-  uint32_t num_tiles = 0;
   uint32_t section_count = 0;
   uint64_t num_nodes = 0;
   uint64_t num_edges = 0;
@@ -74,11 +55,10 @@ struct GraphStoreInfo {
 };
 
 /// Serializes `graph` (CSR + probabilities + weight-class index) to `path`.
-/// The file is written atomically enough for benchmarking purposes
-/// (truncate + sequential write); callers needing crash-safe publication
-/// should write to a temp name and rename.
-Status SaveGraphStore(const Graph& graph, const std::string& path,
-                      const GraphStoreWriteOptions& options = {});
+/// The image goes to a same-directory temp file, is fsync'd, and is then
+/// renamed over `path`, so readers see the old store or the new one, never
+/// a torn file.
+Status SaveGraphStore(const Graph& graph, const std::string& path);
 
 /// Memory-maps `path` and returns a Graph whose spans point into the
 /// mapping (Graph::is_mapped() == true). The mapping lives as long as any

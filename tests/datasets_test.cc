@@ -5,8 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+
+#include "graph/graph_store.h"
 
 namespace atpm {
 namespace {
@@ -72,6 +76,7 @@ TEST(DatasetsTest, UnknownNameIsNotFound) {
 TEST(DatasetsTest, RejectsBadScale) {
   EXPECT_FALSE(BuildDataset("NetHEPT", 0.0, 1).ok());
   EXPECT_FALSE(BuildDataset("NetHEPT", 1.5, 1).ok());
+  EXPECT_FALSE(BuildDataset("NetHEPT", std::nan(""), 1).ok());
 }
 
 TEST(DatasetsTest, LiveJournalIsLargest) {
@@ -141,6 +146,9 @@ TEST(StoreCacheTest, PathEmptyWithoutEnvAndKeyedWithIt) {
   EXPECT_NE(path.find("/tmp/atpm_cache/NetHEPT"), std::string::npos);
   EXPECT_NE(path.find("s0.05"), std::string::npos);
   EXPECT_NE(path.find("seed7"), std::string::npos);
+  // Keyed on the store format version, so a version bump repacks.
+  EXPECT_NE(path.find("_v" + std::to_string(kGraphStoreVersion) + ".atpm"),
+            std::string::npos);
   unsetenv("ATPM_BENCH_STORE_DIR");
 }
 
@@ -170,8 +178,8 @@ TEST(StoreCacheTest, SecondBuildMapsFromCacheIdentically) {
       ASSERT_EQ(a.InProbs(v)[j], b.InProbs(v)[j]);
     }
   }
+  std::remove(DatasetStorePath("HepMini", 0.05, 3).c_str());
   unsetenv("ATPM_BENCH_STORE_DIR");
-  std::remove((dir + "/HepMini_s0.05_seed3_v1.atpm").c_str());
   ::rmdir(dir.c_str());
 }
 

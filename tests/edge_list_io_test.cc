@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -94,9 +95,37 @@ TEST_F(EdgeListIoTest, NegativeNodeIdRejected) {
 }
 
 TEST_F(EdgeListIoTest, ProbabilityAboveOneRejected) {
-  WriteFile("0 1 1.7\n");
-  Result<Graph> g = LoadEdgeList(path_);
+  for (const char* line : {"0 1 1.7\n", "0 1 inf\n"}) {
+    WriteFile(line);
+    Result<Graph> g = LoadEdgeList(path_);
+    ASSERT_FALSE(g.ok()) << line;
+    EXPECT_TRUE(g.status().IsInvalidArgument()) << line;
+  }
+}
+
+TEST_F(EdgeListIoTest, NanProbabilityRejected) {
+  // NaN passes both the "< 0" clamp and the "> 1" check, so it needs its
+  // own rejection; the message names the file and line.
+  for (const char* line : {"0 1 nan\n", "0 1 -nan\n"}) {
+    WriteFile(std::string("1 2 0.5\n") + line);
+    Result<Graph> g = LoadEdgeList(path_);
+    ASSERT_FALSE(g.ok()) << line;
+    EXPECT_TRUE(g.status().IsInvalidArgument()) << line;
+    EXPECT_NE(g.status().message().find("NaN"), std::string::npos) << line;
+    EXPECT_NE(g.status().message().find(path_ + ":2"), std::string::npos)
+        << g.status().message();
+  }
+}
+
+TEST_F(EdgeListIoTest, NanDefaultProbRejected) {
+  WriteFile("0 1 0.5\n1 2\n");
+  EdgeListLoadOptions options;
+  options.default_prob = std::nan("");
+  Result<Graph> g = LoadEdgeList(path_, options);
   ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsInvalidArgument());
+  EXPECT_NE(g.status().message().find(path_ + ":2"), std::string::npos)
+      << g.status().message();
 }
 
 TEST_F(EdgeListIoTest, SaveLoadRoundTripPreservesGraph) {

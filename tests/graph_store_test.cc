@@ -1,8 +1,7 @@
 // Tests for the memory-mapped binary graph store: pack -> mmap round-trip
 // equality (CSR, probabilities, edge indices, weight-class census), header /
-// version / checksum rejection on truncated and bit-flipped files, tiled
-// reverse-CSR resolution across tile boundaries, copy-on-write reweighting
-// of mapped graphs, and bit-identical RR pools + HATP decision sequences
+// version / checksum rejection on truncated and bit-flipped files,
+// copy-on-write reweighting of mapped graphs, and bit-identical RR pools + HATP decision sequences
 // for mmap-loaded vs builder-built graphs at fixed seeds.
 #include "graph/graph_store.h"
 
@@ -118,10 +117,8 @@ class GraphStoreTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  Graph SaveAndLoad(const Graph& g, uint32_t tile_size) {
-    GraphStoreWriteOptions write;
-    write.tile_size = tile_size;
-    Status save = SaveGraphStore(g, path_, write);
+  Graph SaveAndLoad(const Graph& g) {
+    Status save = SaveGraphStore(g, path_);
     EXPECT_TRUE(save.ok()) << save.ToString();
     Result<Graph> loaded = LoadGraphStore(path_);
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -144,56 +141,37 @@ class GraphStoreTest : public ::testing::Test {
 
 // ---- Round-trip equality.
 
-TEST_F(GraphStoreTest, UntiledRoundTripIsExact) {
+TEST_F(GraphStoreTest, RoundTripIsExact) {
   const Graph g = WcGraph();
-  const Graph loaded = SaveAndLoad(g, /*tile_size=*/0);
+  const Graph loaded = SaveAndLoad(g);
   EXPECT_TRUE(loaded.is_mapped());
-  EXPECT_EQ(loaded.reverse_tile_size(), 0u);
   ExpectGraphsEqual(g, loaded);
-}
-
-TEST_F(GraphStoreTest, TiledRoundTripIsExact) {
-  const Graph g = WcGraph();
-  // 64-node tiles on a 300-node graph: five tiles, the last one ragged.
-  const Graph loaded = SaveAndLoad(g, /*tile_size=*/64);
-  EXPECT_TRUE(loaded.is_mapped());
-  EXPECT_EQ(loaded.reverse_tile_size(), 64u);
-  ExpectGraphsEqual(g, loaded);
-}
-
-TEST_F(GraphStoreTest, SingleNodeTilesRoundTrip) {
-  // tile_size = 1 makes every node its own tile — maximal stress on the
-  // per-tile base-pointer resolution.
-  const Graph g = TrivalencyGraph(64);
-  ExpectGraphsEqual(g, SaveAndLoad(g, /*tile_size=*/1));
 }
 
 TEST_F(GraphStoreTest, TrivalencyJumpIndexSurvivesRoundTrip) {
   // Trivalency produces kFewDistinct nodes, exercising the segment /
   // jump-view / alias sections that weighted cascade leaves empty.
   const Graph g = TrivalencyGraph();
-  ExpectGraphsEqual(g, SaveAndLoad(g, /*tile_size=*/64));
+  ExpectGraphsEqual(g, SaveAndLoad(g));
 }
 
 TEST_F(GraphStoreTest, EmptyGraphRoundTrips) {
   GraphBuilder builder;
   builder.ReserveNodes(5);
   const Graph g = builder.Build().value();
-  const Graph loaded = SaveAndLoad(g, /*tile_size=*/4096);
+  const Graph loaded = SaveAndLoad(g);
   EXPECT_EQ(loaded.num_nodes(), 5u);
   EXPECT_EQ(loaded.num_edges(), 0u);
   ExpectGraphsEqual(g, loaded);
 }
 
 TEST_F(GraphStoreTest, RepackingMappedGraphRoundTrips) {
-  // Save tiled, load (graph now resolves through tile pointers), save that
-  // mapped graph untiled, load again: still identical to the original.
+  // Save, load (the graph now views the mapping), save that mapped graph
+  // again, load again: still identical to the original.
   const Graph g = TrivalencyGraph();
-  const Graph mapped = SaveAndLoad(g, /*tile_size=*/32);
+  const Graph mapped = SaveAndLoad(g);
   const std::string second = path_ + ".repack";
-  GraphStoreWriteOptions untiled;
-  untiled.tile_size = 0;
-  ASSERT_TRUE(SaveGraphStore(mapped, second, untiled).ok());
+  ASSERT_TRUE(SaveGraphStore(mapped, second).ok());
   Result<Graph> loaded = LoadGraphStore(second);
   std::remove(second.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -202,24 +180,12 @@ TEST_F(GraphStoreTest, RepackingMappedGraphRoundTrips) {
 
 TEST_F(GraphStoreTest, InfoReportsHeaderFields) {
   const Graph g = WcGraph();
-  GraphStoreWriteOptions write;
-  write.tile_size = 64;
-  ASSERT_TRUE(SaveGraphStore(g, path_, write).ok());
+  ASSERT_TRUE(SaveGraphStore(g, path_).ok());
   Result<GraphStoreInfo> info = ReadGraphStoreInfo(path_);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info.value().version, kGraphStoreVersion);
   EXPECT_EQ(info.value().num_nodes, 300u);
   EXPECT_EQ(info.value().num_edges, g.num_edges());
-  EXPECT_EQ(info.value().tile_size, 64u);
-  EXPECT_EQ(info.value().num_tiles, (300u + 63u) / 64u);
-}
-
-TEST_F(GraphStoreTest, RejectsInvalidTileSize) {
-  const Graph g = WcGraph(16);
-  GraphStoreWriteOptions write;
-  write.tile_size = 48;  // not a power of two
-  const Status s = SaveGraphStore(g, path_, write);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
 // ---- Corruption and format rejection.
@@ -284,13 +250,10 @@ TEST_F(GraphStoreTest, SaveIsAtomicOverExistingStore) {
   const Graph first = WcGraph();
   ASSERT_TRUE(SaveGraphStore(first, path_).ok());
   const Graph second = TrivalencyGraph();
-  GraphStoreWriteOptions tiled;
-  tiled.tile_size = 32;
-  ASSERT_TRUE(SaveGraphStore(second, path_, tiled).ok());
+  ASSERT_TRUE(SaveGraphStore(second, path_).ok());
   Result<Graph> loaded = LoadGraphStore(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectGraphsEqual(second, loaded.value());
-  EXPECT_EQ(loaded.value().reverse_tile_size(), 32u);
 }
 
 TEST_F(GraphStoreTest, RejectsHeaderShortFile) {
@@ -307,6 +270,26 @@ TEST_F(GraphStoreTest, RejectsUnknownVersion) {
   Result<Graph> loaded = LoadGraphStore(path_);
   ASSERT_TRUE(loaded.status().IsInvalidArgument());
   EXPECT_NE(loaded.status().ToString().find("version"), std::string::npos);
+}
+
+TEST_F(GraphStoreTest, RejectsVersionOneStore) {
+  ASSERT_TRUE(SaveGraphStore(WcGraph(), path_).ok());
+  // Stamp the file as a version-1 store. The version check runs before the
+  // header checksum, so no rehash is needed to reach it.
+  const uint32_t old_version = 1;
+  {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&old_version), sizeof(old_version));
+  }
+  Result<Graph> loaded = LoadGraphStore(path_);
+  ASSERT_TRUE(loaded.status().IsInvalidArgument());
+  EXPECT_NE(loaded.status().ToString().find("format version 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find("repack with atpm_graph_pack"),
+            std::string::npos);
+  EXPECT_TRUE(ReadGraphStoreInfo(path_).status().IsInvalidArgument());
 }
 
 TEST_F(GraphStoreTest, RejectsBitFlippedHeader) {
@@ -350,12 +333,11 @@ TEST_F(GraphStoreTest, RejectsBitFlippedPayload) {
 
 TEST_F(GraphStoreTest, ReweightingMappedGraphDetachesFromMapping) {
   const Graph original = TrivalencyGraph();
-  Graph mapped = SaveAndLoad(original, /*tile_size=*/64);
+  Graph mapped = SaveAndLoad(original);
   ASSERT_TRUE(mapped.is_mapped());
 
   ApplyWeightedCascade(&mapped);
   EXPECT_FALSE(mapped.is_mapped());
-  EXPECT_EQ(mapped.reverse_tile_size(), 0u);
   Graph expected = TrivalencyGraph();
   ApplyWeightedCascade(&expected);
   ExpectGraphsEqual(expected, mapped);
@@ -373,7 +355,7 @@ TEST_F(GraphStoreTest, ReweightingMappedGraphDetachesFromMapping) {
 
 TEST_F(GraphStoreTest, RrPoolsBitIdenticalBuilderVsMapped) {
   const Graph g = WcGraph();
-  const Graph mapped = SaveAndLoad(g, /*tile_size=*/64);
+  const Graph mapped = SaveAndLoad(g);
   EXPECT_EQ(
       PoolHashFor(g, DiffusionModel::kIndependentCascade, 77, 2000),
       PoolHashFor(mapped, DiffusionModel::kIndependentCascade, 77, 2000));
@@ -383,7 +365,7 @@ TEST_F(GraphStoreTest, RrPoolsBitIdenticalBuilderVsMapped) {
 
 TEST_F(GraphStoreTest, TrivalencyPoolsBitIdenticalBuilderVsMapped) {
   const Graph g = TrivalencyGraph();
-  const Graph mapped = SaveAndLoad(g, /*tile_size=*/32);
+  const Graph mapped = SaveAndLoad(g);
   EXPECT_EQ(
       PoolHashFor(g, DiffusionModel::kIndependentCascade, 77, 2000),
       PoolHashFor(mapped, DiffusionModel::kIndependentCascade, 77, 2000));
@@ -394,7 +376,7 @@ TEST_F(GraphStoreTest, HatpDecisionSequenceIdenticalOnMappedGraph) {
   // graph: same seeds picked in the same order, same RR-set count, same
   // profit. Matches the recorded golden values, so the mapped graph is
   // also bit-compatible with the pre-kernel tree.
-  const Graph g = SaveAndLoad(WcGraph(), /*tile_size=*/64);
+  const Graph g = SaveAndLoad(WcGraph());
 
   TargetSelectionOptions sel;
   sel.kernel = SamplingKernel::kPerEdge;

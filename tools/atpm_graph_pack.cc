@@ -3,8 +3,6 @@
 //
 //   atpm_graph_pack pack <edges.txt> <out.atpm> [options]
 //       Parses a SNAP-style edge list, prepares the graph, writes a store.
-//       --tile-size N       nodes per reverse-CSR tile (power of two,
-//                           0 = untiled; default 4096)
 //       --undirected        each line adds both arcs
 //       --default-prob P    probability for lines without a third column
 //       --weighted-cascade  overwrite probabilities with p(u,v) = 1/indeg(v)
@@ -17,18 +15,22 @@
 //       pre-warming the bench suite.
 //       --scale S           dataset scale in (0, 1] (default: bench env)
 //       --seed N            generator seed (default 1, the bench default)
-//       --tile-size N       as above
 //
 //   atpm_graph_pack info <store.atpm>
-//       Prints the validated header (version, counts, tiling, sections).
+//       Prints the validated header (version, counts, sections).
 //
 //   atpm_graph_pack verify <store.atpm>
 //       Full integrity check including the payload hash; exits nonzero on
 //       any mismatch.
+//
+// A numeric flag value must parse whole; a malformed one exits 2, like an
+// unknown option.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "bench_util/datasets.h"
 #include "graph/edge_list_io.h"
@@ -42,11 +44,10 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  atpm_graph_pack pack <edges.txt> <out.atpm> [--tile-size N]\n"
-      "                  [--undirected] [--default-prob P]"
-      " [--weighted-cascade]\n"
+      "  atpm_graph_pack pack <edges.txt> <out.atpm> [--undirected]\n"
+      "                  [--default-prob P] [--weighted-cascade]\n"
       "  atpm_graph_pack pack-dataset <name> <out.atpm|-> [--scale S]\n"
-      "                  [--seed N] [--tile-size N]\n"
+      "                  [--seed N]\n"
       "  atpm_graph_pack info <store.atpm>\n"
       "  atpm_graph_pack verify <store.atpm>\n");
   return 2;
@@ -68,19 +69,30 @@ bool ParseFlag(int argc, char** argv, int* i, const char* name,
   return true;
 }
 
+// Parses all of `value` as a T, or exits 2.
+template <typename T>
+T ParseNumber(const char* name, const char* value) {
+  T parsed{};
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "atpm_graph_pack: bad value for %s: '%s'\n", name,
+                 value);
+    std::exit(2);
+  }
+  return parsed;
+}
+
 int PackEdgeList(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string input = argv[2];
   const std::string output = argv[3];
   EdgeListLoadOptions load;
-  GraphStoreWriteOptions write;
   bool weighted_cascade = false;
   for (int i = 4; i < argc; ++i) {
     const char* value = nullptr;
-    if (ParseFlag(argc, argv, &i, "--tile-size", &value)) {
-      write.tile_size = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (ParseFlag(argc, argv, &i, "--default-prob", &value)) {
-      load.default_prob = std::strtod(value, nullptr);
+    if (ParseFlag(argc, argv, &i, "--default-prob", &value)) {
+      load.default_prob = ParseNumber<double>("--default-prob", value);
     } else if (std::strcmp(argv[i], "--undirected") == 0) {
       load.directed = false;
     } else if (std::strcmp(argv[i], "--weighted-cascade") == 0) {
@@ -94,12 +106,11 @@ int PackEdgeList(int argc, char** argv) {
   if (!graph.ok()) return Fail(graph.status());
   Graph g = std::move(graph).value();
   if (weighted_cascade) ApplyWeightedCascade(&g);
-  const Status saved = SaveGraphStore(g, output, write);
+  const Status saved = SaveGraphStore(g, output);
   if (!saved.ok()) return Fail(saved);
-  std::printf("packed %s: %u nodes, %llu edges -> %s (tile_size %u)\n",
-              input.c_str(), g.num_nodes(),
-              static_cast<unsigned long long>(g.num_edges()), output.c_str(),
-              write.tile_size);
+  std::printf("packed %s: %u nodes, %llu edges -> %s\n", input.c_str(),
+              g.num_nodes(), static_cast<unsigned long long>(g.num_edges()),
+              output.c_str());
   return 0;
 }
 
@@ -109,15 +120,12 @@ int PackDataset(int argc, char** argv) {
   std::string output = argv[3];
   double scale = BenchScaleFromEnv();
   uint64_t seed = 1;
-  GraphStoreWriteOptions write;
   for (int i = 4; i < argc; ++i) {
     const char* value = nullptr;
     if (ParseFlag(argc, argv, &i, "--scale", &value)) {
-      scale = std::strtod(value, nullptr);
+      scale = ParseNumber<double>("--scale", value);
     } else if (ParseFlag(argc, argv, &i, "--seed", &value)) {
-      seed = std::strtoull(value, nullptr, 10);
-    } else if (ParseFlag(argc, argv, &i, "--tile-size", &value)) {
-      write.tile_size = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      seed = ParseNumber<uint64_t>("--seed", value);
     } else {
       std::fprintf(stderr, "atpm_graph_pack: unknown option '%s'\n", argv[i]);
       return 2;
@@ -145,7 +153,7 @@ int PackDataset(int argc, char** argv) {
   }();
   if (!dataset.ok()) return Fail(dataset.status());
   const Graph& g = dataset.value().graph;
-  const Status saved = SaveGraphStore(g, output, write);
+  const Status saved = SaveGraphStore(g, output);
   if (!saved.ok()) return Fail(saved);
   std::printf(
       "packed dataset %s (scale %g, seed %llu): %u nodes, %llu edges -> %s\n",
@@ -168,12 +176,6 @@ int Info(const std::string& path) {
   std::printf("  file bytes     : %llu\n",
               static_cast<unsigned long long>(meta.file_bytes));
   std::printf("  sections       : %u\n", meta.section_count);
-  if (meta.tile_size == 0) {
-    std::printf("  reverse CSR    : untiled\n");
-  } else {
-    std::printf("  reverse CSR    : %u tiles of %u nodes\n", meta.num_tiles,
-                meta.tile_size);
-  }
   return 0;
 }
 
