@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/math_util.h"
 #include "core/hatp.h"
 #include "core/target_selection.h"
 #include "graph/generators.h"
@@ -21,9 +22,18 @@
 
 namespace {
 
+// The seed in `name`, or `fallback` when it is unset. A value that is not
+// one whole unsigned 64-bit number exits 2.
 uint64_t EnvSeed(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
-  return value == nullptr ? fallback : std::strtoull(value, nullptr, 10);
+  if (value == nullptr) return fallback;
+  uint64_t seed = 0;
+  if (!atpm::ParseWholeNumber(value, &seed)) {
+    std::fprintf(stderr, "determinism_smoke: bad value for %s: '%s'\n", name,
+                 value);
+    std::exit(2);
+  }
+  return seed;
 }
 
 std::string FormatSeeds(const std::vector<atpm::NodeId>& seeds) {
@@ -72,7 +82,6 @@ int main() {
   for (uint32_t threads : {1u, 2u, 4u}) {
     for (uint32_t window : {0u, 4u}) {
       atpm::HatpOptions options;
-      options.sampling.engine = atpm::SamplingBackend::kAuto;
       options.sampling.num_threads = threads;
       options.sampling.lookahead_window = window;
       atpm::HatpPolicy hatp(options);

@@ -169,8 +169,6 @@ void BM_HandleCountCovering(benchmark::State& state) {
   for (NodeId v = 100; v < 200; ++v) base.Set(v);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingOptions options;
-  options.engine =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   SamplingEngineHandle handle;
   CoverageQueryBatch batch;
@@ -197,8 +195,6 @@ void BM_SamplingEngineCountScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingOptions options;
-  options.engine =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade, options);
@@ -230,8 +226,6 @@ void BM_SamplingEngineBatchCountScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingOptions options;
-  options.engine =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade, options);
@@ -317,8 +311,6 @@ void BM_SamplingEnginePoolScaling(benchmark::State& state) {
   const Graph g = BenchGraph(1 << 14);
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   SamplingOptions options;
-  options.engine =
-      threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = threads;
   auto engine = CreateSamplingEngine(
       g, DiffusionModel::kIndependentCascade, options);

@@ -48,15 +48,14 @@ int main() {
   std::printf("targets: k=%u, c(T)=%.1f (= E_l[I(T)])\n", problem.k(),
               problem.TotalTargetCost());
 
-  // 3. Sample one ground-truth world and run HATP against it. The engine
-  //    knob picks the RR-sampling backend: kSerial (reproducible against
-  //    the single-threaded reference), kParallel (persistent worker pool),
-  //    or kAuto (parallel iff num_threads > 1).
+  // 3. Sample one ground-truth world and run HATP against it. The thread
+  //    count picks the RR-sampling backend: 1 runs the serial engine
+  //    (reproducible against the single-threaded reference), more runs the
+  //    persistent worker pool.
   atpm::Rng world_rng(42);
   atpm::AdaptiveEnvironment env(
       atpm::Realization::Sample(graph, &world_rng));
   atpm::HatpOptions hatp_options;  // paper defaults: eps0=0.5, eps=0.05
-  hatp_options.sampling.engine = atpm::SamplingBackend::kAuto;
   hatp_options.sampling.num_threads = 4;
   // Speculative cross-candidate pipelining: each halving round's RR pool
   // also answers the first-round queries of the next 4 candidates, served

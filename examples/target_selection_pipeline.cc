@@ -50,9 +50,8 @@ int main(int argc, char** argv) {
                             "time (s)"});
 
   // Adaptive algorithms. All sampling goes through the SamplingEngine
-  // layer; kParallel keeps one warm worker pool across every world.
+  // layer; four threads keep one warm worker pool across every world.
   atpm::HatpOptions hatp_options;
-  hatp_options.sampling.engine = atpm::SamplingBackend::kParallel;
   hatp_options.sampling.num_threads = 4;
   atpm::HatpPolicy hatp(hatp_options);
   atpm::Result<atpm::AlgoStats> hatp_stats = runner.RunAdaptive(&hatp);

@@ -73,7 +73,6 @@ int main() {
   // --- Adaptive campaign (HATP). ---
   atpm::AdaptiveEnvironment env{atpm::Realization(world)};
   atpm::HatpOptions options;
-  options.sampling.engine = atpm::SamplingBackend::kParallel;
   options.sampling.num_threads = 4;
   atpm::HatpPolicy hatp(options);
   atpm::Rng policy_rng(5);

@@ -1,6 +1,7 @@
 #include "bench_util/datasets.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -126,12 +127,17 @@ Result<BenchDataset> BuildDataset(std::string_view name, double scale,
 
 namespace {
 
+// The value of `var` when it is one whole, finite number; `fallback` when
+// it is unset, empty, NaN/infinite or carries anything else (whitespace,
+// trailing characters).
 double EnvDouble(const char* var, double fallback) {
   const char* raw = std::getenv(var);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  return end == raw ? fallback : parsed;
+  double parsed = 0.0;
+  if (raw == nullptr || !ParseWholeNumber(raw, &parsed) ||
+      !std::isfinite(parsed)) {
+    return fallback;
+  }
+  return parsed;
 }
 
 }  // namespace

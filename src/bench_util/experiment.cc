@@ -57,20 +57,6 @@ Result<AlgoStats> ExperimentRunner::RunAdaptive(AdaptivePolicy* policy) {
   return stats;
 }
 
-Result<AlgoStats> ExperimentRunner::RunAdaptive(AdaptivePolicy* policy,
-                                                SharedRoundPoolEngine* shared) {
-  const uint64_t sampled_before = shared->rounds_sampled();
-  const uint64_t reused_before = shared->rounds_reused();
-  policy->set_engine(shared);
-  Result<AlgoStats> result = RunAdaptive(policy);
-  policy->set_engine(nullptr);
-  if (!result.ok()) return result;
-  AlgoStats stats = std::move(result).value();
-  stats.shared_rounds_sampled = shared->rounds_sampled() - sampled_before;
-  stats.shared_rounds_reused = shared->rounds_reused() - reused_before;
-  return stats;
-}
-
 AlgoStats ExperimentRunner::EvaluateFixedSet(std::span<const NodeId> seeds,
                                              double selection_seconds) const {
   AlgoStats stats;

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "bench_util/shared_pool_engine.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/policy.h"
@@ -31,21 +30,6 @@ struct AlgoStats {
   bool out_of_budget = false;
   /// Worlds completed (== worlds requested unless out_of_budget).
   uint32_t completed_runs = 0;
-  /// Cross-world round-pool sharing (RunAdaptive with a
-  /// SharedRoundPoolEngine): counting rounds that actually sampled vs.
-  /// rounds replayed from an earlier world's identical round. Zero when
-  /// sharing was off.
-  uint64_t shared_rounds_sampled = 0;
-  uint64_t shared_rounds_reused = 0;
-
-  /// Fraction of counting rounds served without sampling; 0 when sharing
-  /// was off or nothing repeated.
-  double SharedPoolReuseRatio() const {
-    const uint64_t total = shared_rounds_sampled + shared_rounds_reused;
-    return total == 0 ? 0.0
-                      : static_cast<double>(shared_rounds_reused) /
-                            static_cast<double>(total);
-  }
 };
 
 /// Shares one set of sampled possible worlds across every algorithm of an
@@ -63,17 +47,6 @@ class ExperimentRunner {
   /// deterministic per-world RNG). An OutOfBudget abort stops further
   /// worlds and is flagged in the stats; other errors are returned.
   Result<AlgoStats> RunAdaptive(AdaptivePolicy* policy);
-
-  /// Variant that shares counting pools across the worlds: the policy's
-  /// sampling is routed through `shared` (policy->set_engine) for the
-  /// duration, so a round identical in content to one an earlier world
-  /// already sampled is served from that world's pool instead of drawing a
-  /// fresh one — per-world decision validity is unchanged (every estimate
-  /// still comes from a full pool; see SharedRoundPoolEngine). The reuse
-  /// counters accrued during this call land in the returned stats. The
-  /// injected engine is detached again before returning.
-  Result<AlgoStats> RunAdaptive(AdaptivePolicy* policy,
-                                SharedRoundPoolEngine* shared);
 
   /// Evaluates a fixed seed batch on every world. `selection_seconds` is
   /// the one-shot selection cost reported as the algorithm's time.

@@ -1,10 +1,13 @@
 #include "common/failpoint.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 
+#include "common/math_util.h"
 #include "common/metrics.h"
 
 namespace atpm {
@@ -175,7 +178,7 @@ bool Arm(const std::string& name) {
 }
 
 void ArmChaos(uint64_t seed, double probability) {
-  if (probability < 0.0) probability = 0.0;
+  if (!(probability > 0.0)) probability = 0.0;  // also sends NaN to 0
   if (probability > 1.0) probability = 1.0;
   // Map p in [0,1] onto a 64-bit threshold; p == 1 fires always. The
   // scaled double is re-checked against the cast range because rounding
@@ -263,15 +266,15 @@ Status ArmFromSpec(const std::string& spec) {
             "failpoint spec: chaos clause needs chaos:<seed>:<p>, got '" +
             clause + "'");
       }
-      char* endp = nullptr;
-      const unsigned long long seed =
-          std::strtoull(clause.c_str() + 6, &endp, 10);
-      if (endp != clause.c_str() + colon) {
+      const std::string_view text = clause;
+      uint64_t seed = 0;
+      if (!ParseWholeNumber(text.substr(6, colon - 6), &seed)) {
         return Status::InvalidArgument(
             "failpoint spec: bad chaos seed in '" + clause + "'");
       }
-      const double p = std::strtod(clause.c_str() + colon + 1, &endp);
-      if (*endp != '\0' || p < 0.0 || p > 1.0) {
+      double p = 0.0;
+      if (!ParseWholeNumber(text.substr(colon + 1), &p) || !std::isfinite(p) ||
+          p < 0.0 || p > 1.0) {
         return Status::InvalidArgument(
             "failpoint spec: chaos probability must be in [0,1] in '" +
             clause + "'");
@@ -301,7 +304,7 @@ Status ArmFromSpec(const std::string& spec) {
     }
     Spec out;
     out.action = kRegistry[site].default_action;
-    if (!action_str.empty()) {
+    if (eq != std::string::npos) {
       if (action_str == "error") {
         out.action = Action::kError;
       } else if (action_str == "badalloc") {
@@ -315,23 +318,22 @@ Status ArmFromSpec(const std::string& spec) {
             "failpoint spec: unknown action '" + action_str + "'");
       }
     }
-    if (!sched_str.empty()) {
-      char* endp = nullptr;
-      out.fire_at = std::strtoull(sched_str.c_str(), &endp, 10);
+    if (at != std::string::npos) {
+      const std::string_view sched = sched_str;
+      const size_t colon = sched.find(':');
+      if (!ParseWholeNumber(sched.substr(0, colon), &out.fire_at) ||
+          (colon != std::string_view::npos &&
+           !ParseWholeNumber(sched.substr(colon + 1), &out.count))) {
+        return Status::InvalidArgument(
+            "failpoint spec: bad schedule in '" + clause + "'");
+      }
       if (out.fire_at == 0) {
         return Status::InvalidArgument(
             "failpoint spec: fire_at is 1-based in '" + clause + "'");
       }
-      if (*endp == ':') {
-        out.count = std::strtoull(endp + 1, &endp, 10);
-        if (out.count == 0) {
-          return Status::InvalidArgument(
-              "failpoint spec: count must be positive in '" + clause + "'");
-        }
-      }
-      if (*endp != '\0') {
+      if (out.count == 0) {
         return Status::InvalidArgument(
-            "failpoint spec: bad schedule in '" + clause + "'");
+            "failpoint spec: count must be positive in '" + clause + "'");
       }
     }
     Arm(name, out);

@@ -32,6 +32,9 @@ namespace failpoint {
 ///   ATPM_FAILPOINTS="chaos:<seed>:<probability>"
 ///     arms every registered failpoint with an independent pseudo-random
 ///     schedule derived from (seed, name, hit index) — reproducible chaos.
+///   Every number is one whole unsigned decimal token (the probability a
+///   finite value in [0, 1]); a sign, whitespace, an empty token or
+///   overflow makes the spec malformed.
 enum class Action : uint8_t {
   /// The site reports its registered error code as a Status.
   kError,

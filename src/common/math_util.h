@@ -1,7 +1,10 @@
 #ifndef ATPM_COMMON_MATH_UTIL_H_
 #define ATPM_COMMON_MATH_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
+#include <string_view>
+#include <system_error>
 
 namespace atpm {
 
@@ -22,6 +25,17 @@ double SafeMean(double sum, uint64_t count);
 /// 0 for fewer than two observations. Numerically guarded against tiny
 /// negative variances from cancellation.
 double SampleStddev(double sum, double sum_sq, uint64_t count);
+
+/// Parses all of `token` as one T (std::from_chars). Whitespace, an empty
+/// token, trailing characters and an out-of-range value fail, and so does
+/// a sign on an unsigned T. A floating-point T also accepts "nan" and
+/// "inf", so callers that need a finite value check for it.
+template <typename T>
+bool ParseWholeNumber(std::string_view token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 }  // namespace atpm
 

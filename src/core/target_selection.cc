@@ -40,7 +40,6 @@ Result<double> EstimateSpreadLowerBound(SamplingEngine* engine,
 std::unique_ptr<SamplingEngine> PipelineEngine(
     const Graph& graph, const TargetSelectionOptions& options) {
   SamplingOptions sampling;
-  sampling.engine = options.engine;
   sampling.num_threads = options.num_threads;
   sampling.kernel = options.kernel;
   return CreateSamplingEngine(graph, DiffusionModel::kIndependentCascade,

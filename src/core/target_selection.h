@@ -30,10 +30,9 @@ struct TargetSelectionOptions {
   uint64_t derive_rr_sets = 1ull << 16;
   /// Seed for all sampling in the pipeline.
   uint64_t seed = 7;
-  /// RR sampling backend shared by every stage of the pipeline (IMM,
-  /// bound estimation, NSG/NDG derivation).
-  SamplingBackend engine = SamplingBackend::kAuto;
-  /// Worker threads for the parallel backend (0 = hardware concurrency).
+  /// Worker threads of the engine shared by every stage of the pipeline
+  /// (IMM, bound estimation, NSG/NDG derivation); 0 = hardware
+  /// concurrency, and above 1 picks the parallel backend.
   uint32_t num_threads = 1;
   /// RR-generation kernel shared by every stage of the pipeline.
   SamplingKernel kernel = SamplingKernel::kGeometricJump;

@@ -15,7 +15,6 @@ namespace atpm {
 Result<ImmResult> RunImm(const Graph& graph, uint32_t k,
                          const ImmOptions& options) {
   SamplingOptions sampling;
-  sampling.engine = options.engine;
   sampling.num_threads = options.num_threads;
   sampling.kernel = options.kernel;
   std::unique_ptr<SamplingEngine> engine = CreateSamplingEngine(

@@ -21,9 +21,8 @@ struct ImmOptions {
   uint64_t seed = 1;
   /// Hard cap on generated RR sets; exceeding it fails with OutOfBudget.
   uint64_t max_rr_sets = 1ull << 26;
-  /// RR sampling backend for the pool (kAuto: parallel iff num_threads > 1).
-  SamplingBackend engine = SamplingBackend::kAuto;
-  /// Worker threads for the parallel backend (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency); above 1 the pool is
+  /// sampled by the parallel backend.
   uint32_t num_threads = 1;
   /// RR-generation kernel (geometric jumps by default; kPerEdge for
   /// bit-compat reruns of recorded seeds).
@@ -59,7 +58,7 @@ struct ImmResult {
 ///
 /// The engine overload samples through `engine` (must be bound to `graph`;
 /// its pool is reset and then holds the final IMM pool); the default form
-/// builds the backend selected by options.engine / options.num_threads.
+/// builds the backend that options.num_threads implies.
 Result<ImmResult> RunImm(const Graph& graph, uint32_t k,
                          const ImmOptions& options = {});
 Result<ImmResult> RunImm(const Graph& graph, uint32_t k,

@@ -99,18 +99,6 @@ void SamplingEngine::AccrueCounting(uint64_t pools, uint64_t queries) {
   metrics.coverage_queries->Increment(queries);
 }
 
-const char* SamplingBackendName(SamplingBackend backend) {
-  switch (backend) {
-    case SamplingBackend::kSerial:
-      return "serial";
-    case SamplingBackend::kParallel:
-      return "parallel";
-    case SamplingBackend::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
 // ----------------------------------------------------------- caller thread
 
 CallerThreadSamplingEngine::CallerThreadSamplingEngine(const Graph& graph,
@@ -403,21 +391,10 @@ std::unique_ptr<SamplingEngine> CreateSamplingEngine(
   uint32_t threads = options.num_threads == 0
                          ? std::max(1u, std::thread::hardware_concurrency())
                          : options.num_threads;
-  SamplingBackend backend = options.engine;
-  if (backend == SamplingBackend::kAuto) {
-    backend =
-        threads > 1 ? SamplingBackend::kParallel : SamplingBackend::kSerial;
-  }
-  // An explicit kParallel request with one resolved thread degrades to the
-  // serial backend: every query would take the one-worker inline path (which
-  // is bit-identical to serial for the counting kernels), so building the
-  // worker-thread + condvar machinery buys nothing.
-  if (backend == SamplingBackend::kParallel && threads <= 1) {
-    backend = SamplingBackend::kSerial;
-  }
-  if (backend == SamplingBackend::kParallel) {
+  if (threads > 1) {
     return std::make_unique<ParallelSamplingEngine>(
-        graph, model, threads, ParallelSamplingEngine::kDefaultMinParallelBatch, options.kernel);
+        graph, model, threads, ParallelSamplingEngine::kDefaultMinParallelBatch,
+        options.kernel);
   }
   return std::make_unique<SerialSamplingEngine>(graph, model, options.kernel);
 }
@@ -436,7 +413,6 @@ SamplingEngine* SamplingEngineHandle::Get(const Graph& graph,
       owned_->graph().num_nodes() == graph.num_nodes() &&
       owned_->graph().num_edges() == graph.num_edges() &&
       owned_->model() == model &&
-      owned_options_.engine == options.engine &&
       owned_options_.num_threads == options.num_threads &&
       owned_options_.kernel == options.kernel;
   if (!reusable) {

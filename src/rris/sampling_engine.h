@@ -24,31 +24,16 @@
 
 namespace atpm {
 
-/// Which RR-set sampling backend a policy should use.
-enum class SamplingBackend {
-  /// Single-threaded; bit-identical to driving an RRSetGenerator directly.
-  kSerial,
-  /// Persistent worker pool with deterministic per-thread RNG streams.
-  kParallel,
-  /// kParallel when the resolved thread count exceeds 1, else kSerial.
-  kAuto,
-};
-
-/// Human-readable backend name ("serial" / "parallel" / "auto").
-const char* SamplingBackendName(SamplingBackend backend);
-
 /// Sampling knobs shared by every RIS-driven decision loop (ADDATP, HATP,
 /// HNTP). Policy option structs embed one of these instead of copy-pasting
 /// the fields; engine construction (CreateSamplingEngine) reads the
-/// backend, thread count, and kernel from it.
+/// thread count and kernel from it.
 struct SamplingOptions {
-  /// RR sampling backend. kAuto engages the persistent thread pool iff
-  /// num_threads > 1; kSerial reproduces the single-threaded code path bit
-  /// for bit for a fixed seed.
-  SamplingBackend engine = SamplingBackend::kAuto;
-  /// Worker threads for the parallel backend (0 = hardware concurrency).
-  /// Results are deterministic for a fixed (seed, num_threads) pair but
-  /// differ across thread counts.
+  /// Worker threads (0 = hardware concurrency). The resolved count picks
+  /// the backend: above 1 the persistent thread pool, otherwise the serial
+  /// engine, which reproduces the single-threaded code path bit for bit for
+  /// a fixed seed. Results are deterministic for a fixed (seed,
+  /// num_threads) pair but differ across thread counts.
   uint32_t num_threads = 1;
   /// Budget cap on RR sets generated for a single seed decision (all pools
   /// and all halving rounds combined).
@@ -384,16 +369,13 @@ class ScopedEngineBudget {
   bool armed_;
 };
 
-/// Builds the backend selected by `options` (engine, num_threads, kernel)
-/// for (graph, model). kAuto resolves to kParallel iff the resolved thread
-/// count (num_threads, with 0 meaning hardware concurrency) exceeds 1. An
-/// explicit kParallel request whose resolved thread count is 1 also
-/// degrades to the serial backend: a one-worker pool would route every
-/// query through its inline serial path anyway, so the worker thread +
-/// condvar machinery would be pure overhead.
-/// Consequently engine->name() (and anything logging it next to
-/// SamplingBackendName(options.engine)) reports "serial" for that
-/// configuration. A parallel engine keeps its default min_parallel_batch.
+/// Builds the engine for (graph, model) that `options` implies. The thread
+/// count alone picks the backend: num_threads, with 0 meaning hardware
+/// concurrency, resolves to a count, and above 1 the factory builds a
+/// ParallelSamplingEngine with that many workers and the default
+/// min_parallel_batch; otherwise a SerialSamplingEngine. A one-worker pool
+/// would route every query through its inline serial path anyway, so the
+/// worker thread + condvar machinery would be pure overhead.
 std::unique_ptr<SamplingEngine> CreateSamplingEngine(
     const Graph& graph,
     DiffusionModel model = DiffusionModel::kIndependentCascade,

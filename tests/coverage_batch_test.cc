@@ -742,7 +742,6 @@ PolicyRuns RunBothModes(const Graph& g, const ProfitProblem& problem,
                         Options options, uint64_t world_seed = 42) {
   PolicyRuns runs;
   for (int mode = 0; mode < 2; ++mode) {
-    options.sampling.engine = SamplingBackend::kSerial;
     // Batched-vs-unbatched decision equality relies on every decision of
     // the pinned instance being clear-cut; the instances were calibrated
     // under the historical per-edge stream, so pin the kernel (kernel
@@ -853,7 +852,6 @@ TEST(BatchedRoundsTest, HntpBatchedMatchesUnbatchedSeeds) {
   }
 
   HntpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
 
   options.sampling.batched_rounds = true;
   Rng rng_batched(3);

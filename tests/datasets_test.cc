@@ -106,6 +106,11 @@ TEST(BenchEnvTest, RealizationsParsesAndClamps) {
   EXPECT_EQ(BenchRealizationsFromEnv(), 20u);
   setenv("ATPM_BENCH_REALIZATIONS", "0", 1);
   EXPECT_EQ(BenchRealizationsFromEnv(), 1u);
+  // NaN is not a count: the default stands.
+  setenv("ATPM_BENCH_REALIZATIONS", "nan", 1);
+  EXPECT_EQ(BenchRealizationsFromEnv(), 2u);
+  setenv("ATPM_BENCH_REALIZATIONS", "inf", 1);
+  EXPECT_EQ(BenchRealizationsFromEnv(), 2u);
   unsetenv("ATPM_BENCH_REALIZATIONS");
   EXPECT_EQ(BenchRealizationsFromEnv(), 2u);
 }
@@ -120,6 +125,8 @@ TEST(BenchEnvTest, KMaxAndGrid) {
   grid = BenchSeedGrid(30);
   ASSERT_EQ(grid.size(), 2u);
   EXPECT_EQ(grid.back(), 25u);
+  setenv("ATPM_BENCH_K_MAX", "-nan", 1);
+  EXPECT_EQ(BenchKMaxFromEnv(), 200u);
   unsetenv("ATPM_BENCH_K_MAX");
 }
 
@@ -134,6 +141,11 @@ TEST(BenchEnvTest, GridNeverEmpty) {
 TEST(BenchEnvTest, ThreadsParses) {
   setenv("ATPM_BENCH_THREADS", "4", 1);
   EXPECT_EQ(BenchThreadsFromEnv(), 4u);
+  // Only a whole token counts: trailing garbage or whitespace falls back.
+  setenv("ATPM_BENCH_THREADS", "4abc", 1);
+  EXPECT_EQ(BenchThreadsFromEnv(), 8u);
+  setenv("ATPM_BENCH_THREADS", " 4", 1);
+  EXPECT_EQ(BenchThreadsFromEnv(), 8u);
   unsetenv("ATPM_BENCH_THREADS");
   EXPECT_EQ(BenchThreadsFromEnv(), 8u);
 }

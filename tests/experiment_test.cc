@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/ars.h"
 #include "core/hatp.h"
 #include "graph/generators.h"
-#include "graph/weighting.h"
 
 namespace atpm {
 namespace {
@@ -104,49 +102,6 @@ TEST(ExperimentRunnerTest, SharedWorldsAcrossAlgorithms) {
   std::vector<NodeId> seeds = {0};
   EXPECT_DOUBLE_EQ(runner.EvaluateFixedSet(seeds, 0).mean_profit,
                    runner.EvaluateFixedSet(seeds, 0).mean_profit);
-}
-
-TEST(ExperimentRunnerTest, SharedRoundPoolsReuseAcrossWorlds) {
-  // Every world starts from the same fresh residual graph, so the first
-  // candidate's first halving round is content-identical across worlds:
-  // with sharing on, world 0 samples it and the others replay it.
-  Rng grng(7);
-  BarabasiAlbertOptions gopt;
-  gopt.num_nodes = 300;
-  gopt.edges_per_node = 2;
-  Graph g = GenerateBarabasiAlbert(gopt, &grng).value();
-  ApplyWeightedCascade(&g);
-  ProfitProblem problem = MakeProblem(g, {0, 1, 2, 3, 4}, 2.0);
-
-  HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
-  HatpPolicy policy(options);
-  ExperimentRunner runner(problem, 4, 11);
-
-  std::unique_ptr<SamplingEngine> inner = CreateSamplingEngine(
-      g, DiffusionModel::kIndependentCascade,
-      options.sampling);
-  SharedRoundPoolEngine shared(inner.get());
-  Result<AlgoStats> stats = runner.RunAdaptive(&policy, &shared);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().completed_runs, 4u);
-  EXPECT_GT(stats.value().shared_rounds_sampled, 0u);
-  EXPECT_GT(stats.value().shared_rounds_reused, 0u);
-  EXPECT_GT(stats.value().SharedPoolReuseRatio(), 0.0);
-  EXPECT_LT(stats.value().SharedPoolReuseRatio(), 1.0);
-
-  // The runner detaches the engine afterwards: a plain run accrues nothing
-  // further on the shared counters.
-  const uint64_t sampled_after = shared.rounds_sampled();
-  Result<AlgoStats> plain = runner.RunAdaptive(&policy);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(shared.rounds_sampled(), sampled_after);
-  EXPECT_EQ(plain.value().shared_rounds_sampled, 0u);
-
-  // ClearMemo re-baselines the counters.
-  shared.ClearMemo();
-  EXPECT_EQ(shared.rounds_sampled(), 0u);
-  EXPECT_DOUBLE_EQ(shared.ReuseRatio(), 0.0);
 }
 
 TEST(ExperimentRunnerTest, WorldSeedsAreDistinct) {

@@ -173,6 +173,16 @@ TEST_F(FailpointTest, SpecGrammarParsesAndRejects) {
   EXPECT_TRUE(failpoint::ArmFromSpec("graph_store.write=frobnicate")
                   .IsInvalidArgument());
   EXPECT_TRUE(failpoint::ArmFromSpec("chaos:9:1.5").IsInvalidArgument());
+  // Every number is one whole token: no sign, whitespace, empty token,
+  // overflow or non-finite probability arms anything.
+  for (const char* bad :
+       {"chaos:1:nan", "chaos:1:", "chaos:-1:0.5", "graph_store.write@-1",
+        "graph_store.write@ 3", "graph_store.write@1:-2",
+        "graph_store.write@99999999999999999999999", "graph_store.write@",
+        "graph_store.write="}) {
+    EXPECT_TRUE(failpoint::ArmFromSpec(bad).IsInvalidArgument()) << bad;
+    EXPECT_FALSE(failpoint::AnyArmed()) << bad;
+  }
 }
 
 // ---- Golden bit-identity: the machinery is compiled in everywhere, but
@@ -207,7 +217,6 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
             (std::vector<NodeId>{2, 4, 7, 18, 13, 17, 8, 9, 41, 22}));
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   auto run = RunGoldenHatp(g, problem, hopt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 7, 17, 9}));
@@ -268,7 +277,6 @@ std::string GoldenFingerprint(const Graph& g, const ProfitProblem& problem,
 
 SamplingOptions SerialSampling() {
   SamplingOptions sampling;
-  sampling.engine = SamplingBackend::kSerial;
   return sampling;
 }
 
@@ -656,7 +664,6 @@ TEST_F(FailpointTest, HatpPropagatesHardEngineFaults) {
   const ProfitProblem problem = GoldenProblem(g);
   ASSERT_TRUE(failpoint::Arm("engine.serial_batch"));
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   auto run = RunGoldenHatp(g, problem, hopt);
   EXPECT_TRUE(run.status().IsInternal()) << run.status().ToString();
 }
@@ -674,7 +681,6 @@ TEST_F(FailpointTest, HatpAbsorbsInjectedAllocFailure) {
   spec.count = 1;
   ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve", spec));
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   auto run = RunGoldenHatp(g, problem, hopt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run.value().degradation_events.size(), 1u);
@@ -692,7 +698,6 @@ TEST_F(FailpointTest, DeadlineBudgetedHatpTerminatesWithinTwiceBudget) {
   const Graph g = WcGraph();
   const ProfitProblem problem = GoldenProblem(g);
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
 
   // Baseline the unbudgeted run, then grant a quarter of that: the
   // deadline must trip mid-run, and the run must still return within 2x
@@ -729,7 +734,6 @@ TEST_F(FailpointTest, PreCancelledRunDecidesBlindAndDeterministically) {
   CancelToken cancel;
   cancel.Cancel();
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   hopt.sampling.budget.cancel = &cancel;
 
   auto first = RunGoldenHatp(g, problem, hopt);
@@ -802,7 +806,6 @@ TEST_F(FailpointTest, ChaosScheduleIsReproducibleAndContained) {
               static_cast<unsigned long long>(chaos_seed));
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   for (uint64_t trial = 0; trial < 3; ++trial) {
     const uint64_t seed = chaos_seed + trial;
     failpoint::DisarmAll();

@@ -385,7 +385,6 @@ TEST_F(GraphStoreTest, HatpDecisionSequenceIdenticalOnMappedGraph) {
   ASSERT_TRUE(selection.ok()) << selection.status().ToString();
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   hopt.sampling.kernel = SamplingKernel::kPerEdge;
   HatpPolicy policy(hopt);
   Rng world_rng(42);

@@ -73,7 +73,6 @@ TEST(BudgetExhaustionTest, FirstRoundAbortIsExplicitAndNeverSeeds) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.max_rr_sets_per_decision = 1;  // below any round-0 theta
   options.fail_on_budget_exhausted = false;
   const AdaptiveRunResult run =
@@ -98,7 +97,6 @@ TEST(BudgetExhaustionTest, AddAtpFirstRoundAbortDoesNotSelectOnZeroes) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   AddAtpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.max_rr_sets_per_decision = 1;
   options.fail_on_budget_exhausted = false;
   const AdaptiveRunResult run =
@@ -116,7 +114,6 @@ TEST(BudgetExhaustionTest, HntpFirstRoundAbortIsCountedAndNeverSeeds) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HntpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.max_rr_sets_per_decision = 1;
   options.fail_on_budget_exhausted = false;
   Rng rng(3);
@@ -136,7 +133,6 @@ TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
   // every examined candidate completes round 0, candidates wanting more
   // rounds are truncated — never kBudgetExhausted.
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   const double n0 = static_cast<double>(g.num_nodes());
   const double zeta0 = options.initial_spread_error / n0;
   const double delta0 =
@@ -211,7 +207,6 @@ TEST(ZeroQuotaWorkerTest, ZeroThetaBatchLeavesZeroHits) {
 template <typename Policy, typename Options>
 void ExpectLookaheadEquivalence(const Graph& g, const ProfitProblem& problem,
                                 Options options, uint64_t world_seed) {
-  options.sampling.engine = SamplingBackend::kSerial;
   // Decision equivalence across sampling layouts holds when every decision
   // on the pinned instance is clear-cut; the instances were calibrated for
   // that margin under the historical per-edge RNG stream, so pin the
@@ -298,7 +293,6 @@ TEST(SpeculativePipeliningTest, HntpLookaheadMatchesWindowZeroSeeds) {
   }
 
   HntpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.lookahead_window = 0;
   Rng rng_baseline(3);
   Result<HntpResult> baseline = RunHntp(problem, options, &rng_baseline);
@@ -323,7 +317,6 @@ TEST(SpeculativePipeliningTest, UnbatchedRoundsIgnoreTheWindow) {
   const ProfitProblem problem = CalibratedProblem(g, 10);
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.batched_rounds = false;
   options.sampling.lookahead_window = 8;
   const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
@@ -349,7 +342,6 @@ TEST(SpeculativePipeliningTest, EpochBumpDiscardsEveryInFlightAnswer) {
   }
 
   HatpOptions options;
-  options.sampling.engine = SamplingBackend::kSerial;
   options.sampling.lookahead_window = 0;
   const AdaptiveRunResult baseline = RunPolicy<HatpPolicy>(g, problem, options);
 

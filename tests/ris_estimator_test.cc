@@ -1,7 +1,9 @@
-#include "rris/ris_estimator.h"
+// RIS spread estimation (n * Cov / θ over an RR pool) checked against the
+// exact IC spread oracle on small graphs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "diffusion/spread_oracle.h"
@@ -11,32 +13,11 @@
 namespace atpm {
 namespace {
 
-TEST(RisEstimatorTest, EmptyPoolEstimatesZero) {
-  RRCollection pool(4);
-  EXPECT_DOUBLE_EQ(EstimateSpreadOfNode(pool, 0, 4), 0.0);
-}
-
-TEST(RisEstimatorTest, MakeMembershipBitmap) {
-  std::vector<NodeId> nodes = {1, 3};
-  BitVector b = MakeMembershipBitmap(5, nodes);
-  EXPECT_FALSE(b.Test(0));
-  EXPECT_TRUE(b.Test(1));
-  EXPECT_TRUE(b.Test(3));
-  EXPECT_EQ(b.Count(), 2u);
-}
-
-TEST(RisEstimatorTest, HandPoolEstimates) {
-  RRCollection pool(4);
-  pool.AddSet(std::vector<NodeId>{0});
-  pool.AddSet(std::vector<NodeId>{0, 1});
-  pool.AddSet(std::vector<NodeId>{2});
-  pool.AddSet(std::vector<NodeId>{3});
-  // Cov(0) = 2 of 4 sets; estimate = 4 * 2/4 = 2.
-  EXPECT_DOUBLE_EQ(EstimateSpreadOfNode(pool, 0, 4), 2.0);
-  BitVector members = MakeMembershipBitmap(4, std::vector<NodeId>{0, 2});
-  EXPECT_DOUBLE_EQ(EstimateSpreadOfSet(pool, members, 4), 3.0);
-  BitVector base = MakeMembershipBitmap(4, std::vector<NodeId>{1});
-  EXPECT_DOUBLE_EQ(EstimateMarginalSpread(pool, 0, base, 4), 1.0);
+// RIS spread estimate num_alive * cov / θ over `pool`.
+double RisEstimate(const RRCollection& pool, uint64_t cov,
+                   uint32_t num_alive) {
+  return static_cast<double>(num_alive) * static_cast<double>(cov) /
+         static_cast<double>(pool.num_sets());
 }
 
 // Property: RIS estimates converge to exact expected spreads.
@@ -68,20 +49,23 @@ TEST_P(RisAccuracyTest, EstimatesMatchExactOracle) {
   // Single nodes.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     std::vector<NodeId> seeds = {u};
-    EXPECT_NEAR(EstimateSpreadOfNode(pool, u, g.num_nodes()),
+    EXPECT_NEAR(RisEstimate(pool, pool.CoverageOfNode(u), g.num_nodes()),
                 exact.value()->ExpectedSpread(seeds, nullptr), 0.08)
         << "node " << u;
   }
   // A two-node set and its marginal.
   std::vector<NodeId> pair = {0, static_cast<NodeId>(g.num_nodes() - 1)};
-  BitVector members = MakeMembershipBitmap(g.num_nodes(), pair);
-  EXPECT_NEAR(EstimateSpreadOfSet(pool, members, g.num_nodes()),
+  BitVector members(g.num_nodes());
+  for (NodeId v : pair) members.Set(v);
+  EXPECT_NEAR(RisEstimate(pool, pool.CoverageOfSet(members), g.num_nodes()),
               exact.value()->ExpectedSpread(pair, nullptr), 0.1);
 
   std::vector<NodeId> base = {0};
-  BitVector base_b = MakeMembershipBitmap(g.num_nodes(), base);
+  BitVector base_b(g.num_nodes());
+  base_b.Set(0);
   EXPECT_NEAR(
-      EstimateMarginalSpread(pool, pair[1], base_b, g.num_nodes()),
+      RisEstimate(pool, pool.ConditionalCoverage(pair[1], base_b),
+                  g.num_nodes()),
       exact.value()->ExpectedMarginalSpread(pair[1], base, nullptr), 0.1);
 }
 
@@ -98,8 +82,8 @@ TEST(RisEstimatorTest, ResidualGraphEstimates) {
   RRCollection pool(4);
   Rng rng(9);
   pool.Generate(&generator, &removed, 3, 60000, &rng);
-  EXPECT_NEAR(EstimateSpreadOfNode(pool, 0, 3), 2.0, 0.05);
-  EXPECT_NEAR(EstimateSpreadOfNode(pool, 3, 3), 1.0, 0.05);
+  EXPECT_NEAR(RisEstimate(pool, pool.CoverageOfNode(0), 3), 2.0, 0.05);
+  EXPECT_NEAR(RisEstimate(pool, pool.CoverageOfNode(3), 3), 1.0, 0.05);
 }
 
 }  // namespace

@@ -613,8 +613,6 @@ TEST_P(KernelAgreementTest, CoverageEstimatesAgreeWithin3Sigma) {
   const uint64_t theta = 120000;
 
   SamplingOptions options;
-  options.engine =
-      parallel ? SamplingBackend::kParallel : SamplingBackend::kSerial;
   options.num_threads = parallel ? 4 : 1;
 
   options.kernel = SamplingKernel::kPerEdge;
@@ -780,7 +778,6 @@ TEST(PerEdgeGoldenTest, HatpDecisionSequenceMatchesPreKernelTree) {
   const ProfitProblem& problem = selection.value().problem;
 
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   hopt.sampling.kernel = SamplingKernel::kPerEdge;
   HatpPolicy policy(hopt);
   Rng world_rng(42);
@@ -962,7 +959,6 @@ TEST(KernelKnobTest, NamesAndEngineReporting) {
   EXPECT_STREQ(SamplingKernelName(SamplingKernel::kPerEdge), "per-edge");
   const Graph g = TestGraph(100, Weighting::kWeightedCascade);
   SamplingOptions options;
-  options.engine = SamplingBackend::kSerial;
   options.kernel = SamplingKernel::kPerEdge;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
@@ -973,7 +969,6 @@ TEST(KernelKnobTest, NamesAndEngineReporting) {
 TEST(KernelKnobTest, HandleRebuildsWhenKernelChanges) {
   const Graph g = TestGraph(100, Weighting::kWeightedCascade);
   SamplingOptions options;
-  options.engine = SamplingBackend::kSerial;
   SamplingEngineHandle handle;
   SamplingEngine* jump =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);

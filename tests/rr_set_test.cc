@@ -243,12 +243,10 @@ TEST(ParallelCountingTest, ThreadCountsAgreeStatistically) {
   const uint64_t theta = 200000;
   SamplingEngineHandle handle;
   SamplingOptions serial_options;
-  serial_options.engine = SamplingBackend::kSerial;
   const uint64_t single = CountOne(
       *handle.Get(g, DiffusionModel::kIndependentCascade, serial_options), 0,
       nullptr, nullptr, 20, theta, 1);
   SamplingOptions parallel_options;
-  parallel_options.engine = SamplingBackend::kParallel;
   parallel_options.num_threads = 8;
   const uint64_t multi = CountOne(
       *handle.Get(g, DiffusionModel::kIndependentCascade, parallel_options), 0,

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/bit_vector.h"
@@ -394,51 +395,33 @@ TEST(SamplingEngineBatchTest, BatchedEstimatesAgreeAcrossBackends) {
 
 // Factory / knob resolution.
 
-TEST(CreateSamplingEngineTest, AutoResolvesByThreadCount) {
+TEST(CreateSamplingEngineTest, ThreadCountPicksBackend) {
   const Graph g = TestGraph(100);
   SamplingOptions options;
-  options.engine = SamplingBackend::kAuto;
   options.num_threads = 1;
   EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
                                  options)
                 ->name(),
             "serial");
-  options.num_threads = 4;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "parallel");
-  options.engine = SamplingBackend::kSerial;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "serial");
-}
-
-TEST(CreateSamplingEngineTest, ExplicitParallelWithOneThreadDegradesToSerial) {
-  // A one-worker pool routes every query through its inline serial path, so
-  // the factory skips the worker-thread + condvar machinery entirely. The
-  // engine consequently reports name() == "serial" even though the option
-  // said kParallel.
-  const Graph g = TestGraph(100);
-  SamplingOptions options;
-  options.engine = SamplingBackend::kParallel;
-  options.num_threads = 1;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "serial");
-  options.num_threads = 2;
-  EXPECT_EQ(CreateSamplingEngine(g, DiffusionModel::kIndependentCascade,
-                                 options)
-                ->name(),
-            "parallel");
-}
-
-TEST(SamplingBackendTest, Names) {
-  EXPECT_STREQ(SamplingBackendName(SamplingBackend::kSerial), "serial");
-  EXPECT_STREQ(SamplingBackendName(SamplingBackend::kParallel), "parallel");
-  EXPECT_STREQ(SamplingBackendName(SamplingBackend::kAuto), "auto");
+  for (uint32_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    std::unique_ptr<SamplingEngine> engine = CreateSamplingEngine(
+        g, DiffusionModel::kIndependentCascade, options);
+    EXPECT_EQ(engine->name(), "parallel") << threads;
+    EXPECT_EQ(engine->num_workers(), threads);
+  }
+  // 0 means hardware concurrency; a host reporting at most one core gets
+  // the serial engine.
+  options.num_threads = 0;
+  const uint32_t hardware = std::thread::hardware_concurrency();
+  std::unique_ptr<SamplingEngine> engine =
+      CreateSamplingEngine(g, DiffusionModel::kIndependentCascade, options);
+  if (hardware <= 1) {
+    EXPECT_EQ(engine->name(), "serial");
+  } else {
+    EXPECT_EQ(engine->name(), "parallel");
+    EXPECT_EQ(engine->num_workers(), hardware);
+  }
 }
 
 // Shard merge primitive used by the parallel backend.
@@ -472,7 +455,6 @@ TEST(RRCollectionAppendShardTest, MatchesPerSetInsertion) {
 TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
   const Graph g = TestGraph(100);
   SamplingOptions options;
-  options.engine = SamplingBackend::kSerial;
 
   SamplingEngineHandle handle;
   SamplingEngine* first =
@@ -481,7 +463,6 @@ TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
       handle.Get(g, DiffusionModel::kIndependentCascade, options);
   EXPECT_EQ(first, second);  // cached across calls
 
-  options.engine = SamplingBackend::kParallel;
   options.num_threads = 2;
   SamplingEngine* third =
       handle.Get(g, DiffusionModel::kIndependentCascade, options);

@@ -89,7 +89,6 @@ Result<AdaptiveRunResult> RunGoldenHatp() {
       BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
   EXPECT_TRUE(selection.ok()) << selection.status().ToString();
   HatpOptions hopt;
-  hopt.sampling.engine = SamplingBackend::kSerial;
   HatpPolicy policy(hopt);
   Rng world_rng(42);
   AdaptiveEnvironment env(Realization::Sample(g, &world_rng));

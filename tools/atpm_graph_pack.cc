@@ -25,14 +25,13 @@
 //
 // A numeric flag value must parse whole; a malformed one exits 2, like an
 // unknown option.
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <system_error>
 
 #include "bench_util/datasets.h"
+#include "common/math_util.h"
 #include "graph/edge_list_io.h"
 #include "graph/graph_store.h"
 #include "graph/weighting.h"
@@ -73,9 +72,7 @@ bool ParseFlag(int argc, char** argv, int* i, const char* name,
 template <typename T>
 T ParseNumber(const char* name, const char* value) {
   T parsed{};
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end) {
+  if (!ParseWholeNumber(value, &parsed)) {
     std::fprintf(stderr, "atpm_graph_pack: bad value for %s: '%s'\n", name,
                  value);
     std::exit(2);
