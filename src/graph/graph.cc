@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 #include "common/metrics.h"
 
@@ -154,7 +156,9 @@ bool SegmentedRunsProfitable(std::span<const float> probs) {
 
 // Edges sampled without per-edge draws: jump-enabled segments plus the
 // drawless degenerate ones — the WeightClassProfile jumpable criterion.
-uint64_t CountJumpableEdges(const std::vector<ProbSegment>& segments) {
+// Gate-rejected segments run the linear Bernoulli scan and are NOT
+// jumpable, even on uniform / few-distinct nodes.
+uint64_t CountJumpableEdges(std::span<const ProbSegment> segments) {
   uint64_t jumpable = 0;
   for (const ProbSegment& seg : segments) {
     if (seg.log1p_neg != 0.0 || seg.prob <= 0.0f || seg.prob >= 1.0f) {
@@ -164,23 +168,100 @@ uint64_t CountJumpableEdges(const std::vector<ProbSegment>& segments) {
   return jumpable;
 }
 
-// Descending index sort for the tiny distinct-value census arrays
-// (n <= kMaxDistinctInProbs = 8; values are distinct, so the resulting
-// permutation is unique and stream-identical to std::sort). Hand-rolled
-// because libstdc++'s std::sort reads up to its 16-element insertion-sort
-// threshold, which GCC's -Warray-bounds rejects against an 8-slot stack
-// array at -O2.
-void SortIndicesByValueDesc(uint32_t* order, uint32_t n,
-                            const float* values) {
-  for (uint32_t i = 1; i < n; ++i) {
-    const uint32_t key = order[i];
-    uint32_t j = i;
-    while (j > 0 && values[order[j - 1]] < values[key]) {
-      order[j] = order[j - 1];
-      --j;
+ProbSegment MakeSegment(uint32_t length, float prob) {
+  return ProbSegment{length, prob, JumpFactor(length, prob), 0.0};
+}
+
+// Distinct-value census of one node's probability vector, capped at
+// kMaxDistinctInProbs: the distinct values in first-seen order with their
+// multiplicities, or `overflow` (the scan stops) past the cap.
+struct ProbCensus {
+  float values[kMaxDistinctInProbs] = {};
+  uint32_t counts[kMaxDistinctInProbs] = {};
+  uint32_t num_distinct = 0;
+  bool overflow = false;
+
+  explicit ProbCensus(std::span<const float> probs) {
+    for (const float p : probs) {
+      uint32_t d = 0;
+      while (d < num_distinct && values[d] != p) ++d;
+      if (d == num_distinct) {
+        if (num_distinct == kMaxDistinctInProbs) {
+          overflow = true;
+          return;
+        }
+        values[num_distinct] = p;
+        counts[num_distinct] = 0;
+        ++num_distinct;
+      }
+      ++counts[d];
     }
-    order[j] = key;
   }
+};
+
+// Appends a kFewDistinct node's jump view: one segment per distinct
+// probability, descending (order is statistically irrelevant for
+// independent trials; descending keeps the near-certain edges in the first
+// cache lines), with the arcs and their original CSR slots grouped to
+// match. `Arc` is InArc or OutArc.
+template <typename Arc>
+void AppendGroupedRuns(const ProbCensus& census, std::span<const NodeId> neigh,
+                       std::span<const float> probs,
+                       std::vector<ProbSegment>* segments,
+                       std::vector<Arc>* arcs, std::vector<uint32_t>* slots) {
+  // Insertion sort of the value indices, descending. The values are
+  // distinct, so the order is unique and stream-identical to std::sort,
+  // which is avoided because libstdc++'s reads up to its 16-element
+  // insertion-sort threshold, and GCC's -Warray-bounds rejects that
+  // against this 8-slot stack array at -O2.
+  uint32_t order[kMaxDistinctInProbs] = {};
+  for (uint32_t i = 0; i < census.num_distinct; ++i) {
+    uint32_t j = i;
+    for (; j > 0 && census.values[order[j - 1]] < census.values[i]; --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = i;
+  }
+  for (uint32_t oi = 0; oi < census.num_distinct; ++oi) {
+    const uint32_t d = order[oi];
+    const float p = census.values[d];
+    segments->push_back(MakeSegment(census.counts[d], p));
+    for (uint32_t j = 0; j < probs.size(); ++j) {
+      if (probs[j] == p) {
+        arcs->push_back(Arc{neigh[j], p});
+        slots->push_back(j);
+      }
+    }
+  }
+}
+
+// Node-class census of one direction's index.
+WeightClassProfile ProfileClasses(std::span<const NodeWeightClass> classes,
+                                  std::span<const ProbSegment> segments,
+                                  uint64_t total_edges) {
+  WeightClassProfile profile;
+  profile.total_edges = total_edges;
+  for (const NodeWeightClass cls : classes) {
+    switch (cls) {
+      case NodeWeightClass::kEmpty:
+        ++profile.empty_nodes;
+        break;
+      case NodeWeightClass::kUniform:
+        ++profile.uniform_nodes;
+        break;
+      case NodeWeightClass::kFewDistinct:
+        ++profile.few_distinct_nodes;
+        break;
+      case NodeWeightClass::kGeneral:
+        ++profile.general_nodes;
+        break;
+      case NodeWeightClass::kSegmentedRuns:
+        ++profile.segmented_nodes;
+        break;
+    }
+  }
+  profile.jumpable_edges = CountJumpableEdges(segments);
+  return profile;
 }
 
 }  // namespace
@@ -204,111 +285,55 @@ void Graph::RebuildInWeightIndex() {
   // per-edge probs (e.g. weighted cascade's indeg * float(1/indeg)) must
   // not demote an O(1) pick to the linear prefix scan.
   constexpr double kLtMassEps = 1e-6;
-
-  float values[kMaxDistinctInProbs];
-  uint32_t counts[kMaxDistinctInProbs];
+  // An alias pick replaces an O(deg) prefix scan with one draw plus a
+  // table lookup; for short in-lists the scan is already a handful of
+  // float compares in one cache line, so the table only pays off above
+  // this degree.
+  constexpr uint32_t kMinAliasDegree = 8;
   std::vector<double> alias_weights;
 
   for (NodeId v = 0; v < n; ++v) {
-    const auto neigh = InNeighbors(v);
     const auto probs = InProbs(v);
-    const uint32_t deg = static_cast<uint32_t>(neigh.size());
-    if (deg == 0) {
-      seg_offsets[v + 1] = in_segments.size();
-      jump_offsets[v + 1] = jump_in_arcs.size();
-      lt_alias_offsets[v + 1] = lt_alias.size();
-      continue;
-    }
-
-    // Distinct-value census, capped at kMaxDistinctInProbs.
-    uint32_t num_distinct = 0;
-    bool overflow = false;
-    double mass = 0.0;
-    for (uint32_t j = 0; j < deg; ++j) {
-      const float p = probs[j];
-      mass += static_cast<double>(p);
-      uint32_t d = 0;
-      while (d < num_distinct && values[d] != p) ++d;
-      if (d == num_distinct) {
-        if (num_distinct == kMaxDistinctInProbs) {
-          overflow = true;
-          break;
-        }
-        values[num_distinct] = p;
-        counts[num_distinct] = 0;
-        ++num_distinct;
+    const uint32_t deg = static_cast<uint32_t>(probs.size());
+    if (deg > 0) {
+      const ProbCensus census(probs);
+      // All-distinct vectors (every edge its own probability, the
+      // uniform-random weighting on low-degree nodes) have no same-p runs
+      // to jump over: grouping them into length-1 segments would only add
+      // dispatch overhead, so they take the general per-edge path too.
+      // General nodes materialize nothing — the kernels run the historical
+      // per-edge loop over the original CSR for them.
+      if (census.overflow ||
+          (census.num_distinct > 1 && census.num_distinct == deg)) {
+        in_class[v] = NodeWeightClass::kGeneral;
+      } else if (census.num_distinct == 1) {
+        in_class[v] = NodeWeightClass::kUniform;
+        in_segments.push_back(MakeSegment(deg, census.values[0]));
+      } else {
+        in_class[v] = NodeWeightClass::kFewDistinct;
+        AppendGroupedRuns(census, InNeighbors(v), probs, &in_segments,
+                          &jump_in_arcs, &jump_in_slots);
       }
-      ++counts[d];
-    }
-    if (overflow) {
-      // Re-total the mass for the LT plan (the census loop broke early).
-      mass = 0.0;
-      for (uint32_t j = 0; j < deg; ++j) mass += static_cast<double>(probs[j]);
-    }
 
-    // All-distinct vectors (every edge its own probability, the
-    // uniform-random weighting on low-degree nodes) have no same-p runs to
-    // jump over: grouping them into length-1 segments would only add
-    // dispatch overhead, so they take the general per-edge path too.
-    // General nodes materialize nothing — the kernels run the historical
-    // per-edge loop over the original CSR for them.
-    if (overflow || (num_distinct > 1 && num_distinct == deg)) {
-      in_class[v] = NodeWeightClass::kGeneral;
-    } else if (num_distinct == 1) {
-      in_class[v] = NodeWeightClass::kUniform;
-      in_segments.push_back(
-          ProbSegment{deg, values[0], JumpFactor(deg, values[0]), 0.0});
-    } else {
-      in_class[v] = NodeWeightClass::kFewDistinct;
-      // Group the in-edges into contiguous same-p runs, descending by
-      // probability (order is statistically irrelevant for independent
-      // trials; descending keeps the near-certain edges in the first
-      // cache lines).
-      uint32_t order[kMaxDistinctInProbs];
-      for (uint32_t d = 0; d < num_distinct; ++d) order[d] = d;
-      SortIndicesByValueDesc(order, num_distinct, values);
-      for (uint32_t oi = 0; oi < num_distinct; ++oi) {
-        const uint32_t d = order[oi];
-        in_segments.push_back(ProbSegment{
-            counts[d], values[d], JumpFactor(counts[d], values[d]), 0.0});
-        for (uint32_t j = 0; j < deg; ++j) {
-          if (probs[j] == values[d]) {
-            jump_in_arcs.push_back(InArc{neigh[j], values[d]});
-            jump_in_slots.push_back(j);
-          }
-        }
+      // LT pick plan. The closed-form / alias picks select an edge by its
+      // own probability and nullify removed picks afterwards, which
+      // matches the historical skip-removed prefix scan only while no
+      // probability mass is truncated — hence the mass <= 1 (+eps) gate.
+      const double mass = std::accumulate(probs.begin(), probs.end(), 0.0);
+      LtPickPlan plan = LtPickPlan::kPrefix;
+      if (in_class[v] == NodeWeightClass::kUniform) {
+        const double uniform_mass =
+            static_cast<double>(deg) * static_cast<double>(census.values[0]);
+        if (uniform_mass <= 1.0 + kLtMassEps) plan = LtPickPlan::kUniform;
+      } else if (mass <= 1.0 + kLtMassEps && deg >= kMinAliasDegree) {
+        plan = LtPickPlan::kAlias;
+        alias_weights.assign(probs.begin(), probs.end());
+        alias_weights.push_back(std::max(0.0, 1.0 - mass));
+        BuildAliasTable(alias_weights, &lt_alias);
       }
+      lt_plan[v] = static_cast<uint8_t>(plan);
+      FillRunAnyProb(&in_segments, seg_offsets[v]);
     }
-
-    // LT pick plan. The closed-form / alias picks select an edge by its
-    // own probability and nullify removed picks afterwards, which matches
-    // the historical skip-removed prefix scan only while no probability
-    // mass is truncated — hence the mass <= 1 (+eps) gate.
-    // An alias pick replaces an O(deg) prefix scan with one draw plus a
-    // table lookup; for short in-lists the scan is already a handful of
-    // float compares in one cache line, so the table only pays off above
-    // this degree.
-    constexpr uint32_t kMinAliasDegree = 8;
-    if (in_class[v] == NodeWeightClass::kUniform) {
-      const double uniform_mass =
-          static_cast<double>(deg) * static_cast<double>(values[0]);
-      lt_plan[v] = static_cast<uint8_t>(uniform_mass <= 1.0 + kLtMassEps
-                                            ? LtPickPlan::kUniform
-                                            : LtPickPlan::kPrefix);
-    } else if (mass <= 1.0 + kLtMassEps && deg >= kMinAliasDegree) {
-      lt_plan[v] = static_cast<uint8_t>(LtPickPlan::kAlias);
-      alias_weights.assign(deg + 1, 0.0);
-      for (uint32_t j = 0; j < deg; ++j) {
-        alias_weights[j] = static_cast<double>(probs[j]);
-      }
-      alias_weights[deg] = std::max(0.0, 1.0 - mass);
-      BuildAliasTable(alias_weights, &lt_alias);
-    } else {
-      lt_plan[v] = static_cast<uint8_t>(LtPickPlan::kPrefix);
-    }
-
-    FillRunAnyProb(&in_segments, seg_offsets[v]);
-
     seg_offsets[v + 1] = in_segments.size();
     jump_offsets[v + 1] = jump_in_arcs.size();
     lt_alias_offsets[v + 1] = lt_alias.size();
@@ -336,79 +361,32 @@ void Graph::RebuildOutWeightIndex() {
   std::vector<OutArc> jump_out_arcs;
   std::vector<uint32_t> jump_out_slots;
 
-  float values[kMaxDistinctInProbs];
-  uint32_t counts[kMaxDistinctInProbs];
-
   for (NodeId u = 0; u < n; ++u) {
-    const auto neigh = OutNeighbors(u);
     const auto probs = OutProbs(u);
-    const uint32_t deg = static_cast<uint32_t>(neigh.size());
-    if (deg == 0) {
-      out_seg_offsets[u + 1] = out_segments.size();
-      out_jump_offsets[u + 1] = jump_out_arcs.size();
-      continue;
-    }
-
-    // Distinct-value census, capped at kMaxDistinctInProbs (same census as
-    // the in-direction; no LT mass needed — forward LT has no edge picks).
-    uint32_t num_distinct = 0;
-    bool overflow = false;
-    for (uint32_t j = 0; j < deg; ++j) {
-      const float p = probs[j];
-      uint32_t d = 0;
-      while (d < num_distinct && values[d] != p) ++d;
-      if (d == num_distinct) {
-        if (num_distinct == kMaxDistinctInProbs) {
-          overflow = true;
-          break;
-        }
-        values[num_distinct] = p;
-        counts[num_distinct] = 0;
-        ++num_distinct;
+    const uint32_t deg = static_cast<uint32_t>(probs.size());
+    if (deg > 0) {
+      const ProbCensus census(probs);
+      if (!census.overflow && census.num_distinct == 1) {
+        out_class[u] = NodeWeightClass::kUniform;
+        out_segments.push_back(MakeSegment(deg, census.values[0]));
+      } else if (!census.overflow && census.num_distinct < deg) {
+        out_class[u] = NodeWeightClass::kFewDistinct;
+        AppendGroupedRuns(census, OutNeighbors(u), probs, &out_segments,
+                          &jump_out_arcs, &jump_out_slots);
+      } else if (SegmentedRunsProfitable(probs)) {
+        // Irregular vector, but predominantly low-probability: one
+        // length-1 segment per edge in the ORIGINAL CSR order. Runs of
+        // consecutive jump-enabled edges then share draws in the
+        // cross-segment walk — the weighted-cascade forward case
+        // (p(u, v) = 1/indeg(v), almost always all-distinct, almost always
+        // tiny on hub-heavy graphs).
+        out_class[u] = NodeWeightClass::kSegmentedRuns;
+        for (const float p : probs) out_segments.push_back(MakeSegment(1, p));
+      } else {
+        out_class[u] = NodeWeightClass::kGeneral;
       }
-      ++counts[d];
+      FillRunAnyProb(&out_segments, out_seg_offsets[u]);
     }
-
-    if (!overflow && num_distinct == 1) {
-      out_class[u] = NodeWeightClass::kUniform;
-      out_segments.push_back(
-          ProbSegment{deg, values[0], JumpFactor(deg, values[0]), 0.0});
-    } else if (!overflow && num_distinct < deg) {
-      out_class[u] = NodeWeightClass::kFewDistinct;
-      // Contiguous same-p runs, descending by probability — mirrors the
-      // in-direction grouping (order is statistically irrelevant for
-      // independent trials).
-      uint32_t order[kMaxDistinctInProbs];
-      for (uint32_t d = 0; d < num_distinct; ++d) order[d] = d;
-      SortIndicesByValueDesc(order, num_distinct, values);
-      for (uint32_t oi = 0; oi < num_distinct; ++oi) {
-        const uint32_t d = order[oi];
-        out_segments.push_back(ProbSegment{
-            counts[d], values[d], JumpFactor(counts[d], values[d]), 0.0});
-        for (uint32_t j = 0; j < deg; ++j) {
-          if (probs[j] == values[d]) {
-            jump_out_arcs.push_back(OutArc{neigh[j], values[d]});
-            jump_out_slots.push_back(j);
-          }
-        }
-      }
-    } else if (SegmentedRunsProfitable(probs)) {
-      // Irregular vector, but predominantly low-probability: one length-1
-      // segment per edge in the ORIGINAL CSR order. Runs of consecutive
-      // jump-enabled edges then share draws in the cross-segment walk —
-      // the weighted-cascade forward case (p(u, v) = 1/indeg(v), almost
-      // always all-distinct, almost always tiny on hub-heavy graphs).
-      out_class[u] = NodeWeightClass::kSegmentedRuns;
-      for (uint32_t j = 0; j < deg; ++j) {
-        out_segments.push_back(
-            ProbSegment{1, probs[j], JumpFactor(1, probs[j]), 0.0});
-      }
-    } else {
-      out_class[u] = NodeWeightClass::kGeneral;
-    }
-
-    FillRunAnyProb(&out_segments, out_seg_offsets[u]);
-
     out_seg_offsets[u + 1] = out_segments.size();
     out_jump_offsets[u + 1] = jump_out_arcs.size();
   }
@@ -432,63 +410,18 @@ void Graph::EnsureOwnedStorage() {
             "Store-backed graphs copied into owned storage");
     detaches->Increment();
   }
-  out_offsets_.EnsureOwned();
-  out_adj_.EnsureOwned();
-  out_prob_.EnsureOwned();
-  in_offsets_.EnsureOwned();
-  in_adj_.EnsureOwned();
-  in_prob_.EnsureOwned();
-  in_edge_index_.EnsureOwned();
-  in_class_.EnsureOwned();
-  seg_offsets_.EnsureOwned();
-  in_segments_.EnsureOwned();
-  jump_offsets_.EnsureOwned();
-  jump_in_arcs_.EnsureOwned();
-  jump_in_slots_.EnsureOwned();
-  lt_plan_.EnsureOwned();
-  lt_alias_offsets_.EnsureOwned();
-  lt_alias_.EnsureOwned();
-  out_class_.EnsureOwned();
-  out_seg_offsets_.EnsureOwned();
-  out_segments_.EnsureOwned();
-  out_jump_offsets_.EnsureOwned();
-  jump_out_arcs_.EnsureOwned();
-  jump_out_slots_.EnsureOwned();
+  ForEachArray(*this, [](const char*, Extent, auto& block) {
+    block.EnsureOwned();
+  });
   backing_.reset();
 }
 
 WeightClassProfile Graph::InWeightClassProfile() const {
-  WeightClassProfile profile;
-  profile.total_edges = num_edges();
-  for (NodeId v = 0; v < n_; ++v) {
-    switch (InWeightClass(v)) {
-      case NodeWeightClass::kEmpty:
-        ++profile.empty_nodes;
-        break;
-      case NodeWeightClass::kUniform:
-        ++profile.uniform_nodes;
-        break;
-      case NodeWeightClass::kFewDistinct:
-        ++profile.few_distinct_nodes;
-        break;
-      case NodeWeightClass::kGeneral:
-        ++profile.general_nodes;
-        break;
-      case NodeWeightClass::kSegmentedRuns:
-        ++profile.segmented_nodes;
-        break;
-    }
-    // Count what the jump kernel actually avoids paying per-edge draws
-    // for: jump-enabled segments plus the drawless degenerate ones.
-    // Gate-rejected segments run the linear Bernoulli scan and are NOT
-    // jumpable, even on uniform/few-distinct nodes.
-    for (const ProbSegment& seg : InProbSegments(v)) {
-      if (seg.log1p_neg != 0.0 || seg.prob <= 0.0f || seg.prob >= 1.0f) {
-        profile.jumpable_edges += seg.length;
-      }
-    }
-    const LtPickPlan plan = LtInPlan(v);
-    if (plan == LtPickPlan::kUniform || plan == LtPickPlan::kAlias) {
+  WeightClassProfile profile =
+      ProfileClasses(in_class_, in_segments_, num_edges());
+  for (const uint8_t plan : lt_plan_) {
+    if (plan == static_cast<uint8_t>(LtPickPlan::kUniform) ||
+        plan == static_cast<uint8_t>(LtPickPlan::kAlias)) {
       ++profile.lt_fast_nodes;
     }
   }
@@ -496,35 +429,9 @@ WeightClassProfile Graph::InWeightClassProfile() const {
 }
 
 WeightClassProfile Graph::OutWeightClassProfile() const {
-  WeightClassProfile profile;
-  profile.total_edges = num_edges();
-  for (NodeId u = 0; u < n_; ++u) {
-    switch (OutWeightClass(u)) {
-      case NodeWeightClass::kEmpty:
-        ++profile.empty_nodes;
-        break;
-      case NodeWeightClass::kUniform:
-        ++profile.uniform_nodes;
-        break;
-      case NodeWeightClass::kFewDistinct:
-        ++profile.few_distinct_nodes;
-        break;
-      case NodeWeightClass::kGeneral:
-        ++profile.general_nodes;
-        break;
-      case NodeWeightClass::kSegmentedRuns:
-        ++profile.segmented_nodes;
-        break;
-    }
-    for (const ProbSegment& seg : OutProbSegments(u)) {
-      if (seg.log1p_neg != 0.0 || seg.prob <= 0.0f || seg.prob >= 1.0f) {
-        profile.jumpable_edges += seg.length;
-      }
-    }
-    // lt_fast_nodes stays 0: the forward LT step draws one threshold per
-    // node, there is no out-direction edge pick to plan.
-  }
-  return profile;
+  // lt_fast_nodes stays 0: the forward LT step draws one threshold per
+  // node, there is no out-direction edge pick to plan.
+  return ProfileClasses(out_class_, out_segments_, num_edges());
 }
 
 }  // namespace atpm

@@ -135,6 +135,8 @@ enum class LtPickPlan : uint8_t {
 struct LtAliasSlot {
   double threshold = 0.0;
   uint32_t alias = 0;
+  /// Names the slot's tail padding so stores write it as zeros.
+  uint32_t reserved = 0;
 };
 
 /// Aggregate weight-class census of one CSR direction — what fraction of
@@ -418,6 +420,59 @@ class Graph {
  private:
   friend class GraphBuilder;
   friend class GraphStoreIO;
+
+  /// Length rule of one graph array, in elements.
+  struct Extent {
+    enum Kind : uint8_t { kNodes, kOffsets, kEdges, kRagged } kind;
+    /// kRagged only: the offsets array whose last entry is the length
+    /// (listed, and so bound by the store loader, before the array).
+    const ArrayBlock<uint64_t>* offsets = nullptr;
+
+    /// n, n + 1, m, or the offsets array's last entry.
+    uint64_t Length(NodeId n, uint64_t m) const {
+      switch (kind) {
+        case kNodes: return n;
+        case kOffsets: return uint64_t{n} + 1;
+        case kEdges: return m;
+        case kRagged: return (*offsets)[offsets->size() - 1];
+      }
+      return 0;
+    }
+  };
+
+  /// Every array that makes up a prepared graph, each named once with its
+  /// extent rule: fn(name, extent, block). The graph store writes, finds
+  /// and checks sections through this list, and a section's id is the
+  /// array's 1-based position in it — reordering it changes the format.
+  /// `Self` is Graph or const Graph.
+  template <typename Self, typename Fn>
+  static void ForEachArray(Self& g, Fn&& fn) {
+    using E = Extent;
+    fn("out_offsets", E{E::kOffsets}, g.out_offsets_);
+    fn("out_adj", E{E::kEdges}, g.out_adj_);
+    fn("out_prob", E{E::kEdges}, g.out_prob_);
+    fn("in_offsets", E{E::kOffsets}, g.in_offsets_);
+    fn("in_adj", E{E::kEdges}, g.in_adj_);
+    fn("in_prob", E{E::kEdges}, g.in_prob_);
+    fn("in_edge_index", E{E::kEdges}, g.in_edge_index_);
+    fn("in_class", E{E::kNodes}, g.in_class_);
+    fn("seg_offsets", E{E::kOffsets}, g.seg_offsets_);
+    fn("in_segments", E{E::kRagged, &g.seg_offsets_}, g.in_segments_);
+    fn("jump_offsets", E{E::kOffsets}, g.jump_offsets_);
+    fn("jump_in_arcs", E{E::kRagged, &g.jump_offsets_}, g.jump_in_arcs_);
+    fn("jump_in_slots", E{E::kRagged, &g.jump_offsets_}, g.jump_in_slots_);
+    fn("lt_plan", E{E::kNodes}, g.lt_plan_);
+    fn("lt_alias_offsets", E{E::kOffsets}, g.lt_alias_offsets_);
+    fn("lt_alias", E{E::kRagged, &g.lt_alias_offsets_}, g.lt_alias_);
+    fn("out_class", E{E::kNodes}, g.out_class_);
+    fn("out_seg_offsets", E{E::kOffsets}, g.out_seg_offsets_);
+    fn("out_segments", E{E::kRagged, &g.out_seg_offsets_}, g.out_segments_);
+    fn("out_jump_offsets", E{E::kOffsets}, g.out_jump_offsets_);
+    fn("jump_out_arcs", E{E::kRagged, &g.out_jump_offsets_},
+       g.jump_out_arcs_);
+    fn("jump_out_slots", E{E::kRagged, &g.out_jump_offsets_},
+       g.jump_out_slots_);
+  }
 
   NodeId n_ = 0;
   // Forward CSR.

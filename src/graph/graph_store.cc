@@ -58,34 +58,6 @@ constexpr char kMagic[8] = {'A', 'T', 'P', 'M', 'G', 'R', 'F', '1'};
 constexpr uint32_t kEndianSentinel = 0xA7B0C1D2u;
 constexpr uint64_t kAlignment = 64;
 
-// Section ids. The id is the authoritative key — readers look sections up
-// by id, so the on-disk order can change without a version bump (new ids
-// require one, since older readers would miss required sections).
-enum SectionId : uint32_t {
-  kOutOffsets = 1,
-  kOutAdj = 2,
-  kOutProb = 3,
-  kInOffsets = 4,
-  kInAdj = 5,
-  kInProb = 6,
-  kInEdgeIndex = 7,
-  kInClass = 8,
-  kSegOffsets = 9,
-  kInSegments = 10,
-  kJumpOffsets = 11,
-  kJumpInArcs = 12,
-  kJumpInSlots = 13,
-  kLtPlan = 14,
-  kLtAliasOffsets = 15,
-  kLtAlias = 16,
-  kOutClass = 17,
-  kOutSegOffsets = 18,
-  kOutSegments = 19,
-  kOutJumpOffsets = 20,
-  kJumpOutArcs = 21,
-  kJumpOutSlots = 22,
-};
-
 struct GraphStoreHeader {
   char magic[8];
   uint32_t version;
@@ -130,6 +102,8 @@ static_assert(offsetof(GraphStoreSection, element_count) == 24);
 static_assert(sizeof(ProbSegment) == 24 && alignof(ProbSegment) == 8);
 static_assert(sizeof(InArc) == 8 && sizeof(OutArc) == 8);
 static_assert(sizeof(LtAliasSlot) == 16 && alignof(LtAliasSlot) == 8);
+static_assert(offsetof(LtAliasSlot, alias) == 8 &&
+              offsetof(LtAliasSlot, reserved) == 12);
 static_assert(std::is_trivially_copyable_v<ProbSegment>);
 static_assert(std::is_trivially_copyable_v<InArc>);
 static_assert(std::is_trivially_copyable_v<OutArc>);
@@ -270,34 +244,6 @@ class StoreWriter {
   Hash64 hash_;
 };
 
-const char* ExpectedSectionName(uint32_t id) {
-  switch (id) {
-    case kOutOffsets: return "out_offsets";
-    case kOutAdj: return "out_adj";
-    case kOutProb: return "out_prob";
-    case kInOffsets: return "in_offsets";
-    case kInAdj: return "in_adj";
-    case kInProb: return "in_prob";
-    case kInEdgeIndex: return "in_edge_index";
-    case kInClass: return "in_class";
-    case kSegOffsets: return "seg_offsets";
-    case kInSegments: return "in_segments";
-    case kJumpOffsets: return "jump_offsets";
-    case kJumpInArcs: return "jump_in_arcs";
-    case kJumpInSlots: return "jump_in_slots";
-    case kLtPlan: return "lt_plan";
-    case kLtAliasOffsets: return "lt_alias_offsets";
-    case kLtAlias: return "lt_alias";
-    case kOutClass: return "out_class";
-    case kOutSegOffsets: return "out_seg_offsets";
-    case kOutSegments: return "out_segments";
-    case kOutJumpOffsets: return "out_jump_offsets";
-    case kJumpOutArcs: return "jump_out_arcs";
-    case kJumpOutSlots: return "jump_out_slots";
-  }
-  return "?";
-}
-
 }  // namespace
 
 // ---- Serializer / loader (friend of Graph) ---------------------------------
@@ -326,33 +272,58 @@ class GraphStoreIO {
                                           bool verify_payload);
 
  private:
-  struct SectionSpec {
-    uint32_t id;
-    uint32_t element_size;
-    const void* data;
-    uint64_t element_count;
-  };
+  // Name of the array stored as section `id`: its entry in Graph's array
+  // list, whose 1-based position is the id ("?" past its end).
+  static const char* SectionName(uint32_t id) {
+    const char* name = "?";
+    uint32_t position = 0;
+    const Graph empty;
+    Graph::ForEachArray(
+        empty, [&](const char* array, Graph::Extent, const auto&) {
+          if (++position == id) name = array;
+        });
+    return name;
+  }
 
+  // Points `block` at section `id`, whose element size and count must
+  // match the array's type and extent rule. A ragged length (the last
+  // entry of an offsets array) and an offsets array's leading 0 are
+  // payload words, so they are checked with the payload (`check_payload`,
+  // whose hash pass pages everything in anyway); a load that waives that
+  // takes them on trust like every other payload byte, the section count
+  // included, and touches no page it does not need.
   template <typename T>
   static Status BindSection(const StoreView& view, uint32_t id,
-                            uint64_t expected_count, ArrayBlock<T>* block) {
+                            const char* name, Graph::Extent extent, NodeId n,
+                            uint64_t m, bool check_payload,
+                            ArrayBlock<T>* block) {
     const GraphStoreSection* section = view.Find(id);
     if (section == nullptr) {
       return Status::InvalidArgument(
-          std::string("graph store: missing section ") +
-          ExpectedSectionName(id));
+          std::string("graph store: missing section ") + name);
     }
+    const uint64_t expected_count =
+        extent.kind == Graph::Extent::kRagged && !check_payload
+            ? section->element_count
+            : extent.Length(n, m);
     if (section->element_size != sizeof(T) ||
         section->element_count != expected_count) {
       return Status::InvalidArgument(
-          std::string("graph store: section ") + ExpectedSectionName(id) +
-          " has element_size " + std::to_string(section->element_size) +
-          " count " + std::to_string(section->element_count) + ", expected " +
+          std::string("graph store: section ") + name + " has element_size " +
+          std::to_string(section->element_size) + " count " +
+          std::to_string(section->element_count) + ", expected " +
           std::to_string(sizeof(T)) + " x " + std::to_string(expected_count));
     }
     block->SetView(
         reinterpret_cast<const T*>(view.file->base + section->offset),
         expected_count);
+    if constexpr (std::is_same_v<T, uint64_t>) {
+      if (check_payload && extent.kind == Graph::Extent::kOffsets &&
+          (*block)[0] != 0) {
+        return Status::InvalidArgument(std::string("graph store: section ") +
+                                       name + " does not start at 0");
+      }
+    }
     return Status::OK();
   }
 };
@@ -361,56 +332,26 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path) {
   const NodeId n = g.num_nodes();
   const uint64_t m = g.num_edges();
 
-  const std::vector<SectionSpec> specs = {
-      {kOutOffsets, sizeof(uint64_t), g.out_offsets_.data(), uint64_t{n} + 1},
-      {kOutAdj, sizeof(NodeId), g.out_adj_.data(), m},
-      {kOutProb, sizeof(float), g.out_prob_.data(), m},
-      {kInOffsets, sizeof(uint64_t), g.in_offsets_.data(), uint64_t{n} + 1},
-      {kInAdj, sizeof(NodeId), g.in_adj_.data(), m},
-      {kInProb, sizeof(float), g.in_prob_.data(), m},
-      {kInEdgeIndex, sizeof(uint64_t), g.in_edge_index_.data(), m},
-      {kInClass, sizeof(NodeWeightClass), g.in_class_.data(), uint64_t{n}},
-      {kSegOffsets, sizeof(uint64_t), g.seg_offsets_.data(), uint64_t{n} + 1},
-      {kInSegments, sizeof(ProbSegment), g.in_segments_.data(),
-       g.in_segments_.size()},
-      {kJumpOffsets, sizeof(uint64_t), g.jump_offsets_.data(),
-       uint64_t{n} + 1},
-      {kJumpInArcs, sizeof(InArc), g.jump_in_arcs_.data(),
-       g.jump_in_arcs_.size()},
-      {kJumpInSlots, sizeof(uint32_t), g.jump_in_slots_.data(),
-       g.jump_in_slots_.size()},
-      {kLtPlan, sizeof(uint8_t), g.lt_plan_.data(), uint64_t{n}},
-      {kLtAliasOffsets, sizeof(uint64_t), g.lt_alias_offsets_.data(),
-       uint64_t{n} + 1},
-      {kLtAlias, sizeof(LtAliasSlot), g.lt_alias_.data(), g.lt_alias_.size()},
-      {kOutClass, sizeof(NodeWeightClass), g.out_class_.data(), uint64_t{n}},
-      {kOutSegOffsets, sizeof(uint64_t), g.out_seg_offsets_.data(),
-       uint64_t{n} + 1},
-      {kOutSegments, sizeof(ProbSegment), g.out_segments_.data(),
-       g.out_segments_.size()},
-      {kOutJumpOffsets, sizeof(uint64_t), g.out_jump_offsets_.data(),
-       uint64_t{n} + 1},
-      {kJumpOutArcs, sizeof(OutArc), g.jump_out_arcs_.data(),
-       g.jump_out_arcs_.size()},
-      {kJumpOutSlots, sizeof(uint32_t), g.jump_out_slots_.data(),
-       g.jump_out_slots_.size()},
-  };
-
-  // Layout: preamble, then one aligned section per array. Offsets are
-  // computed up front so the section table can be written after the
-  // payload without a second pass over the data.
-  const uint32_t section_count = static_cast<uint32_t>(specs.size());
+  // Layout: preamble, then one aligned section per entry of Graph's array
+  // list. Offsets are computed up front so the section table can be
+  // written after the payload without a second pass over the data.
+  std::vector<GraphStoreSection> table;
+  std::vector<const void*> payloads;
+  Graph::ForEachArray(
+      g, [&](const char*, Graph::Extent, const auto& block) {
+        const uint32_t element_size = sizeof(block[0]);
+        table.push_back({static_cast<uint32_t>(table.size()) + 1,
+                         element_size, 0, block.size() * element_size,
+                         block.size()});
+        payloads.push_back(block.data());
+      });
+  const uint32_t section_count = static_cast<uint32_t>(table.size());
   const uint64_t preamble_bytes =
       sizeof(GraphStoreHeader) + section_count * sizeof(GraphStoreSection);
   uint64_t offset = AlignUp(preamble_bytes);
-
-  std::vector<GraphStoreSection> table;
-  table.reserve(section_count);
-  for (const SectionSpec& spec : specs) {
-    const uint64_t bytes = spec.element_count * spec.element_size;
-    table.push_back({spec.id, spec.element_size, offset, bytes,
-                     spec.element_count});
-    offset = AlignUp(offset + bytes);
+  for (GraphStoreSection& section : table) {
+    section.offset = offset;
+    offset = AlignUp(offset + section.bytes);
   }
   const uint64_t file_bytes = offset;
 
@@ -432,8 +373,8 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path) {
   // a zero gap and is outside the payload hash (the reader hashes from
   // AlignUp(preamble) too).
   writer.SkipPreamble(AlignUp(preamble_bytes));
-  for (const SectionSpec& spec : specs) {
-    writer.Write(spec.data, spec.element_count * spec.element_size);
+  for (uint32_t i = 0; i < section_count; ++i) {
+    writer.Write(payloads[i], table[i].bytes);
     writer.PadToAlignment();
   }
 
@@ -596,7 +537,7 @@ Result<GraphStoreIO::StoreView> GraphStoreIO::MapAndValidate(
         s.element_count != s.bytes / s.element_size ||
         s.bytes % s.element_size != 0) {
       return Status::InvalidArgument(
-          "graph store '" + path + "' section " + ExpectedSectionName(s.id) +
+          "graph store '" + path + "' section " + SectionName(s.id) +
           " has inconsistent bounds");
     }
   }
@@ -637,53 +578,16 @@ Result<Graph> GraphStoreIO::Load(const std::string& path,
 
   Graph g;
   g.n_ = n;
-  ATPM_RETURN_NOT_OK(BindSection(view, kOutOffsets, n64 + 1, &g.out_offsets_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kOutAdj, m, &g.out_adj_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kOutProb, m, &g.out_prob_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kInOffsets, n64 + 1, &g.in_offsets_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kInAdj, m, &g.in_adj_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kInProb, m, &g.in_prob_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kInEdgeIndex, m, &g.in_edge_index_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kInClass, n64, &g.in_class_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kSegOffsets, n64 + 1, &g.seg_offsets_));
-  const GraphStoreSection* in_segments = view.Find(kInSegments);
-  ATPM_RETURN_NOT_OK(BindSection(
-      view, kInSegments, in_segments ? in_segments->element_count : 0,
-      &g.in_segments_));
-  ATPM_RETURN_NOT_OK(
-      BindSection(view, kJumpOffsets, n64 + 1, &g.jump_offsets_));
-  const GraphStoreSection* jump_arcs = view.Find(kJumpInArcs);
-  ATPM_RETURN_NOT_OK(BindSection(view, kJumpInArcs,
-                                 jump_arcs ? jump_arcs->element_count : 0,
-                                 &g.jump_in_arcs_));
-  const GraphStoreSection* jump_slots = view.Find(kJumpInSlots);
-  ATPM_RETURN_NOT_OK(BindSection(view, kJumpInSlots,
-                                 jump_slots ? jump_slots->element_count : 0,
-                                 &g.jump_in_slots_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kLtPlan, n64, &g.lt_plan_));
-  ATPM_RETURN_NOT_OK(
-      BindSection(view, kLtAliasOffsets, n64 + 1, &g.lt_alias_offsets_));
-  const GraphStoreSection* lt_alias = view.Find(kLtAlias);
-  ATPM_RETURN_NOT_OK(BindSection(view, kLtAlias,
-                                 lt_alias ? lt_alias->element_count : 0,
-                                 &g.lt_alias_));
-  ATPM_RETURN_NOT_OK(BindSection(view, kOutClass, n64, &g.out_class_));
-  ATPM_RETURN_NOT_OK(
-      BindSection(view, kOutSegOffsets, n64 + 1, &g.out_seg_offsets_));
-  const GraphStoreSection* out_segments = view.Find(kOutSegments);
-  ATPM_RETURN_NOT_OK(BindSection(
-      view, kOutSegments, out_segments ? out_segments->element_count : 0,
-      &g.out_segments_));
-  ATPM_RETURN_NOT_OK(
-      BindSection(view, kOutJumpOffsets, n64 + 1, &g.out_jump_offsets_));
-  const GraphStoreSection* out_arcs = view.Find(kJumpOutArcs);
-  ATPM_RETURN_NOT_OK(BindSection(view, kJumpOutArcs,
-                                 out_arcs ? out_arcs->element_count : 0,
-                                 &g.jump_out_arcs_));
-  const GraphStoreSection* out_slots = view.Find(kJumpOutSlots);
-  ATPM_RETURN_NOT_OK(BindSection(view, kJumpOutSlots,
-                                 out_slots ? out_slots->element_count : 0,
-                                 &g.jump_out_slots_));
+  Status bound;
+  uint32_t id = 0;
+  Graph::ForEachArray(
+      g, [&](const char* name, Graph::Extent extent, auto& block) {
+        ++id;
+        if (!bound.ok()) return;
+        bound = BindSection(view, id, name, extent, n, m,
+                            options.verify_payload, &block);
+      });
+  ATPM_RETURN_NOT_OK(bound);
 
   // Cheap structural invariants (full content integrity is the payload
   // hash's job): CSR extents must match the header's edge count.

@@ -25,23 +25,32 @@ namespace atpm {
 ///   [GraphStoreSection x N]      section table: id, elem size, offset, len
 ///   [section payloads...]        one aligned blob per array
 ///
+/// The arrays are Graph's array list (Graph::ForEachArray): a section's id
+/// is the array's 1-based position there, and its element count must match
+/// the array's extent rule (n, n + 1, m, or the last entry of the offsets
+/// array of a ragged one; every offsets array starts at 0 — these two
+/// payload-word rules are checked with the payload).
+///
 /// Integrity: header, section table, and payload carry independent 64-bit
 /// FNV-1a checksums. The header + table checks always run (microseconds);
 /// the payload check is on by default and can be skipped
 /// (GraphStoreLoadOptions::verify_payload = false) for out-of-core loads
 /// where faulting every page to hash it defeats the point.
 ///
-/// Compatibility: the version is bumped on any layout change; loaders
-/// reject unknown versions and foreign endianness outright (no migration
-/// shims — repack from the edge list with atpm_graph_pack).
+/// Compatibility: the version is bumped on any layout change, including a
+/// reordered array list; loaders reject unknown versions and foreign
+/// endianness outright (no migration shims — repack from the edge list
+/// with atpm_graph_pack).
 
 /// Current store format version. Readers reject any other value.
 inline constexpr uint32_t kGraphStoreVersion = 2;
 
 /// Options for LoadGraphStore.
 struct GraphStoreLoadOptions {
-  /// Verify the payload checksum (touches every page). Header and section
-  /// table are always verified.
+  /// Verify the payload checksum (touches every page) and the payload words
+  /// the extent rules read: ragged lengths and offsets origins. Header and
+  /// section table are always verified; without this the payload, those
+  /// words included, is trusted as written.
   bool verify_payload = true;
 };
 

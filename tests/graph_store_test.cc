@@ -1,14 +1,19 @@
 // Tests for the memory-mapped binary graph store: pack -> mmap round-trip
 // equality (CSR, probabilities, edge indices, weight-class census), header /
-// version / checksum rejection on truncated and bit-flipped files,
-// copy-on-write reweighting of mapped graphs, and bit-identical RR pools + HATP decision sequences
-// for mmap-loaded vs builder-built graphs at fixed seeds.
+// version / checksum rejection on truncated and bit-flipped files, pinned
+// file bytes, rejection of hostile stores whose checksums were recomputed
+// after the edit, copy-on-write reweighting of mapped graphs, and
+// bit-identical RR pools + HATP decision sequences for mmap-loaded vs
+// builder-built graphs at fixed seeds.
 #include "graph/graph_store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -139,7 +144,92 @@ class GraphStoreTest : public ::testing::Test {
   std::string path_;
 };
 
-// ---- Round-trip equality.
+// ---- Raw store images. The offsets below are the frozen version-2 layout:
+// an 88-byte header (section_count at 40, payload/table/header hashes at
+// 64/72/80), then one 32-byte table entry per section (id, element_size,
+// offset, bytes, element_count), payload from the next 64-byte boundary.
+
+constexpr size_t kHeaderBytes = 88;
+constexpr size_t kEntryBytes = 32;
+
+std::vector<unsigned char> ReadImage(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteImage(const std::string& path,
+                const std::vector<unsigned char>& image) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(image.data()),
+             static_cast<std::streamsize>(image.size()));
+}
+
+template <typename T>
+T ReadAt(const std::vector<unsigned char>& image, size_t offset) {
+  T value;
+  std::memcpy(&value, image.data() + offset, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void WriteAt(std::vector<unsigned char>* image, size_t offset, T value) {
+  std::memcpy(image->data() + offset, &value, sizeof(T));
+}
+
+// Byte-wise FNV-1a-64 (PoolHash's seed) — pins the exact bytes a store file
+// holds.
+uint64_t Fnv1a64(const std::vector<unsigned char>& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char b : bytes) h = (h ^ b) * 1099511628211ull;
+  return h;
+}
+
+// The store's own checksum: FNV-1a-style mixing over little-endian 8-byte
+// words, a zero-padded tail word, then the byte length.
+uint64_t StoreChecksum(const unsigned char* data, size_t n) {
+  auto mix = [](uint64_t state, uint64_t word) {
+    state = (state ^ word) * 1099511628211ull;
+    return state ^ (state >> 29);
+  };
+  uint64_t state = 1469598103934665603ull;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, 8);
+    state = mix(state, word);
+  }
+  if (i < n) {
+    uint64_t word = 0;
+    std::memcpy(&word, data + i, n - i);
+    state = mix(state, word);
+  }
+  return mix(state, n);
+}
+
+// Recomputes the payload, section-table and header checksums of an edited
+// image, so the edit reaches the loader's structural checks instead of
+// tripping a hash.
+void RehashStore(std::vector<unsigned char>* image) {
+  const size_t table_bytes = ReadAt<uint32_t>(*image, 40) * kEntryBytes;
+  const size_t payload_start = (kHeaderBytes + table_bytes + 63) & ~size_t{63};
+  WriteAt(image, 64,
+          StoreChecksum(image->data() + payload_start,
+                        image->size() - payload_start));
+  WriteAt(image, 72, StoreChecksum(image->data() + kHeaderBytes, table_bytes));
+  WriteAt(image, 80, uint64_t{0});
+  WriteAt(image, 80, StoreChecksum(image->data(), kHeaderBytes));
+}
+
+// Byte offset of section `id`'s table entry.
+size_t EntryOffset(const std::vector<unsigned char>& image, uint32_t id) {
+  const uint32_t count = ReadAt<uint32_t>(image, 40);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t entry = kHeaderBytes + i * kEntryBytes;
+    if (ReadAt<uint32_t>(image, entry) == id) return entry;
+  }
+  ADD_FAILURE() << "no section " << id;
+  return kHeaderBytes;
+}
 
 TEST_F(GraphStoreTest, RoundTripIsExact) {
   const Graph g = WcGraph();
@@ -326,6 +416,115 @@ TEST_F(GraphStoreTest, RejectsBitFlippedPayload) {
   GraphStoreLoadOptions trusting;
   trusting.verify_payload = false;
   EXPECT_TRUE(LoadGraphStore(path_, trusting).ok());
+}
+
+// ---- Exact stored bytes.
+
+TEST_F(GraphStoreTest, StoredBytesArePinned) {
+  // The format is frozen at version 2: the same graph packs to the same
+  // bytes, build after build.
+  ASSERT_TRUE(SaveGraphStore(WcGraph(), path_).ok());
+  std::vector<unsigned char> image = ReadImage(path_);
+  EXPECT_EQ(image.size(), 68032u);
+  EXPECT_EQ(Fnv1a64(image), 1730762520320705312ull);
+
+  ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
+  image = ReadImage(path_);
+  EXPECT_EQ(image.size(), 144512u);
+  EXPECT_EQ(Fnv1a64(image), 2190746628758537889ull);
+}
+
+TEST_F(GraphStoreTest, AliasSlotPaddingIsStoredAsZero) {
+  // LtAliasSlot has 12 bytes of payload in a 16-byte slot; the last four
+  // must reach the file as zeros, not as whatever the stack held.
+  ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
+  const std::vector<unsigned char> image = ReadImage(path_);
+  const size_t entry = EntryOffset(image, /*lt_alias=*/16);
+  ASSERT_EQ(ReadAt<uint32_t>(image, entry + 4), 16u);
+  const uint64_t offset = ReadAt<uint64_t>(image, entry + 8);
+  const uint64_t slots = ReadAt<uint64_t>(image, entry + 24);
+  ASSERT_GT(slots, 0u);
+  uint64_t dirty = 0;
+  for (uint64_t i = 0; i < slots; ++i) {
+    dirty += ReadAt<uint32_t>(image, offset + i * 16 + 12) != 0;
+  }
+  EXPECT_EQ(dirty, 0u) << "of " << slots << " slots";
+}
+
+// ---- Hostile stores: edits that keep every checksum valid (RehashStore)
+// but break the array list's extent rules.
+
+TEST_F(GraphStoreTest, RehashStoreReproducesWriterChecksums) {
+  ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
+  const std::vector<unsigned char> image = ReadImage(path_);
+  std::vector<unsigned char> rehashed = image;
+  RehashStore(&rehashed);
+  EXPECT_TRUE(rehashed == image);
+}
+
+struct RaggedSection {
+  uint32_t id;
+  const char* name;
+};
+
+void PrintTo(const RaggedSection& section, std::ostream* os) {
+  *os << section.name;
+}
+
+class RaggedSectionTest : public GraphStoreTest,
+                          public ::testing::WithParamInterface<RaggedSection> {
+};
+
+TEST_P(RaggedSectionTest, RejectsCountThatContradictsOffsets) {
+  // Declare the section empty and park it at the end of the file: its
+  // bounds are fine, but its offsets array still spans every element.
+  ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
+  std::vector<unsigned char> image = ReadImage(path_);
+  const size_t entry = EntryOffset(image, GetParam().id);
+  ASSERT_GT(ReadAt<uint64_t>(image, entry + 24), 0u);
+  WriteAt(&image, entry + 8, uint64_t{image.size()});
+  WriteAt(&image, entry + 16, uint64_t{0});
+  WriteAt(&image, entry + 24, uint64_t{0});
+  RehashStore(&image);
+  WriteImage(path_, image);
+
+  Result<Graph> loaded = LoadGraphStore(path_);
+  ASSERT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find(GetParam().name),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRaggedArray, RaggedSectionTest,
+    ::testing::Values(RaggedSection{10, "in_segments"},
+                      RaggedSection{12, "jump_in_arcs"},
+                      RaggedSection{13, "jump_in_slots"},
+                      RaggedSection{16, "lt_alias"},
+                      RaggedSection{19, "out_segments"},
+                      RaggedSection{21, "jump_out_arcs"},
+                      RaggedSection{22, "jump_out_slots"}),
+    [](const ::testing::TestParamInfo<RaggedSection>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_F(GraphStoreTest, RejectsOffsetsArrayNotStartingAtZero) {
+  // Shift seg_offsets[0] by one; a reader trusting it would address every
+  // node-0 segment one slot off.
+  ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
+  std::vector<unsigned char> image = ReadImage(path_);
+  const uint64_t offset =
+      ReadAt<uint64_t>(image, EntryOffset(image, /*seg_offsets=*/9) + 8);
+  WriteAt(&image, offset, uint64_t{1});
+  RehashStore(&image);
+  WriteImage(path_, image);
+
+  Result<Graph> loaded = LoadGraphStore(path_);
+  ASSERT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find("seg_offsets"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 // ---- Copy-on-write: mutating a mapped graph must detach, not crash (the
