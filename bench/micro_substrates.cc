@@ -415,34 +415,10 @@ BENCHMARK(BM_KernelCountCovering)
     ->ArgNames({"weighting", "jump"})
     ->ArgsProduct({{0, 1}, {0, 1}});
 
-// ---- Forward-kernel series: the same draws-per-edge accounting as the
-// reverse RR benches, but over the out-CSR paths (IC cascade simulation
-// and whole-world realization sampling). World sampling picks the cheaper
-// traversal direction per graph, so this is where the out-edge weight
-// index pays off on weightings whose out-vectors are less regular than
-// their in-vectors (weighted cascade).
-
-void BM_KernelForwardSimulateIC(benchmark::State& state) {
-  const Graph g =
-      KernelBenchGraph(1 << 14, static_cast<int>(state.range(0)), 8);
-  const SamplingKernel kernel = state.range(1) == 0
-                                    ? SamplingKernel::kPerEdge
-                                    : SamplingKernel::kGeometricJump;
-  Rng rng(31);
-  std::vector<NodeId> seeds = {0, 1, 2, 3, 4, 5, 6, 7};
-  SamplingStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SimulateIC(g, seeds, &rng, nullptr, nullptr, kernel, &stats));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["draws_per_edge"] = stats.DrawsPerEdge();
-  state.counters["out_jumpable_edge_fraction"] =
-      g.OutWeightClassProfile().JumpableEdgeFraction();
-}
-BENCHMARK(BM_KernelForwardSimulateIC)
-    ->ArgNames({"weighting", "jump"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
+// ---- Whole-world realization sampling: the same draws-per-edge
+// accounting as the reverse RR benches. The jump kernel sweeps the
+// in-edge weight-class index; the per-edge kernel flips every forward
+// edge.
 
 void BM_KernelWorldSample(benchmark::State& state) {
   const Graph g =

@@ -207,8 +207,8 @@ class AdaptivePolicy {
   /// Injects an external SamplingEngine (not owned; nullptr restores the
   /// policy's own). Default no-op: oracle-model and baseline policies don't
   /// sample. RIS-backed policies (ADDATP, HATP) route all sampling through
-  /// it — the hook ExperimentRunner uses to share round pools across
-  /// worlds.
+  /// it — the engine-injection hook that lets a caller pick the backend or
+  /// wrap it (a timing or fault-injecting decorator, a shared engine).
   virtual void set_engine(SamplingEngine* /*engine*/) {}
 };
 

@@ -1,13 +1,10 @@
 #include "diffusion/ic_model.h"
 
-#include "graph/geometric_scan.h"
-
 namespace atpm {
 
 uint32_t SimulateIC(const Graph& graph, std::span<const NodeId> seeds,
                     Rng* rng, const BitVector* removed,
-                    std::vector<NodeId>* activated_out, SamplingKernel kernel,
-                    SamplingStats* stats) {
+                    std::vector<NodeId>* activated_out, SamplingStats* stats) {
   thread_local std::vector<NodeId> frontier;
   thread_local EpochVisitedSet visited;
   if (visited.size() != graph.num_nodes()) {
@@ -28,64 +25,22 @@ uint32_t SimulateIC(const Graph& graph, std::span<const NodeId> seeds,
 
   uint64_t draws = 0;
   uint64_t edges = 0;
-  const bool jump = kernel == SamplingKernel::kGeometricJump;
-  const auto admit = [&](NodeId v) {
-    visited.Mark(v);
-    frontier.push_back(v);
-    if (activated_out != nullptr) activated_out->push_back(v);
-    ++count;
-  };
-  // Jump visits draw successes over the full out-vector and discard
-  // ineligible (visited / removed) targets afterwards; the per-edge loop
-  // skips them before drawing. Both are correct for independent coins —
-  // dropping a coin never changes the distribution of the others — but the
-  // streams differ, which is why kPerEdge keeps the historical
-  // skip-then-draw order bit for bit.
-  const auto admit_if_eligible = [&](NodeId v) {
-    if (!visited.IsMarked(v) && (removed == nullptr || !removed->Test(v))) {
-      admit(v);
-    }
-    return true;
-  };
-
   // BFS order; each edge out of an activated node fires independently.
   for (size_t head = 0; head < frontier.size(); ++head) {
     const NodeId u = frontier[head];
     const auto neigh = graph.OutNeighbors(u);
+    const auto probs = graph.OutProbs(u);
     edges += neigh.size();
-    const NodeWeightClass cls =
-        jump ? graph.OutWeightClass(u) : NodeWeightClass::kGeneral;
-    switch (cls) {
-      case NodeWeightClass::kEmpty:
-        break;
-      case NodeWeightClass::kUniform:
-      case NodeWeightClass::kSegmentedRuns:
-        // Segment order is the original CSR order for both classes.
-        GeometricSegmentScan(graph.OutProbSegments(u), rng, &draws,
-                             [&](uint32_t j) {
-                               return admit_if_eligible(neigh[j]);
-                             });
-        break;
-      case NodeWeightClass::kFewDistinct: {
-        const auto arcs = graph.JumpOutArcs(u);
-        GeometricSegmentScan(graph.OutProbSegments(u), rng, &draws,
-                             [&](uint32_t j) {
-                               return admit_if_eligible(arcs[j].dst);
-                             });
-        break;
-      }
-      case NodeWeightClass::kGeneral: {
-        const auto probs = graph.OutProbs(u);
-        for (uint32_t j = 0; j < neigh.size(); ++j) {
-          const NodeId v = neigh[j];
-          if (visited.IsMarked(v)) continue;
-          if (removed != nullptr && removed->Test(v)) continue;
-          ++draws;
-          if (!rng->Bernoulli(probs[j])) continue;
-          admit(v);
-        }
-        break;
-      }
+    for (uint32_t j = 0; j < neigh.size(); ++j) {
+      const NodeId v = neigh[j];
+      if (visited.IsMarked(v)) continue;
+      if (removed != nullptr && removed->Test(v)) continue;
+      ++draws;
+      if (!rng->Bernoulli(probs[j])) continue;
+      visited.Mark(v);
+      frontier.push_back(v);
+      if (activated_out != nullptr) activated_out->push_back(v);
+      ++count;
     }
   }
   if (stats != nullptr) {

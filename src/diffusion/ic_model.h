@@ -19,19 +19,15 @@ namespace atpm {
 /// activated nor propagate — this is how residual graphs G_i of the adaptive
 /// process are simulated without copying the graph.
 ///
-/// `kernel` selects the edge-flip strategy, mirroring the reverse RR-set
-/// generator: the default geometric-jump kernel samples each expanded
-/// node's out-edge vector through the graph's out-direction weight-class
-/// index (one draw per successful edge on uniform / few-distinct /
-/// segmented-run vectors), which is statistically equivalent to — but a
-/// different RNG stream than — the historical one-Bernoulli-per-edge loop.
-/// Pass SamplingKernel::kPerEdge to reproduce pre-kernel spreads bit for
-/// bit for a fixed seed.
+/// Each edge out of a newly activated node draws one Bernoulli coin, in
+/// CSR order, skipping visited and removed targets before drawing — the
+/// historical per-edge stream, bit-identical to the releases before the
+/// geometric-jump kernel for a fixed seed.
 ///
 /// If `stats` is non-null, rng_draws and edges_examined accrue into it
-/// (each expanded node charges its full out-degree under both kernels, the
-/// same convention as the reverse generator), so DrawsPerEdge() is
-/// comparable across directions.
+/// (each expanded node charges its full out-degree, the same convention as
+/// the reverse generator), so DrawsPerEdge() is comparable across
+/// directions.
 ///
 /// Returns the number of activated nodes (the spread I_G(S)); if
 /// `activated_out` is non-null, the activated nodes (including seeds) are
@@ -40,7 +36,6 @@ namespace atpm {
 uint32_t SimulateIC(const Graph& graph, std::span<const NodeId> seeds,
                     Rng* rng, const BitVector* removed = nullptr,
                     std::vector<NodeId>* activated_out = nullptr,
-                    SamplingKernel kernel = SamplingKernel::kGeometricJump,
                     SamplingStats* stats = nullptr);
 
 /// Deterministic per-trial edge coin: edge `edge_index` is live in the trial
@@ -74,9 +69,7 @@ uint32_t SpreadInHashedWorldLt(const Graph& graph,
 /// its activated in-neighbors reaches it. Equivalent to the live-edge
 /// process where each node keeps at most one incoming edge (Kempe et al.).
 /// Requires Σ_u p(u, v) <= 1 for every v (weighted cascade satisfies this
-/// with equality). Interface mirrors SimulateIC, except there is no kernel
-/// knob: the forward LT step draws one threshold per touched node, never
-/// per-edge coins, so there is nothing for a jump kernel to skip.
+/// with equality). Interface mirrors SimulateIC.
 uint32_t SimulateLT(const Graph& graph, std::span<const NodeId> seeds,
                     Rng* rng, const BitVector* removed = nullptr,
                     std::vector<NodeId>* activated_out = nullptr,

@@ -17,11 +17,8 @@ void SampleIcJumpReverse(const Graph& graph, Rng* rng, BitVector* live,
     switch (graph.InWeightClass(v)) {
       case NodeWeightClass::kEmpty:
         break;
-      case NodeWeightClass::kUniform:
-      case NodeWeightClass::kSegmentedRuns: {
-        // Segment order is the original CSR order for both classes (the
-        // in-direction index never emits kSegmentedRuns today, but the
-        // handling is identical if it ever does).
+      case NodeWeightClass::kUniform: {
+        // One segment over the original CSR order.
         GeometricSegmentScan(graph.InProbSegments(v), rng, draws,
                              [&](uint32_t j) {
                                live->Set(graph.InEdgeIndex(v, j));
@@ -43,45 +40,6 @@ void SampleIcJumpReverse(const Graph& graph, Rng* rng, BitVector* live,
         for (uint32_t j = 0; j < probs.size(); ++j) {
           ++*draws;
           if (rng->Bernoulli(probs[j])) live->Set(graph.InEdgeIndex(v, j));
-        }
-        break;
-      }
-    }
-  }
-}
-
-// Jump-kernel IC world, forward sweep: the out-direction twin of the
-// above, over the forward weight-class index. Live bits are addressed by
-// OutEdgeIndex directly (the forward CSR owns the global edge numbering).
-void SampleIcJumpForward(const Graph& graph, Rng* rng, BitVector* live,
-                         uint64_t* draws) {
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    switch (graph.OutWeightClass(u)) {
-      case NodeWeightClass::kEmpty:
-        break;
-      case NodeWeightClass::kUniform:
-      case NodeWeightClass::kSegmentedRuns: {
-        GeometricSegmentScan(graph.OutProbSegments(u), rng, draws,
-                             [&](uint32_t j) {
-                               live->Set(graph.OutEdgeIndex(u, j));
-                               return true;
-                             });
-        break;
-      }
-      case NodeWeightClass::kFewDistinct: {
-        const auto slots = graph.JumpOutSlots(u);
-        GeometricSegmentScan(
-            graph.OutProbSegments(u), rng, draws, [&](uint32_t j) {
-              live->Set(graph.OutEdgeIndex(u, slots[j]));
-              return true;
-            });
-        break;
-      }
-      case NodeWeightClass::kGeneral: {
-        const auto probs = graph.OutProbs(u);
-        for (uint32_t j = 0; j < probs.size(); ++j) {
-          ++*draws;
-          if (rng->Bernoulli(probs[j])) live->Set(graph.OutEdgeIndex(u, j));
         }
         break;
       }
@@ -149,15 +107,7 @@ Realization Realization::Sample(const Graph& graph, Rng* rng,
   uint64_t draws = 0;
   if (model == DiffusionModel::kIndependentCascade) {
     if (jump) {
-      // Both sweeps flip every edge exactly once; take the direction whose
-      // index accelerates more edge mass (weighted cascade: the uniform
-      // in-vectors; trivalency / constant-p: either; hub-out-degree
-      // graphs: the forward segmented runs).
-      if (graph.OutJumpableEdges() >= graph.InJumpableEdges()) {
-        SampleIcJumpForward(graph, rng, &live, &draws);
-      } else {
-        SampleIcJumpReverse(graph, rng, &live, &draws);
-      }
+      SampleIcJumpReverse(graph, rng, &live, &draws);
     } else {
       for (NodeId u = 0; u < graph.num_nodes(); ++u) {
         const auto probs = graph.OutProbs(u);

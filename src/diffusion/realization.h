@@ -30,12 +30,10 @@ class Realization {
   /// `kernel` selects the flip strategy. The default geometric-jump kernel
   /// flips edges through the graph's weight-class index, paying roughly one
   /// draw per *live* edge instead of one per edge (and O(1) LT picks). For
-  /// IC it scans whichever CSR direction indexes more jumpable edge mass —
-  /// every edge appears in exactly one node's list of either sweep, so the
-  /// direction is a pure implementation choice: the forward index wins on
-  /// trivalency / constant-p (and any graph with hub out-degrees), while
-  /// weighted cascade's in-vectors are uniform and keep the reverse sweep.
-  /// The same world distribution as kPerEdge, from a different RNG stream.
+  /// IC it sweeps every node's in-edge vector — each edge appears in
+  /// exactly one in-list, so this flips the same independent coins as the
+  /// forward per-edge sweep. The same world distribution as kPerEdge, from
+  /// a different RNG stream.
   ///
   /// kPerEdge is the bit-stable historical sweep — worlds are the
   /// experimental ground truth fixed-seed runs are compared on, so recorded

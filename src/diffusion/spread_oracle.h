@@ -61,13 +61,6 @@ class SpreadOracle {
   WeightClassProfile InWeightClassProfile() const {
     return graph().InWeightClassProfile();
   }
-
-  /// Forward-direction census: the classes behind the forward-jump kernel
-  /// (SimulateIC sweeps, Realization::Sample's direction choice). Monte
-  /// Carlo oracles ride these instead of the reverse index.
-  WeightClassProfile OutWeightClassProfile() const {
-    return graph().OutWeightClassProfile();
-  }
 };
 
 /// Exact expected spread by enumerating every live-edge pattern of the

@@ -67,6 +67,12 @@ struct LineParser {
       return Status::InvalidArgument("negative node id at " + path + ":" +
                                      std::to_string(line_no));
     }
+    constexpr long long kMaxNodeId = kMaxNodeCount - 1;
+    if (src > kMaxNodeId || dst > kMaxNodeId) {
+      return Status::InvalidArgument(
+          "node id above " + std::to_string(kMaxNodeId) + " at " + path +
+          ":" + std::to_string(line_no));
+    }
     double prob = options.default_prob;
     p = SkipBlanks(p, end);
     if (p < end) {

@@ -22,10 +22,10 @@ struct EdgeListLoadOptions {
 ///   # comment lines start with '#'
 ///   <src> <dst> [prob]
 ///
-/// Node ids must be non-negative integers; ids are used verbatim (the graph
-/// has max_id + 1 nodes). Fails with IOError if the file cannot be opened
-/// and InvalidArgument on malformed lines or out-of-range or NaN
-/// probabilities.
+/// Node ids must be integers in [0, 2^32 - 3] (kMaxNodeCount - 1); ids are
+/// used verbatim (the graph has max_id + 1 nodes). Fails with IOError if the
+/// file cannot be opened and InvalidArgument on malformed lines, out-of-range
+/// node ids, or out-of-range or NaN probabilities.
 Result<Graph> LoadEdgeList(const std::string& path,
                            const EdgeListLoadOptions& options = {});
 

@@ -119,55 +119,6 @@ void FillRunAnyProb(std::vector<ProbSegment>* segments, size_t begin) {
   }
 }
 
-// Decides whether an irregular (all-distinct or overflowed) probability
-// vector is still worth segmenting as one length-1 segment per edge in the
-// original CSR order, so the cross-segment geometric walk can share draws
-// across runs of consecutive low-probability edges. The walk costs about
-// one draw per success plus one terminal draw per maximal jump run (gated
-// and degenerate edges cost what they cost per-edge); require a clear 2x
-// draw advantage over the per-edge loop before paying the extra segment
-// storage and dispatch.
-bool SegmentedRunsProfitable(std::span<const float> probs) {
-  const uint32_t deg = static_cast<uint32_t>(probs.size());
-  if (deg < 3) return false;
-  double per_edge_draws = 0.0;
-  double segmented_draws = 0.0;
-  bool in_run = false;
-  for (float pf : probs) {
-    const double p = static_cast<double>(pf);
-    if (p <= 0.0 || p >= 1.0) {
-      in_run = false;  // degenerate: drawless under both kernels
-      continue;
-    }
-    per_edge_draws += 1.0;
-    if (JumpFactor(1, pf) != 0.0) {
-      if (!in_run) {
-        segmented_draws += 1.0;  // the run's terminal no-more-success draw
-        in_run = true;
-      }
-      segmented_draws += p;  // one draw per success
-    } else {
-      segmented_draws += 1.0;  // gate-rejected: linear Bernoulli either way
-      in_run = false;
-    }
-  }
-  return segmented_draws * 2.0 <= per_edge_draws;
-}
-
-// Edges sampled without per-edge draws: jump-enabled segments plus the
-// drawless degenerate ones — the WeightClassProfile jumpable criterion.
-// Gate-rejected segments run the linear Bernoulli scan and are NOT
-// jumpable, even on uniform / few-distinct nodes.
-uint64_t CountJumpableEdges(std::span<const ProbSegment> segments) {
-  uint64_t jumpable = 0;
-  for (const ProbSegment& seg : segments) {
-    if (seg.log1p_neg != 0.0 || seg.prob <= 0.0f || seg.prob >= 1.0f) {
-      jumpable += seg.length;
-    }
-  }
-  return jumpable;
-}
-
 ProbSegment MakeSegment(uint32_t length, float prob) {
   return ProbSegment{length, prob, JumpFactor(length, prob), 0.0};
 }
@@ -199,74 +150,9 @@ struct ProbCensus {
   }
 };
 
-// Appends a kFewDistinct node's jump view: one segment per distinct
-// probability, descending (order is statistically irrelevant for
-// independent trials; descending keeps the near-certain edges in the first
-// cache lines), with the arcs and their original CSR slots grouped to
-// match. `Arc` is InArc or OutArc.
-template <typename Arc>
-void AppendGroupedRuns(const ProbCensus& census, std::span<const NodeId> neigh,
-                       std::span<const float> probs,
-                       std::vector<ProbSegment>* segments,
-                       std::vector<Arc>* arcs, std::vector<uint32_t>* slots) {
-  // Insertion sort of the value indices, descending. The values are
-  // distinct, so the order is unique and stream-identical to std::sort,
-  // which is avoided because libstdc++'s reads up to its 16-element
-  // insertion-sort threshold, and GCC's -Warray-bounds rejects that
-  // against this 8-slot stack array at -O2.
-  uint32_t order[kMaxDistinctInProbs] = {};
-  for (uint32_t i = 0; i < census.num_distinct; ++i) {
-    uint32_t j = i;
-    for (; j > 0 && census.values[order[j - 1]] < census.values[i]; --j) {
-      order[j] = order[j - 1];
-    }
-    order[j] = i;
-  }
-  for (uint32_t oi = 0; oi < census.num_distinct; ++oi) {
-    const uint32_t d = order[oi];
-    const float p = census.values[d];
-    segments->push_back(MakeSegment(census.counts[d], p));
-    for (uint32_t j = 0; j < probs.size(); ++j) {
-      if (probs[j] == p) {
-        arcs->push_back(Arc{neigh[j], p});
-        slots->push_back(j);
-      }
-    }
-  }
-}
-
-// Node-class census of one direction's index.
-WeightClassProfile ProfileClasses(std::span<const NodeWeightClass> classes,
-                                  std::span<const ProbSegment> segments,
-                                  uint64_t total_edges) {
-  WeightClassProfile profile;
-  profile.total_edges = total_edges;
-  for (const NodeWeightClass cls : classes) {
-    switch (cls) {
-      case NodeWeightClass::kEmpty:
-        ++profile.empty_nodes;
-        break;
-      case NodeWeightClass::kUniform:
-        ++profile.uniform_nodes;
-        break;
-      case NodeWeightClass::kFewDistinct:
-        ++profile.few_distinct_nodes;
-        break;
-      case NodeWeightClass::kGeneral:
-        ++profile.general_nodes;
-        break;
-      case NodeWeightClass::kSegmentedRuns:
-        ++profile.segmented_nodes;
-        break;
-    }
-  }
-  profile.jumpable_edges = CountJumpableEdges(segments);
-  return profile;
-}
-
 }  // namespace
 
-void Graph::RebuildInWeightIndex() {
+void Graph::RebuildWeightIndex() {
   const NodeId n = n_;
   // Assemble into plain vectors and adopt at the end: the blocks may be
   // read-only views into a mapping (see array_block.h), and bulk
@@ -275,7 +161,7 @@ void Graph::RebuildInWeightIndex() {
   std::vector<uint64_t> seg_offsets(n + 1, 0);
   std::vector<ProbSegment> in_segments;
   std::vector<uint64_t> jump_offsets(n + 1, 0);
-  std::vector<InArc> jump_in_arcs;
+  std::vector<NodeId> jump_in_neighbors;
   std::vector<uint32_t> jump_in_slots;
   std::vector<uint8_t> lt_plan(n, static_cast<uint8_t>(LtPickPlan::kNone));
   std::vector<uint64_t> lt_alias_offsets(n + 1, 0);
@@ -310,9 +196,37 @@ void Graph::RebuildInWeightIndex() {
         in_class[v] = NodeWeightClass::kUniform;
         in_segments.push_back(MakeSegment(deg, census.values[0]));
       } else {
+        // One segment per distinct probability, descending (order is
+        // statistically irrelevant for independent trials; descending
+        // keeps the near-certain edges in the first cache lines), with the
+        // in-neighbors and their original CSR slots grouped to match. The
+        // insertion sort of the value indices is stream-identical to
+        // std::sort (the values are distinct, so the order is unique);
+        // std::sort is avoided because libstdc++'s reads up to its
+        // 16-element insertion-sort threshold, and GCC's -Warray-bounds
+        // rejects that against this 8-slot stack array at -O2.
         in_class[v] = NodeWeightClass::kFewDistinct;
-        AppendGroupedRuns(census, InNeighbors(v), probs, &in_segments,
-                          &jump_in_arcs, &jump_in_slots);
+        const auto neigh = InNeighbors(v);
+        uint32_t order[kMaxDistinctInProbs] = {};
+        for (uint32_t i = 0; i < census.num_distinct; ++i) {
+          uint32_t j = i;
+          for (; j > 0 && census.values[order[j - 1]] < census.values[i];
+               --j) {
+            order[j] = order[j - 1];
+          }
+          order[j] = i;
+        }
+        for (uint32_t oi = 0; oi < census.num_distinct; ++oi) {
+          const uint32_t d = order[oi];
+          const float p = census.values[d];
+          in_segments.push_back(MakeSegment(census.counts[d], p));
+          for (uint32_t j = 0; j < deg; ++j) {
+            if (probs[j] == p) {
+              jump_in_neighbors.push_back(neigh[j]);
+              jump_in_slots.push_back(j);
+            }
+          }
+        }
       }
 
       // LT pick plan. The closed-form / alias picks select an edge by its
@@ -335,69 +249,19 @@ void Graph::RebuildInWeightIndex() {
       FillRunAnyProb(&in_segments, seg_offsets[v]);
     }
     seg_offsets[v + 1] = in_segments.size();
-    jump_offsets[v + 1] = jump_in_arcs.size();
+    jump_offsets[v + 1] = jump_in_neighbors.size();
     lt_alias_offsets[v + 1] = lt_alias.size();
   }
-  in_jumpable_edges_ = CountJumpableEdges(in_segments);
 
   in_class_.Adopt(std::move(in_class));
   seg_offsets_.Adopt(std::move(seg_offsets));
   in_segments_.Adopt(std::move(in_segments));
   jump_offsets_.Adopt(std::move(jump_offsets));
-  jump_in_arcs_.Adopt(std::move(jump_in_arcs));
+  jump_in_neighbors_.Adopt(std::move(jump_in_neighbors));
   jump_in_slots_.Adopt(std::move(jump_in_slots));
   lt_plan_.Adopt(std::move(lt_plan));
   lt_alias_offsets_.Adopt(std::move(lt_alias_offsets));
   lt_alias_.Adopt(std::move(lt_alias));
-}
-
-void Graph::RebuildOutWeightIndex() {
-  const NodeId n = n_;
-  // Same assemble-then-adopt pattern as RebuildInWeightIndex.
-  std::vector<NodeWeightClass> out_class(n, NodeWeightClass::kEmpty);
-  std::vector<uint64_t> out_seg_offsets(n + 1, 0);
-  std::vector<ProbSegment> out_segments;
-  std::vector<uint64_t> out_jump_offsets(n + 1, 0);
-  std::vector<OutArc> jump_out_arcs;
-  std::vector<uint32_t> jump_out_slots;
-
-  for (NodeId u = 0; u < n; ++u) {
-    const auto probs = OutProbs(u);
-    const uint32_t deg = static_cast<uint32_t>(probs.size());
-    if (deg > 0) {
-      const ProbCensus census(probs);
-      if (!census.overflow && census.num_distinct == 1) {
-        out_class[u] = NodeWeightClass::kUniform;
-        out_segments.push_back(MakeSegment(deg, census.values[0]));
-      } else if (!census.overflow && census.num_distinct < deg) {
-        out_class[u] = NodeWeightClass::kFewDistinct;
-        AppendGroupedRuns(census, OutNeighbors(u), probs, &out_segments,
-                          &jump_out_arcs, &jump_out_slots);
-      } else if (SegmentedRunsProfitable(probs)) {
-        // Irregular vector, but predominantly low-probability: one
-        // length-1 segment per edge in the ORIGINAL CSR order. Runs of
-        // consecutive jump-enabled edges then share draws in the
-        // cross-segment walk — the weighted-cascade forward case
-        // (p(u, v) = 1/indeg(v), almost always all-distinct, almost always
-        // tiny on hub-heavy graphs).
-        out_class[u] = NodeWeightClass::kSegmentedRuns;
-        for (const float p : probs) out_segments.push_back(MakeSegment(1, p));
-      } else {
-        out_class[u] = NodeWeightClass::kGeneral;
-      }
-      FillRunAnyProb(&out_segments, out_seg_offsets[u]);
-    }
-    out_seg_offsets[u + 1] = out_segments.size();
-    out_jump_offsets[u + 1] = jump_out_arcs.size();
-  }
-  out_jumpable_edges_ = CountJumpableEdges(out_segments);
-
-  out_class_.Adopt(std::move(out_class));
-  out_seg_offsets_.Adopt(std::move(out_seg_offsets));
-  out_segments_.Adopt(std::move(out_segments));
-  out_jump_offsets_.Adopt(std::move(out_jump_offsets));
-  jump_out_arcs_.Adopt(std::move(jump_out_arcs));
-  jump_out_slots_.Adopt(std::move(jump_out_slots));
 }
 
 void Graph::EnsureOwnedStorage() {
@@ -417,8 +281,32 @@ void Graph::EnsureOwnedStorage() {
 }
 
 WeightClassProfile Graph::InWeightClassProfile() const {
-  WeightClassProfile profile =
-      ProfileClasses(in_class_, in_segments_, num_edges());
+  WeightClassProfile profile;
+  profile.total_edges = num_edges();
+  for (const NodeWeightClass cls : in_class_) {
+    switch (cls) {
+      case NodeWeightClass::kEmpty:
+        ++profile.empty_nodes;
+        break;
+      case NodeWeightClass::kUniform:
+        ++profile.uniform_nodes;
+        break;
+      case NodeWeightClass::kFewDistinct:
+        ++profile.few_distinct_nodes;
+        break;
+      case NodeWeightClass::kGeneral:
+        ++profile.general_nodes;
+        break;
+    }
+  }
+  // Jumpable: jump-enabled segments plus the drawless degenerate (p in
+  // {0, 1}) ones. Gate-rejected segments run the linear Bernoulli scan and
+  // are not jumpable, even on uniform / few-distinct nodes.
+  for (const ProbSegment& seg : in_segments_) {
+    if (seg.log1p_neg != 0.0 || seg.prob <= 0.0f || seg.prob >= 1.0f) {
+      profile.jumpable_edges += seg.length;
+    }
+  }
   for (const uint8_t plan : lt_plan_) {
     if (plan == static_cast<uint8_t>(LtPickPlan::kUniform) ||
         plan == static_cast<uint8_t>(LtPickPlan::kAlias)) {
@@ -426,12 +314,6 @@ WeightClassProfile Graph::InWeightClassProfile() const {
     }
   }
   return profile;
-}
-
-WeightClassProfile Graph::OutWeightClassProfile() const {
-  // lt_fast_nodes stays 0: the forward LT step draws one threshold per
-  // node, there is no out-direction edge pick to plan.
-  return ProfileClasses(out_class_, out_segments_, num_edges());
 }
 
 }  // namespace atpm

@@ -32,8 +32,8 @@ enum class SamplingKernel : uint8_t {
   /// otherwise). Statistically equivalent to kPerEdge — identical success
   /// distributions per edge — but consumes a *different RNG stream*, so
   /// fixed-seed runs differ sample-by-sample while agreeing in expectation.
-  /// General weight vectors fall back to the per-edge loop (over an
-  /// interleaved (neighbor, prob) layout for cache locality).
+  /// General weight vectors fall back to the per-edge loop over the
+  /// original CSR.
   kGeometricJump,
   /// The historical kernel: one Bernoulli draw per alive unvisited in-edge
   /// (IC) and a linear prefix scan (LT). Bit-compatible with pre-kernel
@@ -44,12 +44,11 @@ enum class SamplingKernel : uint8_t {
 /// Human-readable kernel name ("geometric-jump" / "per-edge").
 const char* SamplingKernelName(SamplingKernel kernel);
 
-/// Classification of one node's edge probability vector, computed at
-/// graph build / weighting time (RebuildWeightIndex) for both CSR
-/// directions. The classes are what make geometric-jump sampling possible:
-/// within a run of equal-probability edges, the index of the next
-/// successful edge is geometric, so one draw replaces one Bernoulli per
-/// edge.
+/// Classification of one node's in-edge probability vector, computed at
+/// graph build / weighting time (RebuildWeightIndex). The classes are what
+/// make geometric-jump sampling possible: within a run of
+/// equal-probability edges, the index of the next successful edge is
+/// geometric, so one draw replaces one Bernoulli per edge.
 enum class NodeWeightClass : uint8_t {
   /// Degree 0 — nothing to sample.
   kEmpty,
@@ -61,18 +60,10 @@ enum class NodeWeightClass : uint8_t {
   /// {0.1, 0.01, 0.001}). The jump view groups the edges by probability
   /// into contiguous same-p segments.
   kFewDistinct,
-  /// Anything else — the per-edge Bernoulli loop is used (over the
-  /// interleaved jump view for cache locality).
+  /// Anything else (more than kMaxDistinctInProbs values, or every edge
+  /// its own probability) — the per-edge Bernoulli loop over the original
+  /// CSR is used.
   kGeneral,
-  /// Irregular vector (all-distinct or more than kMaxDistinctInProbs
-  /// values) whose probabilities are nonetheless low enough that splitting
-  /// it into per-edge length-1 segments — in the ORIGINAL CSR order, so no
-  /// arc/slot reorder view is materialized — lets the cross-segment
-  /// geometric walk share one draw per success across whole runs. This is
-  /// what accelerates weighted-cascade OUT-vectors, where p(u, v) =
-  /// 1/indeg(v) differs per target; only the out-direction index emits
-  /// this class today (the in-direction census is kept bit-stable).
-  kSegmentedRuns,
 };
 
 /// Distinct-value cap for NodeWeightClass::kFewDistinct.
@@ -96,19 +87,6 @@ struct ProbSegment {
   /// no log at all; 0 for non-jump segments (the scan then skips the
   /// pre-test and pays the log).
   double run_any_prob = 0.0;
-};
-
-/// Interleaved (neighbor, probability) reverse-CSR slot — one cache stream
-/// instead of two for kernels that touch both fields per edge.
-struct InArc {
-  NodeId src = 0;
-  float prob = 0.0f;
-};
-
-/// Forward-CSR counterpart of InArc for the forward jump kernels.
-struct OutArc {
-  NodeId dst = 0;
-  float prob = 0.0f;
 };
 
 /// How the LT reverse step should pick a node's (at most one) in-neighbor.
@@ -139,19 +117,15 @@ struct LtAliasSlot {
   uint32_t reserved = 0;
 };
 
-/// Aggregate weight-class census of one CSR direction — what fraction of
+/// Aggregate weight-class census of the in-edge vectors — what fraction of
 /// the edge mass the geometric-jump kernel can actually accelerate.
 /// Exposed to the diffusion oracles and the bench layer via
-/// Graph::InWeightClassProfile() / Graph::OutWeightClassProfile().
+/// Graph::InWeightClassProfile().
 struct WeightClassProfile {
   NodeId empty_nodes = 0;
   NodeId uniform_nodes = 0;
   NodeId few_distinct_nodes = 0;
   NodeId general_nodes = 0;
-  /// Nodes whose irregular vector is split into per-edge segments
-  /// (NodeWeightClass::kSegmentedRuns). Only the out-direction census can
-  /// be nonzero today.
-  NodeId segmented_nodes = 0;
   /// Edges the jump kernel samples without per-edge draws: jump-enabled
   /// segments plus the drawless degenerate (p in {0, 1}) ones. Edges of
   /// gate-rejected segments (short / high-probability runs that keep the
@@ -297,20 +271,20 @@ class Graph {
             static_cast<size_t>(seg_offsets_[v + 1] - seg_offsets_[v])};
   }
 
-  /// Interleaved (neighbor, prob) in-edge view of v, grouped into
-  /// contiguous same-probability runs — one cache stream for the segment
-  /// jumps. Non-empty exactly for kFewDistinct nodes: kUniform kernels
-  /// read InNeighbors directly (no reorder needed, per-edge probabilities
-  /// redundant), and kEmpty / kGeneral nodes materialize nothing (the
-  /// general per-edge fallback walks the original CSR).
-  std::span<const InArc> JumpInArcs(NodeId v) const {
+  /// In-neighbor ids of v, grouped into contiguous same-probability runs
+  /// aligned with InProbSegments(v) (the segments carry the probability).
+  /// Non-empty exactly for kFewDistinct nodes: kUniform kernels read
+  /// InNeighbors directly (no reorder needed), and kEmpty / kGeneral nodes
+  /// materialize nothing (the general per-edge fallback walks the original
+  /// CSR).
+  std::span<const NodeId> JumpInNeighbors(NodeId v) const {
     ATPM_DCHECK(v < n_);
-    return {jump_in_arcs_.data() + jump_offsets_[v],
+    return {jump_in_neighbors_.data() + jump_offsets_[v],
             static_cast<size_t>(jump_offsets_[v + 1] - jump_offsets_[v])};
   }
 
-  /// Original reverse-CSR slot of each JumpInArcs entry (same extent):
-  /// JumpInArcs(v)[i] is the in-edge at InNeighbors(v)[JumpInSlots(v)[i]].
+  /// Original reverse-CSR slot of each JumpInNeighbors entry (same extent):
+  /// JumpInNeighbors(v)[i] is the in-edge at InNeighbors(v)[JumpInSlots(v)[i]].
   /// Lets jump-ordered traversals address per-edge state keyed on the
   /// original layout, e.g. live-edge bitmaps via InEdgeIndex.
   std::span<const uint32_t> JumpInSlots(NodeId v) const {
@@ -338,72 +312,11 @@ class Graph {
   /// sampling workload — callers that log it per decision should cache).
   WeightClassProfile InWeightClassProfile() const;
 
-  // ---- Weight-class index over the forward CSR — the same substrate for
-  // the forward direction (SimulateIC, Realization::Sample). Built by the
-  // same hooks, so it can never go stale relative to the in-direction one.
-
-  /// Classification of u's out-edge probability vector.
-  NodeWeightClass OutWeightClass(NodeId u) const {
-    ATPM_DCHECK(u < n_);
-    return out_class_[u];
-  }
-
-  /// Same-probability segments of u's jump-ordered out-edge view. One
-  /// segment for kUniform and one *per edge* for kSegmentedRuns (both in
-  /// the original CSR order), up to kMaxDistinctInProbs for kFewDistinct
-  /// (grouped by descending probability), empty for kEmpty / kGeneral.
-  std::span<const ProbSegment> OutProbSegments(NodeId u) const {
-    ATPM_DCHECK(u < n_);
-    return {out_segments_.data() + out_seg_offsets_[u],
-            static_cast<size_t>(out_seg_offsets_[u + 1] -
-                                out_seg_offsets_[u])};
-  }
-
-  /// Interleaved (neighbor, prob) out-edge view of u grouped into same-p
-  /// runs; non-empty exactly for kFewDistinct nodes (kUniform and
-  /// kSegmentedRuns scan the original CSR directly).
-  std::span<const OutArc> JumpOutArcs(NodeId u) const {
-    ATPM_DCHECK(u < n_);
-    return {jump_out_arcs_.data() + out_jump_offsets_[u],
-            static_cast<size_t>(out_jump_offsets_[u + 1] -
-                                out_jump_offsets_[u])};
-  }
-
-  /// Original forward-CSR slot of each JumpOutArcs entry (same extent):
-  /// JumpOutArcs(u)[i] is the out-edge at OutNeighbors(u)[JumpOutSlots(u)[i]].
-  std::span<const uint32_t> JumpOutSlots(NodeId u) const {
-    ATPM_DCHECK(u < n_);
-    return {jump_out_slots_.data() + out_jump_offsets_[u],
-            static_cast<size_t>(out_jump_offsets_[u + 1] -
-                                out_jump_offsets_[u])};
-  }
-
-  /// Census of the out-direction weight classes. lt_fast_nodes is always 0
-  /// here: the forward LT step draws per-node thresholds, not per-edge
-  /// picks, so there is no out-direction LT plan.
-  WeightClassProfile OutWeightClassProfile() const;
-
-  /// Cached jumpable-edge totals of each direction (the profiles'
-  /// jumpable_edges, maintained by the rebuilds) — lets hot paths such as
-  /// Realization::Sample choose the better scan direction without an O(n)
-  /// census per call.
-  uint64_t InJumpableEdges() const { return in_jumpable_edges_; }
-  uint64_t OutJumpableEdges() const { return out_jumpable_edges_; }
-
   /// Recomputes the weight-class index from the current in-edge
-  /// probabilities. Public for callers that mutate probabilities outside
+  /// probabilities — the hook GraphBuilder::Build and AssignProbabilities
+  /// call. Public for callers that mutate probabilities outside
   /// AssignProbabilities; idempotent.
-  void RebuildInWeightIndex();
-
-  /// Out-direction counterpart of RebuildInWeightIndex.
-  void RebuildOutWeightIndex();
-
-  /// Rebuilds both directions — the hook GraphBuilder::Build and
-  /// AssignProbabilities call.
-  void RebuildWeightIndex() {
-    RebuildInWeightIndex();
-    RebuildOutWeightIndex();
-  }
+  void RebuildWeightIndex();
 
   // ---- Mapped storage (the graph-store mmap load path, graph_store.h).
   // A mapped graph's blocks are read-only views into one mapping.
@@ -459,19 +372,12 @@ class Graph {
     fn("seg_offsets", E{E::kOffsets}, g.seg_offsets_);
     fn("in_segments", E{E::kRagged, &g.seg_offsets_}, g.in_segments_);
     fn("jump_offsets", E{E::kOffsets}, g.jump_offsets_);
-    fn("jump_in_arcs", E{E::kRagged, &g.jump_offsets_}, g.jump_in_arcs_);
+    fn("jump_in_neighbors", E{E::kRagged, &g.jump_offsets_},
+       g.jump_in_neighbors_);
     fn("jump_in_slots", E{E::kRagged, &g.jump_offsets_}, g.jump_in_slots_);
     fn("lt_plan", E{E::kNodes}, g.lt_plan_);
     fn("lt_alias_offsets", E{E::kOffsets}, g.lt_alias_offsets_);
     fn("lt_alias", E{E::kRagged, &g.lt_alias_offsets_}, g.lt_alias_);
-    fn("out_class", E{E::kNodes}, g.out_class_);
-    fn("out_seg_offsets", E{E::kOffsets}, g.out_seg_offsets_);
-    fn("out_segments", E{E::kRagged, &g.out_seg_offsets_}, g.out_segments_);
-    fn("out_jump_offsets", E{E::kOffsets}, g.out_jump_offsets_);
-    fn("jump_out_arcs", E{E::kRagged, &g.out_jump_offsets_},
-       g.jump_out_arcs_);
-    fn("jump_out_slots", E{E::kRagged, &g.out_jump_offsets_},
-       g.jump_out_slots_);
   }
 
   NodeId n_ = 0;
@@ -486,29 +392,18 @@ class Graph {
   // Forward edge index of each reverse slot (for InEdgeIndex).
   ArrayBlock<uint64_t> in_edge_index_;
 
-  // Weight-class index (see RebuildInWeightIndex). seg/jump/alias arrays
+  // Weight-class index (see RebuildWeightIndex). seg/jump/alias arrays
   // are CSR-addressed per node; nodes that need no entry have zero-length
   // ranges, so the arrays stay proportional to what the kernels use.
   ArrayBlock<NodeWeightClass> in_class_;
   ArrayBlock<uint64_t> seg_offsets_{0};
   ArrayBlock<ProbSegment> in_segments_;
   ArrayBlock<uint64_t> jump_offsets_{0};
-  ArrayBlock<InArc> jump_in_arcs_;
+  ArrayBlock<NodeId> jump_in_neighbors_;
   ArrayBlock<uint32_t> jump_in_slots_;
   ArrayBlock<uint8_t> lt_plan_;
   ArrayBlock<uint64_t> lt_alias_offsets_{0};
   ArrayBlock<LtAliasSlot> lt_alias_;
-
-  // Out-direction weight-class index (see RebuildOutWeightIndex). Same
-  // CSR-addressed layout as the in-direction arrays above.
-  ArrayBlock<NodeWeightClass> out_class_;
-  ArrayBlock<uint64_t> out_seg_offsets_{0};
-  ArrayBlock<ProbSegment> out_segments_;
-  ArrayBlock<uint64_t> out_jump_offsets_{0};
-  ArrayBlock<OutArc> jump_out_arcs_;
-  ArrayBlock<uint32_t> jump_out_slots_;
-  uint64_t in_jumpable_edges_ = 0;
-  uint64_t out_jumpable_edges_ = 0;
 
   // Keeps the graph-store mapping alive for as long as any block views it
   // (type-erased to keep graph.h free of mmap details).

@@ -6,13 +6,24 @@
 namespace atpm {
 
 Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options) {
+  if (min_nodes_ > kMaxNodeCount) {
+    return Status::InvalidArgument("reserved node count " +
+                                   std::to_string(min_nodes_) + " above " +
+                                   std::to_string(kMaxNodeCount));
+  }
   NodeId n = min_nodes_;
   for (const WeightedEdge& e : edges_) {
     if (e.prob < 0.0f || e.prob > 1.0f) {
       return Status::InvalidArgument(
           "edge probability outside [0, 1]: " + std::to_string(e.prob));
     }
-    n = std::max(n, static_cast<NodeId>(std::max(e.src, e.dst) + 1));
+    const NodeId max_id = std::max(e.src, e.dst);
+    if (max_id >= kMaxNodeCount) {
+      return Status::InvalidArgument(
+          "node id " + std::to_string(max_id) + " above " +
+          std::to_string(kMaxNodeCount - 1));
+    }
+    n = std::max(n, max_id + 1);
   }
 
   std::vector<WeightedEdge> edges = std::move(edges_);

@@ -1,12 +1,18 @@
 #ifndef ATPM_GRAPH_GRAPH_BUILDER_H_
 #define ATPM_GRAPH_GRAPH_BUILDER_H_
 
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/graph.h"
 
 namespace atpm {
+
+/// The largest node count GraphBuilder::Build accepts. The CSR offsets arrays
+/// hold n + 1 entries and n + 1 is computed in NodeId, so n stops one short
+/// of the NodeId maximum; the largest node id is kMaxNodeCount - 1.
+inline constexpr NodeId kMaxNodeCount = std::numeric_limits<NodeId>::max() - 1;
 
 /// Options controlling GraphBuilder::Build.
 struct GraphBuildOptions {
@@ -48,7 +54,8 @@ class GraphBuilder {
   size_t num_pending_edges() const { return edges_.size(); }
 
   /// Validates and finalizes the accumulated arcs into a Graph. Fails with
-  /// InvalidArgument on probabilities outside [0, 1].
+  /// InvalidArgument on probabilities outside [0, 1] and on a node count
+  /// (max endpoint + 1, or the reserved count) above kMaxNodeCount.
   Result<Graph> Build(const GraphBuildOptions& options = {});
 
  private:

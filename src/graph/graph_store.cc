@@ -67,13 +67,11 @@ struct GraphStoreHeader {
   uint64_t file_bytes;
   uint32_t section_count;
   uint32_t reserved;  // written as 0
-  uint64_t in_jumpable_edges;
-  uint64_t out_jumpable_edges;
   uint64_t payload_hash;  // [payload_start, file_bytes), padding included
   uint64_t table_hash;    // the section table bytes
   uint64_t header_hash;   // this struct with header_hash zeroed
 };
-static_assert(sizeof(GraphStoreHeader) == 88, "header layout is frozen");
+static_assert(sizeof(GraphStoreHeader) == 72, "header layout is frozen");
 static_assert(std::is_trivially_copyable_v<GraphStoreHeader>);
 // offsetof pins: a reordered or repacked field moves one of these and fails
 // the build — bump kGraphStoreVersion instead of "fixing" the assert.
@@ -82,8 +80,8 @@ static_assert(offsetof(GraphStoreHeader, endian) == 12);
 static_assert(offsetof(GraphStoreHeader, num_nodes) == 16);
 static_assert(offsetof(GraphStoreHeader, section_count) == 40);
 static_assert(offsetof(GraphStoreHeader, reserved) == 44);
-static_assert(offsetof(GraphStoreHeader, payload_hash) == 64);
-static_assert(offsetof(GraphStoreHeader, header_hash) == 80);
+static_assert(offsetof(GraphStoreHeader, payload_hash) == 48);
+static_assert(offsetof(GraphStoreHeader, header_hash) == 64);
 
 struct GraphStoreSection {
   uint32_t id;
@@ -100,13 +98,10 @@ static_assert(offsetof(GraphStoreSection, element_count) == 24);
 // The array element types are memcpy'd to disk verbatim; freeze their
 // layout so a compiler/ABI change cannot silently corrupt stores.
 static_assert(sizeof(ProbSegment) == 24 && alignof(ProbSegment) == 8);
-static_assert(sizeof(InArc) == 8 && sizeof(OutArc) == 8);
 static_assert(sizeof(LtAliasSlot) == 16 && alignof(LtAliasSlot) == 8);
 static_assert(offsetof(LtAliasSlot, alias) == 8 &&
               offsetof(LtAliasSlot, reserved) == 12);
 static_assert(std::is_trivially_copyable_v<ProbSegment>);
-static_assert(std::is_trivially_copyable_v<InArc>);
-static_assert(std::is_trivially_copyable_v<OutArc>);
 static_assert(std::is_trivially_copyable_v<LtAliasSlot>);
 
 uint64_t AlignUp(uint64_t x) { return (x + kAlignment - 1) & ~(kAlignment - 1); }
@@ -386,8 +381,6 @@ Status GraphStoreIO::Save(const Graph& g, const std::string& path) {
   header.num_edges = m;
   header.file_bytes = file_bytes;
   header.section_count = section_count;
-  header.in_jumpable_edges = g.in_jumpable_edges_;
-  header.out_jumpable_edges = g.out_jumpable_edges_;
   header.payload_hash = writer.payload_hash();
   header.table_hash =
       HashBytes(table.data(), table.size() * sizeof(GraphStoreSection));
@@ -597,8 +590,6 @@ Result<Graph> GraphStoreIO::Load(const std::string& path,
         "graph store '" + path + "' CSR offsets disagree with header counts");
   }
 
-  g.in_jumpable_edges_ = header.in_jumpable_edges;
-  g.out_jumpable_edges_ = header.out_jumpable_edges;
   g.backing_ = std::static_pointer_cast<const void>(view.file);
   load_span.AnnotateU64("num_nodes", n64);
   load_span.AnnotateU64("num_edges", m);

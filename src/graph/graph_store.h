@@ -11,13 +11,13 @@ namespace atpm {
 
 /// The graph store: a versioned binary on-disk format holding a FULLY
 /// prepared Graph — forward + reverse CSR, probability arrays, the reverse
-/// edge-index map, and the complete weight-class index (ProbSegments, jump
-/// views, LT pick plans, alias tables) — as aligned, offset-addressed
-/// sections behind a checksummed header. Loading memory-maps the file and
-/// points the Graph's storage blocks straight into the mapping: zero parse,
-/// zero rebuild, zero copies. Cold pages fault in on first touch, so a
-/// store bigger than RAM still loads in milliseconds and an RR walk only
-/// pays for the nodes it visits.
+/// edge-index map, and the complete in-edge weight-class index
+/// (ProbSegments, jump views, LT pick plans, alias tables) — as aligned,
+/// offset-addressed sections behind a checksummed header. Loading
+/// memory-maps the file and points the Graph's storage blocks straight into
+/// the mapping: zero parse, zero rebuild, zero copies. Cold pages fault in
+/// on first touch, so a store bigger than RAM still loads in milliseconds
+/// and an RR walk only pays for the nodes it visits.
 ///
 /// File layout (all little-endian, offsets 64-byte aligned):
 ///
@@ -25,11 +25,12 @@ namespace atpm {
 ///   [GraphStoreSection x N]      section table: id, elem size, offset, len
 ///   [section payloads...]        one aligned blob per array
 ///
-/// The arrays are Graph's array list (Graph::ForEachArray): a section's id
-/// is the array's 1-based position there, and its element count must match
-/// the array's extent rule (n, n + 1, m, or the last entry of the offsets
-/// array of a ragged one; every offsets array starts at 0 — these two
-/// payload-word rules are checked with the payload).
+/// The arrays are Graph's array list (Graph::ForEachArray; 16 sections in
+/// version 3): a section's id is the array's 1-based position there, and
+/// its element count must match the array's extent rule (n, n + 1, m, or
+/// the last entry of the offsets array of a ragged one; every offsets array
+/// starts at 0 — these two payload-word rules are checked with the
+/// payload).
 ///
 /// Integrity: header, section table, and payload carry independent 64-bit
 /// FNV-1a checksums. The header + table checks always run (microseconds);
@@ -43,7 +44,7 @@ namespace atpm {
 /// with atpm_graph_pack).
 
 /// Current store format version. Readers reject any other value.
-inline constexpr uint32_t kGraphStoreVersion = 2;
+inline constexpr uint32_t kGraphStoreVersion = 3;
 
 /// Options for LoadGraphStore.
 struct GraphStoreLoadOptions {

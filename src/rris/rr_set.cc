@@ -147,10 +147,9 @@ template <typename Visit>
 bool ExpandIcJump(const Graph& g, NodeId v, Rng* rng, uint64_t* draws,
                   Visit&& visit) {
   if (g.InWeightClass(v) == NodeWeightClass::kFewDistinct) {
-    const auto arcs = g.JumpInArcs(v);
-    return GeometricSegmentScan(
-        g.InProbSegments(v), rng, draws,
-        [&](uint32_t j) { return visit(arcs[j].src); });
+    const auto grouped = g.JumpInNeighbors(v);
+    return GeometricSegmentScan(g.InProbSegments(v), rng, draws,
+                                [&](uint32_t j) { return visit(grouped[j]); });
   }
   const auto neigh = g.InNeighbors(v);
   return GeometricSegmentScan(g.InProbSegments(v), rng, draws,
@@ -158,15 +157,11 @@ bool ExpandIcJump(const Graph& g, NodeId v, Rng* rng, uint64_t* draws,
 }
 
 // True iff the jump kernel has a fast path for v's class (kEmpty expands
-// to nothing either way; kGeneral keeps the per-edge loop). kSegmentedRuns
-// scans its CSR-ordered per-edge segments through the same path as
-// kUniform — the in-direction index never emits it today, but the
-// expansion is correct if it ever does.
+// to nothing either way; kGeneral keeps the per-edge loop).
 bool HasJumpPath(const Graph& g, NodeId v) {
   const NodeWeightClass cls = g.InWeightClass(v);
   return cls == NodeWeightClass::kUniform ||
-         cls == NodeWeightClass::kFewDistinct ||
-         cls == NodeWeightClass::kSegmentedRuns;
+         cls == NodeWeightClass::kFewDistinct;
 }
 
 }  // namespace

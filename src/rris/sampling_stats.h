@@ -14,7 +14,7 @@ namespace atpm {
 /// The forward diffusion paths (SimulateIC / SimulateLT,
 /// Realization::Sample) accept an optional SamplingStats sink and
 /// accumulate the same rng_draws / edges_examined measures, so
-/// DrawsPerEdge() covers both traversal directions of the jump substrate.
+/// DrawsPerEdge() is comparable across traversal directions.
 ///
 /// This struct stays the exact per-engine accounting source; the process
 /// metric registry (common/metrics.h: atpm_rr_sets_generated_total and

@@ -236,15 +236,14 @@ class PerQueryReferenceKernel {
         }
         const NodeWeightClass cls = g_.InWeightClass(v);
         if (jump && (cls == NodeWeightClass::kUniform ||
-                     cls == NodeWeightClass::kFewDistinct ||
-                     cls == NodeWeightClass::kSegmentedRuns)) {
+                     cls == NodeWeightClass::kFewDistinct)) {
           edges_examined += g_.InDegree(v);
-          const auto arcs = g_.JumpInArcs(v);
+          const auto grouped = g_.JumpInNeighbors(v);
           const auto neigh = g_.InNeighbors(v);
           const bool few = cls == NodeWeightClass::kFewDistinct;
           if (!GeometricSegmentScan(g_.InProbSegments(v), rng, &draws_,
                                     [&](uint32_t j) {
-                                      return process(few ? arcs[j].src
+                                      return process(few ? grouped[j]
                                                          : neigh[j]);
                                     })) {
             break;

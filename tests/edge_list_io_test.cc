@@ -94,6 +94,37 @@ TEST_F(EdgeListIoTest, NegativeNodeIdRejected) {
   EXPECT_TRUE(g.status().IsInvalidArgument());
 }
 
+TEST_F(EdgeListIoTest, NodeIdPastNodeIdRangeRejected) {
+  // 2^32 does not fit NodeId; a plain cast would wrap it to node 0.
+  WriteFile("4294967296 1 0.5\n1 2 0.5\n");
+  Result<Graph> g = LoadEdgeList(path_);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsInvalidArgument());
+  EXPECT_NE(g.status().message().find(path_ + ":1"), std::string::npos)
+      << g.status().message();
+}
+
+TEST_F(EdgeListIoTest, NodeIdAtNodeIdMaxRejected) {
+  // 2^32 - 1 fits NodeId, but the node count max id + 1 does not.
+  WriteFile("1 2 0.5\n4294967295 0 0.5\n");
+  Result<Graph> g = LoadEdgeList(path_);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsInvalidArgument());
+  EXPECT_NE(g.status().message().find(path_ + ":2"), std::string::npos)
+      << g.status().message();
+}
+
+TEST_F(EdgeListIoTest, NodeIdOneBelowNodeIdMaxRejected) {
+  // 2^32 - 2 gives a node count of 2^32 - 1, whose offsets arrays would need
+  // n + 1 = 2^32 entries, past NodeId.
+  WriteFile("1 2 0.5\n0 4294967294 0.5\n");
+  Result<Graph> g = LoadEdgeList(path_);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().IsInvalidArgument());
+  EXPECT_NE(g.status().message().find(path_ + ":2"), std::string::npos)
+      << g.status().message();
+}
+
 TEST_F(EdgeListIoTest, ProbabilityAboveOneRejected) {
   for (const char* line : {"0 1 1.7\n", "0 1 inf\n"}) {
     WriteFile(line);

@@ -1,8 +1,8 @@
-// Forward-jump diffusion kernel: statistical agreement with the per-edge
-// sweep across weightings and models, exact equality on degenerate
-// probabilities, draws-per-edge reduction, and bit-compatibility of the
-// kPerEdge knob with the pre-kernel forward streams (goldens captured on
-// the release that preceded the default flip).
+// Forward diffusion paths: jump-kernel worlds agree statistically with the
+// per-edge sweep across weightings and models, degenerate probabilities
+// resolve exactly, world sampling charges draws under both kernels, and
+// SimulateIC / kPerEdge worlds reproduce the pre-kernel forward streams
+// (goldens captured on the release that preceded the default flip).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -81,23 +81,6 @@ void ExpectAgreement(const MeanVar& a, const MeanVar& b, const char* label) {
 
 class KernelAgreementTest : public ::testing::TestWithParam<Weighting> {};
 
-TEST_P(KernelAgreementTest, SimulateIcSpreadsAgree) {
-  const Graph g = TestGraph(500, GetParam());
-  constexpr int kTrials = 4000;
-  Rng rng_jump(11);
-  const MeanVar jump = EstimateMean(kTrials, [&](int) {
-    return static_cast<double>(
-        SimulateIC(g, kSeeds, &rng_jump, nullptr, nullptr,
-                   SamplingKernel::kGeometricJump));
-  });
-  Rng rng_edge(13);
-  const MeanVar edge = EstimateMean(kTrials, [&](int) {
-    return static_cast<double>(SimulateIC(g, kSeeds, &rng_edge, nullptr,
-                                          nullptr, SamplingKernel::kPerEdge));
-  });
-  ExpectAgreement(jump, edge, "SimulateIC");
-}
-
 TEST_P(KernelAgreementTest, IcWorldSpreadsAgree) {
   const Graph g = TestGraph(500, GetParam());
   constexpr int kTrials = 1500;
@@ -155,23 +138,15 @@ INSTANTIATE_TEST_SUITE_P(Weightings, KernelAgreementTest,
                          });
 
 // --- Degenerate probabilities: p in {0, 1} resolves without consulting
-// the probability (certain / impossible edges), so both kernels must agree
-// EXACTLY, not just in distribution.
+// the probability (certain / impossible edges), so both world kernels must
+// agree EXACTLY, not just in distribution.
 
 TEST(DegenerateProbabilityTest, CertainEdgesSpreadIdentically) {
   Graph g = TestGraph(300, Weighting::kWeightedCascade);
   ApplyConstantProbability(&g, 1.0);
   g.RebuildWeightIndex();
-  for (int trial = 0; trial < 10; ++trial) {
-    Rng rng_jump(100 + trial);
-    Rng rng_edge(200 + trial);  // streams don't matter: no coin is random
-    EXPECT_EQ(SimulateIC(g, kSeeds, &rng_jump, nullptr, nullptr,
-                         SamplingKernel::kGeometricJump),
-              SimulateIC(g, kSeeds, &rng_edge, nullptr, nullptr,
-                         SamplingKernel::kPerEdge));
-  }
   Rng wa(5);
-  Rng wb(6);
+  Rng wb(6);  // streams don't matter: no coin is random
   const Realization a = Realization::Sample(
       g, &wa, DiffusionModel::kIndependentCascade,
       SamplingKernel::kGeometricJump);
@@ -186,15 +161,6 @@ TEST(DegenerateProbabilityTest, ImpossibleEdgesSpreadIdentically) {
   Graph g = TestGraph(300, Weighting::kWeightedCascade);
   ApplyConstantProbability(&g, 0.0);
   g.RebuildWeightIndex();
-  for (int trial = 0; trial < 10; ++trial) {
-    Rng rng_jump(100 + trial);
-    Rng rng_edge(200 + trial);
-    const uint32_t jump = SimulateIC(g, kSeeds, &rng_jump, nullptr, nullptr,
-                                     SamplingKernel::kGeometricJump);
-    EXPECT_EQ(jump, kSeeds.size());
-    EXPECT_EQ(jump, SimulateIC(g, kSeeds, &rng_edge, nullptr, nullptr,
-                               SamplingKernel::kPerEdge));
-  }
   Rng wa(5);
   const Realization a = Realization::Sample(
       g, &wa, DiffusionModel::kIndependentCascade,
@@ -202,48 +168,8 @@ TEST(DegenerateProbabilityTest, ImpossibleEdgesSpreadIdentically) {
   EXPECT_EQ(a.NumLiveEdges(), 0u);
 }
 
-TEST(DegenerateProbabilityTest, CertainEdgesAreDrawless) {
-  // The jump kernel resolves p = 1 runs with zero RNG draws (the per-edge
-  // loop pays one per examined edge).
-  Graph g = TestGraph(300, Weighting::kWeightedCascade);
-  ApplyConstantProbability(&g, 1.0);
-  g.RebuildWeightIndex();
-  Rng rng(3);
-  SamplingStats stats;
-  SimulateIC(g, kSeeds, &rng, nullptr, nullptr,
-             SamplingKernel::kGeometricJump, &stats);
-  EXPECT_EQ(stats.rng_draws, 0u);
-  EXPECT_GT(stats.edges_examined, 0u);
-}
-
-// --- Forward draws-per-edge: the reduction the kernel exists for. Both
-// kernels charge identical edges_examined, so DrawsPerEdge is comparable.
-
-TEST(ForwardDrawsTest, JumpKernelDrawsFewerOnLowProbabilityWeightings) {
-  for (Weighting weighting :
-       {Weighting::kWeightedCascade, Weighting::kTrivalency}) {
-    // Hub-ish out-degrees (epn = 8) give the forward index long jumpable
-    // runs on weighted cascade's all-distinct out-vectors.
-    const Graph g = TestGraph(2000, weighting, /*edges_per_node=*/8);
-    constexpr int kTrials = 300;
-    SamplingStats jump_stats;
-    Rng rng_jump(41);
-    for (int t = 0; t < kTrials; ++t) {
-      SimulateIC(g, kSeeds, &rng_jump, nullptr, nullptr,
-                 SamplingKernel::kGeometricJump, &jump_stats);
-    }
-    SamplingStats edge_stats;
-    Rng rng_edge(43);
-    for (int t = 0; t < kTrials; ++t) {
-      SimulateIC(g, kSeeds, &rng_edge, nullptr, nullptr,
-                 SamplingKernel::kPerEdge, &edge_stats);
-    }
-    EXPECT_LT(jump_stats.DrawsPerEdge(), edge_stats.DrawsPerEdge());
-    // The per-edge loop's skip-then-draw can only draw at most once per
-    // examined edge.
-    EXPECT_LE(edge_stats.DrawsPerEdge(), 1.0);
-  }
-}
+// --- World-sampling draws: both kernels charge identical
+// edges_examined, so DrawsPerEdge is comparable.
 
 TEST(ForwardDrawsTest, WorldSamplingTracksDrawsBothKernels) {
   const Graph g = TestGraph(1000, Weighting::kWeightedCascade);
@@ -277,15 +203,13 @@ TEST(PerEdgeForwardGoldenTest, WcSimulateIcMatchesPreKernelStream) {
   const uint32_t expected[8] = {72, 67, 62, 72, 51, 65, 66, 65};
   Rng rng(123);
   for (uint32_t want : expected) {
-    EXPECT_EQ(SimulateIC(g, kSeeds, &rng, nullptr, nullptr,
-                         SamplingKernel::kPerEdge),
-              want);
+    EXPECT_EQ(SimulateIC(g, kSeeds, &rng), want);
   }
 }
 
 TEST(PerEdgeForwardGoldenTest, WcSimulateLtMatchesPreKernelStream) {
   // SimulateLT draws one lazy threshold per touched node under every
-  // release — no kernel knob, the stream is inherently stable.
+  // release, so the stream is inherently stable.
   const Graph g = GoldenWcGraph();
   const uint32_t expected[8] = {66, 71, 64, 125, 87, 65, 86, 79};
   Rng rng(125);
@@ -327,9 +251,7 @@ TEST(PerEdgeForwardGoldenTest, TriSimulateIcMatchesPreKernelStream) {
   const uint32_t expected[8] = {10, 7, 10, 8, 8, 10, 7, 8};
   Rng rng(123);
   for (uint32_t want : expected) {
-    EXPECT_EQ(SimulateIC(g, kSeeds, &rng, nullptr, nullptr,
-                         SamplingKernel::kPerEdge),
-              want);
+    EXPECT_EQ(SimulateIC(g, kSeeds, &rng), want);
   }
 }
 
@@ -345,36 +267,6 @@ TEST(PerEdgeForwardGoldenTest, TriIcWorldsMatchPreKernelStream) {
     EXPECT_EQ(w.NumLiveEdges(), expected_live[i]);
     EXPECT_EQ(w.Spread(kSeeds), expected_spread[i]);
   }
-}
-
-// --- The forward out-edge index census behind the kernel.
-
-TEST(OutWeightIndexTest, ProfilesCoverEveryNodeAndCountJumpableEdges) {
-  for (Weighting weighting :
-       {Weighting::kWeightedCascade, Weighting::kTrivalency,
-        Weighting::kUniformRandom}) {
-    const Graph g = TestGraph(400, weighting);
-    const WeightClassProfile out = g.OutWeightClassProfile();
-    const WeightClassProfile in = g.InWeightClassProfile();
-    EXPECT_EQ(out.uniform_nodes + out.few_distinct_nodes +
-                  out.segmented_nodes + out.general_nodes + out.empty_nodes,
-              g.num_nodes());
-    EXPECT_EQ(out.total_edges, g.num_edges());
-    EXPECT_EQ(in.total_edges, g.num_edges());
-    EXPECT_LE(g.OutJumpableEdges(), g.num_edges());
-    EXPECT_LE(g.InJumpableEdges(), g.num_edges());
-  }
-  // Weighted cascade: in-vectors are uniform (p = 1/indeg), so the reverse
-  // index dominates and world sampling picks the reverse sweep.
-  const Graph wc = TestGraph(400, Weighting::kWeightedCascade);
-  EXPECT_GT(wc.InJumpableEdges(), wc.OutJumpableEdges());
-  // Trivalency's tiny distinct-probability palette makes every out-vector
-  // jumpable once out-degrees clear the segmented-runs floor (epn = 3):
-  // the forward sweep wins.
-  const Graph tri = TestGraph(400, Weighting::kTrivalency,
-                              /*edges_per_node=*/3);
-  EXPECT_EQ(tri.OutJumpableEdges(), tri.num_edges());
-  EXPECT_GT(tri.OutJumpableEdges(), tri.InJumpableEdges());
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ void ExpectProfilesEqual(const WeightClassProfile& a,
   EXPECT_EQ(a.uniform_nodes, b.uniform_nodes);
   EXPECT_EQ(a.few_distinct_nodes, b.few_distinct_nodes);
   EXPECT_EQ(a.general_nodes, b.general_nodes);
-  EXPECT_EQ(a.segmented_nodes, b.segmented_nodes);
   EXPECT_EQ(a.jumpable_edges, b.jumpable_edges);
   EXPECT_EQ(a.total_edges, b.total_edges);
   EXPECT_EQ(a.lt_fast_nodes, b.lt_fast_nodes);
@@ -91,10 +90,7 @@ void ExpectGraphsEqual(const Graph& a, const Graph& b) {
           << "edge index " << u << "/" << j;
     }
   }
-  EXPECT_EQ(a.InJumpableEdges(), b.InJumpableEdges());
-  EXPECT_EQ(a.OutJumpableEdges(), b.OutJumpableEdges());
   ExpectProfilesEqual(a.InWeightClassProfile(), b.InWeightClassProfile());
-  ExpectProfilesEqual(a.OutWeightClassProfile(), b.OutWeightClassProfile());
 }
 
 uint64_t PoolHash(const RRCollection& pool) {
@@ -144,12 +140,12 @@ class GraphStoreTest : public ::testing::Test {
   std::string path_;
 };
 
-// ---- Raw store images. The offsets below are the frozen version-2 layout:
-// an 88-byte header (section_count at 40, payload/table/header hashes at
-// 64/72/80), then one 32-byte table entry per section (id, element_size,
+// ---- Raw store images. The offsets below are the frozen version-3 layout:
+// a 72-byte header (section_count at 40, payload/table/header hashes at
+// 48/56/64), then one 32-byte table entry per section (id, element_size,
 // offset, bytes, element_count), payload from the next 64-byte boundary.
 
-constexpr size_t kHeaderBytes = 88;
+constexpr size_t kHeaderBytes = 72;
 constexpr size_t kEntryBytes = 32;
 
 std::vector<unsigned char> ReadImage(const std::string& path) {
@@ -212,12 +208,12 @@ uint64_t StoreChecksum(const unsigned char* data, size_t n) {
 void RehashStore(std::vector<unsigned char>* image) {
   const size_t table_bytes = ReadAt<uint32_t>(*image, 40) * kEntryBytes;
   const size_t payload_start = (kHeaderBytes + table_bytes + 63) & ~size_t{63};
-  WriteAt(image, 64,
+  WriteAt(image, 48,
           StoreChecksum(image->data() + payload_start,
                         image->size() - payload_start));
-  WriteAt(image, 72, StoreChecksum(image->data() + kHeaderBytes, table_bytes));
-  WriteAt(image, 80, uint64_t{0});
-  WriteAt(image, 80, StoreChecksum(image->data(), kHeaderBytes));
+  WriteAt(image, 56, StoreChecksum(image->data() + kHeaderBytes, table_bytes));
+  WriteAt(image, 64, uint64_t{0});
+  WriteAt(image, 64, StoreChecksum(image->data(), kHeaderBytes));
 }
 
 // Byte offset of section `id`'s table entry.
@@ -317,7 +313,7 @@ TEST_F(GraphStoreTest, RejectsTruncationWithinSectionTable) {
                           std::istreambuf_iterator<char>());
   in.close();
   std::ofstream(path_, std::ios::binary | std::ios::trunc)
-      .write(bytes.data(), 88);
+      .write(bytes.data(), kHeaderBytes);
   Result<Graph> loaded = LoadGraphStore(path_);
   ASSERT_TRUE(loaded.status().IsInvalidArgument());
   EXPECT_NE(loaded.status().ToString().find("truncated"), std::string::npos);
@@ -363,23 +359,26 @@ TEST_F(GraphStoreTest, RejectsUnknownVersion) {
 }
 
 TEST_F(GraphStoreTest, RejectsVersionOneStore) {
-  ASSERT_TRUE(SaveGraphStore(WcGraph(), path_).ok());
-  // Stamp the file as a version-1 store. The version check runs before the
-  // header checksum, so no rehash is needed to reach it.
-  const uint32_t old_version = 1;
-  {
-    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(8);
-    f.write(reinterpret_cast<const char*>(&old_version), sizeof(old_version));
+  // Stamp the file as each older version. The version check runs before
+  // the header checksum, so no rehash is needed to reach it.
+  for (const uint32_t old_version : {1u, 2u}) {
+    ASSERT_TRUE(SaveGraphStore(WcGraph(), path_).ok());
+    {
+      std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(8);
+      f.write(reinterpret_cast<const char*>(&old_version),
+              sizeof(old_version));
+    }
+    Result<Graph> loaded = LoadGraphStore(path_);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument());
+    EXPECT_NE(loaded.status().ToString().find(
+                  "format version " + std::to_string(old_version) + ";"),
+              std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().ToString().find("repack with atpm_graph_pack"),
+              std::string::npos);
+    EXPECT_TRUE(ReadGraphStoreInfo(path_).status().IsInvalidArgument());
   }
-  Result<Graph> loaded = LoadGraphStore(path_);
-  ASSERT_TRUE(loaded.status().IsInvalidArgument());
-  EXPECT_NE(loaded.status().ToString().find("format version 1"),
-            std::string::npos)
-      << loaded.status().ToString();
-  EXPECT_NE(loaded.status().ToString().find("repack with atpm_graph_pack"),
-            std::string::npos);
-  EXPECT_TRUE(ReadGraphStoreInfo(path_).status().IsInvalidArgument());
 }
 
 TEST_F(GraphStoreTest, RejectsBitFlippedHeader) {
@@ -393,7 +392,7 @@ TEST_F(GraphStoreTest, RejectsBitFlippedHeader) {
 
 TEST_F(GraphStoreTest, RejectsBitFlippedSectionTable) {
   ASSERT_TRUE(SaveGraphStore(WcGraph(), path_).ok());
-  FlipBit(88 + 8);  // first section entry's offset field
+  FlipBit(kHeaderBytes + 8);  // first section entry's offset field
   Result<Graph> loaded = LoadGraphStore(path_);
   ASSERT_TRUE(loaded.status().IsInvalidArgument());
   EXPECT_NE(loaded.status().ToString().find("section table"),
@@ -421,17 +420,17 @@ TEST_F(GraphStoreTest, RejectsBitFlippedPayload) {
 // ---- Exact stored bytes.
 
 TEST_F(GraphStoreTest, StoredBytesArePinned) {
-  // The format is frozen at version 2: the same graph packs to the same
+  // The format is frozen at version 3: the same graph packs to the same
   // bytes, build after build.
   ASSERT_TRUE(SaveGraphStore(WcGraph(), path_).ok());
   std::vector<unsigned char> image = ReadImage(path_);
-  EXPECT_EQ(image.size(), 68032u);
-  EXPECT_EQ(Fnv1a64(image), 1730762520320705312ull);
+  EXPECT_EQ(image.size(), 49472u);
+  EXPECT_EQ(Fnv1a64(image), 2727194276679481873ull);
 
   ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
   image = ReadImage(path_);
-  EXPECT_EQ(image.size(), 144512u);
-  EXPECT_EQ(Fnv1a64(image), 2190746628758537889ull);
+  EXPECT_EQ(image.size(), 95552u);
+  EXPECT_EQ(Fnv1a64(image), 8807921774856917801ull);
 }
 
 TEST_F(GraphStoreTest, AliasSlotPaddingIsStoredAsZero) {
@@ -499,12 +498,9 @@ TEST_P(RaggedSectionTest, RejectsCountThatContradictsOffsets) {
 INSTANTIATE_TEST_SUITE_P(
     EveryRaggedArray, RaggedSectionTest,
     ::testing::Values(RaggedSection{10, "in_segments"},
-                      RaggedSection{12, "jump_in_arcs"},
+                      RaggedSection{12, "jump_in_neighbors"},
                       RaggedSection{13, "jump_in_slots"},
-                      RaggedSection{16, "lt_alias"},
-                      RaggedSection{19, "out_segments"},
-                      RaggedSection{21, "jump_out_arcs"},
-                      RaggedSection{22, "jump_out_slots"}),
+                      RaggedSection{16, "lt_alias"}),
     [](const ::testing::TestParamInfo<RaggedSection>& info) {
       return std::string(info.param.name);
     });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "graph/graph_builder.h"
@@ -114,6 +115,31 @@ TEST(GraphBuilderTest, RejectsNegativeProbability) {
   GraphBuilder b;
   b.AddEdge(0, 1, -0.1);
   EXPECT_FALSE(b.Build().ok());
+}
+
+TEST(GraphBuilderTest, RejectsEndpointAtNodeIdMax) {
+  // At 2^32 - 1 the node count max id + 1 wraps to 0; at 2^32 - 2 the
+  // offsets arrays' n + 1 entries do.
+  const NodeId kNodeIdMax = std::numeric_limits<NodeId>::max();
+  for (const NodeId max_id : {kNodeIdMax, kNodeIdMax - 1}) {
+    for (const bool as_src : {true, false}) {
+      GraphBuilder b;
+      b.AddEdge(as_src ? max_id : 0, as_src ? 0 : max_id, 0.5);
+      Result<Graph> result = b.Build();
+      ASSERT_FALSE(result.ok()) << max_id;
+      EXPECT_TRUE(result.status().IsInvalidArgument()) << max_id;
+    }
+  }
+}
+
+TEST(GraphBuilderTest, RejectsReservedNodeCountAboveMax) {
+  // ReserveNodes(2^32 - 1) would make the offsets arrays' n + 1 wrap to 0.
+  GraphBuilder b;
+  b.ReserveNodes(kMaxNodeCount + 1);
+  b.AddEdge(0, 1, 0.5);
+  Result<Graph> result = b.Build();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(GraphTest, ForwardAndReverseViewsAgree) {

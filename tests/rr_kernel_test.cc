@@ -91,11 +91,12 @@ TEST(WeightClassTest, TrivalencyIsMostlyJumpable) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (g.InWeightClass(v) != NodeWeightClass::kFewDistinct) continue;
     // Segments partition the in-edges, descending by probability, and the
-    // jump view matches the original multiset of (neighbor, prob) pairs.
+    // jump view is a permutation of the original in-list whose slots land
+    // on the segment's probability.
     const auto segs = g.InProbSegments(v);
-    const auto arcs = g.JumpInArcs(v);
+    const auto grouped = g.JumpInNeighbors(v);
     const auto slots = g.JumpInSlots(v);
-    ASSERT_EQ(arcs.size(), g.InDegree(v));
+    ASSERT_EQ(grouped.size(), g.InDegree(v));
     ASSERT_EQ(slots.size(), g.InDegree(v));
     uint32_t total = 0;
     uint32_t base = 0;
@@ -104,9 +105,8 @@ TEST(WeightClassTest, TrivalencyIsMostlyJumpable) {
       EXPECT_LT(seg.prob, prev);
       prev = seg.prob;
       for (uint32_t j = 0; j < seg.length; ++j) {
-        EXPECT_EQ(arcs[base + j].prob, seg.prob);
         EXPECT_EQ(g.InProbs(v)[slots[base + j]], seg.prob);
-        EXPECT_EQ(g.InNeighbors(v)[slots[base + j]], arcs[base + j].src);
+        EXPECT_EQ(g.InNeighbors(v)[slots[base + j]], grouped[base + j]);
       }
       base += seg.length;
       total += seg.length;
@@ -126,7 +126,7 @@ TEST(WeightClassTest, UniformRandomWeightsFallBackToGeneral) {
   EXPECT_LT(profile.JumpableEdgeFraction(), 0.5);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (g.InWeightClass(v) != NodeWeightClass::kGeneral) continue;
-    EXPECT_TRUE(g.JumpInArcs(v).empty());
+    EXPECT_TRUE(g.JumpInNeighbors(v).empty());
     EXPECT_TRUE(g.InProbSegments(v).empty());
   }
 }
@@ -173,7 +173,7 @@ TEST(WeightClassTest, ProfileExposedThroughSpreadOracles) {
 
 // ---- The geometric-scan primitive.
 
-// A jump segment as RebuildInWeightIndex would emit it: log factor plus
+// A jump segment as RebuildWeightIndex would emit it: log factor plus
 // the any-success probability of the (here single-segment) run suffix.
 ProbSegment MakeJumpSegment(uint32_t length, float p) {
   const double log_q = std::log1p(-static_cast<double>(p));
