@@ -1,16 +1,20 @@
 // Determinism / decision-equivalence smoke over the quickstart instance:
 //
 //   * repeat determinism — every (num_threads, lookahead_window)
-//     configuration run twice must reproduce its seed set bit for bit;
-//   * decision equivalence — all configurations across
-//     num_threads ∈ {1, 2, 4} and lookahead_window ∈ {0, 4} must select
-//     the SAME seed set: thread counts only reshuffle RNG streams of
-//     C1-certified decisions, and speculative answers are either valid
+//     configuration run twice must reproduce its run bit for bit;
+//   * thread-count invariance — within each lookahead_window ∈ {0, 4},
+//     num_threads ∈ {1, 2, 4} must give one bit-identical run fingerprint
+//     (seeds, total RR sets, total count pools, and every step's rounds
+//     and RR sets used): the engine's chunk streams depend on the seed and
+//     the batch size, never on the thread count;
+//   * decision equivalence — window 4 must select the seed set of window
+//     0 on the pinned world: speculative answers are either valid
 //     first-round estimates or discarded unread.
 //
 // Exits non-zero on any mismatch — wired into CI next to the fig9 smoke.
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,6 +50,19 @@ std::string FormatSeeds(const std::vector<atpm::NodeId>& seeds) {
   return out;
 }
 
+// Everything a run's sampling decides: the seeds, the total RR sets and
+// count pools, and each step's node, decision, rounds and RR sets used.
+std::string Fingerprint(const atpm::AdaptiveRunResult& run) {
+  std::ostringstream out;
+  out << "seeds " << FormatSeeds(run.seeds) << " rr " << run.total_rr_sets
+      << " pools " << run.total_count_pools << " steps";
+  for (const atpm::AdaptiveStepRecord& step : run.steps) {
+    out << ' ' << step.node << ':' << static_cast<int>(step.decision) << ':'
+        << step.rounds << ':' << step.rr_sets_used;
+  }
+  return out.str();
+}
+
 }  // namespace
 
 int main() {
@@ -75,26 +92,25 @@ int main() {
   }
   const atpm::ProfitProblem& problem = selection.value().problem;
 
-  std::vector<atpm::NodeId> reference_seeds;
-  bool have_reference = false;
+  std::vector<atpm::NodeId> window_zero_seeds;
   int failures = 0;
 
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    for (uint32_t window : {0u, 4u}) {
+  for (uint32_t window : {0u, 4u}) {
+    std::string reference;
+    for (uint32_t threads : {1u, 2u, 4u}) {
       atpm::HatpOptions options;
       options.sampling.num_threads = threads;
       options.sampling.lookahead_window = window;
       atpm::HatpPolicy hatp(options);
 
-      std::vector<atpm::NodeId> first_seeds;
+      std::string first;
       for (int repeat = 0; repeat < 2; ++repeat) {
-        // The calibrated costs put targets near the decision bar, and
-        // thread counts reshuffle RNG streams, so the world is pinned to
-        // one where every configuration resolves the borderline candidates
-        // the same way (the batched-rounds tests pin seeds likewise). Any
-        // within-config nondeterminism or window-0-vs-4 divergence fails
-        // regardless of the pin.
-        atpm::Rng world_rng(EnvSeed("ATPM_SMOKE_WORLD_SEED", 44));
+        // The calibrated costs put targets near the decision bar, and the
+        // window changes which pools answer a first round, so the world is
+        // pinned to one where both windows resolve the borderline
+        // candidates the same way (the batched-rounds tests pin seeds
+        // likewise). Thread counts must agree bit for bit regardless.
+        atpm::Rng world_rng(EnvSeed("ATPM_SMOKE_WORLD_SEED", 43));
         atpm::AdaptiveEnvironment env(
             atpm::Realization::Sample(graph, &world_rng));
         atpm::Rng policy_rng(EnvSeed("ATPM_SMOKE_POLICY_SEED", 1));
@@ -105,37 +121,45 @@ int main() {
                        threads, window, run.status().ToString().c_str());
           return 1;
         }
+        const std::string fingerprint = Fingerprint(run.value());
         if (repeat == 0) {
-          first_seeds = run.value().seeds;
+          first = fingerprint;
           std::printf(
               "threads=%u window=%u: %zu seeds, %llu pools, spec hits "
               "%llu/%llu, discarded %llu\n",
-              threads, window, first_seeds.size(),
+              threads, window, run.value().seeds.size(),
               static_cast<unsigned long long>(run.value().total_count_pools),
               static_cast<unsigned long long>(run.value().speculation_hits),
               static_cast<unsigned long long>(run.value().speculation_hits +
                                               run.value().speculation_misses),
               static_cast<unsigned long long>(
                   run.value().speculation_discarded));
-        } else if (run.value().seeds != first_seeds) {
+          if (window == 0 && threads == 1) {
+            window_zero_seeds = run.value().seeds;
+          } else if (threads == 1 && run.value().seeds != window_zero_seeds) {
+            std::fprintf(stderr,
+                         "SEED-SET MISMATCH at window=%u vs window=0:\n"
+                         "  window 0  %s\n  got       %s\n",
+                         window, FormatSeeds(window_zero_seeds).c_str(),
+                         FormatSeeds(run.value().seeds).c_str());
+            ++failures;
+          }
+        } else if (fingerprint != first) {
           std::fprintf(stderr,
                        "REPEAT NONDETERMINISM at threads=%u window=%u:\n"
                        "  first  %s\n  second %s\n",
-                       threads, window, FormatSeeds(first_seeds).c_str(),
-                       FormatSeeds(run.value().seeds).c_str());
+                       threads, window, first.c_str(), fingerprint.c_str());
           ++failures;
         }
       }
 
-      if (!have_reference) {
-        reference_seeds = first_seeds;
-        have_reference = true;
-      } else if (first_seeds != reference_seeds) {
+      if (threads == 1) {
+        reference = first;
+      } else if (first != reference) {
         std::fprintf(stderr,
-                     "SEED-SET MISMATCH at threads=%u window=%u:\n"
-                     "  reference %s\n  got       %s\n",
-                     threads, window, FormatSeeds(reference_seeds).c_str(),
-                     FormatSeeds(first_seeds).c_str());
+                     "THREAD-COUNT MISMATCH at threads=%u window=%u:\n"
+                     "  threads=1 %s\n  got       %s\n",
+                     threads, window, reference.c_str(), first.c_str());
         ++failures;
       }
     }
@@ -146,7 +170,7 @@ int main() {
                  failures);
     return 1;
   }
-  std::printf("determinism smoke OK: one seed set across all "
-              "(threads, window) configurations\n");
+  std::printf("determinism smoke OK: one run per window across thread "
+              "counts, one seed set across windows\n");
   return 0;
 }

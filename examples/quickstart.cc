@@ -49,9 +49,9 @@ int main() {
               problem.TotalTargetCost());
 
   // 3. Sample one ground-truth world and run HATP against it. The thread
-  //    count picks the RR-sampling backend: 1 runs the serial engine
-  //    (reproducible against the single-threaded reference), more runs the
-  //    persistent worker pool.
+  //    count picks the RR-sampling backend: 1 runs the serial engine, more
+  //    runs the persistent worker pool. Both draw the same RR sets, so the
+  //    run is the same at any thread count.
   atpm::Rng world_rng(42);
   atpm::AdaptiveEnvironment env(
       atpm::Realization::Sample(graph, &world_rng));

@@ -88,12 +88,12 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// Derives the `stream`-th worker seed from a base seed (one SplitMix64
-/// round over the pair). Deterministic seed-splitting for thread pools: a
-/// job draws one 64-bit base seed from its caller's stream, and worker w
-/// seeds its private Rng with SplitSeed(base, w). Streams for different w
-/// are decorrelated by the mix even though the bases are consecutive, and
-/// the whole fan-out is reproducible for a fixed (base seed, worker count).
+/// Derives the `stream`-th seed from a base seed (one SplitMix64 round over
+/// the pair). Deterministic seed-splitting for parallel sampling: a batch
+/// draws one 64-bit base seed from its caller's stream, and its chunk c
+/// seeds a private Rng with SplitSeed(base, c), whichever thread runs it.
+/// Streams for different c are decorrelated by the mix even though the
+/// indices are consecutive.
 inline uint64_t SplitSeed(uint64_t base_seed, uint64_t stream) {
   uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -33,7 +33,7 @@ struct NonadaptiveResult {
 ///
 /// The engine overloads sample the fixed pool through `engine` (must be
 /// bound to problem.graph; its pool is reset); the three-argument forms use
-/// a private serial engine, bit-identical to the historical behavior.
+/// a private serial engine.
 Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
                                  uint64_t num_rr_sets, Rng* rng);
 Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,

@@ -221,8 +221,8 @@ void FinalizeAdaptiveResult(const ProfitProblem& problem,
 /// One halving round's front/rear conditional-coverage estimates — the
 /// sampling step shared by the double-greedy decision loops (ADDATP Alg 3,
 /// HATP Alg 4, HNTP). Batched: ONE pool of `theta` RR sets answers both
-/// queries. Unbatched: the literal two independent pools R1, R2,
-/// bit-identical to the pre-batching code paths for a fixed seed.
+/// queries. Unbatched: the literal two independent pools R1, R2 of
+/// Algorithms 3/4.
 struct FrontRearHits {
   uint64_t front = 0;
   uint64_t rear = 0;

@@ -340,6 +340,8 @@ class Graph {
     /// kRagged only: the offsets array whose last entry is the length
     /// (listed, and so bound by the store loader, before the array).
     const ArrayBlock<uint64_t>* offsets = nullptr;
+    /// The entries are node ids, so each must be below n.
+    bool node_ids = false;
 
     /// n, n + 1, m, or the offsets array's last entry.
     uint64_t Length(NodeId n, uint64_t m) const {
@@ -362,17 +364,17 @@ class Graph {
   static void ForEachArray(Self& g, Fn&& fn) {
     using E = Extent;
     fn("out_offsets", E{E::kOffsets}, g.out_offsets_);
-    fn("out_adj", E{E::kEdges}, g.out_adj_);
+    fn("out_adj", E{E::kEdges, nullptr, true}, g.out_adj_);
     fn("out_prob", E{E::kEdges}, g.out_prob_);
     fn("in_offsets", E{E::kOffsets}, g.in_offsets_);
-    fn("in_adj", E{E::kEdges}, g.in_adj_);
+    fn("in_adj", E{E::kEdges, nullptr, true}, g.in_adj_);
     fn("in_prob", E{E::kEdges}, g.in_prob_);
     fn("in_edge_index", E{E::kEdges}, g.in_edge_index_);
     fn("in_class", E{E::kNodes}, g.in_class_);
     fn("seg_offsets", E{E::kOffsets}, g.seg_offsets_);
     fn("in_segments", E{E::kRagged, &g.seg_offsets_}, g.in_segments_);
     fn("jump_offsets", E{E::kOffsets}, g.jump_offsets_);
-    fn("jump_in_neighbors", E{E::kRagged, &g.jump_offsets_},
+    fn("jump_in_neighbors", E{E::kRagged, &g.jump_offsets_, true},
        g.jump_in_neighbors_);
     fn("jump_in_slots", E{E::kRagged, &g.jump_offsets_}, g.jump_in_slots_);
     fn("lt_plan", E{E::kNodes}, g.lt_plan_);

@@ -282,11 +282,12 @@ class GraphStoreIO {
 
   // Points `block` at section `id`, whose element size and count must
   // match the array's type and extent rule. A ragged length (the last
-  // entry of an offsets array) and an offsets array's leading 0 are
-  // payload words, so they are checked with the payload (`check_payload`,
-  // whose hash pass pages everything in anyway); a load that waives that
-  // takes them on trust like every other payload byte, the section count
-  // included, and touches no page it does not need.
+  // entry of an offsets array), an offsets array's leading 0 and its order,
+  // and node ids below n are payload words, so they are checked with the
+  // payload (`check_payload`, whose hash pass pages everything in anyway);
+  // a load that waives that takes them on trust like every other payload
+  // byte, the section count included, and touches no page it does not
+  // need.
   template <typename T>
   static Status BindSection(const StoreView& view, uint32_t id,
                             const char* name, Graph::Extent extent, NodeId n,
@@ -312,11 +313,30 @@ class GraphStoreIO {
     block->SetView(
         reinterpret_cast<const T*>(view.file->base + section->offset),
         expected_count);
+    if (!check_payload) return Status::OK();
+    const auto reject = [&](const std::string& what) {
+      return Status::InvalidArgument(std::string("graph store: section ") +
+                                     name + " " + what);
+    };
     if constexpr (std::is_same_v<T, uint64_t>) {
-      if (check_payload && extent.kind == Graph::Extent::kOffsets &&
-          (*block)[0] != 0) {
-        return Status::InvalidArgument(std::string("graph store: section ") +
-                                       name + " does not start at 0");
+      if (extent.kind == Graph::Extent::kOffsets) {
+        if ((*block)[0] != 0) return reject("does not start at 0");
+        for (uint64_t i = 1; i < block->size(); ++i) {
+          if ((*block)[i] < (*block)[i - 1]) {
+            return reject("decreases at entry " + std::to_string(i));
+          }
+        }
+      }
+    }
+    if constexpr (std::is_same_v<T, NodeId>) {
+      if (extent.node_ids) {
+        for (uint64_t i = 0; i < block->size(); ++i) {
+          if ((*block)[i] >= n) {
+            return reject("holds node id " + std::to_string((*block)[i]) +
+                          " at entry " + std::to_string(i) + ", not below " +
+                          std::to_string(n));
+          }
+        }
       }
     }
     return Status::OK();

@@ -22,10 +22,10 @@ struct ImmOptions {
   /// Hard cap on generated RR sets; exceeding it fails with OutOfBudget.
   uint64_t max_rr_sets = 1ull << 26;
   /// Worker threads (0 = hardware concurrency); above 1 the pool is
-  /// sampled by the parallel backend.
+  /// sampled by the parallel backend, which draws the same sets.
   uint32_t num_threads = 1;
-  /// RR-generation kernel (geometric jumps by default; kPerEdge for
-  /// bit-compat reruns of recorded seeds).
+  /// RR-generation kernel (geometric jumps by default; kPerEdge is the
+  /// statistical reference).
   SamplingKernel kernel = SamplingKernel::kGeometricJump;
 };
 

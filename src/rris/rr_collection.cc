@@ -21,6 +21,11 @@ void RRCollection::AppendShard(std::span<const NodeId> nodes,
   index_built_ = false;
 }
 
+void RRCollection::Reserve(uint64_t sets, uint64_t nodes) {
+  set_offsets_.reserve(sets + 1);
+  set_nodes_.reserve(nodes);
+}
+
 uint64_t RRCollection::Generate(RRSetGenerator* generator,
                                 const BitVector* removed, uint32_t num_alive,
                                 uint64_t count, Rng* rng) {

@@ -34,6 +34,10 @@ class RRCollection {
   void AppendShard(std::span<const NodeId> nodes,
                    std::span<const uint32_t> set_sizes);
 
+  /// Makes room for `sets` sets of `nodes` nodes in total, so appends up
+  /// to that size allocate nothing.
+  void Reserve(uint64_t sets, uint64_t nodes);
+
   /// Generates `count` RR sets with `generator` on the residual graph
   /// G \ removed; accumulates and returns the total edges examined.
   uint64_t Generate(RRSetGenerator* generator, const BitVector* removed,

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <new>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -99,94 +102,13 @@ void SamplingEngine::AccrueCounting(uint64_t pools, uint64_t queries) {
   metrics.coverage_queries->Increment(queries);
 }
 
-// ----------------------------------------------------------- caller thread
-
-CallerThreadSamplingEngine::CallerThreadSamplingEngine(const Graph& graph,
-                                                       DiffusionModel model,
-                                                       SamplingKernel kernel)
-    : pool_(graph.num_nodes()),
-      model_(model),
-      generator_(graph, model, kernel) {}
-
-Status CallerThreadSamplingEngine::FillOnCallerThread(
-    const BitVector* removed, uint32_t num_alive, uint64_t count, Rng* rng) {
-  ATPM_FAILPOINT("engine.serial_batch");
-  obs::TraceSpan span("pool_fill");
-  span.AnnotateU64("count", count);
-  obs::ScopedLatency latency(EngineMetrics::Get().pool_fill_seconds);
-  // Batched block generation straight into the shard layout: one splice
-  // into the pool CSR instead of a staging copy per set, and one shared
-  // alive-list build per block. Bit-identical sets to the historical
-  // Generate + AddSet loop on the same stream.
-  shard_nodes_.clear();
-  shard_sizes_.clear();
-  const uint64_t draws_before = generator_.rng_draws();
-  Status status = Status::OK();
-  uint64_t edges = 0;
-  try {
-    ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-    edges = generator_.GenerateBatch(removed, num_alive, count, rng,
-                                     &shard_nodes_, &shard_sizes_, budget_);
-    ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_append");
-    pool_.AppendShard(shard_nodes_, shard_sizes_);
-  } catch (...) {
-    // A bad_alloc mid-batch leaves the staging shard partially grown (it
-    // is cleared on the next call) and the pool untouched; the draws the
-    // generator consumed are still accounted.
-    status = ExceptionToStatus(std::string(name()) + " pool generation",
-                               std::current_exception());
-  }
-  edges_examined_ += status.ok() ? edges : 0;
-  AccrueGeneration(status.ok() ? shard_sizes_.size() : 0,
-                   status.ok() ? edges : 0,
-                   generator_.rng_draws() - draws_before);
-  return status;
-}
-
-Result<uint64_t> CallerThreadSamplingEngine::CountOnCallerThread(
-    CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
-    uint64_t theta, uint64_t seed) {
-  if (batch->empty()) return uint64_t{0};
-  ATPM_FAILPOINT("engine.serial_batch");
-  obs::TraceSpan span("count_batch");
-  span.AnnotateU64("theta", theta);
-  span.AnnotateU64("queries", batch->size());
-  obs::ScopedLatency latency(EngineMetrics::Get().count_batch_seconds);
-  Rng rng(seed);
-  const uint64_t draws_before = generator_.rng_draws();
-  uint64_t sampled = theta;
-  uint64_t edges = 0;
-  try {
-    // The throwaway counting pool is an allocation consumer too: its
-    // scratch growth is covered by the same alloc failpoint so injected
-    // bad_alloc exercises the policies' absorb-and-degrade path.
-    ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-    edges = generator_.CountCoveringBatch(removed, num_alive, theta,
-                                          batch->queries(), batch->hit_data(),
-                                          &rng, budget_, &sampled);
-  } catch (...) {
-    AccrueGeneration(0, 0, generator_.rng_draws() - draws_before);
-    return ExceptionToStatus(std::string(name()) + " coverage counting",
-                             std::current_exception());
-  }
-  AccrueGeneration(sampled, edges, generator_.rng_draws() - draws_before);
-  AccrueCounting(1, batch->size());
-  return sampled;
-}
-
-void CallerThreadSamplingEngine::ResetPool() {
-  pool_.Clear();
-  edges_examined_ = 0;
-}
-
-// ---------------------------------------------------------------- parallel
-
 ParallelSamplingEngine::ParallelSamplingEngine(const Graph& graph,
                                                DiffusionModel model,
                                                uint32_t num_threads,
                                                uint64_t min_parallel_batch,
                                                SamplingKernel kernel)
-    : CallerThreadSamplingEngine(graph, model, kernel),
+    : pool_(graph.num_nodes()),
+      model_(model),
       min_parallel_batch_(min_parallel_batch) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -195,8 +117,9 @@ ParallelSamplingEngine::ParallelSamplingEngine(const Graph& graph,
   for (Worker& worker : workers_) {
     worker.generator = std::make_unique<RRSetGenerator>(graph, model, kernel);
   }
-  threads_.reserve(num_threads);
-  for (uint32_t w = 0; w < num_threads; ++w) {
+  // Worker 0 is the calling thread.
+  threads_.reserve(num_threads - 1);
+  for (uint32_t w = 1; w < num_threads; ++w) {
     threads_.emplace_back([this, w]() { WorkerLoop(w); });
   }
 }
@@ -223,15 +146,7 @@ void ParallelSamplingEngine::WorkerLoop(uint32_t index) {
       seen_epoch = job_epoch_;
       job = job_;
     }
-    // Containment: an exception escaping a job body used to ripple into
-    // std::terminate (nothing above this frame catches). Capture it so
-    // RunOnPool can translate it into a Status after the barrier; the
-    // worker stays alive and the pool stays usable.
-    try {
-      (*job)(index);
-    } catch (...) {
-      workers_[index].error = std::current_exception();
-    }
+    (*job)(index);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_ == 0) done_cv_.notify_all();
@@ -239,148 +154,188 @@ void ParallelSamplingEngine::WorkerLoop(uint32_t index) {
   }
 }
 
-Status ParallelSamplingEngine::RunOnPool(
-    const std::function<void(uint32_t)>& body) {
+Status ParallelSamplingEngine::RunChunks(uint64_t size, uint64_t seed,
+                                         const ChunkBody& body) {
+  const uint64_t num_chunks = (size + kChunkSets - 1) / kChunkSets;
+  next_chunk_ = 0;
   for (Worker& worker : workers_) worker.error = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &body;
-    ++job_epoch_;
-    pending_ = static_cast<uint32_t>(workers_.size());
-  }
-  job_cv_.notify_all();
-  {
+  const std::function<void(uint32_t)> claim = [&](uint32_t w) {
+    Worker& worker = workers_[w];
+    try {
+      for (uint64_t c = next_chunk_++; c < num_chunks; c = next_chunk_++) {
+        ATPM_FAILPOINT_MAYBE_THROW("engine.parallel_worker");
+        ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
+        Rng rng(SplitSeed(seed, c));
+        body(worker, c, std::min(kChunkSets, size - c * kChunkSets), &rng);
+      }
+    } catch (...) {
+      // The batch has failed: record why and let no worker claim more.
+      worker.error = std::current_exception();
+      next_chunk_ = num_chunks;
+    }
+  };
+  if (RunsInline(size)) {
+    claim(0);
+  } else {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = &claim;
+      ++job_epoch_;
+      pending_ = static_cast<uint32_t>(threads_.size());
+    }
+    job_cv_.notify_all();
+    claim(0);
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&]() { return pending_ == 0; });
     job_ = nullptr;
   }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].error != nullptr) {
-      // First failed worker in index order: deterministic for a fixed
-      // fault schedule even when several workers fail at once.
-      return ExceptionToStatus("parallel sampling worker",
-                               std::move(workers_[w].error));
+  for (Worker& worker : workers_) {
+    if (worker.error != nullptr) {
+      return ExceptionToStatus(std::string(name()) + " sampling",
+                               std::move(worker.error));
     }
   }
   return Status::OK();
 }
 
-void ParallelSamplingEngine::AssignQuotas(uint64_t total) {
-  const uint64_t num_workers = workers_.size();
-  const uint64_t chunk = total / num_workers;
-  const uint64_t remainder = total % num_workers;
-  for (uint64_t w = 0; w < num_workers; ++w) {
-    workers_[w].quota = chunk + (w < remainder ? 1 : 0);
+uint64_t ParallelSamplingEngine::TakeDraws() {
+  uint64_t draws = 0;
+  for (Worker& worker : workers_) {
+    const uint64_t now = worker.generator->rng_draws();
+    draws += now - worker.draws_seen;
+    worker.draws_seen = now;
   }
+  return draws;
 }
 
 Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
                                                uint32_t num_alive,
                                                uint64_t count, Rng* rng) {
-  // One draw from the caller's stream per query, independent of the worker
-  // count; the fan-out is derived from it via SplitSeed.
-  const uint64_t base_seed = rng->Next();
-  if (RunsInline(count)) {
-    Rng local(base_seed);
-    return FillOnCallerThread(removed, num_alive, count, &local);
-  }
+  // One draw from the caller's stream per call, whatever the worker count.
+  const uint64_t seed = rng->Next();
+  ATPM_FAILPOINT("engine.serial_batch");
   obs::TraceSpan span("pool_fill");
   span.AnnotateU64("count", count);
   obs::ScopedLatency latency(EngineMetrics::Get().pool_fill_seconds);
-  AssignQuotas(count);
-  const Status pool_status = RunOnPool([&](uint32_t w) {
-    Worker& worker = workers_[w];
-    worker.shard_nodes.clear();
-    worker.shard_sizes.clear();
-    worker.edges_result = 0;
-    const uint64_t draws_before = worker.generator->rng_draws();
-    Rng local(SplitSeed(base_seed, w));
-    ATPM_FAILPOINT_MAYBE_THROW("engine.parallel_worker");
-    ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_reserve");
-    worker.edges_result =
-        worker.generator->GenerateBatch(removed, num_alive, worker.quota,
-                                        &local, &worker.shard_nodes,
-                                        &worker.shard_sizes, budget_);
-    worker.draws_result = worker.generator->rng_draws() - draws_before;
-  });
-  if (!pool_status.ok()) return pool_status;
-
-  // Merge in worker order: deterministic layout, and the EPT accounting
-  // (total edges examined) aggregates exactly as in a serial run.
-  Status merge_status = Status::OK();
-  uint64_t edges = 0;
-  uint64_t generated = 0;
-  uint64_t draws = 0;
   for (Worker& worker : workers_) {
-    draws += worker.draws_result;
-    if (!merge_status.ok()) continue;
+    worker.edges = 0;
+    worker.nodes.clear();
+    worker.sizes.clear();
+    worker.chunks.clear();
+  }
+  Status status = RunChunks(
+      count, seed, [&](Worker& worker, uint64_t chunk, uint64_t sets,
+                       Rng* chunk_rng) {
+        StagedChunk staged{chunk, worker.nodes.size(), 0, worker.sizes.size(),
+                           0};
+        worker.edges += worker.generator->GenerateBatch(
+            removed, num_alive, sets, chunk_rng, &worker.nodes,
+            &worker.sizes, budget_);
+        staged.node_end = worker.nodes.size();
+        staged.set_end = worker.sizes.size();
+        worker.chunks.push_back(staged);
+      });
+  const uint64_t draws = TakeDraws();
+
+  uint64_t sets = 0;
+  uint64_t nodes = 0;
+  uint64_t edges = 0;
+  for (const Worker& worker : workers_) {
+    sets += worker.sizes.size();
+    nodes += worker.nodes.size();
+    edges += worker.edges;
+  }
+  // Splice in chunk order. The pool grows once up front, so a failed
+  // allocation leaves it untouched and the appends cannot fail.
+  if (status.ok()) {
     try {
       ATPM_FAILPOINT_MAYBE_THROW("alloc.pool_append");
-      pool_.AppendShard(worker.shard_nodes, worker.shard_sizes);
+      std::vector<std::pair<const Worker*, const StagedChunk*>> order(
+          (count + kChunkSets - 1) / kChunkSets);
+      for (const Worker& worker : workers_) {
+        for (const StagedChunk& staged : worker.chunks) {
+          order[staged.chunk] = {&worker, &staged};
+        }
+      }
+      pool_.Reserve(pool_.num_sets() + sets, pool_.total_nodes() + nodes);
+      for (const auto& [worker, staged] : order) {
+        pool_.AppendShard(
+            std::span<const NodeId>(worker->nodes)
+                .subspan(staged->node_begin,
+                         staged->node_end - staged->node_begin),
+            std::span<const uint32_t>(worker->sizes)
+                .subspan(staged->set_begin,
+                         staged->set_end - staged->set_begin));
+      }
     } catch (...) {
-      // Shards merged before the failure stay in the pool (they are whole
-      // RR sets); the stats below count exactly those. Draws accrue for
-      // every worker regardless — they were consumed either way.
-      merge_status = ExceptionToStatus("pool shard merge",
-                                       std::current_exception());
-      continue;
+      status = ExceptionToStatus(std::string(name()) + " pool merge",
+                                 std::current_exception());
     }
-    edges += worker.edges_result;
-    generated += worker.shard_sizes.size();
+  }
+  if (!status.ok()) {
+    AccrueGeneration(0, 0, draws);
+    return status;
   }
   edges_examined_ += edges;
-  AccrueGeneration(generated, edges, draws);
-  return merge_status;
+  AccrueGeneration(sets, edges, draws);
+  return status;
 }
 
 Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
     CoverageQueryBatch* batch, const BitVector* removed, uint32_t num_alive,
     uint64_t theta, uint64_t seed) {
-  if (RunsInline(theta)) {
-    return CountOnCallerThread(batch, removed, num_alive, theta, seed);
-  }
   const size_t num_queries = batch->size();
   if (num_queries == 0) return uint64_t{0};
+  ATPM_FAILPOINT("engine.serial_batch");
   obs::TraceSpan span("count_batch");
   span.AnnotateU64("theta", theta);
   span.AnnotateU64("queries", num_queries);
   obs::ScopedLatency latency(EngineMetrics::Get().count_batch_seconds);
+  for (Worker& worker : workers_) {
+    worker.edges = 0;
+    worker.sampled = 0;
+    worker.hits.assign(num_queries, 0);
+    // CountCoveringBatch zeroes the chunk counters itself.
+    worker.chunk_hits.resize(num_queries);
+  }
+  const Status status = RunChunks(
+      theta, seed, [&](Worker& worker, uint64_t, uint64_t sets,
+                       Rng* chunk_rng) {
+        uint64_t sampled = sets;
+        worker.edges += worker.generator->CountCoveringBatch(
+            removed, num_alive, sets, batch->queries(),
+            worker.chunk_hits.data(), chunk_rng, budget_, &sampled);
+        worker.sampled += sampled;
+        for (size_t q = 0; q < num_queries; ++q) {
+          worker.hits[q] += worker.chunk_hits[q];
+        }
+      });
+  const uint64_t draws = TakeDraws();
+  if (!status.ok()) {
+    AccrueGeneration(0, 0, draws);
+    return status;
+  }
 
-  AssignQuotas(theta);
-  const Status pool_status = RunOnPool([&](uint32_t w) {
-    Worker& worker = workers_[w];
-    // Size-only adjustment: CountCoveringBatch zeroes the counters itself,
-    // so re-zeroing here (the old `assign`) would touch every entry twice.
-    worker.hit_shard.resize(num_queries);
-    worker.sampled_result = 0;
-    const uint64_t draws_before = worker.generator->rng_draws();
-    Rng local(SplitSeed(seed, w));
-    ATPM_FAILPOINT_MAYBE_THROW("engine.parallel_worker");
-    worker.edges_result = worker.generator->CountCoveringBatch(
-        removed, num_alive, worker.quota, batch->queries(),
-        worker.hit_shard.data(), &local, budget_, &worker.sampled_result);
-    worker.draws_result = worker.generator->rng_draws() - draws_before;
-  });
-  if (!pool_status.ok()) return pool_status;
-
-  // Deterministic merge: per-worker counter shards summed in worker order.
-  // Under a tripped budget each worker's hits are exact over its own
+  // Under a tripped budget each chunk's hits are exact over its own
   // sampled prefix, so the summed hits are exact over the summed sample
   // count — the honest θ the caller scales by.
   uint64_t sampled = 0;
   uint64_t edges = 0;
-  uint64_t draws = 0;
   batch->ZeroHits();
   uint64_t* hits = batch->hit_data();
   for (const Worker& worker : workers_) {
-    for (size_t q = 0; q < num_queries; ++q) hits[q] += worker.hit_shard[q];
-    edges += worker.edges_result;
-    draws += worker.draws_result;
-    sampled += worker.sampled_result;
+    for (size_t q = 0; q < num_queries; ++q) hits[q] += worker.hits[q];
+    edges += worker.edges;
+    sampled += worker.sampled;
   }
   AccrueGeneration(sampled, edges, draws);
   AccrueCounting(1, num_queries);
   return sampled;
+}
+
+void ParallelSamplingEngine::ResetPool() {
+  pool_.Clear();
+  edges_examined_ = 0;
 }
 
 // ----------------------------------------------------------------- factory

