@@ -7,9 +7,13 @@
 //     (seeds, total RR sets, total count pools, and every step's rounds
 //     and RR sets used): the engine's chunk streams depend on the seed and
 //     the batch size, never on the thread count;
-//   * decision equivalence — window 4 must select the seed set of window
-//     0 on the pinned world: speculative answers are either valid
-//     first-round estimates or discarded unread.
+//   * decision equivalence — on the same graph and targets with clear-cut
+//     costs (cheap and overpriced targets alternating), window 4 must
+//     select the seed set of window 0 while serving some first rounds from
+//     speculative answers: every decision's margin dwarfs its certified
+//     error, so a sound answer cannot flip it. The calibrated costs are
+//     not used here: they put targets near the decision bar, where a
+//     borderline candidate resolves by the luck of the stream.
 //
 // Exits non-zero on any mismatch — wired into CI next to the fig9 smoke.
 #include <cstdio>
@@ -92,58 +96,50 @@ int main() {
   }
   const atpm::ProfitProblem& problem = selection.value().problem;
 
-  std::vector<atpm::NodeId> window_zero_seeds;
+  // One run of `hatp` on `instance` from the smoke's world and policy
+  // seeds; a failed run exits 1.
+  auto run_hatp = [&](atpm::HatpPolicy& hatp,
+                      const atpm::ProfitProblem& instance) {
+    atpm::Rng world_rng(EnvSeed("ATPM_SMOKE_WORLD_SEED", 43));
+    atpm::AdaptiveEnvironment env(atpm::Realization::Sample(graph, &world_rng));
+    atpm::Rng policy_rng(EnvSeed("ATPM_SMOKE_POLICY_SEED", 1));
+    atpm::Result<atpm::AdaptiveRunResult> run =
+        hatp.Run(instance, &env, &policy_rng);
+    if (!run.ok()) {
+      std::fprintf(stderr, "HATP run failed: %s\n",
+                   run.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(run).value();
+  };
+  auto options = [](uint32_t threads, uint32_t window) {
+    atpm::HatpOptions hatp_options;
+    hatp_options.sampling.num_threads = threads;
+    hatp_options.sampling.lookahead_window = window;
+    return hatp_options;
+  };
+
   int failures = 0;
 
   for (uint32_t window : {0u, 4u}) {
     std::string reference;
     for (uint32_t threads : {1u, 2u, 4u}) {
-      atpm::HatpOptions options;
-      options.sampling.num_threads = threads;
-      options.sampling.lookahead_window = window;
-      atpm::HatpPolicy hatp(options);
-
+      atpm::HatpPolicy hatp(options(threads, window));
       std::string first;
       for (int repeat = 0; repeat < 2; ++repeat) {
-        // The calibrated costs put targets near the decision bar, and the
-        // window changes which pools answer a first round, so the world is
-        // pinned to one where both windows resolve the borderline
-        // candidates the same way (the batched-rounds tests pin seeds
-        // likewise). Thread counts must agree bit for bit regardless.
-        atpm::Rng world_rng(EnvSeed("ATPM_SMOKE_WORLD_SEED", 43));
-        atpm::AdaptiveEnvironment env(
-            atpm::Realization::Sample(graph, &world_rng));
-        atpm::Rng policy_rng(EnvSeed("ATPM_SMOKE_POLICY_SEED", 1));
-        atpm::Result<atpm::AdaptiveRunResult> run =
-            hatp.Run(problem, &env, &policy_rng);
-        if (!run.ok()) {
-          std::fprintf(stderr, "HATP(threads=%u, window=%u) failed: %s\n",
-                       threads, window, run.status().ToString().c_str());
-          return 1;
-        }
-        const std::string fingerprint = Fingerprint(run.value());
+        const atpm::AdaptiveRunResult run = run_hatp(hatp, problem);
+        const std::string fingerprint = Fingerprint(run);
         if (repeat == 0) {
           first = fingerprint;
           std::printf(
               "threads=%u window=%u: %zu seeds, %llu pools, spec hits "
               "%llu/%llu, discarded %llu\n",
-              threads, window, run.value().seeds.size(),
-              static_cast<unsigned long long>(run.value().total_count_pools),
-              static_cast<unsigned long long>(run.value().speculation_hits),
-              static_cast<unsigned long long>(run.value().speculation_hits +
-                                              run.value().speculation_misses),
-              static_cast<unsigned long long>(
-                  run.value().speculation_discarded));
-          if (window == 0 && threads == 1) {
-            window_zero_seeds = run.value().seeds;
-          } else if (threads == 1 && run.value().seeds != window_zero_seeds) {
-            std::fprintf(stderr,
-                         "SEED-SET MISMATCH at window=%u vs window=0:\n"
-                         "  window 0  %s\n  got       %s\n",
-                         window, FormatSeeds(window_zero_seeds).c_str(),
-                         FormatSeeds(run.value().seeds).c_str());
-            ++failures;
-          }
+              threads, window, run.seeds.size(),
+              static_cast<unsigned long long>(run.total_count_pools),
+              static_cast<unsigned long long>(run.speculation_hits),
+              static_cast<unsigned long long>(run.speculation_hits +
+                                              run.speculation_misses),
+              static_cast<unsigned long long>(run.speculation_discarded));
         } else if (fingerprint != first) {
           std::fprintf(stderr,
                        "REPEAT NONDETERMINISM at threads=%u window=%u:\n"
@@ -165,12 +161,39 @@ int main() {
     }
   }
 
+  // Clear-cut costs on the same targets: a 0.2 cost is far below any
+  // target's marginal spread, and half the node count far above it.
+  atpm::ProfitProblem clear_cut = problem;
+  for (size_t i = 0; i < clear_cut.targets.size(); ++i) {
+    clear_cut.costs[clear_cut.targets[i]] =
+        i % 2 == 0 ? 0.2 : 0.5 * static_cast<double>(graph.num_nodes());
+  }
+  atpm::HatpPolicy hatp_zero(options(1, 0));
+  atpm::HatpPolicy hatp_four(options(1, 4));
+  const atpm::AdaptiveRunResult window_zero = run_hatp(hatp_zero, clear_cut);
+  const atpm::AdaptiveRunResult window_four = run_hatp(hatp_four, clear_cut);
+  std::printf("clear-cut costs: window 0 seeds %s, window 4 seeds %s, "
+              "spec hits %llu\n",
+              FormatSeeds(window_zero.seeds).c_str(),
+              FormatSeeds(window_four.seeds).c_str(),
+              static_cast<unsigned long long>(window_four.speculation_hits));
+  if (window_four.seeds != window_zero.seeds) {
+    std::fprintf(stderr, "SEED-SET MISMATCH on clear-cut costs at window=4 "
+                         "vs window=0\n");
+    ++failures;
+  }
+  if (window_four.speculation_hits == 0) {
+    std::fprintf(stderr, "NO SPECULATIVE HIT on clear-cut costs at window=4: "
+                         "the equivalence check served no round\n");
+    ++failures;
+  }
+
   if (failures > 0) {
     std::fprintf(stderr, "determinism smoke FAILED (%d mismatches)\n",
                  failures);
     return 1;
   }
   std::printf("determinism smoke OK: one run per window across thread "
-              "counts, one seed set across windows\n");
+              "counts, one seed set across windows on clear-cut costs\n");
   return 0;
 }

@@ -295,10 +295,11 @@ int main() {
       draws_per_edge_ratio, kernel_speedup);
 
   // Baseline sample size: HATP's largest per-iteration spend on one world
-  // (the paper's NSG/NDG sizing rule; shared-pool units under batching),
-  // clamped back to the configured cap's shared-pool ceiling (cap/2, since
-  // the cap is in R1+R2 units) so the scaling series stays at the
-  // historical magnitude even though the comparison runs had headroom.
+  // (the paper's NSG/NDG sizing rule). Batched rounds keep their counts,
+  // so that spend is the θ of a decision's last round, not Σ θ_i. It is
+  // clamped to half the configured cap (the cap's shared-pool ceiling in
+  // R1+R2 units) so the scaling series stays at the historical magnitude
+  // even though the comparison runs had headroom.
   const uint64_t theta_base = std::max<uint64_t>(
       std::min<uint64_t>(batched_run.max_rr_sets_per_iteration,
                          config.hatp_rr_cap / 2),

@@ -17,6 +17,8 @@ class AdditiveErrorRule final : public DoubleGreedyRule {
   AdditiveErrorRule(const ProfitProblem& problem, const AddAtpOptions& options)
       : problem_(problem), options_(options) {}
 
+  // The schedule does not depend on the data, so kept counts need no δ
+  // split (concentration.h).
   uint64_t SampleSize(const ErrorSchedule& s) const override {
     return AddAtpSampleSize(s.zeta, s.delta);
   }
@@ -34,15 +36,17 @@ class AdditiveErrorRule final : public DoubleGreedyRule {
     eta_ = std::max(1.0, slack / 2.0);
   }
 
-  bool Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
+  StopTest Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
     const double rho_f = RhoFront(e);
     const double rho_r = RhoRear(e);
     const double additive = e.nd * s.zeta;  // n_i ζ_i, in spread units
     const bool c1 = std::abs(rho_f - rho_r) >= 2.0 * additive ||
                     rho_f <= -additive || rho_r <= -additive;
     const bool c2 = additive <= eta_;
-    if (!c1 && c2) eta_sum_ += eta_;  // η̃_i = η_i iff C2 fired
-    return c1 || c2;
+    if (c1) return StopTest::kCertified;
+    if (!c2) return StopTest::kContinue;
+    eta_sum_ += eta_;  // η̃_i = η_i iff C2 fired
+    return StopTest::kFloor;
   }
 
   void Tighten(const RoundEstimates& /*e*/, ErrorSchedule* s) const override {

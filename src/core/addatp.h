@@ -37,14 +37,15 @@ struct AddAtpOptions {
 
 /// ADDATP — adaptive double greedy with additive sampling error
 /// (Algorithm 3). Replaces ADG's oracle with reverse-influence-sampling
-/// estimates: each iteration draws a fresh RR-set pool of size
+/// estimates: each halving round counts
 ///
-///   θ = ln(8/δ_i) / (2 ζ_i²),      δ_i = 1/(k n)
+///   θ = ln(8/δ_i) / (2 ζ_i²),      δ_0 = 1/(k n)
 ///
-/// per halving round — answering the front and rear coverage queries as one
-/// CoverageQueryBatch on that shared pool (the paper's literal Algorithm 3
-/// draws two independent pools R1, R2; sampling.batched_rounds = false
-/// restores that), estimates the front/rear profits, and stops as soon as
+/// RR sets — the decision's kept counts topped up by one pool that answers
+/// the front and rear coverage queries as one CoverageQueryBatch (the
+/// paper's literal Algorithm 3 draws two fresh independent pools R1, R2 per
+/// round; sampling.batched_rounds = false restores that) — estimates the
+/// front/rear profits, and stops as soon as
 ///   C1: the estimates are separated enough to decide correctly whp, or
 ///   C2: n_i ζ_i <= 1 (a wrong decision costs at most ~1 profit),
 /// otherwise halves ζ_i by √2 and δ_i by 2 and resamples.

@@ -42,4 +42,10 @@ uint64_t HatpSampleSize(double eps, double zeta, double delta) {
       std::ceil(numer / (2.0 * eps * zeta) * std::log(4.0 / delta)));
 }
 
+uint64_t HatpKeptSampleSize(double eps, double zeta, double delta,
+                            uint32_t round) {
+  const double points = 2.0 * static_cast<double>(round) + 1.0;
+  return HatpSampleSize(eps, zeta, delta / points);
+}
+
 }  // namespace atpm

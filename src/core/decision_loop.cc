@@ -110,8 +110,9 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
       if (step.rounds == 0) planner.Begin(pos, u, epoch, theta);
       // One round: served from a stored speculative answer (free, estimates
       // scale by the answering pool's size), or sampled — batched rounds
-      // share one pool across the front and rear queries, the literal
-      // Algorithms 3/4 pay two independent pools R1, R2.
+      // top up the decision's kept counts with one pool shared by the front
+      // and rear queries, the literal Algorithms 3/4 pay two independent
+      // pools R1, R2 of theta sets.
       FrontRearHits hits;
       const Result<RoundStep> round = planner.NextRound(
           engine, u, seed_bitmap, candidates, removed, ni, theta, epoch,
@@ -125,7 +126,7 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
           config_.fail_on_budget_exhausted) {
         return Status::OutOfBudget(
             name + ": deciding node " + std::to_string(u) + " needs " +
-            std::to_string(RoundRrSets(theta, planner.batched())) +
+            std::to_string(planner.RoundDraw(theta)) +
             " more RR sets (budget " +
             std::to_string(sampling.max_rr_sets_per_decision) + ")");
       }
@@ -176,8 +177,13 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
         }
         break;
       }
-      if (rule->Stop(estimates, schedule)) break;
+      const StopTest stop = rule->Stop(estimates, schedule);
+      if (stop != StopTest::kContinue) {
+        step.certified = stop == StopTest::kCertified;
+        break;
+      }
       rule->Tighten(estimates, &schedule);
+      ++schedule.round;
     }
 
     step.rr_sets_used = used_this_iter;

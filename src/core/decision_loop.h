@@ -22,6 +22,18 @@ struct ErrorSchedule {
   double zeta = 0.0;
   /// Failure probability δ_i.
   double delta = 0.0;
+  /// Halving-round index i of the decision (0 for its first round).
+  uint32_t round = 0;
+};
+
+/// How a round's stopping test resolved.
+enum class StopTest {
+  /// Neither condition holds: tighten the schedule and run another round.
+  kContinue,
+  /// C1 / C'1: the round's confidence intervals certify the comparison.
+  kCertified,
+  /// C2 / C'2 alone: the errors reached their floors.
+  kFloor,
 };
 
 /// What one completed round says about the candidate under examination.
@@ -42,10 +54,11 @@ struct RoundEstimates {
 class DoubleGreedyRule {
  public:
   virtual ~DoubleGreedyRule() = default;
-  /// Pool size θ of a round run under `s`.
+  /// RR sets θ a round run under `s` estimates from.
   virtual uint64_t SampleSize(const ErrorSchedule& s) const = 0;
-  /// Whether the round's estimates settle the decision (C1/C2, C'1/C'2).
-  virtual bool Stop(const RoundEstimates& e, const ErrorSchedule& s) = 0;
+  /// Whether the round's estimates settle the decision, and on which
+  /// condition (C1/C2, C'1/C'2).
+  virtual StopTest Stop(const RoundEstimates& e, const ErrorSchedule& s) = 0;
   /// Shrinks `s` for the next round of an unsettled decision.
   virtual void Tighten(const RoundEstimates& e, ErrorSchedule* s) const = 0;
   /// Line 13: select u (true) or abandon it (false).

@@ -15,13 +15,17 @@ namespace {
 // nonadaptive tailoring, runs the same rule.
 class HybridErrorRule final : public DoubleGreedyRule {
  public:
-  explicit HybridErrorRule(double eps_threshold) : eps_thr_(eps_threshold) {}
+  HybridErrorRule(double eps_threshold, bool kept_counts)
+      : eps_thr_(eps_threshold), kept_counts_(kept_counts) {}
 
+  // Kept counts reuse the samples that picked this round's (ε, ζ), so δ_i
+  // is split over every point Tighten can reach (concentration.h).
   uint64_t SampleSize(const ErrorSchedule& s) const override {
-    return HatpSampleSize(s.eps, s.zeta, s.delta);
+    return kept_counts_ ? HatpKeptSampleSize(s.eps, s.zeta, s.delta, s.round)
+                        : HatpSampleSize(s.eps, s.zeta, s.delta);
   }
 
-  bool Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
+  StopTest Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
     const double fest = e.fest;
     const double rest = e.rest;
     const double cost = e.cost;
@@ -36,7 +40,8 @@ class HybridErrorRule final : public DoubleGreedyRule {
         (fest + rest + 2.0 * az) / (1.0 - eps) <= 2.0 * cost ||
         (fest + az) / (1.0 - eps) <= cost;
     const bool c2 = eps <= eps_thr_ && az <= 1.0;
-    return c1 || c2;
+    if (c1) return StopTest::kCertified;
+    return c2 ? StopTest::kFloor : StopTest::kContinue;
   }
 
   // Adaptive error schedule (Alg 4, Lines 19–23): shrink whichever error
@@ -69,6 +74,7 @@ class HybridErrorRule final : public DoubleGreedyRule {
 
  private:
   double eps_thr_;
+  bool kept_counts_;
 };
 
 }  // namespace
@@ -95,7 +101,7 @@ Result<AdaptiveRunResult> RunHybridDoubleGreedy(const char* name,
        .initial_relative_error = options.initial_relative_error,
        .relative_error_threshold = eps_thr,
        .fail_on_budget_exhausted = options.fail_on_budget_exhausted});
-  HybridErrorRule rule(eps_thr);
+  HybridErrorRule rule(eps_thr, options.sampling.batched_rounds);
   return driver.Run(problem, env, engine, &rule, rng);
 }
 

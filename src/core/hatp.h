@@ -21,8 +21,8 @@ struct HatpOptions {
   /// Initial additive spread error n_i * ζ_0.
   double initial_spread_error = 64.0;
   /// Shared sampling knobs: backend, threads, the per-decision RR budget,
-  /// and round batching (one shared pool per halving round vs the literal
-  /// two pools of Algorithm 4).
+  /// and round batching (one shared pool per halving round topping up the
+  /// decision's kept counts vs the literal two fresh pools of Algorithm 4).
   SamplingOptions sampling;
   /// true: exceeding the budget aborts with OutOfBudget; false (default):
   /// the decision is forced with the current estimates.
@@ -35,7 +35,8 @@ struct HatpOptions {
 ///  1. Sample sizes follow the Relative+Additive concentration bound
 ///     (Lemma 7): θ = (1+ε_i/3)² / (2 ε_i ζ_i) · ln(4/δ_i) — linear in
 ///     1/ζ_i instead of ADDATP's quadratic, an Θ(ε n) efficiency gain
-///     (Theorem 5).
+///     (Theorem 5). Batched rounds keep counts and size round i with
+///     δ_i / (2i + 1) (HatpKeptSampleSize).
 ///  2. The error pair (ε_i, ζ_i) is tuned adaptively per round (Lines
 ///     19–23): nodes with large marginal spread tighten the relative error,
 ///     nodes with small marginal spread tighten the additive error.

@@ -19,9 +19,10 @@ using HntpOptions = HatpOptions;
 using HntpResult = AdaptiveRunResult;
 
 /// HNTP — the nonadaptive tailoring of HATP (Section VI-A). Identical
-/// estimation machinery (fresh hybrid-error RR pools per candidate — one
-/// shared batched pool per round by default, C'1/C'2 stopping, adaptive ε/ζ
-/// schedule), but no seeding feedback: the graph is
+/// estimation machinery (hybrid-error RR pools per candidate — by default
+/// one shared pool per round topping up the candidate's kept counts,
+/// C'1/C'2 stopping, adaptive ε/ζ schedule), but no seeding feedback: the
+/// graph is
 /// never updated, previously *selected* seeds stay in the graph, so the
 /// front estimate is the true conditional coverage Cov(u_i | S_{i-1}) and
 /// the rear base T_{i-1} \ {u_i} includes the selected seeds. The whole

@@ -141,6 +141,7 @@ void SpeculativeRoundPlanner::Begin(size_t position, [[maybe_unused]] NodeId u,
                                     uint64_t epoch, uint64_t min_theta) {
   position_ = position;
   active_.reset();
+  kept_ = KeptCounts{};
   if (window_ == 0) return;
   ATPM_DCHECK(position < targets_.size() && targets_[position] == u);
   // The per-planner stats stay the exact source the run result exports;
@@ -184,7 +185,7 @@ Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
   if (gate != nullptr && gate->Exhausted() != BudgetStop::kNone) {
     return RoundStep::kDegraded;
   }
-  if (RoundRrSets(theta, batched_) > budget_remaining) {
+  if (RoundDraw(theta) > budget_remaining) {
     return RoundStep::kOverBudget;
   }
   ATPM_RETURN_NOT_OK(SampleRound(engine, u, front_base, rear_base, removed,
@@ -209,7 +210,7 @@ SpeculativeRoundPlanner::Serve(uint64_t theta) {
 
 void SpeculativeRoundPlanner::AddSpeculativeQueries(
     const BitVector& front_base, const BitVector& rear_base, uint64_t epoch,
-    uint64_t theta) {
+    uint64_t pool_sets) {
   // The rear base candidate c_j sees natively is the current candidate set
   // minus every intermediate candidate: each examination clears its node
   // whether it ends skipped or abandoned (a selection would bump the epoch
@@ -227,7 +228,7 @@ void SpeculativeRoundPlanner::AddSpeculativeQueries(
     if (!rear_base.Test(c)) continue;
     running_rear_.Clear(c);
     const Entry& entry = entries_[i];
-    if (entry.valid && entry.epoch == epoch && entry.theta >= theta) {
+    if (entry.valid && entry.epoch == epoch && entry.theta >= pool_sets) {
       // Already covered at least this well by an earlier round of this
       // epoch; its clear above still shadows the rear bases of the
       // candidates behind it. A bigger pool instead REFRESHES the entry so
@@ -279,27 +280,37 @@ Status SpeculativeRoundPlanner::SampleRound(
     hits->theta = whole ? theta : 0;
     return Status::OK();
   }
+  // Kept counts: an independent top-up pool (its own seed from `rng`)
+  // brings the sets counted for this decision up to theta.
+  const uint64_t top_up = RoundDraw(theta);
   const uint32_t front = batch_.Add(u, &front_base);
   const uint32_t rear = batch_.Add(u, &rear_base);
-  if (window_ > 0) AddSpeculativeQueries(front_base, rear_base, epoch, theta);
+  if (window_ > 0) AddSpeculativeQueries(front_base, rear_base, epoch, top_up);
   const Result<uint64_t> sampled = engine->TryCountCoverageBatch(
-      &batch_, removed, num_alive, theta, rng);
+      &batch_, removed, num_alive, top_up, rng);
   ATPM_RETURN_NOT_OK(sampled.status());
-  hits->theta = hits->sets = sampled.value();
-  if (hits->theta > 0) {
+  hits->sets = sampled.value();
+  if (hits->sets > 0) {
     for (const PendingAnswer& pending : pending_) {
       Entry& entry = entries_[pending.position];
       entry.epoch = epoch;
       // Stored under the pool's ACTUAL size: a truncated pool still
       // certifies (and scales) honestly over what it drew.
-      entry.theta = hits->theta;
+      entry.theta = hits->sets;
       entry.front_hits = batch_.hits(pending.front_index);
       entry.rear_hits = batch_.hits(pending.rear_index);
       entry.valid = true;
     }
   }
-  hits->front = batch_.hits(front);
-  hits->rear = batch_.hits(rear);
+  kept_.front += batch_.hits(front);
+  kept_.rear += batch_.hits(rear);
+  kept_.sets += hits->sets;
+  // A truncated top-up still estimates honestly over every set kept so
+  // far; an empty one adds nothing, and the caller falls back to its
+  // previous round.
+  hits->theta = hits->sets > 0 ? kept_.sets : 0;
+  hits->front = kept_.front;
+  hits->rear = kept_.rear;
   hits->pools = 1;
   hits->queries = batch_.size();
   return Status::OK();

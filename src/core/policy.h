@@ -113,6 +113,10 @@ struct AdaptiveStepRecord {
   /// True iff the first halving round was served from a valid speculative
   /// answer instead of sampling a pool.
   bool first_round_speculative = false;
+  /// True iff the decision stopped on C1 / C'1 — its comparison certified by
+  /// the last round's confidence intervals — rather than on the error
+  /// floors (C2 / C'2) or a degradation.
+  bool certified = false;
 };
 
 /// Outcome of running an adaptive policy against one environment (i.e., one
@@ -139,8 +143,8 @@ struct AdaptiveRunResult {
   uint64_t total_count_pools = 0;
   /// Largest RR-set count spent on a single iteration — the paper sizes the
   /// NSG/NDG baselines by this quantity (Section VI-A). With batched rounds
-  /// this is in shared-pool units (θ per round), i.e. half the value of the
-  /// unbatched accounting for the same error schedule.
+  /// a decision keeps its counts across rounds, so this is the θ of its last
+  /// sampled round; the unbatched accounting pays 2θ_i in every round i.
   uint64_t max_rr_sets_per_iteration = 0;
   /// Decisions aborted by the per-decision RR budget before one halving
   /// round completed (recorded as SeedDecision::kBudgetExhausted).
@@ -220,21 +224,22 @@ void FinalizeAdaptiveResult(const ProfitProblem& problem,
 
 /// One halving round's front/rear conditional-coverage estimates — the
 /// sampling step shared by the double-greedy decision loops (ADDATP Alg 3,
-/// HATP Alg 4, HNTP). Batched: ONE pool of `theta` RR sets answers both
-/// queries. Unbatched: the literal two independent pools R1, R2 of
-/// Algorithms 3/4.
+/// HATP Alg 4, HNTP). Batched: the decision's kept counts, topped up to
+/// `theta` RR sets by ONE pool that answers both queries. Unbatched: the
+/// literal two independent pools R1, R2 of Algorithms 3/4.
 struct FrontRearHits {
   uint64_t front = 0;
   uint64_t rear = 0;
   /// RR sets the hits were counted over — `theta` for a sampled round, the
   /// (>= theta) pool size of the answering round for a speculative answer,
-  /// or the (< theta) truncated pool size when a BudgetGate stopped the
-  /// round mid-pool. Estimates must scale by THIS, not by the requested
-  /// theta.
+  /// or the (< theta) sets kept so far when a BudgetGate stopped the
+  /// round's pool mid-way. Estimates must scale by THIS, not by the
+  /// requested theta.
   uint64_t theta = 0;
-  /// RR sets the round's pool(s) actually drew — the budget charge. Can be
-  /// nonzero while `theta` is 0: unbatched pools truncated to mismatched
-  /// sizes give no usable estimate but were still paid for.
+  /// RR sets the round's pool(s) actually drew — the budget charge: the
+  /// top-up for batched rounds, R1 + R2 unbatched. Can be nonzero while
+  /// `theta` is 0: unbatched pools truncated to mismatched sizes give no
+  /// usable estimate but were still paid for.
   uint64_t sets = 0;
   /// Throwaway pools this round sampled (1 batched, 2 unbatched, 0 when the
   /// round was served from a speculative answer).
@@ -290,6 +295,16 @@ struct SpeculationStats {
 /// residual graph can leak into a decision. With lookahead_window = 0 the
 /// planner is inert and SampleRound is bit-identical to the plain batched
 /// (or unbatched) round for a fixed seed.
+///
+/// Kept counts. Within one decision the front query, the rear query and
+/// the residual graph never change, so batched rounds keep the decision's
+/// front/rear hits: round i+1 draws an independent top-up pool of
+/// θ_{i+1} − θ_i sets (its own seed) and adds its hits, so a decision pays
+/// θ_last RR sets instead of Σ θ_i. The counts start at the first sampled
+/// round — a round served from a speculative answer leaves them empty — and
+/// Begin resets them. Speculative queries ride each top-up pool and are
+/// stored at that pool's size. The θ schedule that reuses its own samples
+/// needs a union bound over the points it can reach (concentration.h).
 class SpeculativeRoundPlanner {
  public:
   /// `targets` is the policy's examination order; it must outlive the
@@ -321,25 +336,25 @@ class SpeculativeRoundPlanner {
     kDegraded,
   };
 
-  /// Moves the cursor to targets[position] (== u) and activates the stored
-  /// speculative answer for u if it is still valid under `epoch` and large
-  /// enough for a first round of `min_theta` sets (a hit). Stale or
-  /// undersized entries are discarded (counted in stats); a usable-answer-
-  /// less start while speculation is enabled counts a miss. Rounds are then
-  /// run through NextRound().
+  /// Moves the cursor to targets[position] (== u), empties the kept counts,
+  /// and activates the stored speculative answer for u if it is still valid
+  /// under `epoch` and large enough for a first round of `min_theta` sets
+  /// (a hit). Stale or undersized entries are discarded (counted in stats);
+  /// a usable-answer-less start while speculation is enabled counts a miss.
+  /// Rounds are then run through NextRound().
   void Begin(size_t position, NodeId u, uint64_t epoch, uint64_t min_theta);
 
   /// One halving round for u. Serves from the active answer while it still
   /// covers `theta` (it retires permanently once θ outgrows its pool — θ
-  /// grows strictly round over round); otherwise samples Cov(u |
-  /// front_base) and Cov(u | rear_base) on one shared pool of `theta` sets
-  /// (batched) or two independent pools (unbatched) — unless even that
-  /// exceeds `budget_remaining`, in which case nothing is sampled and the
-  /// caller resolves the budget abort. In batched mode with an open window,
-  /// a sampled pool also answers first-round queries for upcoming
-  /// candidates still present in `rear_base` (absent ones are already
-  /// activated and will be skipped, never sampled); their answers are
-  /// stored under `epoch`.
+  /// grows strictly round over round); otherwise counts Cov(u | front_base)
+  /// and Cov(u | rear_base) over `theta` sets: the kept counts plus one
+  /// shared top-up pool (batched) or two independent pools of `theta` sets
+  /// (unbatched) — unless the draw (RoundDraw) exceeds `budget_remaining`,
+  /// in which case nothing is sampled and the caller resolves the budget
+  /// abort. In batched mode with an open window, a sampled pool also
+  /// answers first-round queries for upcoming candidates still present in
+  /// `rear_base` (absent ones are already activated and will be skipped,
+  /// never sampled); their answers are stored under `epoch`.
   ///
   /// A non-OK result means the engine failed (injected fault, worker
   /// exception, IO error): kResourceExhausted is the caller's cue to
@@ -355,8 +370,13 @@ class SpeculativeRoundPlanner {
                               uint64_t budget_remaining, Rng* rng,
                               FrontRearHits* hits);
 
-  /// Whether rounds share one pool (speculation requires it).
-  bool batched() const { return batched_; }
+  /// RR sets a sampled round of `theta` would draw — the budget-check
+  /// quantity: the top-up over the kept counts when batched, R1 + R2 = 2θ
+  /// unbatched.
+  uint64_t RoundDraw(uint64_t theta) const {
+    if (!batched_) return 2 * theta;
+    return theta > kept_.sets ? theta - kept_.sets : 0;
+  }
   /// Whether speculative lookahead is active (batched and window > 0).
   bool speculating() const { return window_ > 0; }
 
@@ -382,10 +402,10 @@ class SpeculativeRoundPlanner {
 
   /// Samples the round's pool(s) into `hits` and answers the front/rear
   /// queries (plus speculative lookahead queries in batched mode).
-  /// hits->theta is the estimates' denominator: θ normally, less when the
-  /// engine's BudgetGate truncated the batched pool, 0 when the round
-  /// produced nothing usable (empty truncation, or unbatched pools with
-  /// mismatched sizes).
+  /// hits->theta is the estimates' denominator: θ normally, the sets kept
+  /// so far when the engine's BudgetGate truncated the batched top-up, 0
+  /// when the round drew nothing usable (an empty top-up, or unbatched
+  /// pools with mismatched sizes).
   Status SampleRound(SamplingEngine* engine, NodeId u,
                      const BitVector& front_base, const BitVector& rear_base,
                      const BitVector* removed, uint32_t num_alive,
@@ -393,12 +413,20 @@ class SpeculativeRoundPlanner {
                      FrontRearHits* hits);
 
   /// Appends up to window_ speculative first-round queries to batch_,
-  /// refreshing stored answers whose pool is smaller than `theta`.
+  /// refreshing stored answers whose pool is smaller than `pool_sets`.
   void AddSpeculativeQueries(const BitVector& front_base,
                              const BitVector& rear_base, uint64_t epoch,
-                             uint64_t theta);
+                             uint64_t pool_sets);
 
   bool batched_ = true;
+  /// The decision's kept counts (batched rounds): front/rear hits summed
+  /// over every top-up pool sampled since Begin, and the sets they span.
+  struct KeptCounts {
+    uint64_t front = 0;
+    uint64_t rear = 0;
+    uint64_t sets = 0;
+  };
+  KeptCounts kept_;
   /// Speculated candidates per round (0 = speculation off).
   uint32_t window_ = 0;
   std::span<const NodeId> targets_;
@@ -416,16 +444,11 @@ class SpeculativeRoundPlanner {
   SpeculationStats stats_;
 };
 
-/// RR sets a round will draw under the given batching mode (the budget-
-/// check quantity): theta for one shared pool, 2*theta for R1+R2.
-inline uint64_t RoundRrSets(uint64_t theta, bool batched) {
-  return batched ? theta : 2 * theta;
-}
-
-/// An adaptive run's largest per-iteration spend converted to shared-pool
-/// units — the paper's NSG/NDG pool-sizing quantity (Section VI-A).
-/// Batched rounds already account in shared-pool units; the literal
-/// two-pool accounting counts R1+R2 and is halved to the same quantity.
+/// An adaptive run's largest per-iteration spend in shared-pool units — the
+/// paper's NSG/NDG pool-sizing quantity (Section VI-A). Batched rounds keep
+/// their counts, so their spend is already the θ of a decision's last
+/// round; the literal two-pool accounting counts R1 + R2 in every round and
+/// is halved to Σ θ_i.
 inline uint64_t SharedPoolIterationSpend(const SamplingOptions& sampling,
                                          uint64_t max_rr_sets_per_iteration) {
   return sampling.batched_rounds ? max_rr_sets_per_iteration

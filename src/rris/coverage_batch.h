@@ -39,10 +39,17 @@ struct CoverageQuery {
 /// Statistical contract: estimates answered on a shared pool are mutually
 /// correlated but each is individually an unbiased θ-sample mean, so
 /// per-query concentration bounds (Hoeffding, Relative+Additive) and the
-/// union bound over a round's events are unaffected. What a pool must NOT
-/// be shared across is *adaptive* boundaries: once an answer influences the
-/// next query's base/residual (a new halving round, a new seed decision),
-/// that next query needs a fresh pool, or the martingale analysis breaks.
+/// union bound over a round's events are unaffected. Counts may be KEPT
+/// across the halving rounds of one decision: the front query, the rear
+/// query and the residual graph do not change between them, so a round
+/// tops up the previous round's hits with an independent pool of
+/// θ_{i+1} − θ_i sets. The answers then influence only how many sets the
+/// next round counts; a union bound over the sample sizes the schedule can
+/// reach pays for that (HatpKeptSampleSize in core/concentration.h). What
+/// a pool must NOT be shared across is a boundary where an answer changes
+/// the query itself — a new seed decision, whose bases and residual graph
+/// follow from the last one — or the analysis breaks: that query needs a
+/// fresh pool.
 ///
 /// Speculative cross-candidate queries do not violate that boundary: the
 /// first-round front/rear questions of UPCOMING candidates are functions of

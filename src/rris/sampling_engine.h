@@ -36,13 +36,17 @@ struct SamplingOptions {
   /// for a fixed seed, so results are identical across thread counts.
   uint32_t num_threads = 1;
   /// Budget cap on RR sets generated for a single seed decision (all pools
-  /// and all halving rounds combined).
+  /// and all halving rounds combined: the top-ups of kept counts, or
+  /// 2θ_i per round unbatched).
   uint64_t max_rr_sets_per_decision = 1ull << 23;
-  /// One shared pool of θ RR sets per halving round answers both the front
-  /// and the rear coverage query through a CoverageQueryBatch — half the RR
-  /// sets per round, identical per-query concentration bounds. false
-  /// restores the literal two-independent-pools sampling of Algorithms 3/4
-  /// (the reference its goldens pin).
+  /// Batched rounds with kept counts: one pool answers both the front and
+  /// the rear coverage query through a CoverageQueryBatch, and a decision
+  /// keeps its hits across its halving rounds, so round i+1 draws only the
+  /// θ_{i+1} − θ_i sets that top them up — θ_last RR sets per decision
+  /// instead of 2 Σ θ_i. HATP's θ_i splits δ_i over the 2i + 1 error points
+  /// its schedule can reach (core/concentration.h). false restores the
+  /// literal two-independent-pools sampling of Algorithms 3/4 (the
+  /// reference its goldens pin).
   bool batched_rounds = true;
   /// Speculative cross-candidate pipelining: every batched halving round's
   /// pool additionally answers the first-round front/rear queries of the

@@ -4,6 +4,7 @@
 // AnswerBatch exactness, and batched-vs-unbatched policy equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -14,7 +15,6 @@
 #include "core/addatp.h"
 #include "core/hatp.h"
 #include "core/hntp.h"
-#include "core/target_selection.h"
 #include "diffusion/spread_oracle.h"
 #include "graph/generators.h"
 #include "graph/geometric_scan.h"
@@ -732,7 +732,7 @@ TEST(RisOracleBatchTest, BatchedMarginalsMatchDefinitionWithinTolerance) {
 }
 
 // --- Policies: batched rounds must reproduce the unbatched decisions on a
-// quickstart-style instance while spending half the RR sets per round.
+// clear-cut instance while spending well under half the RR sets.
 
 struct PolicyRuns {
   AdaptiveRunResult batched;
@@ -741,17 +741,12 @@ struct PolicyRuns {
 
 template <typename Policy, typename Options>
 PolicyRuns RunBothModes(const Graph& g, const ProfitProblem& problem,
-                        Options options, uint64_t world_seed = 42) {
+                        Options options) {
   PolicyRuns runs;
   for (int mode = 0; mode < 2; ++mode) {
-    // Batched-vs-unbatched decision equality relies on every decision of
-    // the pinned instance being clear-cut; the instances were calibrated
-    // under the historical per-edge stream, so pin the kernel (kernel
-    // equivalence has its own suite in rr_kernel_test.cc).
-    options.sampling.kernel = SamplingKernel::kPerEdge;
     options.sampling.batched_rounds = mode == 0;
     Policy policy(options);
-    Rng world_rng(world_seed);
+    Rng world_rng(42);
     AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
     Rng rng(1);
     Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
@@ -770,41 +765,39 @@ std::vector<SeedDecision> Decisions(const AdaptiveRunResult& run) {
   return decisions;
 }
 
-ProfitProblem QuickstartProblem(const Graph& g) {
-  // Mirrors examples/quickstart.cc: top-20 IMM targets, degree-proportional
-  // costs calibrated to the spread lower bound. Kernel pinned so the
-  // instance (and with it the decision margins) matches the calibration.
-  TargetSelectionOptions options;
-  options.kernel = SamplingKernel::kPerEdge;
-  Result<TargetSelectionResult> selection =
-      BuildTopKTargetProblem(g, 20, CostScheme::kDegreeProportional, options);
-  EXPECT_TRUE(selection.ok()) << selection.status().ToString();
-  return selection.value().problem;
+// Clear-cut costs: cheap hubs (0.2) and overpriced alternates (60). Every
+// decision's margin dwarfs its certified error, so any sound sampling
+// layout makes the same decisions — an exact invariant, unlike instances
+// calibrated to the decision bar, where borderline candidates resolve by
+// the luck of the stream.
+ProfitProblem ClearCutProblem(const Graph& g) {
+  ProfitProblem problem;
+  problem.graph = &g;
+  problem.costs.assign(g.num_nodes(), 0.0);
+  for (NodeId u = 0; u < 10; ++u) {
+    problem.targets.push_back(u);
+    problem.costs[u] = (u % 2 == 0) ? 0.2 : 60.0;
+  }
+  return problem;
 }
 
-Graph QuickstartGraph() {
-  Rng rng(7);
-  BarabasiAlbertOptions options;
-  options.num_nodes = 2000;
-  options.edges_per_node = 2;
-  Graph g = GenerateBarabasiAlbert(options, &rng).value();
-  ApplyWeightedCascade(&g);
-  return g;
-}
+TEST(BatchedRoundsTest, HatpMatchesUnbatchedDecisionsOnClearCutCosts) {
+  const Graph g = TestGraph(300);
+  const ProfitProblem problem = ClearCutProblem(g);
 
-TEST(BatchedRoundsTest, HatpMatchesUnbatchedDecisionsOnQuickstartGraph) {
-  const Graph g = QuickstartGraph();
-  const ProfitProblem problem = QuickstartProblem(g);
+  const PolicyRuns runs = RunBothModes<HatpPolicy>(g, problem, HatpOptions{});
 
-  HatpOptions options;
-  const PolicyRuns runs =
-      RunBothModes<HatpPolicy>(g, problem, options, /*world_seed=*/41);
-
+  EXPECT_FALSE(runs.batched.seeds.empty());
   EXPECT_EQ(runs.batched.seeds, runs.unbatched.seeds);
   EXPECT_EQ(Decisions(runs.batched), Decisions(runs.unbatched));
-  // The batched accounting must show the fan-out amortization: at most ~half
-  // the RR sets of the two-pools-per-round runs (round counts may differ
-  // slightly, hence 1.5x as the hard floor), at reuse ratio exactly 2.
+  // Some decision runs several rounds, so its counts are kept and topped up.
+  uint32_t max_rounds = 0;
+  for (const AdaptiveStepRecord& step : runs.batched.steps) {
+    max_rounds = std::max(max_rounds, step.rounds);
+  }
+  EXPECT_GE(max_rounds, 3u);
+  // One pool per round, topping up kept counts, against two fresh pools per
+  // round: well under the unbatched RR sets, at reuse ratio exactly 2.
   EXPECT_LT(static_cast<double>(runs.batched.total_rr_sets),
             static_cast<double>(runs.unbatched.total_rr_sets) / 1.5);
   EXPECT_EQ(runs.batched.total_coverage_queries,
@@ -813,26 +806,94 @@ TEST(BatchedRoundsTest, HatpMatchesUnbatchedDecisionsOnQuickstartGraph) {
             runs.unbatched.total_count_pools);
 }
 
-TEST(BatchedRoundsTest, AddAtpMatchesUnbatchedDecisionsOnSmallGraph) {
-  // ADDATP's additive-only schedule is too expensive for the full 2000-node
-  // instance in a unit test; a 400-node version exercises the same paths.
-  // The calibrated costs put every target near the decision bar, so the
-  // world/policy seeds are pinned to a configuration where both sampling
-  // layouts resolve the borderline nodes the same way (they agree on the
-  // full quickstart instance for the default seeds; see the HATP test).
-  Rng rng(7);
-  BarabasiAlbertOptions graph_options;
-  graph_options.num_nodes = 400;
-  graph_options.edges_per_node = 2;
-  Graph g = GenerateBarabasiAlbert(graph_options, &rng).value();
-  ApplyWeightedCascade(&g);
-  const ProfitProblem problem = QuickstartProblem(g);
+// Runs the rounds of one decision through a planner and replays each
+// top-up pool on its own with the same Rng stream: round r's kept hits are
+// the sum of the first r top-ups' hits, counted over exactly theta sets.
+TEST(BatchedRoundsTest, KeptHitsEqualTheSumOfTopUpPools) {
+  const Graph g = TestGraph(300);
+  const NodeId n = g.num_nodes();
+  SerialSamplingEngine engine(g);
+  const std::vector<NodeId> targets = {0, 1, 2};
+  SpeculativeRoundPlanner planner(SamplingOptions{}, targets);
+  BitVector front_base(n);
+  front_base.Set(7);
+  BitVector rear_base(n);
+  rear_base.Set(1);
+  rear_base.Set(2);
+
+  Rng rng(11);
+  Rng replay_rng(11);
+  uint64_t kept_front = 0;
+  uint64_t kept_rear = 0;
+  uint64_t kept_sets = 0;
+  planner.Begin(0, 0, /*epoch=*/0, 1000);
+  for (uint64_t theta : {1000u, 2500u, 6100u, 13000u}) {
+    const uint64_t top_up = theta - kept_sets;
+    EXPECT_EQ(planner.RoundDraw(theta), top_up);
+    FrontRearHits hits;
+    const Result<SpeculativeRoundPlanner::RoundStep> step =
+        planner.NextRound(&engine, 0, front_base, rear_base, nullptr, n, theta,
+                          0, UINT64_MAX, &rng, &hits);
+    ASSERT_TRUE(step.ok()) << step.status().ToString();
+    EXPECT_EQ(step.value(), SpeculativeRoundPlanner::RoundStep::kSampled);
+
+    CoverageQueryBatch batch;
+    batch.Add(0, &front_base);
+    batch.Add(0, &rear_base);
+    const Result<uint64_t> sampled =
+        engine.TryCountCoverageBatch(&batch, nullptr, n, top_up, &replay_rng);
+    ASSERT_TRUE(sampled.ok());
+    kept_front += batch.hits(0);
+    kept_rear += batch.hits(1);
+    kept_sets += sampled.value();
+
+    EXPECT_EQ(hits.sets, top_up);
+    EXPECT_EQ(hits.theta, theta);
+    EXPECT_EQ(kept_sets, theta);
+    EXPECT_EQ(hits.front, kept_front);
+    EXPECT_EQ(hits.rear, kept_rear);
+    EXPECT_EQ(hits.pools, 1u);
+    EXPECT_EQ(hits.queries, 2u);
+  }
+  EXPECT_GT(kept_front, kept_rear);  // the rear base removes sets
+
+  // The per-decision cap charges the top-up, not theta: a budget of exactly
+  // the top-up funds the round, one set less does not.
+  FrontRearHits hits;
+  EXPECT_EQ(planner
+                .NextRound(&engine, 0, front_base, rear_base, nullptr, n,
+                           20000, 0, 20000 - kept_sets - 1, &rng, &hits)
+                .value(),
+            SpeculativeRoundPlanner::RoundStep::kOverBudget);
+  EXPECT_EQ(planner
+                .NextRound(&engine, 0, front_base, rear_base, nullptr, n,
+                           20000, 0, 20000 - kept_sets, &rng, &hits)
+                .value(),
+            SpeculativeRoundPlanner::RoundStep::kSampled);
+  EXPECT_EQ(hits.sets, 20000 - kept_sets);
+
+  // Begin empties the counts: the next decision's first round draws its
+  // whole theta.
+  planner.Begin(1, 1, 0, 1000);
+  EXPECT_EQ(planner.RoundDraw(1000), 1000u);
+  rear_base.Clear(1);
+  ASSERT_TRUE(planner
+                  .NextRound(&engine, 1, front_base, rear_base, nullptr, n,
+                             1000, 0, UINT64_MAX, &rng, &hits)
+                  .ok());
+  EXPECT_EQ(hits.sets, 1000u);
+  EXPECT_EQ(hits.theta, 1000u);
+}
+
+TEST(BatchedRoundsTest, AddAtpMatchesUnbatchedDecisionsOnClearCutCosts) {
+  const Graph g = TestGraph(300);
+  const ProfitProblem problem = ClearCutProblem(g);
 
   AddAtpOptions options;
   options.fail_on_budget_exhausted = false;
-  const PolicyRuns runs =
-      RunBothModes<AddAtpPolicy>(g, problem, options, /*world_seed=*/43);
+  const PolicyRuns runs = RunBothModes<AddAtpPolicy>(g, problem, options);
 
+  EXPECT_FALSE(runs.batched.seeds.empty());
   EXPECT_EQ(runs.batched.seeds, runs.unbatched.seeds);
   EXPECT_EQ(Decisions(runs.batched), Decisions(runs.unbatched));
   EXPECT_LT(static_cast<double>(runs.batched.total_rr_sets),
@@ -840,19 +901,8 @@ TEST(BatchedRoundsTest, AddAtpMatchesUnbatchedDecisionsOnSmallGraph) {
 }
 
 TEST(BatchedRoundsTest, HntpBatchedMatchesUnbatchedSeeds) {
-  // Clear-cut costs (cheap hubs, overpriced alternates): both sampling
-  // layouts must make the same obvious decisions. On instances calibrated
-  // to the decision bar HNTP's cascading borderline flips make seed-level
-  // equality the wrong contract — the halving guarantee below is the
-  // invariant.
   const Graph g = TestGraph(300);
-  ProfitProblem problem;
-  problem.graph = &g;
-  problem.costs.assign(g.num_nodes(), 0.0);
-  for (NodeId u = 0; u < 10; ++u) {
-    problem.targets.push_back(u);
-    problem.costs[u] = (u % 2 == 0) ? 0.2 : 60.0;
-  }
+  const ProfitProblem problem = ClearCutProblem(g);
 
   HntpOptions options;
 

@@ -219,14 +219,14 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
   HatpOptions hopt;
   auto run = RunGoldenHatp(g, problem, hopt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 4, 17, 9}));
-  EXPECT_EQ(run.value().total_rr_sets, 688489u);
-  EXPECT_NEAR(run.value().realized_profit, 13.609315, 1e-4);
+  EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 4, 7, 17, 9}));
+  EXPECT_EQ(run.value().total_rr_sets, 353410u);
+  EXPECT_NEAR(run.value().realized_profit, 15.365744, 1e-4);
   std::vector<int> decisions;
   for (const AdaptiveStepRecord& step : run.value().steps) {
     decisions.push_back(static_cast<int>(step.decision));
   }
-  EXPECT_EQ(decisions, (std::vector<int>{0, 0, 1, 1, 0, 0, 1, 2, 1, 2}));
+  EXPECT_EQ(decisions, (std::vector<int>{0, 0, 0, 1, 0, 0, 1, 2, 1, 2}));
 
   // A clean (unbudgeted, unfaulted) run certifies exactly what was asked.
   EXPECT_TRUE(run.value().degradation_events.empty());
@@ -239,8 +239,9 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
 // ---- Decision-loop goldens for every policy of the shared double-greedy
 // driver: clean runs, RR-cap truncation, and pre-cancelled runs, all
 // serial. The expected lines were captured from the three separate
-// decision loops the driver replaced, then re-captured once when the
-// engine moved to chunk streams.
+// decision loops the driver replaced, then re-captured when the engine
+// moved to chunk streams and when batched rounds began keeping counts (the
+// unbatched HATP line, the literal Algorithm 4 sampling, did not move).
 
 // Runs `algorithm` ("ADDATP", "HATP", "HNTP") on the golden instance and
 // fingerprints the result (HNTP without steps: the pre-driver HNTP result
@@ -288,16 +289,16 @@ TEST_F(FailpointTest, CleanRunGoldens) {
   unbatched.batched_rounds = false;
   EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", SerialSampling()),
             "seeds 2 4 17 9 | steps 0:10 0:13 1:13 1:13 0:11 0:13 1:13 2:0 "
-            "1:12 2:0 | rr 5957930 pools 98 queries 196 | events | eps 0x0p+0 "
+            "1:12 2:0 | rr 3097012 pools 98 queries 196 | events | eps 0x0p+0 "
             "add 0x1.6a09e667f3bccp+1 theta 91824");
   EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", SerialSampling(),
                               /*dynamic_threshold=*/true),
-            "seeds 2 7 18 17 9 | steps 0:10 1:8 0:13 0:13 0:11 0:13 1:12 2:0 "
-            "1:11 2:0 | rr 4000496 pools 91 queries 182 | events | eps 0x0p+0 "
+            "seeds 2 4 17 9 | steps 0:10 0:8 1:13 1:13 0:12 0:13 1:13 2:0 "
+            "1:12 2:0 | rr 2651928 pools 94 queries 188 | events | eps 0x0p+0 "
             "add 0x1.6a09e667f3bc8p+2 theta 15178");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", SerialSampling()),
-            "seeds 2 18 9 43 | rr 1131663 pools 108 queries 216 | events | eps "
-            "0x1.999999999999ap-5 add 0x1.6a09e667f3bccp+0 theta 34273");
+            "seeds 2 18 9 43 | rr 563671 pools 108 queries 216 | events | eps "
+            "0x1.999999999999ap-5 add 0x1p+0 theta 23140");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", unbatched),
             "seeds 2 7 18 17 9 | steps 0:11 1:11 0:11 0:11 0:10 0:11 1:10 2:0 "
             "1:9 2:0 | rr 1292900 pools 168 queries 168 | events | eps "
@@ -310,25 +311,25 @@ TEST_F(FailpointTest, RrCapTruncatedRunGoldens) {
   SamplingOptions capped = SerialSampling();
   capped.max_rr_sets_per_decision = 20000;
   EXPECT_EQ(GoldenFingerprint(g, problem, "ADDATP", capped),
-            "seeds 2 4 17 9 | steps 0:7 0:7 1:7 1:7 0:7 0:7 1:7 2:0 1:7 2:0 | "
-            "rr 103101 pools 56 queries 112 | events 3/2/7/21007/10016 "
-            "3/4/7/15178/7237 3/7/7/14011/6680 3/18/7/14011/6680 "
-            "3/17/7/14011/6680 3/9/7/12134/5786 3/8/7/11922/5685 "
-            "3/5/7/11922/5685 | eps 0x0p+0 add 0x1.fffffffffffffp+2 theta "
-            "5685");
+            "seeds 2 7 18 17 9 | steps 0:7 1:8 0:8 0:8 0:8 0:8 1:8 2:0 1:8 2:0 "
+            "| rr 98757 pools 63 queries 126 | events 3/2/7/21007/10016 "
+            "3/4/8/31763/15178 3/7/8/31763/15178 3/18/8/28136/13445 "
+            "3/17/8/26519/12672 3/9/8/22790/10890 3/8/8/22370/10689 "
+            "3/5/8/22370/10689 | eps 0x0p+0 add 0x1.fffffffffffffp+2 theta "
+            "10016");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", capped),
-            "seeds 2 4 7 17 9 | steps 0:8 0:8 0:8 1:8 0:8 0:8 1:8 2:0 1:8 2:0 "
-            "| rr 115025 pools 64 queries 128 | events 3/2/8/11580/8907 "
-            "3/4/8/16148/7883 3/7/8/15515/7574 3/18/8/14565/7110 "
-            "3/17/8/14565/7110 3/9/8/13489/6585 3/8/8/13362/6523 | eps "
-            "0x1.ffffffffffffdp-4 add 0x1.fffffffffffffp+1 theta 6523");
+            "seeds 2 7 18 17 9 | steps 0:9 1:9 0:9 0:9 0:9 0:9 1:9 2:0 1:9 2:0 "
+            "| rr 136799 pools 72 queries 144 | events 3/2/9/28800/13777 "
+            "3/4/9/34620/19211 3/7/9/34620/18890 3/18/9/32584/18081 "
+            "3/17/9/36083/17553 3/9/9/33450/16273 3/8/9/33140/16507 | eps "
+            "0x1.ffffffffffffdp-4 add 0x1.fffffffffffffp+1 theta 13777");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", capped),
-            "seeds 2 17 13 43 | rr 182604 pools 80 queries 160 | events "
-            "3/2/8/11580/8907 3/4/8/18998/9274 3/7/8/18998/9274 "
-            "3/18/8/18998/9274 3/17/8/18998/9274 3/9/8/18998/9274 "
-            "3/8/8/18998/9274 3/13/8/18998/9274 3/5/8/18998/9274 "
-            "3/43/8/19451/9584 | eps 0x1.6a09e667f3bcbp-3 add "
-            "0x1.fffffffffffffp+1 theta 8907");
+            "seeds 2 18 43 | rr 113334 pools 81 queries 162 | events "
+            "3/2/9/28800/13777 3/4/8/22601/11037 3/7/8/22224/10780 "
+            "3/18/8/22224/10780 3/17/8/23140/11406 3/9/8/22601/11037 "
+            "3/8/8/22601/11037 3/13/8/22601/11037 3/5/8/22601/11037 "
+            "3/43/8/23140/11406 | eps 0x1.6a09e667f3bcbp-3 add "
+            "0x1.fffffffffffffp+1 theta 10780");
 }
 
 TEST_F(FailpointTest, PreCancelledRunGoldens) {

@@ -156,6 +156,41 @@ TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
   EXPECT_FALSE(run.seeds.empty());  // clear-cut hubs still decide in round 0
 }
 
+TEST(BudgetExhaustionTest, CapFittingTheLastRoundFundsTheWholeDecision) {
+  // Kept counts charge each round's top-up, so a decision spends the θ of
+  // its last round however many rounds it runs. A cap of the costliest
+  // decision's spend — below that decision's Σ θ_i, which fresh pools
+  // would have drawn — funds every decision in full.
+  const Graph g = TestGraph(400);
+  const ProfitProblem problem = CalibratedProblem(g);
+  HatpOptions options;
+  const AdaptiveRunResult uncapped = RunPolicy<HatpPolicy>(g, problem, options);
+  uint64_t cap = 0;
+  uint32_t rounds_at_cap = 0;
+  for (const AdaptiveStepRecord& step : uncapped.steps) {
+    if (step.rr_sets_used > cap) {
+      cap = step.rr_sets_used;
+      rounds_at_cap = step.rounds;
+    }
+  }
+  ASSERT_GE(rounds_at_cap, 2u);  // so its Σ θ_i exceeds θ_last = cap
+
+  options.sampling.max_rr_sets_per_decision = cap;
+  options.fail_on_budget_exhausted = true;
+  const AdaptiveRunResult capped = RunPolicy<HatpPolicy>(g, problem, options);
+  EXPECT_TRUE(capped.degradation_events.empty());
+  EXPECT_EQ(capped.seeds, uncapped.seeds);
+  EXPECT_EQ(capped.total_rr_sets, uncapped.total_rr_sets);
+  EXPECT_EQ(capped.max_rr_sets_per_iteration, cap);
+
+  // One set less cannot fund that decision's last top-up.
+  options.sampling.max_rr_sets_per_decision = cap - 1;
+  options.fail_on_budget_exhausted = false;
+  const AdaptiveRunResult short_run =
+      RunPolicy<HatpPolicy>(g, problem, options);
+  EXPECT_GT(short_run.budget_truncated_decisions, 0u);
+}
+
 // --- Zero-quota workers: a parallel batch whose theta is below the worker
 // count leaves some workers with quota 0; the deterministic worker-order
 // merge must not care.
@@ -204,24 +239,33 @@ TEST(ZeroQuotaWorkerTest, ZeroThetaBatchLeavesZeroHits) {
 // set of lookahead_window = 0, serve first rounds from stored answers
 // (hits), and discard answers invalidated by an epoch bump (a seeding).
 
+// Clear-cut costs: cheap hubs (0.2) alternating with overpriced nodes (60).
+// Every decision's margin dwarfs its certified error, so every window makes
+// the decisions of window 0 — an exact invariant, unlike instances
+// calibrated to the decision bar, where a borderline candidate resolves by
+// the luck of the stream. Abandoned alternates leave the epoch unchanged,
+// so the next candidate's stored answer is served.
+ProfitProblem ClearCutProblem(const Graph& g, NodeId count) {
+  ProfitProblem problem;
+  problem.graph = &g;
+  problem.costs.assign(g.num_nodes(), 0.0);
+  for (NodeId u = 0; u < count; ++u) {
+    problem.targets.push_back(u);
+    problem.costs[u] = (u % 2 == 0) ? 0.2 : 60.0;
+  }
+  return problem;
+}
+
 template <typename Policy, typename Options>
 void ExpectLookaheadEquivalence(const Graph& g, const ProfitProblem& problem,
-                                Options options, uint64_t world_seed) {
-  // Decision equivalence across sampling layouts holds when every decision
-  // on the pinned instance is clear-cut; the instances were calibrated for
-  // that margin under the historical per-edge RNG stream, so pin the
-  // kernel (the layer under test is speculation, not the kernel — kernel
-  // equivalence has its own suite in rr_kernel_test.cc).
-  options.sampling.kernel = SamplingKernel::kPerEdge;
+                                Options options) {
   options.sampling.lookahead_window = 0;
-  const AdaptiveRunResult baseline =
-      RunPolicy<Policy>(g, problem, options, world_seed);
+  const AdaptiveRunResult baseline = RunPolicy<Policy>(g, problem, options);
   EXPECT_EQ(baseline.speculation_hits + baseline.speculation_misses, 0u);
 
   for (uint32_t window : {1u, 4u, 64u}) {
     options.sampling.lookahead_window = window;
-    const AdaptiveRunResult run =
-        RunPolicy<Policy>(g, problem, options, world_seed);
+    const AdaptiveRunResult run = RunPolicy<Policy>(g, problem, options);
 
     EXPECT_EQ(run.seeds, baseline.seeds) << "window " << window;
     ASSERT_EQ(run.steps.size(), baseline.steps.size());
@@ -261,36 +305,25 @@ void ExpectLookaheadEquivalence(const Graph& g, const ProfitProblem& problem,
   }
 }
 
-TEST(SpeculativePipeliningTest, HatpLookaheadMatchesWindowZeroSeeds) {
-  const Graph g = TestGraph(2000);
-  const ProfitProblem problem = CalibratedProblem(g);
-  ExpectLookaheadEquivalence<HatpPolicy>(g, problem, HatpOptions{},
-                                         /*world_seed=*/44);
+TEST(SpeculativePipeliningTest,
+     HatpLookaheadMatchesWindowZeroOnClearCutCosts) {
+  const Graph g = TestGraph(1000);
+  ExpectLookaheadEquivalence<HatpPolicy>(g, ClearCutProblem(g, 20),
+                                         HatpOptions{});
 }
 
-TEST(SpeculativePipeliningTest, AddAtpLookaheadMatchesWindowZeroSeeds) {
-  // ADDATP's additive-only schedule is too expensive for the 2000-node
-  // instance in a unit test; the 400-node version exercises the same paths
-  // (seed pinning as in coverage_batch_test).
-  const Graph g = TestGraph(400);
-  const ProfitProblem problem = CalibratedProblem(g);
+TEST(SpeculativePipeliningTest,
+     AddAtpLookaheadMatchesWindowZeroOnClearCutCosts) {
+  const Graph g = TestGraph(1000);
   AddAtpOptions options;
   options.fail_on_budget_exhausted = false;
-  ExpectLookaheadEquivalence<AddAtpPolicy>(g, problem, options,
-                                           /*world_seed=*/43);
+  ExpectLookaheadEquivalence<AddAtpPolicy>(g, ClearCutProblem(g, 20),
+                                           options);
 }
 
 TEST(SpeculativePipeliningTest, HntpLookaheadMatchesWindowZeroSeeds) {
-  // Clear-cut costs (cheap hubs, overpriced alternates) as in the batched-
-  // rounds HNTP test: all sampling layouts agree on the obvious decisions.
   const Graph g = TestGraph(300);
-  ProfitProblem problem;
-  problem.graph = &g;
-  problem.costs.assign(g.num_nodes(), 0.0);
-  for (NodeId u = 0; u < 10; ++u) {
-    problem.targets.push_back(u);
-    problem.costs[u] = (u % 2 == 0) ? 0.2 : 60.0;
-  }
+  const ProfitProblem problem = ClearCutProblem(g, 10);
 
   HntpOptions options;
   options.sampling.lookahead_window = 0;
