@@ -8,12 +8,9 @@
 // plus the pack time, the resident-set delta attributable to each loaded
 // graph after one RR batch, and the first-RR-batch latency on a freshly
 // mapped graph (the cost of faulting the working set in lazily) vs a
-// builder-built one. Fixed-seed RR pool hashes for built vs mapped graphs
-// are compared inline — a mismatch fails the run loudly.
-//
-// Results are emitted as BENCH_graphstore.json (override the path with
-// ATPM_BENCH_GRAPHSTORE_OUT); scripts/bench_regression_check.py enforces
-// a warm-load speedup floor against bench/baselines/BENCH_graphstore.json.
+// builder-built one, one stdout line per dataset. Fixed-seed RR pool
+// hashes for built vs mapped graphs are compared inline — a mismatch fails
+// the run with a non-zero exit.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -110,10 +107,6 @@ struct DatasetRow {
     return warm_load_seconds > 0.0 ? parse_build_seconds / warm_load_seconds
                                    : 0.0;
   }
-  double ColdSpeedup() const {
-    return cold_load_seconds > 0.0 ? parse_build_seconds / cold_load_seconds
-                                   : 0.0;
-  }
 };
 
 std::string TempPath(const std::string& stem) {
@@ -198,36 +191,12 @@ bool RunDataset(const std::string& name, double scale, DatasetRow* row) {
   return true;
 }
 
-void PrintRow(std::FILE* out, const DatasetRow& row, bool last) {
-  std::fprintf(
-      out,
-      "    {\"dataset\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-      "\"file_bytes\": %llu, "
-      "\"parse_build_seconds\": %.6f, \"pack_seconds\": %.6f, "
-      "\"cold_load_seconds\": %.6f, \"warm_load_seconds\": %.6f, "
-      "\"warm_speedup\": %.1f, \"cold_speedup\": %.1f, "
-      "\"first_rr_batch_built_seconds\": %.6f, "
-      "\"first_rr_batch_mapped_seconds\": %.6f, "
-      "\"rss_delta_built_bytes\": %llu, \"rss_delta_mapped_bytes\": %llu, "
-      "\"pool_hash_match\": %s}%s\n",
-      row.name.c_str(), static_cast<unsigned long long>(row.nodes),
-      static_cast<unsigned long long>(row.edges),
-      static_cast<unsigned long long>(row.file_bytes),
-      row.parse_build_seconds, row.pack_seconds, row.cold_load_seconds,
-      row.warm_load_seconds, row.WarmSpeedup(), row.ColdSpeedup(),
-      row.built_batch.seconds, row.mapped_batch.seconds,
-      static_cast<unsigned long long>(row.built_batch.rss_delta_bytes),
-      static_cast<unsigned long long>(row.mapped_batch.rss_delta_bytes),
-      row.pool_hash_match ? "true" : "false", last ? "" : ",");
-}
-
 }  // namespace
 
 int main() {
   const double scale = BenchScaleFromEnv();
   const std::vector<std::string> datasets = {"NetHEPT", "Epinions"};
 
-  std::vector<DatasetRow> rows;
   bool all_hashes_match = true;
   for (const std::string& name : datasets) {
     DatasetRow row;
@@ -235,37 +204,20 @@ int main() {
     std::printf(
         "%-10s n=%-8llu m=%-9llu parse+build %8.2f ms | pack %8.2f ms | "
         "cold %7.3f ms | warm %7.3f ms (%.0fx) | rr-batch built %7.2f ms "
-        "mapped %7.2f ms | hash %s\n",
+        "mapped %7.2f ms | rss built %llu KiB mapped %llu KiB | store %llu "
+        "B | hash %s\n",
         row.name.c_str(), static_cast<unsigned long long>(row.nodes),
         static_cast<unsigned long long>(row.edges),
         row.parse_build_seconds * 1e3, row.pack_seconds * 1e3,
         row.cold_load_seconds * 1e3, row.warm_load_seconds * 1e3,
         row.WarmSpeedup(), row.built_batch.seconds * 1e3,
         row.mapped_batch.seconds * 1e3,
+        static_cast<unsigned long long>(row.built_batch.rss_delta_bytes >> 10),
+        static_cast<unsigned long long>(row.mapped_batch.rss_delta_bytes >> 10),
+        static_cast<unsigned long long>(row.file_bytes),
         row.pool_hash_match ? "match" : "MISMATCH");
     all_hashes_match = all_hashes_match && row.pool_hash_match;
-    rows.push_back(row);
   }
-
-  const char* out_path = std::getenv("ATPM_BENCH_GRAPHSTORE_OUT");
-  if (out_path == nullptr || *out_path == '\0') {
-    out_path = "BENCH_graphstore.json";
-  }
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"scale\": %g,\n  \"rr_batch\": %llu,\n", scale,
-               static_cast<unsigned long long>(kRrBatch));
-  std::fprintf(out, "  \"datasets\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    PrintRow(out, rows[i], i + 1 == rows.size());
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-
   if (!all_hashes_match) {
     std::fprintf(stderr,
                  "FAIL: mapped graph produced a different RR pool hash\n");

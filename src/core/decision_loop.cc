@@ -88,7 +88,8 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
 
     ErrorSchedule schedule;
     schedule.eps = config_.initial_relative_error;
-    schedule.zeta = Clamp(config_.initial_spread_error / nd, 1.0 / nd, 0.5);
+    schedule.zeta =
+        Clamp(config_.initial_spread_error / nd, ZetaFloor(nd), 0.5);
     schedule.delta =
         1.0 / (static_cast<double>(k) * static_cast<double>(n));
 

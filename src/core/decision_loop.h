@@ -1,6 +1,7 @@
 #ifndef ATPM_CORE_DECISION_LOOP_H_
 #define ATPM_CORE_DECISION_LOOP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -25,6 +26,11 @@ struct ErrorSchedule {
   /// Halving-round index i of the decision (0 for its first round).
   uint32_t round = 0;
 };
+
+/// Smallest additive error ζ_i a schedule takes on a residual graph of
+/// `nd` alive nodes: one node's spread (1/n_i), capped at 1/2 so that the
+/// sample-size bounds, which need ζ < 1, still hold when one node is left.
+inline double ZetaFloor(double nd) { return std::min(1.0 / nd, 0.5); }
 
 /// How a round's stopping test resolved.
 enum class StopTest {

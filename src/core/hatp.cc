@@ -63,7 +63,7 @@ class HybridErrorRule final : public DoubleGreedyRule {
       s->zeta /= std::sqrt(2.0);
     }
     s->eps = std::max(s->eps, eps_thr_);
-    s->zeta = std::max(s->zeta, 1.0 / e.nd);
+    s->zeta = std::max(s->zeta, ZetaFloor(e.nd));
     s->delta /= 2.0;
   }
 

@@ -48,10 +48,18 @@ inline constexpr uint32_t kGraphStoreVersion = 3;
 
 /// Options for LoadGraphStore.
 struct GraphStoreLoadOptions {
-  /// Verify the payload checksum (touches every page) and the payload words
-  /// the extent rules read: ragged lengths and offsets origins. Header and
-  /// section table are always verified; without this the payload, those
-  /// words included, is trusted as written.
+  /// Header and section table are always verified. A verified load also
+  /// checks the payload, touching every page:
+  ///  * the payload checksum;
+  ///  * each ragged section's count against the last entry of its offsets
+  ///    array;
+  ///  * every offsets array starts at 0;
+  ///  * no offsets array decreases;
+  ///  * every node id entry is below n.
+  /// A trusting load (false) skips all of these and binds the sections as
+  /// views, copying and rebuilding nothing. It takes the payload on trust,
+  /// so use it only for stores this code base's own packer wrote: the
+  /// ATPM_BENCH_STORE_DIR dataset cache and graph_store_scaling.
   bool verify_payload = true;
 };
 

@@ -2,16 +2,19 @@
 // equality (CSR, probabilities, edge indices, weight-class census), header /
 // version / checksum rejection on truncated and bit-flipped files, pinned
 // file bytes, rejection of hostile stores whose checksums were recomputed
-// after the edit, copy-on-write reweighting of mapped graphs, and
-// bit-identical RR pools + HATP decision sequences for mmap-loaded vs
-// builder-built graphs at fixed seeds.
+// after the edit, copy-on-write reweighting of mapped graphs, trusting
+// loads that read every array through the mapping, and bit-identical RR
+// pools + HATP decision sequences for mmap-loaded vs builder-built graphs
+// at fixed seeds.
 #include "graph/graph_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <ostream>
 #include <string>
@@ -126,13 +129,23 @@ class GraphStoreTest : public ::testing::Test {
     return std::move(loaded).value();
   }
 
-  // Flips one bit at `byte_offset` in the stored file.
-  void FlipBit(uint64_t byte_offset) {
+  // Loads with verify_payload = false, as the bench store cache does.
+  // Such a load binds the sections and checks nothing in them: the corrupt
+  // stores below must load this way, which keeps payload scans off the warm
+  // load.
+  Result<Graph> LoadTrusting() {
+    GraphStoreLoadOptions trusting;
+    trusting.verify_payload = false;
+    return LoadGraphStore(path_, trusting);
+  }
+
+  // Flips the `mask` bits of the byte at `byte_offset` in the stored file.
+  void FlipBit(uint64_t byte_offset, char mask = 0x10) {
     std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(static_cast<std::streamoff>(byte_offset));
     char c = 0;
     f.read(&c, 1);
-    c ^= 0x10;
+    c ^= mask;
     f.seekp(static_cast<std::streamoff>(byte_offset));
     f.write(&c, 1);
   }
@@ -412,9 +425,7 @@ TEST_F(GraphStoreTest, RejectsBitFlippedPayload) {
 
   // The same flip sails through when payload verification is waived (the
   // out-of-core configuration documents this trade explicitly).
-  GraphStoreLoadOptions trusting;
-  trusting.verify_payload = false;
-  EXPECT_TRUE(LoadGraphStore(path_, trusting).ok());
+  EXPECT_TRUE(LoadTrusting().ok());
 }
 
 // ---- Exact stored bytes.
@@ -493,6 +504,7 @@ TEST_P(RaggedSectionTest, RejectsCountThatContradictsOffsets) {
   EXPECT_NE(loaded.status().ToString().find(GetParam().name),
             std::string::npos)
       << loaded.status().ToString();
+  EXPECT_TRUE(LoadTrusting().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -521,6 +533,7 @@ TEST_F(GraphStoreTest, RejectsOffsetsArrayNotStartingAtZero) {
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().ToString().find("seg_offsets"), std::string::npos)
       << loaded.status().ToString();
+  EXPECT_TRUE(LoadTrusting().ok());
 }
 
 // Rewrites entry `index` of section `id` (elements of type T) and rehashes.
@@ -545,6 +558,7 @@ TEST_F(GraphStoreTest, RejectsNodeIdPastNodeCount) {
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().ToString().find("in_adj"), std::string::npos)
       << loaded.status().ToString();
+  EXPECT_TRUE(LoadTrusting().ok());
 }
 
 TEST_F(GraphStoreTest, RejectsDecreasingOffsets) {
@@ -562,6 +576,7 @@ TEST_F(GraphStoreTest, RejectsDecreasingOffsets) {
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().ToString().find("in_offsets"), std::string::npos)
       << loaded.status().ToString();
+  EXPECT_TRUE(LoadTrusting().ok());
 }
 
 // ---- Copy-on-write: mutating a mapped graph must detach, not crash (the
@@ -583,6 +598,84 @@ TEST_F(GraphStoreTest, ReweightingMappedGraphDetachesFromMapping) {
   Result<Graph> reloaded = LoadGraphStore(path_);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ExpectGraphsEqual(original, reloaded.value());
+}
+
+// ---- A trusting load binds and does nothing else: every array must read
+// through the mapping, not from a copy or a rebuild. Each case flips a bit
+// of one element in the store file, in place, after the load. A private
+// read-only mapping shares the file's page cache, so a view sees the flip
+// and a copied or rebuilt array does not.
+
+template <typename T>
+uint64_t Bits(const T& value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, std::min(sizeof(T), sizeof(bits)));
+  return bits;
+}
+
+TEST_F(GraphStoreTest, TrustingLoadReadsEveryArrayThroughTheMapping) {
+  ASSERT_TRUE(SaveGraphStore(TrivalencyGraph(), path_).ok());
+  Result<Graph> loaded = LoadTrusting();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Graph& g = loaded.value();
+
+  // A node with at least two entries in every array, so that a flipped
+  // low bit of an offset leaves each of its ranges non-empty.
+  NodeId v = 0;
+  while (v < g.num_nodes() &&
+         (g.OutDegree(v) < 2 || g.InProbSegments(v).size() < 2 ||
+          g.JumpInNeighbors(v).size() < 2 || g.LtAliasSlots(v).size() < 2)) {
+    ++v;
+  }
+  ASSERT_LT(v, g.num_nodes());
+  // Index of v's first element in a CSR-addressed array.
+  const auto first = [](auto of_v, auto of_0) {
+    return static_cast<uint64_t>(of_v.data() - of_0.data());
+  };
+  struct Case {
+    uint64_t element;
+    std::function<uint64_t()> read;
+  };
+  // In Graph's array list order, so case i edits section i + 1. An offsets
+  // array is edited at v + 1 and read as the length of v's range.
+  const std::vector<Case> cases = {
+      {v + 1, [&] { return uint64_t{g.OutDegree(v)}; }},
+      {first(g.OutNeighbors(v), g.OutNeighbors(0)),
+       [&] { return Bits(g.OutNeighbors(v)[0]); }},
+      {first(g.OutProbs(v), g.OutProbs(0)),
+       [&] { return Bits(g.OutProbs(v)[0]); }},
+      {v + 1, [&] { return uint64_t{g.InDegree(v)}; }},
+      {first(g.InNeighbors(v), g.InNeighbors(0)),
+       [&] { return Bits(g.InNeighbors(v)[0]); }},
+      {first(g.InProbs(v), g.InProbs(0)),
+       [&] { return Bits(g.InProbs(v)[0]); }},
+      {first(g.InNeighbors(v), g.InNeighbors(0)),
+       [&] { return g.InEdgeIndex(v, 0); }},
+      {v, [&] { return Bits(g.InWeightClass(v)); }},
+      {v + 1, [&] { return uint64_t{g.InProbSegments(v).size()}; }},
+      {first(g.InProbSegments(v), g.InProbSegments(0)),
+       [&] { return Bits(g.InProbSegments(v)[0]); }},
+      {v + 1, [&] { return uint64_t{g.JumpInNeighbors(v).size()}; }},
+      {first(g.JumpInNeighbors(v), g.JumpInNeighbors(0)),
+       [&] { return Bits(g.JumpInNeighbors(v)[0]); }},
+      {first(g.JumpInSlots(v), g.JumpInSlots(0)),
+       [&] { return Bits(g.JumpInSlots(v)[0]); }},
+      {v, [&] { return Bits(g.LtInPlan(v)); }},
+      {v + 1, [&] { return uint64_t{g.LtAliasSlots(v).size()}; }},
+      {first(g.LtAliasSlots(v), g.LtAliasSlots(0)),
+       [&] { return Bits(g.LtAliasSlots(v)[0]); }},
+  };
+  const std::vector<unsigned char> image = ReadImage(path_);
+  ASSERT_EQ(cases.size(), ReadAt<uint32_t>(image, 40));
+  for (uint32_t id = 1; id <= cases.size(); ++id) {
+    const Case& c = cases[id - 1];
+    const size_t entry = EntryOffset(image, id);
+    const uint64_t at = ReadAt<uint64_t>(image, entry + 8) +
+                        c.element * ReadAt<uint32_t>(image, entry + 4);
+    const uint64_t before = c.read();
+    FlipBit(at, 0x01);
+    EXPECT_NE(c.read(), before) << "section " << id << " is not a view";
+  }
 }
 
 // ---- Functional indistinguishability: fixed-seed RR pools and adaptive

@@ -102,6 +102,23 @@ TEST(HatpTest, BorderlineNodeTerminatesViaC2Floors) {
   EXPECT_GE(run.value().steps[0].rounds, 2u);
 }
 
+TEST(HatpTest, OneAliveNodeResidualGraphReachesC2Floors) {
+  // Seeding node 0 (no edges are live) leaves node 1 alone in the residual
+  // graph, n_i = 1. Its spread equals its cost, so C'1 never certifies and
+  // the schedule runs to its floors; the ζ floor must stay below 1 there.
+  const Graph g = MakeCompleteGraph(2, 0.0);
+  ProfitProblem problem = MakeProblem(g, {0, 1}, {0.0, 1.0});
+  HatpPolicy policy;
+  AdaptiveEnvironment env = MakeEnv(g, 1);
+  Rng rng(2);
+  Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_FALSE(run.value().seeds.empty());
+  EXPECT_EQ(run.value().seeds[0], 0u);
+  EXPECT_GE(run.value().steps[1].rounds, 2u);
+  EXPECT_FALSE(run.value().steps[1].certified);
+}
+
 TEST(HatpTest, BudgetCapForcesDecisionByDefault) {
   const Graph g = MakeStarGraph(200, 0.5);
   ProfitProblem problem = MakeProblem(g, {0}, {100.5});

@@ -4,7 +4,7 @@
 // agreement across weightings x models x backends, raw kPerEdge bit-compat
 // against golden values recorded from the pre-kernel tree, the depleted-
 // graph alive-root cache, and the rng_draws accounting behind the
-// draws-per-edge reduction.
+// draws-per-edge reduction, pinned exactly per path, weighting and kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -874,6 +874,100 @@ TEST(RngDrawStatsTest, GeometricJumpHalvesDrawsPerEdgeOnWeightedCascade) {
   // Acceptance bar: >= 2x fewer draws per edge examined on WC weights.
   EXPECT_GT(draws_per_edge[0], 2.0 * draws_per_edge[1])
       << "per-edge " << draws_per_edge[0] << " vs jump " << draws_per_edge[1];
+}
+
+// Exact draw and edge counts of every kernel path, weighting and kernel
+// at a fixed size and seed: the graphs of the micro benchmarks' BM_Kernel*
+// series at 2^12 nodes. A kernel change that moves either count is a
+// behaviour change and must re-pin here.
+enum class KernelPath { kIcGenerate, kLtGenerate, kEngineCount, kWorldSample };
+
+SamplingStats RunKernelPath(KernelPath path, Weighting weighting,
+                            SamplingKernel kernel) {
+  constexpr NodeId kNodes = 1 << 12;
+  constexpr uint64_t kSets = 2000;
+  SamplingStats stats;
+  if (path == KernelPath::kWorldSample) {
+    const Graph g = TestGraph(kNodes, weighting, 8);
+    Rng rng(37);
+    for (int world = 0; world < 4; ++world) {
+      Realization::Sample(g, &rng, DiffusionModel::kIndependentCascade,
+                          kernel, &stats);
+    }
+    return stats;
+  }
+  const Graph g = TestGraph(kNodes, weighting);
+  if (path == KernelPath::kEngineCount) {
+    SerialSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                kernel);
+    BitVector base(g.num_nodes());
+    for (NodeId v = 100; v < 200; ++v) base.Set(v);
+    CountOne(engine, 0, &base, nullptr, g.num_nodes(), kSets, 23);
+    return engine.stats();
+  }
+  const bool lt = path == KernelPath::kLtGenerate;
+  RRSetGenerator generator(g,
+                           lt ? DiffusionModel::kLinearThreshold
+                              : DiffusionModel::kIndependentCascade,
+                           kernel);
+  Rng rng(lt ? 19 : 17);
+  std::vector<NodeId> rr;
+  for (uint64_t i = 0; i < kSets; ++i) {
+    stats.edges_examined += generator.Generate(nullptr, g.num_nodes(), &rng,
+                                               &rr);
+  }
+  stats.rng_draws = generator.rng_draws();
+  return stats;
+}
+
+TEST(RngDrawStatsTest, DrawsAndEdgesArePinnedPerPathWeightingAndKernel) {
+  struct Pin {
+    KernelPath path;
+    Weighting weighting;
+    SamplingKernel kernel;
+    uint64_t rng_draws;
+    uint64_t edges_examined;
+  };
+  using enum KernelPath;
+  using enum Weighting;
+  constexpr SamplingKernel kJump = SamplingKernel::kGeometricJump;
+  constexpr SamplingKernel kEdge = SamplingKernel::kPerEdge;
+  const Pin pins[] = {
+      {kIcGenerate, kWeightedCascade, kJump, 30939, 205436},
+      {kIcGenerate, kWeightedCascade, kEdge, 207531, 219075},
+      {kIcGenerate, kTrivalency, kJump, 6036, 23956},
+      {kIcGenerate, kTrivalency, kEdge, 29833, 28914},
+      {kIcGenerate, kUniformRandom, kJump, 10939040, 20223542},
+      {kIcGenerate, kUniformRandom, kEdge, 10939040, 20223542},
+      {kLtGenerate, kWeightedCascade, kJump, 15782, 215528},
+      {kLtGenerate, kWeightedCascade, kEdge, 15782, 215528},
+      {kLtGenerate, kTrivalency, kJump, 4619, 21711},
+      {kLtGenerate, kTrivalency, kEdge, 4619, 23006},
+      {kLtGenerate, kUniformRandom, kJump, 13041, 708598},
+      {kLtGenerate, kUniformRandom, kEdge, 13041, 708598},
+      {kEngineCount, kWeightedCascade, kJump, 16855, 102417},
+      {kEngineCount, kWeightedCascade, kEdge, 98386, 107212},
+      {kEngineCount, kTrivalency, kJump, 5556, 21598},
+      {kEngineCount, kTrivalency, kEdge, 20078, 20274},
+      {kEngineCount, kUniformRandom, kJump, 64813, 122238},
+      {kEngineCount, kUniformRandom, kEdge, 64813, 122238},
+      {kWorldSample, kWeightedCascade, kJump, 31291, 261856},
+      {kWorldSample, kWeightedCascade, kEdge, 261856, 261856},
+      {kWorldSample, kTrivalency, kJump, 26085, 261856},
+      {kWorldSample, kTrivalency, kEdge, 261856, 261856},
+      {kWorldSample, kUniformRandom, kJump, 261856, 261856},
+      {kWorldSample, kUniformRandom, kEdge, 261856, 261856},
+  };
+  for (const Pin& pin : pins) {
+    const SamplingStats stats =
+        RunKernelPath(pin.path, pin.weighting, pin.kernel);
+    SCOPED_TRACE(::testing::Message()
+                 << "path " << static_cast<int>(pin.path) << ", weighting "
+                 << static_cast<int>(pin.weighting) << ", "
+                 << SamplingKernelName(pin.kernel));
+    EXPECT_EQ(stats.rng_draws, pin.rng_draws);
+    EXPECT_EQ(stats.edges_examined, pin.edges_examined);
+  }
 }
 
 TEST(RngDrawStatsTest, ParallelBackendAggregatesWorkerDraws) {

@@ -1,9 +1,10 @@
 // Tracer tests: spans are no-ops while disabled, nest with correct depth
 // and annotations when enabled, survive ring wraparound with an honest
 // dropped-event count, export loadable Chrome trace_event JSON, round-trip
-// through the compact binary format, and — the contract the whole
-// observability layer stands on — leave every sampling stream and adaptive
-// decision bit-identical whether tracing/metrics are off or on.
+// through the compact binary format, touch instruments per call rather
+// than per RR set, and — the contract the whole observability layer stands
+// on — leave every sampling stream and adaptive decision bit-identical
+// whether tracing/metrics are off or on.
 #include "common/trace.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -389,6 +392,65 @@ TEST_F(TraceTest, HatpDecisionSequenceGoldenHoldsWithTracingOnAndOff) {
   obs::SetMetricsEnabled(false);
   obs::SetTraceEnabled(false);
   ExpectGoldenHatp(RunGoldenHatp());
+}
+
+// ---- cost shape: instruments accrue per call, never per RR set, so the
+// enabled layer's cost does not grow with the batch. A pool fill and a
+// count batch of 64 and of 1024 sets (one chunk either way) must close the
+// same spans and add the same histogram observations.
+
+// Observations per histogram: every `<name>_count` series of the global
+// registry's Prometheus export.
+std::map<std::string, uint64_t> HistogramObservations() {
+  std::map<std::string, uint64_t> counts;
+  std::istringstream prom(obs::MetricsRegistry::Global().ExportPrometheus());
+  for (std::string line; std::getline(prom, line);) {
+    const size_t space = line.find(' ');
+    if (line.starts_with('#') || space == std::string::npos) continue;
+    const std::string series = line.substr(0, space);
+    if (series.ends_with("_count")) {
+      counts[series] = std::stoull(line.substr(space + 1));
+    }
+  }
+  return counts;
+}
+
+struct InstrumentTouches {
+  std::vector<std::string> spans;
+  std::map<std::string, uint64_t> observations;
+};
+
+InstrumentTouches FillAndCountTouches(const Graph& g, uint64_t theta) {
+  obs::ResetTrace();
+  const std::map<std::string, uint64_t> before = HistogramObservations();
+  SerialSamplingEngine engine(g);
+  Rng rng(5);
+  FillPool(engine, nullptr, g.num_nodes(), theta, &rng);
+  CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), theta, 9);
+  InstrumentTouches touches;
+  for (const obs::TraceEvent& e : obs::CollectTraceEvents()) {
+    touches.spans.push_back(e.name);
+  }
+  for (const auto& [series, count] : HistogramObservations()) {
+    const auto prior = before.find(series);
+    touches.observations[series] =
+        count - (prior == before.end() ? 0 : prior->second);
+  }
+  return touches;
+}
+
+TEST_F(TraceTest, InstrumentTouchesDoNotGrowWithBatchSize) {
+  obs::SetMetricsEnabled(true);
+  obs::SetTraceEnabled(true);
+  const Graph g = WcGraph();
+  const InstrumentTouches small = FillAndCountTouches(g, 64);
+  const InstrumentTouches large = FillAndCountTouches(g, 1024);
+  EXPECT_EQ(small.spans,
+            (std::vector<std::string>{"pool_fill", "count_batch"}));
+  EXPECT_EQ(small.observations.at("atpm_pool_fill_seconds_count"), 1u);
+  EXPECT_EQ(small.observations.at("atpm_count_batch_seconds_count"), 1u);
+  EXPECT_EQ(small.spans, large.spans);
+  EXPECT_EQ(small.observations, large.observations);
 }
 
 }  // namespace
