@@ -1,118 +1,45 @@
 #include "diffusion/ic_model.h"
 
+#include "diffusion/forward_cascade.h"
+
 namespace atpm {
 
-uint32_t SimulateIC(const Graph& graph, std::span<const NodeId> seeds,
-                    Rng* rng, const BitVector* removed,
-                    std::vector<NodeId>* activated_out, SamplingStats* stats) {
-  thread_local std::vector<NodeId> frontier;
-  thread_local EpochVisitedSet visited;
-  if (visited.size() != graph.num_nodes()) {
-    visited = EpochVisitedSet(graph.num_nodes());
-  }
-  visited.NextEpoch();
-  frontier.clear();
+namespace {
 
-  uint32_t count = 0;
-  for (NodeId s : seeds) {
-    if (removed != nullptr && removed->Test(s)) continue;
-    if (visited.IsMarked(s)) continue;
-    visited.Mark(s);
-    frontier.push_back(s);
-    if (activated_out != nullptr) activated_out->push_back(s);
-    ++count;
-  }
-
-  uint64_t draws = 0;
-  uint64_t edges = 0;
-  // BFS order; each edge out of an activated node fires independently.
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    const auto neigh = graph.OutNeighbors(u);
-    const auto probs = graph.OutProbs(u);
-    edges += neigh.size();
-    for (uint32_t j = 0; j < neigh.size(); ++j) {
-      const NodeId v = neigh[j];
-      if (visited.IsMarked(v)) continue;
-      if (removed != nullptr && removed->Test(v)) continue;
-      ++draws;
-      if (!rng->Bernoulli(probs[j])) continue;
-      visited.Mark(v);
-      frontier.push_back(v);
-      if (activated_out != nullptr) activated_out->push_back(v);
-      ++count;
-    }
-  }
-  if (stats != nullptr) {
-    stats->rng_draws += draws;
-    stats->edges_examined += edges;
-  }
-  return count;
-}
-
-uint32_t SimulateLT(const Graph& graph, std::span<const NodeId> seeds,
-                    Rng* rng, const BitVector* removed,
-                    std::vector<NodeId>* activated_out, SamplingStats* stats) {
-  thread_local std::vector<NodeId> frontier;
-  thread_local EpochVisitedSet visited;
-  // Lazily drawn thresholds and accumulated in-neighbor mass, epoch-reset.
+// The LT edge rule: v activates once the probability mass of its activated
+// in-neighbours reaches its threshold, which draw(v) supplies on v's first
+// touch in the cascade. Lazily set thresholds and mass, epoch-reset.
+template <typename DrawThreshold>
+uint32_t ThresholdCascade(const Graph& graph, std::span<const NodeId> seeds,
+                          const BitVector* removed,
+                          std::vector<NodeId>* activated_out, uint64_t* edges,
+                          DrawThreshold&& draw) {
+  thread_local EpochVisitedSet touched;
   thread_local std::vector<double> threshold;
   thread_local std::vector<double> mass;
-  thread_local EpochVisitedSet touched;
-  if (visited.size() != graph.num_nodes()) {
-    visited = EpochVisitedSet(graph.num_nodes());
+  if (touched.size() != graph.num_nodes()) {
     touched = EpochVisitedSet(graph.num_nodes());
     threshold.assign(graph.num_nodes(), 0.0);
     mass.assign(graph.num_nodes(), 0.0);
   }
-  visited.NextEpoch();
   touched.NextEpoch();
-  frontier.clear();
-
-  uint32_t count = 0;
-  for (NodeId s : seeds) {
-    if (removed != nullptr && removed->Test(s)) continue;
-    if (visited.IsMarked(s)) continue;
-    visited.Mark(s);
-    frontier.push_back(s);
-    if (activated_out != nullptr) activated_out->push_back(s);
-    ++count;
-  }
-
-  uint64_t draws = 0;
-  uint64_t edges = 0;
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    const auto neigh = graph.OutNeighbors(u);
-    const auto probs = graph.OutProbs(u);
-    edges += neigh.size();
-    for (uint32_t j = 0; j < neigh.size(); ++j) {
-      const NodeId v = neigh[j];
-      if (visited.IsMarked(v)) continue;
-      if (removed != nullptr && removed->Test(v)) continue;
-      if (!touched.IsMarked(v)) {
-        touched.Mark(v);
-        ++draws;
-        threshold[v] = rng->UniformDouble();
-        mass[v] = 0.0;
-      }
-      mass[v] += probs[j];
-      if (mass[v] >= threshold[v]) {
-        visited.Mark(v);
-        frontier.push_back(v);
-        if (activated_out != nullptr) activated_out->push_back(v);
-        ++count;
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->rng_draws += draws;
-    stats->edges_examined += edges;
-  }
-  return count;
+  return ForwardCascade(graph, seeds, removed, activated_out, edges,
+                        [&](NodeId, uint32_t, NodeId v, float p) {
+                          if (!touched.IsMarked(v)) {
+                            touched.Mark(v);
+                            threshold[v] = draw(v);
+                            mass[v] = 0.0;
+                          }
+                          mass[v] += p;
+                          return mass[v] >= threshold[v];
+                        });
 }
 
-namespace {
+void Charge(SamplingStats* stats, uint64_t draws, uint64_t edges) {
+  if (stats == nullptr) return;
+  stats->rng_draws += draws;
+  stats->edges_examined += edges;
+}
 
 // SplitMix64-style mix of (key, salt) to a uniform double in [0, 1); the
 // shared kernel of EdgeCoin and NodeThreshold.
@@ -125,6 +52,35 @@ double HashUnitInterval(uint64_t key, uint64_t salt) {
 }
 
 }  // namespace
+
+uint32_t SimulateIC(const Graph& graph, std::span<const NodeId> seeds,
+                    Rng* rng, const BitVector* removed,
+                    std::vector<NodeId>* activated_out, SamplingStats* stats) {
+  uint64_t draws = 0;
+  uint64_t edges = 0;
+  const uint32_t count = ForwardCascade(
+      graph, seeds, removed, activated_out, &edges,
+      [&](NodeId, uint32_t, NodeId, float p) {
+        ++draws;
+        return rng->Bernoulli(p);
+      });
+  Charge(stats, draws, edges);
+  return count;
+}
+
+uint32_t SimulateLT(const Graph& graph, std::span<const NodeId> seeds,
+                    Rng* rng, const BitVector* removed,
+                    std::vector<NodeId>* activated_out, SamplingStats* stats) {
+  uint64_t draws = 0;
+  uint64_t edges = 0;
+  const uint32_t count = ThresholdCascade(
+      graph, seeds, removed, activated_out, &edges, [&](NodeId) {
+        ++draws;
+        return rng->UniformDouble();
+      });
+  Charge(stats, draws, edges);
+  return count;
+}
 
 bool EdgeCoin(uint64_t edge_index, uint64_t salt, float prob) {
   return HashUnitInterval(edge_index, salt) < static_cast<double>(prob);
@@ -139,84 +95,17 @@ double NodeThreshold(NodeId node, uint64_t salt) {
 uint32_t SpreadInHashedWorldLt(const Graph& graph,
                                std::span<const NodeId> seeds, uint64_t salt,
                                const BitVector* removed) {
-  thread_local std::vector<NodeId> frontier;
-  thread_local EpochVisitedSet visited;
-  thread_local std::vector<double> mass;
-  thread_local EpochVisitedSet touched;
-  if (visited.size() != graph.num_nodes()) {
-    visited = EpochVisitedSet(graph.num_nodes());
-    touched = EpochVisitedSet(graph.num_nodes());
-    mass.assign(graph.num_nodes(), 0.0);
-  }
-  visited.NextEpoch();
-  touched.NextEpoch();
-  frontier.clear();
-
-  uint32_t count = 0;
-  for (NodeId s : seeds) {
-    if (removed != nullptr && removed->Test(s)) continue;
-    if (visited.IsMarked(s)) continue;
-    visited.Mark(s);
-    frontier.push_back(s);
-    ++count;
-  }
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    const auto neigh = graph.OutNeighbors(u);
-    const auto probs = graph.OutProbs(u);
-    for (uint32_t j = 0; j < neigh.size(); ++j) {
-      const NodeId v = neigh[j];
-      if (visited.IsMarked(v)) continue;
-      if (removed != nullptr && removed->Test(v)) continue;
-      if (!touched.IsMarked(v)) {
-        touched.Mark(v);
-        mass[v] = 0.0;
-      }
-      mass[v] += probs[j];
-      if (mass[v] >= NodeThreshold(v, salt)) {
-        visited.Mark(v);
-        frontier.push_back(v);
-        ++count;
-      }
-    }
-  }
-  return count;
+  return ThresholdCascade(graph, seeds, removed, nullptr, nullptr,
+                          [&](NodeId v) { return NodeThreshold(v, salt); });
 }
 
 uint32_t SpreadInHashedWorld(const Graph& graph,
                              std::span<const NodeId> seeds, uint64_t salt,
                              const BitVector* removed) {
-  thread_local std::vector<NodeId> frontier;
-  thread_local EpochVisitedSet visited;
-  if (visited.size() != graph.num_nodes()) {
-    visited = EpochVisitedSet(graph.num_nodes());
-  }
-  visited.NextEpoch();
-  frontier.clear();
-
-  uint32_t count = 0;
-  for (NodeId s : seeds) {
-    if (removed != nullptr && removed->Test(s)) continue;
-    if (visited.IsMarked(s)) continue;
-    visited.Mark(s);
-    frontier.push_back(s);
-    ++count;
-  }
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    const auto neigh = graph.OutNeighbors(u);
-    const auto probs = graph.OutProbs(u);
-    for (uint32_t j = 0; j < neigh.size(); ++j) {
-      const NodeId v = neigh[j];
-      if (visited.IsMarked(v)) continue;
-      if (removed != nullptr && removed->Test(v)) continue;
-      if (!EdgeCoin(graph.OutEdgeIndex(u, j), salt, probs[j])) continue;
-      visited.Mark(v);
-      frontier.push_back(v);
-      ++count;
-    }
-  }
-  return count;
+  return ForwardCascade(graph, seeds, removed, nullptr, nullptr,
+                        [&](NodeId u, uint32_t j, NodeId, float p) {
+                          return EdgeCoin(graph.OutEdgeIndex(u, j), salt, p);
+                        });
 }
 
 }  // namespace atpm

@@ -1,5 +1,6 @@
 #include "diffusion/realization.h"
 
+#include "diffusion/forward_cascade.h"
 #include "graph/geometric_scan.h"
 
 namespace atpm {
@@ -47,56 +48,6 @@ void SampleIcJumpReverse(const Graph& graph, Rng* rng, BitVector* live,
   }
 }
 
-// Jump-kernel LT triggering sets: O(1) per-node picks via the LT plans,
-// landing on the original reverse-CSR slot so the live-edge bitmap is
-// addressed identically to the prefix scan.
-void SampleLtJump(const Graph& graph, Rng* rng, BitVector* live,
-                  uint64_t* draws) {
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    switch (graph.LtInPlan(v)) {
-      case LtPickPlan::kNone:
-        break;
-      case LtPickPlan::kUniform: {
-        const ProbSegment seg = graph.InProbSegments(v)[0];
-        const double p = static_cast<double>(seg.prob);
-        if (p <= 0.0) break;
-        ++*draws;
-        const double j = rng->UniformDouble() / p;
-        if (j < static_cast<double>(seg.length)) {
-          live->Set(graph.InEdgeIndex(v, static_cast<uint32_t>(j)));
-        }
-        break;
-      }
-      case LtPickPlan::kAlias: {
-        const auto slots = graph.LtAliasSlots(v);
-        ++*draws;
-        const double x =
-            rng->UniformDouble() * static_cast<double>(slots.size());
-        uint32_t i = static_cast<uint32_t>(x);
-        if (i >= slots.size()) i = static_cast<uint32_t>(slots.size()) - 1;
-        if (x - static_cast<double>(i) >= slots[i].threshold) {
-          i = slots[i].alias;
-        }
-        if (i + 1 < slots.size()) live->Set(graph.InEdgeIndex(v, i));
-        break;
-      }
-      case LtPickPlan::kPrefix: {
-        const auto probs = graph.InProbs(v);
-        ++*draws;
-        double r = rng->UniformDouble();
-        for (uint32_t j = 0; j < probs.size(); ++j) {
-          if (r < probs[j]) {
-            live->Set(graph.InEdgeIndex(v, j));
-            break;
-          }
-          r -= probs[j];
-        }
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Realization Realization::Sample(const Graph& graph, Rng* rng,
@@ -117,22 +68,11 @@ Realization Realization::Sample(const Graph& graph, Rng* rng,
         }
       }
     }
-  } else if (jump) {
-    SampleLtJump(graph, rng, &live, &draws);
   } else {
-    // LT triggering sets: node v keeps in-edge j with probability
-    // InProbs(v)[j]; with probability 1 - Σ it keeps none.
+    // LT triggering sets: node v keeps at most one in-edge.
     for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      const auto probs = graph.InProbs(v);
-      ++draws;
-      double r = rng->UniformDouble();
-      for (uint32_t j = 0; j < probs.size(); ++j) {
-        if (r < probs[j]) {
-          live.Set(graph.InEdgeIndex(v, j));
-          break;
-        }
-        r -= probs[j];
-      }
+      const uint32_t slot = PickLtInEdge(graph, v, nullptr, jump, rng, &draws);
+      if (slot != kNoLtPick) live.Set(graph.InEdgeIndex(v, slot));
     }
   }
   if (stats != nullptr) {
@@ -151,39 +91,10 @@ Realization Realization::FromLiveEdges(const Graph& graph,
 uint32_t Realization::Spread(std::span<const NodeId> seeds,
                              const BitVector* removed,
                              std::vector<NodeId>* reached_out) const {
-  const Graph& g = *graph_;
-  thread_local std::vector<NodeId> frontier;
-  thread_local EpochVisitedSet visited;
-  if (visited.size() != g.num_nodes()) {
-    visited = EpochVisitedSet(g.num_nodes());
-  }
-  visited.NextEpoch();
-  frontier.clear();
-
-  uint32_t count = 0;
-  for (NodeId s : seeds) {
-    if (removed != nullptr && removed->Test(s)) continue;
-    if (visited.IsMarked(s)) continue;
-    visited.Mark(s);
-    frontier.push_back(s);
-    if (reached_out != nullptr) reached_out->push_back(s);
-    ++count;
-  }
-  for (size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId u = frontier[head];
-    const auto neigh = g.OutNeighbors(u);
-    for (uint32_t j = 0; j < neigh.size(); ++j) {
-      if (!live_edges_.Test(g.OutEdgeIndex(u, j))) continue;
-      const NodeId v = neigh[j];
-      if (visited.IsMarked(v)) continue;
-      if (removed != nullptr && removed->Test(v)) continue;
-      visited.Mark(v);
-      frontier.push_back(v);
-      if (reached_out != nullptr) reached_out->push_back(v);
-      ++count;
-    }
-  }
-  return count;
+  return ForwardCascade(*graph_, seeds, removed, reached_out, nullptr,
+                        [&](NodeId u, uint32_t j, NodeId, float) {
+                          return live_edges_.Test(graph_->OutEdgeIndex(u, j));
+                        });
 }
 
 }  // namespace atpm

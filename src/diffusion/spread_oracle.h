@@ -52,15 +52,6 @@ class SpreadOracle {
 
   /// The graph this oracle is bound to.
   virtual const Graph& graph() const = 0;
-
-  /// Weight-class census of the bound graph: which sampling fast paths
-  /// (geometric jumps on uniform / few-distinct in-edge vectors, O(1) LT
-  /// picks) the oracle's estimates can ride. RIS-backed oracles inherit the
-  /// engine's kernel automatically; callers sizing sample budgets can use
-  /// the jumpable-edge fraction to predict the per-RR-set cost drop.
-  WeightClassProfile InWeightClassProfile() const {
-    return graph().InWeightClassProfile();
-  }
 };
 
 /// Exact expected spread by enumerating every live-edge pattern of the

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 
+#include "common/bit_vector.h"
 #include "common/rng.h"
 #include "graph/graph.h"
 
@@ -242,6 +243,71 @@ bool GeometricSegmentScan(std::span<const ProbSegment> segments, Rng* rng,
     s = e;
   }
   return true;
+}
+
+/// PickLtInEdge's "no in-edge kept" outcome.
+inline constexpr uint32_t kNoLtPick = ~uint32_t{0};
+
+/// The LT reverse step: node v keeps at most one in-edge, reverse-CSR slot
+/// j with probability InProbs(v)[j]; returns the kept slot or kNoLtPick.
+/// Shared by the RR walk (slot -> InNeighbors(v)[j]) and LT world sampling
+/// (slot -> InEdgeIndex(v, j)).
+///
+/// In-edges from `removed` nodes do not exist, so their mass falls into "no
+/// pick". With `jump` the pick follows v's LtPickPlan: an O(1) pick by the
+/// edge's own probability, which may land on a removed in-neighbour that
+/// the walk then drops like any dead endpoint. That is the distribution of
+/// the skip-removed prefix scan whenever no mass is truncated, which the
+/// plan gate guarantees (mass > 1 nodes keep the scan). kNone and
+/// zero-mass kUniform nodes take no draw. Without `jump` every node pays
+/// one draw and the prefix scan, in-degree 0 included. `*draws`
+/// accumulates the uniform draws consumed.
+///
+/// Out of line: the LT branch shares CountCoveringBatch with the IC hot
+/// loop, and inlining the pick there grows that function's code by 5%.
+[[gnu::noinline]] inline uint32_t PickLtInEdge(const Graph& g, NodeId v,
+                                               const BitVector* removed,
+                                               bool jump, Rng* rng,
+                                               uint64_t* draws) {
+  switch (jump ? g.LtInPlan(v) : LtPickPlan::kPrefix) {
+    case LtPickPlan::kNone:
+      return kNoLtPick;
+    case LtPickPlan::kUniform: {
+      const ProbSegment seg = g.InProbSegments(v)[0];
+      const double p = static_cast<double>(seg.prob);
+      if (p <= 0.0) return kNoLtPick;
+      ++*draws;
+      const double j = rng->UniformDouble() / p;
+      return j < static_cast<double>(seg.length) ? static_cast<uint32_t>(j)
+                                                 : kNoLtPick;
+    }
+    case LtPickPlan::kAlias: {
+      const auto slots = g.LtAliasSlots(v);
+      ++*draws;
+      const double x =
+          rng->UniformDouble() * static_cast<double>(slots.size());
+      uint32_t i = static_cast<uint32_t>(x);
+      if (i >= slots.size()) i = static_cast<uint32_t>(slots.size()) - 1;
+      if (x - static_cast<double>(i) >= slots[i].threshold) {
+        i = slots[i].alias;
+      }
+      // The last outcome is "no pick".
+      return i + 1 < slots.size() ? i : kNoLtPick;
+    }
+    case LtPickPlan::kPrefix: {
+      const auto neigh = g.InNeighbors(v);
+      const auto probs = g.InProbs(v);
+      ++*draws;
+      double r = rng->UniformDouble();
+      for (uint32_t j = 0; j < probs.size(); ++j) {
+        if (removed != nullptr && removed->Test(neigh[j])) continue;
+        if (r < probs[j]) return j;
+        r -= probs[j];
+      }
+      return kNoLtPick;
+    }
+  }
+  return kNoLtPick;
 }
 
 }  // namespace atpm

@@ -75,72 +75,11 @@ NodeId RRSetGenerator::SampleAliveRoot(const BitVector* removed,
 
 namespace {
 
-// LT reverse step, historical kernel: node v keeps at most one alive
-// in-neighbor, in-edge j with probability InProbs(v)[j] (edges from removed
-// nodes do not exist, their mass falls into "no pick"). Returns the picked
-// neighbor or n (= none). Consumes exactly one uniform draw (counted by the
-// caller).
-NodeId PickLtPrefix(const Graph& g, NodeId v, const BitVector* removed,
-                    Rng* rng) {
-  const auto neigh = g.InNeighbors(v);
-  const auto probs = g.InProbs(v);
-  double r = rng->UniformDouble();
-  for (uint32_t j = 0; j < neigh.size(); ++j) {
-    if (removed != nullptr && removed->Test(neigh[j])) continue;
-    if (r < probs[j]) return neigh[j];
-    r -= probs[j];
-  }
-  return g.num_nodes();
-}
-
-// LT reverse step, jump kernel: O(1) pick per the node's LtPickPlan. Picks
-// an in-edge by its own probability and nullifies removed picks afterwards
-// — the same distribution as the skip-removed prefix scan whenever no
-// probability mass is truncated, which the plan gate guarantees (mass > 1
-// nodes keep the prefix scan).
-NodeId PickLtFast(const Graph& g, NodeId v, const BitVector* removed,
-                  Rng* rng, uint64_t* draws) {
-  const NodeId n = g.num_nodes();
-  switch (g.LtInPlan(v)) {
-    case LtPickPlan::kNone:
-      return n;
-    case LtPickPlan::kUniform: {
-      const ProbSegment seg = g.InProbSegments(v)[0];
-      const double p = static_cast<double>(seg.prob);
-      if (p <= 0.0) return n;  // zero mass: no pick, no draw
-      ++*draws;
-      const double r = rng->UniformDouble();
-      const double j = r / p;
-      if (j >= static_cast<double>(seg.length)) return n;
-      const NodeId u = g.InNeighbors(v)[static_cast<uint32_t>(j)];
-      return (removed != nullptr && removed->Test(u)) ? n : u;
-    }
-    case LtPickPlan::kAlias: {
-      const auto slots = g.LtAliasSlots(v);
-      ++*draws;
-      const double x =
-          rng->UniformDouble() * static_cast<double>(slots.size());
-      uint32_t i = static_cast<uint32_t>(x);
-      if (i >= slots.size()) i = static_cast<uint32_t>(slots.size()) - 1;
-      if (x - static_cast<double>(i) >= slots[i].threshold) {
-        i = slots[i].alias;
-      }
-      if (i + 1 >= slots.size()) return n;  // the "no pick" outcome
-      const NodeId u = g.InNeighbors(v)[i];
-      return (removed != nullptr && removed->Test(u)) ? n : u;
-    }
-    case LtPickPlan::kPrefix:
-      ++*draws;
-      return PickLtPrefix(g, v, removed, rng);
-  }
-  return n;
-}
-
 // Expands a jump-class node's in-edges, calling visit(u) for every
 // successful in-neighbor u. The jump classes draw first and let visit
 // discard dead (visited/removed) successes, which is
 // distribution-identical to skip-then-draw for independent trials.
-// kGeneral nodes are NOT handled here: callers route them through the
+// kGeneral nodes are NOT handled here: ExpandNode routes them through the
 // historical per-edge loop, which is already the tuned fallback (and
 // skips dead endpoints before drawing). Returns false iff visit aborted.
 template <typename Visit>
@@ -165,6 +104,30 @@ bool HasJumpPath(const Graph& g, NodeId v) {
 }
 
 }  // namespace
+
+template <typename Visit>
+[[gnu::always_inline]] inline bool RRSetGenerator::ExpandNode(
+    NodeId v, const BitVector* removed, Rng* rng, uint64_t* draws,
+    uint64_t* edges, Visit&& visit) {
+  const Graph& g = *graph_;
+  const bool jump = kernel_ == SamplingKernel::kGeometricJump;
+  *edges += g.InDegree(v);
+  if (model_ == DiffusionModel::kLinearThreshold) {
+    const uint32_t slot = PickLtInEdge(g, v, removed, jump, rng, draws);
+    return slot == kNoLtPick || visit(g.InNeighbors(v)[slot]);
+  }
+  if (jump && HasJumpPath(g, v)) return ExpandIcJump(g, v, rng, draws, visit);
+  const auto neigh = g.InNeighbors(v);
+  const auto probs = g.InProbs(v);
+  for (uint32_t j = 0; j < neigh.size(); ++j) {
+    const NodeId u = neigh[j];
+    if (visited_.IsMarked(u)) continue;
+    if (removed != nullptr && removed->Test(u)) continue;
+    ++*draws;
+    if (rng->Bernoulli(probs[j]) && !visit(u)) return false;
+  }
+  return true;
+}
 
 uint64_t RRSetGenerator::Generate(const BitVector* removed, uint32_t num_alive,
                                   Rng* rng, std::vector<NodeId>* out) {
@@ -210,7 +173,6 @@ uint64_t RRSetGenerator::GenerateBatch(const BitVector* removed,
 uint64_t RRSetGenerator::GenerateOne(const BitVector* removed,
                                      uint32_t num_alive, Rng* rng,
                                      std::vector<NodeId>* out) {
-  const Graph& g = *graph_;
   visited_.NextEpoch();
   uint64_t draws = 0;
   const size_t begin = out->size();
@@ -219,50 +181,16 @@ uint64_t RRSetGenerator::GenerateOne(const BitVector* removed,
   visited_.Mark(root);
   out->push_back(root);
 
-  const bool jump = kernel_ == SamplingKernel::kGeometricJump;
   uint64_t edges_examined = 0;
-  const auto dead = [&](NodeId u) {
-    return visited_.IsMarked(u) ||
-           (removed != nullptr && removed->Test(u));
-  };
   const auto admit = [&](NodeId u) {
-    if (!dead(u)) {
+    if (!visited_.IsMarked(u) && (removed == nullptr || !removed->Test(u))) {
       visited_.Mark(u);
       out->push_back(u);
     }
     return true;
   };
   for (size_t head = begin; head < out->size(); ++head) {
-    const NodeId v = (*out)[head];
-    if (model_ == DiffusionModel::kLinearThreshold) {
-      edges_examined += g.InDegree(v);
-      NodeId u;
-      if (jump) {
-        u = PickLtFast(g, v, removed, rng, &draws);
-      } else {
-        ++draws;
-        u = PickLtPrefix(g, v, removed, rng);
-      }
-      if (u < g.num_nodes()) admit(u);
-      continue;
-    }
-    if (jump && HasJumpPath(g, v)) {
-      edges_examined += g.InDegree(v);
-      ExpandIcJump(g, v, rng, &draws, admit);
-      continue;
-    }
-    const auto neigh = g.InNeighbors(v);
-    const auto probs = g.InProbs(v);
-    edges_examined += neigh.size();
-    for (uint32_t j = 0; j < neigh.size(); ++j) {
-      const NodeId u = neigh[j];
-      if (visited_.IsMarked(u)) continue;
-      if (removed != nullptr && removed->Test(u)) continue;
-      ++draws;
-      if (!rng->Bernoulli(probs[j])) continue;
-      visited_.Mark(u);
-      out->push_back(u);
-    }
+    ExpandNode((*out)[head], removed, rng, &draws, &edges_examined, admit);
   }
   rng_draws_ += draws;
   return edges_examined;
@@ -341,7 +269,6 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     const BitVector* removed, uint32_t num_alive, uint64_t theta,
     std::span<const CoverageQuery> queries, uint64_t* hits, Rng* rng,
     const BudgetGate* budget, uint64_t* sampled) {
-  const Graph& g = *graph_;
   const size_t num_queries = queries.size();
   if (sampled != nullptr) *sampled = theta;
   for (size_t q = 0; q < num_queries; ++q) hits[q] = 0;
@@ -355,7 +282,6 @@ uint64_t RRSetGenerator::CountCoveringBatch(
   uint64_t* found = dead + words;
   const uint64_t* all = found + words;
   alive_cache_valid_ = false;  // the residual graph may have moved on
-  const bool jump = kernel_ == SamplingKernel::kGeometricJump;
   uint64_t edges_examined = 0;
   uint64_t draws = 0;
 
@@ -411,41 +337,10 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     scratch_.push_back(root);
 
     for (size_t head = 0; head < scratch_.size(); ++head) {
-      const NodeId v = scratch_[head];
-      if (model_ == DiffusionModel::kLinearThreshold) {
-        edges_examined += g.InDegree(v);
-        NodeId w;
-        if (jump) {
-          w = PickLtFast(g, v, removed, rng, &draws);
-        } else {
-          ++draws;
-          w = PickLtPrefix(g, v, removed, rng);
-        }
-        if (w >= g.num_nodes()) continue;
-        if (!process(w)) break;
-        continue;
+      if (!ExpandNode(scratch_[head], removed, rng, &draws, &edges_examined,
+                      process)) {
+        break;
       }
-      if (jump && HasJumpPath(g, v)) {
-        edges_examined += g.InDegree(v);
-        if (!ExpandIcJump(g, v, rng, &draws, process)) break;
-        continue;
-      }
-      const auto neigh = g.InNeighbors(v);
-      const auto probs = g.InProbs(v);
-      edges_examined += neigh.size();
-      bool abort = false;
-      for (uint32_t j = 0; j < neigh.size(); ++j) {
-        const NodeId w = neigh[j];
-        if (visited_.IsMarked(w)) continue;
-        if (removed != nullptr && removed->Test(w)) continue;
-        ++draws;
-        if (!rng->Bernoulli(probs[j])) continue;
-        if (!process(w)) {
-          abort = true;
-          break;
-        }
-      }
-      if (abort) break;
     }
     for (size_t k = 0; k < words; ++k) {
       for (uint64_t live_hits = found[k] & ~dead[k]; live_hits != 0;

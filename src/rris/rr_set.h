@@ -151,6 +151,15 @@ class RRSetGenerator {
   /// alive-cache validity; callers decide the invalidation scope.
   uint64_t GenerateOne(const BitVector* removed, uint32_t num_alive, Rng* rng,
                        std::vector<NodeId>* out);
+  /// One reverse step from v, the shared core of GenerateOne and
+  /// CountCoveringBatch: the LT pick, the IC jump scan, or the per-edge
+  /// loop (dead endpoints skipped before their draw). Calls visit(u) for
+  /// each picked or live in-neighbour u (the jump scans and the pick may
+  /// pass dead ones) and charges InDegree(v) to *edges. Returns false iff
+  /// visit aborted.
+  template <typename Visit>
+  bool ExpandNode(NodeId v, const BitVector* removed, Rng* rng,
+                  uint64_t* draws, uint64_t* edges, Visit&& visit);
   NodeId SampleAliveRoot(const BitVector* removed, uint32_t num_alive,
                          Rng* rng, uint64_t* draws);
   void RebuildAliveCache(const BitVector* removed, uint32_t num_alive);

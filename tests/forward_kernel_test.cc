@@ -1,8 +1,9 @@
 // Forward diffusion paths: jump-kernel worlds agree statistically with the
 // per-edge sweep across weightings and models, degenerate probabilities
-// resolve exactly, world sampling charges draws under both kernels, and
+// resolve exactly, world sampling charges draws under both kernels,
 // SimulateIC / kPerEdge worlds reproduce the pre-kernel forward streams
-// (goldens captured on the release that preceded the default flip).
+// (goldens captured on the release that preceded the default flip), and
+// every forward cascade rule keeps its pinned outcome, order and charge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -267,6 +268,82 @@ TEST(PerEdgeForwardGoldenTest, TriIcWorldsMatchPreKernelStream) {
     EXPECT_EQ(w.NumLiveEdges(), expected_live[i]);
     EXPECT_EQ(w.Spread(kSeeds), expected_spread[i]);
   }
+}
+
+// --- Traversal pins: every forward cascade (random coin, lazy random
+// threshold, hashed coin, hashed threshold, live-edge bit) reproduces its
+// exact outcome, activation order and SamplingStats charge at fixed seeds
+// and salts, with and without a removed mask. Captured before the five
+// spread functions shared one cascade loop.
+
+// Every fifth node removed, seed 4 among them.
+BitVector EveryFifthRemoved(const Graph& g) {
+  BitVector removed(g.num_nodes());
+  for (NodeId v = 4; v < g.num_nodes(); v += 5) removed.Set(v);
+  return removed;
+}
+
+TEST(ForwardTraversalPinTest, HashedIcSpreadsArePinned) {
+  const Graph g = GoldenWcGraph();
+  const BitVector removed = EveryFifthRemoved(g);
+  const uint32_t expected[6] = {80, 76, 71, 109, 56, 61};
+  const uint32_t expected_removed[6] = {44, 26, 36, 48, 25, 40};
+  for (uint64_t salt = 1; salt <= 6; ++salt) {
+    EXPECT_EQ(SpreadInHashedWorld(g, kSeeds, salt), expected[salt - 1]);
+    EXPECT_EQ(SpreadInHashedWorld(g, kSeeds, salt, &removed),
+              expected_removed[salt - 1]);
+  }
+}
+
+TEST(ForwardTraversalPinTest, HashedLtSpreadsArePinned) {
+  const Graph g = GoldenWcGraph();
+  const BitVector removed = EveryFifthRemoved(g);
+  const uint32_t expected[6] = {139, 131, 84, 127, 73, 97};
+  const uint32_t expected_removed[6] = {84, 43, 39, 50, 39, 51};
+  for (uint64_t salt = 1; salt <= 6; ++salt) {
+    EXPECT_EQ(SpreadInHashedWorldLt(g, kSeeds, salt), expected[salt - 1]);
+    EXPECT_EQ(SpreadInHashedWorldLt(g, kSeeds, salt, &removed),
+              expected_removed[salt - 1]);
+  }
+}
+
+TEST(ForwardTraversalPinTest, RealizationReachedOrderIsPinned) {
+  const Graph g = GoldenTriGraph();
+  Rng rng(42);
+  const Realization w =
+      Realization::Sample(g, &rng, DiffusionModel::kIndependentCascade,
+                          SamplingKernel::kPerEdge);
+  std::vector<NodeId> reached;
+  EXPECT_EQ(w.Spread(kSeeds, nullptr, &reached), 11u);
+  EXPECT_EQ(reached,
+            std::vector<NodeId>({0, 1, 2, 3, 4, 23, 279, 86, 273, 9, 120}));
+  const BitVector removed = EveryFifthRemoved(g);
+  reached.clear();
+  EXPECT_EQ(w.Spread(kSeeds, &removed, &reached), 7u);
+  EXPECT_EQ(reached, std::vector<NodeId>({0, 1, 2, 3, 23, 86, 120}));
+}
+
+TEST(ForwardTraversalPinTest, SimulatedActivationOrderAndChargesArePinned) {
+  const Graph tri = GoldenTriGraph();
+  const BitVector removed = EveryFifthRemoved(tri);
+  Rng rng(123);
+  SamplingStats stats;
+  std::vector<NodeId> activated;
+  EXPECT_EQ(SimulateIC(tri, kSeeds, &rng, &removed, &activated, &stats), 9u);
+  EXPECT_EQ(activated,
+            std::vector<NodeId>({0, 1, 2, 3, 23, 120, 17, 86, 137}));
+  EXPECT_EQ(stats.rng_draws, 94u);
+  EXPECT_EQ(stats.edges_examined, 137u);
+
+  const Graph wc = GoldenWcGraph();
+  const std::vector<NodeId> seed = {7};
+  rng = Rng(125);
+  stats = SamplingStats();
+  activated.clear();
+  EXPECT_EQ(SimulateLT(wc, seed, &rng, &removed, &activated, &stats), 7u);
+  EXPECT_EQ(activated, std::vector<NodeId>({7, 46, 85, 98, 193, 247, 53}));
+  EXPECT_EQ(stats.rng_draws, 27u);
+  EXPECT_EQ(stats.edges_examined, 42u);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // per-edge equivalence on degenerate probabilities, ±3σ statistical
 // agreement across weightings x models x backends, raw kPerEdge bit-compat
 // against golden values recorded from the pre-kernel tree, the depleted-
-// graph alive-root cache, and the rng_draws accounting behind the
-// draws-per-edge reduction, pinned exactly per path, weighting and kernel.
+// graph alive-root cache, the rng_draws accounting behind the
+// draws-per-edge reduction, pinned exactly per path, weighting and kernel,
+// and the exact LT picks of walks, counts and worlds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,7 +166,7 @@ TEST(WeightClassTest, ProfileExposedThroughSpreadOracles) {
   const Graph g = TestGraph(200, Weighting::kWeightedCascade);
   SerialSamplingEngine engine(g);
   RisSpreadOracle oracle(&engine);
-  const WeightClassProfile profile = oracle.InWeightClassProfile();
+  const WeightClassProfile profile = oracle.graph().InWeightClassProfile();
   EXPECT_EQ(profile.total_edges, g.num_edges());
   EXPECT_GT(profile.JumpableEdgeFraction(), 0.7);
   EXPECT_EQ(engine.kernel(), SamplingKernel::kGeometricJump);
@@ -1044,6 +1045,98 @@ TEST(RealizationKernelTest, LtJumpWorldsKeepAtMostOneInEdge) {
       if (world.IsLive(u, slot)) ++live_in;
     }
     EXPECT_LE(live_in, 1u) << "node " << v;
+  }
+}
+
+// ---- LT picks: the reverse walk and count (with a removed mask) and
+// whole-world sampling reproduce their exact picks and draws per weighting
+// and kernel. Covers every LtPickPlan: uniform (weighted cascade), alias
+// and prefix (trivalency, uniform random with mass > 1).
+
+uint64_t MixHash(uint64_t hash, uint64_t x) {
+  return (hash ^ x) * 0x100000001b3ULL;
+}
+
+TEST(LtPickPinTest, WalksCountsAndWorldsArePinned) {
+  struct Pin {
+    Weighting weighting;
+    SamplingKernel kernel;
+    uint64_t walk_nodes, walk_hash, count_hits, walk_draws;
+    uint64_t world_live, world_hash, world_draws;
+  };
+  using enum Weighting;
+  constexpr SamplingKernel kJump = SamplingKernel::kGeometricJump;
+  constexpr SamplingKernel kEdge = SamplingKernel::kPerEdge;
+  const Pin pins[] = {
+      {kWeightedCascade, kJump, 1746, 8999895024242204411ULL, 32, 9664,
+       2048, 5242782322376685137ULL, 2048},
+      {kWeightedCascade, kEdge, 1789, 6773709723461213491ULL, 28, 9613,
+       2048, 5242782322376685137ULL, 2048},
+      {kTrivalency, kJump, 647, 8978958301330731820ULL, 7, 5879,
+       402, 11921343304122251597ULL, 2048},
+      {kTrivalency, kEdge, 649, 13174192245799132107ULL, 7, 5917,
+       414, 13322155809862583534ULL, 2048},
+      {kUniformRandom, kJump, 2131, 16978700617343589304ULL, 201, 11104,
+       1803, 8635768246029109164ULL, 2048},
+      {kUniformRandom, kEdge, 2131, 16978700617343589304ULL, 201, 11104,
+       1803, 8635768246029109164ULL, 2048},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "weighting " << static_cast<int>(pin.weighting) << ", "
+                 << SamplingKernelName(pin.kernel));
+    const Graph g = TestGraph(1 << 10, pin.weighting);
+    BitVector removed(g.num_nodes());
+    for (NodeId v = 4; v < g.num_nodes(); v += 5) removed.Set(v);
+    const uint32_t alive = g.num_nodes() - g.num_nodes() / 5;
+    RRSetGenerator generator(g, DiffusionModel::kLinearThreshold, pin.kernel);
+    Rng rng(29);
+    std::vector<NodeId> rr;
+    uint64_t nodes = 0;
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 500; ++i) {
+      generator.Generate(&removed, alive, &rng, &rr);
+      nodes += rr.size();
+      for (NodeId u : rr) hash = MixHash(hash, u);
+    }
+    BitVector base(g.num_nodes());
+    for (NodeId v = 100; v < 200; ++v) base.Set(v);
+    EXPECT_EQ(nodes, pin.walk_nodes);
+    EXPECT_EQ(hash, pin.walk_hash);
+    EXPECT_EQ(generator.CountCovering(&removed, alive, 2000, 0, &base, &rng),
+              pin.count_hits);
+    EXPECT_EQ(generator.rng_draws(), pin.walk_draws);
+
+    Rng world_rng(31);
+    SamplingStats stats;
+    uint64_t live = 0;
+    hash = 0xcbf29ce484222325ULL;
+    for (int world = 0; world < 2; ++world) {
+      const Realization w =
+          Realization::Sample(g, &world_rng, DiffusionModel::kLinearThreshold,
+                              pin.kernel, &stats);
+      live += w.NumLiveEdges();
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        for (uint32_t j = 0; j < g.OutDegree(u); ++j) {
+          if (w.IsLive(u, j)) hash = MixHash(hash, g.OutEdgeIndex(u, j));
+        }
+      }
+    }
+    EXPECT_EQ(live, pin.world_live);
+    EXPECT_EQ(hash, pin.world_hash);
+    EXPECT_EQ(stats.rng_draws, pin.world_draws);
+  }
+  // In-degree-0 and zero-mass nodes: the jump plans take no draw, the
+  // per-edge sweep takes one at every node.
+  for (const double p : {0.0, 0.5}) {
+    const Graph path = MakePathGraph(5, p);
+    for (const SamplingKernel kernel : {kJump, kEdge}) {
+      Rng rng(3);
+      SamplingStats stats;
+      Realization::Sample(path, &rng, DiffusionModel::kLinearThreshold, kernel,
+                          &stats);
+      EXPECT_EQ(stats.rng_draws, kernel == kEdge ? 5u : (p > 0.0 ? 4u : 0u));
+    }
   }
 }
 
