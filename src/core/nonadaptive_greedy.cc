@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bit_vector.h"
 #include "rris/coverage_batch.h"
 #include "rris/rr_collection.h"
 #include "rris/sampling_engine.h"
@@ -56,7 +55,10 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
   const Graph& graph = *problem.graph;
   const NodeId n = graph.num_nodes();
 
+  // The greedy reads the pool only through targets, so the pool stores
+  // only their entries (no restriction when T = V).
   engine->ResetPool();
+  engine->pool().RestrictTo(problem.targets);
   ATPM_RETURN_NOT_OK(
       engine->TryGeneratePool(/*removed=*/nullptr, n, num_rr_sets, rng));
   RRCollection& pool = engine->pool();
@@ -98,11 +100,14 @@ Result<NonadaptiveResult> RunNsg(const ProfitProblem& problem,
     result.seeds.push_back(best);
     eligible[best] = false;
     covered_total += gain[best];
+    // Every stored node is a target, and gain[w] counts exactly the
+    // uncovered sets holding w, so a newly covered set decrements each.
     for (uint32_t set_id : pool.CoveringSets(best)) {
       if (covered[set_id]) continue;
       covered[set_id] = true;
       for (NodeId w : pool.set(set_id)) {
-        if (gain[w] > 0) --gain[w];
+        ATPM_DCHECK(gain[w] > 0);
+        --gain[w];
       }
     }
   }
@@ -126,7 +131,9 @@ Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
   const Graph& graph = *problem.graph;
   const NodeId n = graph.num_nodes();
 
+  // Target-restricted pool, as in RunNsg.
   engine->ResetPool();
+  engine->pool().RestrictTo(problem.targets);
   ATPM_RETURN_NOT_OK(
       engine->TryGeneratePool(/*removed=*/nullptr, n, num_rr_sets, rng));
   RRCollection& pool = engine->pool();
@@ -144,15 +151,10 @@ Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
 
   // cand_count[set]: members of the current T (selected + undecided) in the
   // set; Cov(u | T \ {u}) = #sets where u is the only remaining member.
-  std::vector<uint32_t> cand_count(pool.num_sets(), 0);
-  {
-    BitVector in_t(n);
-    for (NodeId t : problem.targets) in_t.Set(t);
-    for (uint64_t i = 0; i < pool.num_sets(); ++i) {
-      for (NodeId w : pool.set(i)) {
-        if (in_t.Test(w)) ++cand_count[i];
-      }
-    }
+  // Every stored node is a target, so it starts at the set's size.
+  std::vector<uint32_t> cand_count(pool.num_sets());
+  for (uint64_t i = 0; i < pool.num_sets(); ++i) {
+    cand_count[i] = static_cast<uint32_t>(pool.set(i).size());
   }
 
   NonadaptiveResult result;
@@ -177,7 +179,8 @@ Result<NonadaptiveResult> RunNdg(const ProfitProblem& problem,
         if (covered_by_s[set_id]) continue;
         covered_by_s[set_id] = true;
         for (NodeId w : pool.set(set_id)) {
-          if (count_s[w] > 0) --count_s[w];
+          ATPM_DCHECK(count_s[w] > 0);
+          --count_s[w];
         }
       }
       // u stays in T, so cand_count is unchanged.

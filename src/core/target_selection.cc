@@ -16,13 +16,15 @@ namespace {
 // E_l[I(T)]: coverage of T over a fresh pool, pushed through the martingale
 // lower bound. The pool MUST be fresh (not the one T was derived from):
 // reusing the derivation pool would condition the bound on the very samples
-// that picked T and void the concentration guarantee.
+// that picked T and void the concentration guarantee. Only Cov(T) is read,
+// so the pool stores only the entries of T.
 Result<double> EstimateSpreadLowerBound(SamplingEngine* engine,
                                         std::span<const NodeId> targets,
                                         uint64_t num_rr_sets, double delta,
                                         Rng* rng) {
   const NodeId n = engine->graph().num_nodes();
   engine->ResetPool();
+  engine->pool().RestrictTo(targets);
   ATPM_RETURN_NOT_OK(
       engine->TryGeneratePool(/*removed=*/nullptr, n, num_rr_sets, rng));
   const RRCollection& pool = engine->pool();

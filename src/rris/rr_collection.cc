@@ -1,5 +1,8 @@
 #include "rris/rr_collection.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace atpm {
 
 void RRCollection::AddSet(std::span<const NodeId> nodes) {
@@ -31,19 +34,43 @@ uint64_t RRCollection::Generate(RRSetGenerator* generator,
                                 uint64_t count, Rng* rng) {
   std::vector<NodeId> nodes;
   std::vector<uint32_t> set_sizes;
-  const uint64_t edges = generator->GenerateBatch(removed, num_alive, count,
-                                                  rng, &nodes, &set_sizes);
+  const uint64_t edges = generator->GenerateBatch(
+      removed, num_alive, count, rng, &nodes, &set_sizes, members());
   AppendShard(nodes, set_sizes);
   return edges;
+}
+
+void RRCollection::RestrictTo(std::span<const NodeId> members) {
+  ATPM_CHECK(num_sets() == 0);
+  BitVector bits(num_nodes_);
+  for (NodeId v : members) bits.Set(v);
+  if (bits.Count() == num_nodes_) {
+    members_.reset();
+  } else {
+    members_ = std::move(bits);
+  }
 }
 
 void RRCollection::Clear() {
   set_offsets_.assign(1, 0);
   set_nodes_.clear();
+  members_.reset();
   index_built_ = false;
 }
 
+bool RRCollection::Answers(const BitVector& nodes) const {
+  if (!members_.has_value()) return true;
+  const std::span<const uint64_t> words = nodes.words();
+  const std::span<const uint64_t> member_words = members_->words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    const uint64_t member = i < member_words.size() ? member_words[i] : 0;
+    if ((words[i] & ~member) != 0) return false;
+  }
+  return true;
+}
+
 uint64_t RRCollection::CoverageOfNode(NodeId u) const {
+  ATPM_DCHECK(Answers(u));
   if (index_built_) {
     return index_offsets_[u + 1] - index_offsets_[u];
   }
@@ -60,6 +87,7 @@ uint64_t RRCollection::CoverageOfNode(NodeId u) const {
 }
 
 uint64_t RRCollection::CoverageOfSet(const BitVector& members) const {
+  ATPM_DCHECK(Answers(members));
   uint64_t cov = 0;
   for (uint64_t i = 0; i < num_sets(); ++i) {
     for (NodeId w : set(i)) {
@@ -75,6 +103,7 @@ uint64_t RRCollection::CoverageOfSet(const BitVector& members) const {
 uint64_t RRCollection::ConditionalCoverage(NodeId u,
                                            const BitVector& base) const {
   ATPM_DCHECK(!base.Test(u));
+  ATPM_DCHECK(Answers(u) && Answers(base));
   uint64_t cov = 0;
   for (uint64_t i = 0; i < num_sets(); ++i) {
     bool has_u = false;
@@ -95,6 +124,11 @@ uint64_t RRCollection::ConditionalCoverage(NodeId u,
 void RRCollection::AnswerBatch(CoverageQueryBatch* batch) const {
   batch->ZeroHits();
   const std::span<const CoverageQuery> queries = batch->queries();
+  ATPM_DCHECK(std::all_of(
+      queries.begin(), queries.end(), [&](const CoverageQuery& query) {
+        return Answers(query.node) &&
+               (query.base == nullptr || Answers(*query.base));
+      }));
   const size_t num_queries = queries.size();
   if (num_queries == 0 || num_sets() == 0) return;
   uint64_t* hits = batch->hit_data();

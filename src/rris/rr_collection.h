@@ -1,6 +1,7 @@
 #ifndef ATPM_RRIS_RR_COLLECTION_H_
 #define ATPM_RRIS_RR_COLLECTION_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,15 @@ namespace atpm {
 ///   Cov_R(S)      = |{ R in R : R intersects S }|
 ///   Cov_R(u | S)  = Cov_R(S u {u}) - Cov_R(S)
 ///                 = |{ R : u in R, R disjoint from S }|.
+///
+/// A pool may carry a member restriction M (RestrictTo): each set then
+/// stores R ∩ M instead of R, still one set per RR set drawn, so
+/// num_sets() stays θ. A restricted pool answers only about member nodes:
+/// Cov_R(S) and Cov_R(u | S) are exact iff u and every node of S are in M
+/// (R ∩ S = (R ∩ M) ∩ S then), and asking about any other node is a
+/// programming error (checked in debug builds). TPM seeds come only from
+/// the target set T, so the NSG / NDG pools and the E_l[I(T)] pool are
+/// restricted to T.
 class RRCollection {
  public:
   /// Creates an empty collection over graphs with `num_nodes` nodes.
@@ -43,7 +53,18 @@ class RRCollection {
   uint64_t Generate(RRSetGenerator* generator, const BitVector* removed,
                     uint32_t num_alive, uint64_t count, Rng* rng);
 
-  /// Removes all sets (keeps capacity).
+  /// Restricts the pool to the nodes of `members`: every set appended from
+  /// here on stores only its member nodes, in walk order (see the class
+  /// comment for what the pool then answers). Requires an empty pool. A
+  /// list of all n nodes is no restriction, and leaves the pool
+  /// unrestricted.
+  void RestrictTo(std::span<const NodeId> members);
+  /// The member bitmap of a restricted pool; null when unrestricted.
+  const BitVector* members() const {
+    return members_.has_value() ? &*members_ : nullptr;
+  }
+
+  /// Removes all sets (keeps capacity) and drops the member restriction.
   void Clear();
 
   /// Number of RR sets θ.
@@ -85,12 +106,21 @@ class RRCollection {
   /// Set ids covering `u` (requires BuildIndex()).
   std::span<const uint32_t> CoveringSets(NodeId u) const {
     ATPM_DCHECK(index_built_);
+    ATPM_DCHECK(Answers(u));
     return {index_sets_.data() + index_offsets_[u],
             static_cast<size_t>(index_offsets_[u + 1] - index_offsets_[u])};
   }
 
  private:
+  /// Whether the pool answers about `u` / about every node of `nodes`:
+  /// always when unrestricted, otherwise iff they are members.
+  bool Answers(NodeId u) const {
+    return !members_.has_value() || members_->Test(u);
+  }
+  bool Answers(const BitVector& nodes) const;
+
   NodeId num_nodes_;
+  std::optional<BitVector> members_;
   std::vector<uint64_t> set_offsets_{0};
   std::vector<NodeId> set_nodes_;
 

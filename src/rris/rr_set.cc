@@ -140,6 +140,7 @@ uint64_t RRSetGenerator::GenerateBatch(const BitVector* removed,
                                        uint32_t num_alive, uint64_t count,
                                        Rng* rng, std::vector<NodeId>* nodes,
                                        std::vector<uint32_t>* set_sizes,
+                                       const BitVector* members,
                                        BudgetGate* budget) {
   // One invalidation for the whole block: every root draw of the batch
   // shares one alive-list build on depleted residual graphs, instead of
@@ -163,7 +164,7 @@ uint64_t RRSetGenerator::GenerateBatch(const BitVector* removed,
       if (budget->Exhausted() != BudgetStop::kNone) break;
     }
     const size_t begin = nodes->size();
-    edges_examined += GenerateOne(removed, num_alive, rng, nodes);
+    edges_examined += GenerateOne(removed, num_alive, rng, nodes, members);
     set_sizes->push_back(static_cast<uint32_t>(nodes->size() - begin));
   }
   if (budget != nullptr) charge();
@@ -172,25 +173,38 @@ uint64_t RRSetGenerator::GenerateBatch(const BitVector* removed,
 
 uint64_t RRSetGenerator::GenerateOne(const BitVector* removed,
                                      uint32_t num_alive, Rng* rng,
-                                     std::vector<NodeId>* out) {
+                                     std::vector<NodeId>* out,
+                                     const BitVector* members) {
   visited_.NextEpoch();
   uint64_t draws = 0;
-  const size_t begin = out->size();
+  // The walk's queue: the output itself, or scratch_ when only members
+  // are stored.
+  std::vector<NodeId>* queue = out;
+  if (members != nullptr) {
+    scratch_.clear();
+    queue = &scratch_;
+  }
+  const size_t begin = queue->size();
 
   const NodeId root = SampleAliveRoot(removed, num_alive, rng, &draws);
   visited_.Mark(root);
-  out->push_back(root);
+  queue->push_back(root);
 
   uint64_t edges_examined = 0;
   const auto admit = [&](NodeId u) {
     if (!visited_.IsMarked(u) && (removed == nullptr || !removed->Test(u))) {
       visited_.Mark(u);
-      out->push_back(u);
+      queue->push_back(u);
     }
     return true;
   };
-  for (size_t head = begin; head < out->size(); ++head) {
-    ExpandNode((*out)[head], removed, rng, &draws, &edges_examined, admit);
+  for (size_t head = begin; head < queue->size(); ++head) {
+    ExpandNode((*queue)[head], removed, rng, &draws, &edges_examined, admit);
+  }
+  if (members != nullptr) {
+    for (NodeId v : scratch_) {
+      if (members->Test(v)) out->push_back(v);
+    }
   }
   rng_draws_ += draws;
   return edges_examined;

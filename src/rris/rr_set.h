@@ -74,15 +74,22 @@ class RRSetGenerator {
   /// Returns the total edges examined (the same EPT measure as Generate,
   /// summed over the block).
   ///
+  /// `members` (optional) restricts what is stored: each walk runs
+  /// unchanged on the generator's own queue — same draws, same edges, same
+  /// reached nodes — and only its member nodes are appended, in walk
+  /// order. A set with no member node appends nothing but still counts in
+  /// `set_sizes` (as a 0). Null stores every reached node.
+  ///
   /// `budget` (optional): polled every kBudgetStride sets; when the gate
   /// reports exhaustion the batch stops early — the sets already appended
   /// stay valid, and set_sizes->size() tells the caller how many landed.
   /// The pool bytes appended by the batch are charged to the gate as it
-  /// runs. A null gate adds no checks and consumes no RNG state, so
+  /// runs: with `members`, only the stored member entries. A null gate adds no checks and consumes no RNG state, so
   /// un-budgeted streams stay bit-identical.
   uint64_t GenerateBatch(const BitVector* removed, uint32_t num_alive,
                          uint64_t count, Rng* rng, std::vector<NodeId>* nodes,
                          std::vector<uint32_t>* set_sizes,
+                         const BitVector* members = nullptr,
                          BudgetGate* budget = nullptr);
 
   /// Generates `theta` RR sets *without storing them*, returning how many
@@ -147,10 +154,13 @@ class RRSetGenerator {
 
  private:
   /// One reverse BFS appended to `out` (root first, nothing cleared) —
-  /// the shared core of Generate and GenerateBatch. Does NOT touch the
-  /// alive-cache validity; callers decide the invalidation scope.
+  /// the shared core of Generate and GenerateBatch. With `members`, the
+  /// walk runs on scratch_ and only its member nodes are appended. Does
+  /// NOT touch the alive-cache validity; callers decide the invalidation
+  /// scope.
   uint64_t GenerateOne(const BitVector* removed, uint32_t num_alive, Rng* rng,
-                       std::vector<NodeId>* out);
+                       std::vector<NodeId>* out,
+                       const BitVector* members = nullptr);
   /// One reverse step from v, the shared core of GenerateOne and
   /// CountCoveringBatch: the LT pick, the IC jump scan, or the per-edge
   /// loop (dead endpoints skipped before their draw). Calls visit(u) for
@@ -170,6 +180,7 @@ class RRSetGenerator {
   DiffusionModel model_;
   SamplingKernel kernel_;
   EpochVisitedSet visited_;
+  /// Walk queue of CountCoveringBatch and of member-restricted walks.
   std::vector<NodeId> scratch_;
   /// CountCoveringBatch's query masks, rebuilt per call by BuildQueryMasks
   /// (capacity reused). A query is one bit in W = ceil(Q/64) words.

@@ -230,7 +230,7 @@ Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
                            0};
         worker.edges += worker.generator->GenerateBatch(
             removed, num_alive, sets, chunk_rng, &worker.nodes,
-            &worker.sizes, budget_);
+            &worker.sizes, pool_.members(), budget_);
         staged.node_end = worker.nodes.size();
         staged.set_end = worker.sizes.size();
         worker.chunks.push_back(staged);

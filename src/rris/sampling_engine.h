@@ -144,8 +144,12 @@ class SamplingEngine {
   BudgetGate* budget() const { return budget_; }
 
   /// The engine's pool of stored RR sets (as filled by TryGeneratePool).
+  /// A member restriction set on the empty pool (RRCollection::RestrictTo)
+  /// applies to every fill until ResetPool: the walks, draws and edges are
+  /// unchanged, and only member nodes are staged and stored.
   virtual RRCollection& pool() = 0;
-  /// Empties the pool (keeps capacity) and zeroes the edge accounting.
+  /// Empties the pool (keeps capacity), drops its member restriction, and
+  /// zeroes the edge accounting.
   virtual void ResetPool() = 0;
   /// Total edges examined by all TryGeneratePool calls since the last
   /// ResetPool, aggregated across workers.

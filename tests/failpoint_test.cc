@@ -516,6 +516,37 @@ TEST_F(FailpointTest, ParallelWorkerThrowIsContained) {
   EXPECT_EQ(engine.pool().num_sets(), 20000u);
 }
 
+TEST_F(FailpointTest, FailedRestrictedFillKeepsEmptyRestrictedPool) {
+  const Graph g = WcGraph();
+  const std::vector<NodeId> targets = {2, 4, 7, 18};
+  for (const char* site : {"alloc.pool_append", "engine.parallel_worker"}) {
+    SCOPED_TRACE(site);
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
+                                  4096);
+    engine.pool().RestrictTo(targets);
+    ASSERT_TRUE(failpoint::Arm(site));
+    Rng rng(77);
+    EXPECT_FALSE(
+        engine.TryGeneratePool(nullptr, g.num_nodes(), 20000, &rng).ok());
+    failpoint::DisarmAll();
+    const RRCollection& pool = engine.pool();
+    EXPECT_EQ(pool.num_sets(), 0u);
+    EXPECT_EQ(pool.total_nodes(), 0u);
+    ASSERT_NE(pool.members(), nullptr);
+    EXPECT_EQ(pool.members()->Count(), targets.size());
+    for (NodeId t : targets) EXPECT_TRUE(pool.members()->Test(t));
+
+    // The restriction still holds for the next fill.
+    Rng clean(77);
+    ASSERT_TRUE(
+        engine.TryGeneratePool(nullptr, g.num_nodes(), 20000, &clean).ok());
+    EXPECT_EQ(pool.num_sets(), 20000u);
+    for (uint64_t i = 0; i < pool.num_sets(); ++i) {
+      for (NodeId v : pool.set(i)) EXPECT_TRUE(pool.members()->Test(v));
+    }
+  }
+}
+
 TEST_F(FailpointTest, ScheduledFailpointFiresOnExactHits) {
   const Graph g = WcGraph();
   SerialSamplingEngine engine(g);
@@ -789,6 +820,57 @@ TEST_F(FailpointTest, PoolByteCapTruncatesGeneratePool) {
   EXPECT_GT(engine.pool().num_sets(), 0u);
   EXPECT_LT(engine.pool().num_sets(), 100000u);
   EXPECT_EQ(gate.Exhausted(), BudgetStop::kPoolBytes);
+}
+
+// A restricted fill charges the byte cap only for what it stores: member
+// node ids plus one size per RR set drawn, empty sets included. So it
+// draws more sets than an unrestricted fill under the same cap, and the
+// sets it keeps are the first num_sets() of an uncapped restricted fill.
+TEST_F(FailpointTest, PoolByteCapChargesOnlyStoredEntriesOfRestrictedFill) {
+  const Graph g = WcGraph();
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < g.num_nodes(); v += 5) targets.push_back(v);
+  RunBudget budget;
+  budget.rr_pool_byte_cap = 2048;
+  const auto capped_fill = [&](SerialSamplingEngine* engine) {
+    BudgetGate gate(budget);
+    ScopedEngineBudget scoped(engine, &gate);
+    EXPECT_TRUE(scoped.armed());
+    Rng rng(77);
+    EXPECT_TRUE(
+        engine->TryGeneratePool(nullptr, g.num_nodes(), 100000, &rng).ok());
+    EXPECT_EQ(gate.Exhausted(), BudgetStop::kPoolBytes);
+    return gate.pool_bytes();
+  };
+
+  SerialSamplingEngine full(g);
+  const uint64_t full_bytes = capped_fill(&full);
+  SerialSamplingEngine restricted(g);
+  restricted.pool().RestrictTo(targets);
+  const uint64_t restricted_bytes = capped_fill(&restricted);
+
+  const RRCollection& pool = restricted.pool();
+  EXPECT_EQ(restricted_bytes, pool.total_nodes() * sizeof(NodeId) +
+                                  pool.num_sets() * sizeof(uint64_t));
+  EXPECT_EQ(full_bytes, full.pool().total_nodes() * sizeof(NodeId) +
+                            full.pool().num_sets() * sizeof(uint64_t));
+  EXPECT_GT(pool.num_sets(), full.pool().num_sets());
+  EXPECT_LT(pool.num_sets(), 100000u);
+  EXPECT_EQ(restricted.stats().rr_sets_generated, pool.num_sets());
+
+  SerialSamplingEngine uncapped(g);
+  uncapped.pool().RestrictTo(targets);
+  Rng rng(77);
+  ASSERT_TRUE(
+      uncapped.TryGeneratePool(nullptr, g.num_nodes(), 100000, &rng).ok());
+  ASSERT_EQ(uncapped.pool().num_sets(), 100000u);
+  for (uint64_t i = 0; i < pool.num_sets(); ++i) {
+    const auto kept = pool.set(i);
+    const auto want = uncapped.pool().set(i);
+    ASSERT_TRUE(std::equal(kept.begin(), kept.end(), want.begin(),
+                           want.end()))
+        << "set " << i;
+  }
 }
 
 // ---- Chaos mode: every registered site armed on one seeded pseudo-random

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/weighting.h"
+#include "im/imm.h"
 
 namespace atpm {
 namespace {
@@ -162,6 +167,93 @@ TEST(NsgNdgTest, ValidateProblemFailures) {
   Rng rng(12);
   EXPECT_FALSE(RunNsg(bad, 100, &rng).ok());
   EXPECT_FALSE(RunNdg(bad, 100, &rng).ok());
+}
+
+// ---- Pins: NSG and NDG on a fixed instance and seed, captured from
+// pools that stored every node of every RR set. A pool restricted to the
+// targets must reproduce them bit for bit, at any thread count.
+
+Graph PinGraph() {
+  Rng rng(21);
+  BarabasiAlbertOptions options;
+  options.num_nodes = 2000;
+  options.edges_per_node = 3;
+  Graph g = GenerateBarabasiAlbert(options, &rng).value();
+  ApplyWeightedCascade(&g);
+  return g;
+}
+
+// Every fifth node is a target, priced 4 to 10.
+ProfitProblem PinProblem(const Graph& g) {
+  std::vector<NodeId> targets;
+  std::vector<double> costs;
+  for (NodeId t = 0; t < g.num_nodes(); t += 5) {
+    targets.push_back(t);
+    costs.push_back(4.0 + 2.0 * static_cast<double>(t % 4));
+  }
+  return MakeProblem(g, std::move(targets), std::move(costs));
+}
+
+// Seeds, pool size and the estimated profit (in hex, so equality is
+// bit-exact) as one comparable line.
+std::string Fingerprint(const NonadaptiveResult& r) {
+  std::ostringstream s;
+  s << "seeds";
+  for (NodeId v : r.seeds) s << ' ' << v;
+  s << " | rr " << r.num_rr_sets << " | profit " << std::hexfloat
+    << r.estimated_profit;
+  return s.str();
+}
+
+TEST(NsgNdgPinTest, OutputsMatchPinsAtOneAndFourThreads) {
+  const Graph g = PinGraph();
+  const ProfitProblem problem = PinProblem(g);
+  for (const uint32_t threads : {1u, 4u}) {
+    SamplingOptions sampling;
+    sampling.num_threads = threads;
+    std::unique_ptr<SamplingEngine> engine =
+        CreateSamplingEngine(g, DiffusionModel::kIndependentCascade, sampling);
+    Rng nsg_rng(31);
+    Result<NonadaptiveResult> nsg =
+        RunNsg(problem, 20000, &nsg_rng, engine.get());
+    ASSERT_TRUE(nsg.ok()) << nsg.status().ToString();
+    EXPECT_EQ(Fingerprint(nsg.value()),
+              "seeds 0 10 25 20 60 225 140 15 40 220 45 95 85 145 160 5 165 "
+              "100 320 290 420 540 105 110 80 55 205 180 120 1420 | rr 20000 "
+              "| profit 0x1.dep+7") << "threads=" << threads;
+    Rng ndg_rng(32);
+    Result<NonadaptiveResult> ndg =
+        RunNdg(problem, 20000, &ndg_rng, engine.get());
+    ASSERT_TRUE(ndg.ok()) << ndg.status().ToString();
+    EXPECT_EQ(Fingerprint(ndg.value()),
+              "seeds 0 5 10 20 25 40 45 60 80 85 95 100 120 140 145 160 220 "
+              "225 540 | rr 20000 | profit 0x1.b3ccccccccccep+7") << "threads=" << threads;
+  }
+}
+
+TEST(NsgNdgPinTest, NextPoolUserSeesNoRestriction) {
+  // NSG leaves its engine's pool restricted to the targets; IMM resets the
+  // pool first, which drops the restriction, so IMM on the shared engine
+  // matches IMM on a fresh one.
+  const Graph g = PinGraph();
+  const ProfitProblem problem = PinProblem(g);
+  SerialSamplingEngine shared(g);
+  Rng rng(31);
+  ASSERT_TRUE(RunNsg(problem, 20000, &rng, &shared).ok());
+  ASSERT_NE(shared.pool().members(), nullptr);
+  ImmOptions options;
+  options.seed = 5;
+  Result<ImmResult> after = RunImm(g, 10, options, &shared);
+  SerialSamplingEngine fresh(g);
+  Result<ImmResult> clean = RunImm(g, 10, options, &fresh);
+  ASSERT_TRUE(after.ok() && clean.ok());
+  EXPECT_EQ(shared.pool().members(), nullptr);
+  EXPECT_EQ(after.value().seeds, clean.value().seeds);
+  EXPECT_EQ(after.value().estimated_spread, clean.value().estimated_spread);
+  EXPECT_EQ(after.value().num_rr_sets, clean.value().num_rr_sets);
+  EXPECT_EQ(after.value().total_edges_examined,
+            clean.value().total_edges_examined);
+  EXPECT_EQ(shared.pool().total_nodes(), fresh.pool().total_nodes());
 }
 
 }  // namespace

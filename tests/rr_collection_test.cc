@@ -152,6 +152,41 @@ TEST(RRCollectionTest, GeneratedCoverageMatchesSpreadEstimate) {
       0.55, 0.01);
 }
 
+TEST(RRCollectionTest, RestrictedPoolRejectsNonMemberQueriesInDebug) {
+  RRCollection pool(5);
+  const std::vector<NodeId> members = {1, 2};
+  pool.RestrictTo(members);
+  pool.AddSet(std::vector<NodeId>{1, 2});
+  pool.BuildIndex();
+  EXPECT_EQ(pool.CoverageOfNode(1), 1u);
+  EXPECT_DEBUG_DEATH(pool.CoverageOfNode(0), "Answers");
+  EXPECT_DEBUG_DEATH(pool.CoveringSets(3), "Answers");
+  EXPECT_DEBUG_DEATH(pool.CoverageOfSet(Members({2, 4})), "Answers");
+  EXPECT_DEBUG_DEATH(pool.ConditionalCoverage(1, Members({0})), "Answers");
+  CoverageQueryBatch batch;
+  const BitVector base = Members({3});
+  batch.Add(1, &base);
+  EXPECT_DEBUG_DEATH(pool.AnswerBatch(&batch), "Answers");
+}
+
+TEST(RRCollectionTest, RestrictionToEveryNodeIsNoRestriction) {
+  RRCollection pool(4);
+  const std::vector<NodeId> all = {3, 1, 0, 2};
+  pool.RestrictTo(all);
+  EXPECT_EQ(pool.members(), nullptr);
+}
+
+TEST(RRCollectionTest, ClearDropsRestriction) {
+  RRCollection pool(5);
+  const std::vector<NodeId> members = {1, 2};
+  pool.RestrictTo(members);
+  ASSERT_NE(pool.members(), nullptr);
+  EXPECT_TRUE(pool.members()->Test(2));
+  EXPECT_FALSE(pool.members()->Test(0));
+  pool.Clear();
+  EXPECT_EQ(pool.members(), nullptr);
+}
+
 TEST(RRCollectionTest, EmptyPoolQueriesAreZero) {
   RRCollection pool(3);
   EXPECT_EQ(pool.num_sets(), 0u);

@@ -1,6 +1,7 @@
 // Tests for the SamplingEngine layer: the chunk-stream rule against the
-// raw generator, invariance across thread counts and thresholds, failure
-// accounting, statistical agreement, shard merging, and EPT accounting.
+// raw generator, member-restricted fills against unrestricted ones,
+// invariance across thread counts and thresholds, failure accounting,
+// statistical agreement, shard merging, and EPT accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -143,6 +144,92 @@ TEST(SerialSamplingEngineTest, ResetPoolClearsSetsAndAccounting) {
   engine.ResetPool();
   EXPECT_EQ(engine.pool().num_sets(), 0u);
   EXPECT_EQ(engine.total_edges_examined(), 0u);
+}
+
+// (a') A pool restricted to a member set M holds the member projection of
+// the unrestricted pool at the same seed: the walks, draws and edges are
+// the same, and each stored set is its RR set's members in walk order.
+// Both fill paths are covered: the engine's chunked fill and
+// RRCollection::Generate on one generator.
+
+void ExpectMemberProjection(const RRCollection& full,
+                            const RRCollection& restricted,
+                            const BitVector& member_bits) {
+  ASSERT_NE(restricted.members(), nullptr);
+  ASSERT_EQ(restricted.num_sets(), full.num_sets());
+  EXPECT_LT(restricted.total_nodes(), full.total_nodes());
+  for (uint64_t i = 0; i < full.num_sets(); ++i) {
+    std::vector<NodeId> projected;
+    for (NodeId v : full.set(i)) {
+      if (member_bits.Test(v)) projected.push_back(v);
+    }
+    const auto stored = restricted.set(i);
+    ASSERT_EQ(std::vector<NodeId>(stored.begin(), stored.end()), projected)
+        << "set " << i;
+  }
+}
+
+TEST(RestrictedFillTest, IsTheMemberProjectionOfTheUnrestrictedFill) {
+  const Graph g = TestGraph(300);
+  BitVector removed(g.num_nodes());
+  for (NodeId v = 100; v < 140; ++v) removed.Set(v);
+  // Every third node, some of them removed.
+  std::vector<NodeId> members;
+  BitVector member_bits(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) {
+    members.push_back(v);
+    member_bits.Set(v);
+  }
+  // Past the default threshold with a ragged tail: four workers fan out.
+  const uint64_t theta = ParallelSamplingEngine::kDefaultMinParallelBatch +
+                         3 * ParallelSamplingEngine::kChunkSets + 5;
+  for (DiffusionModel model : {DiffusionModel::kIndependentCascade,
+                               DiffusionModel::kLinearThreshold}) {
+    for (const BitVector* residual : {static_cast<BitVector*>(nullptr),
+                                      &removed}) {
+      const uint32_t alive = g.num_nodes() - (residual != nullptr ? 40 : 0);
+      for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "engine model " << static_cast<int>(model)
+                     << " threads " << threads << " residual "
+                     << (residual != nullptr));
+        SamplingOptions options;
+        options.num_threads = threads;
+        std::unique_ptr<SamplingEngine> full =
+            CreateSamplingEngine(g, model, options);
+        std::unique_ptr<SamplingEngine> restricted =
+            CreateSamplingEngine(g, model, options);
+        restricted->pool().RestrictTo(members);
+        Rng full_rng(theta);
+        Rng restricted_rng(theta);
+        ExpectMemberProjection(
+            FillPool(*full, residual, alive, theta, &full_rng),
+            FillPool(*restricted, residual, alive, theta, &restricted_rng),
+            member_bits);
+        EXPECT_EQ(restricted->total_edges_examined(),
+                  full->total_edges_examined());
+        ExpectSameStats(restricted->stats(), full->stats());
+      }
+
+      SCOPED_TRACE(::testing::Message()
+                   << "RRCollection::Generate model "
+                   << static_cast<int>(model) << " residual "
+                   << (residual != nullptr));
+      RRSetGenerator full_generator(g, model);
+      RRSetGenerator restricted_generator(g, model);
+      RRCollection full(g.num_nodes());
+      RRCollection restricted(g.num_nodes());
+      restricted.RestrictTo(members);
+      Rng full_rng(theta);
+      Rng restricted_rng(theta);
+      EXPECT_EQ(restricted.Generate(&restricted_generator, residual, alive,
+                                    theta, &restricted_rng),
+                full.Generate(&full_generator, residual, alive, theta,
+                              &full_rng));
+      EXPECT_EQ(restricted_generator.rng_draws(), full_generator.rng_draws());
+      ExpectMemberProjection(full, restricted, member_bits);
+    }
+  }
 }
 
 // (b) Invariance: any worker count and threshold gives the serial engine's

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -129,6 +131,52 @@ TEST(PredefinedCostTest, CostsCoverWholeGraph) {
   ASSERT_TRUE(result.ok());
   // Predefined setting: every node carries a positive cost.
   for (double c : result.value().problem.costs) EXPECT_GT(c, 0.0);
+}
+
+// ---- Pins captured from pools that stored every node of every RR set: a
+// pool restricted to the targets answers CoverageOfSet(T) and the NSG /
+// NDG derivation over all of V with the same numbers. The derivation runs
+// with T = V, where no restriction applies; the bound after it reads a
+// pool restricted to the derived T.
+
+// Targets and the spread lower bound (in hex, so equality is bit-exact)
+// as one comparable line.
+std::string Fingerprint(const TargetSelectionResult& r) {
+  std::ostringstream s;
+  s << "targets";
+  for (NodeId t : r.problem.targets) s << ' ' << t;
+  s << " | bound " << std::hexfloat << r.spread_lower_bound;
+  return s.str();
+}
+
+TEST(TopKTargetTest, SpreadLowerBoundMatchesPin) {
+  const Graph g = TestSocialGraph(1);
+  Result<TargetSelectionResult> result =
+      BuildTopKTargetProblem(g, 15, CostScheme::kUniform);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(Fingerprint(result.value()),
+            "targets 8 0 2 1 15 32 5 16 41 29 19 51 24 4 13 | bound "
+            "0x1.45a4673e985c4p+7");
+}
+
+TEST(PredefinedCostTest, DerivationMatchesPinsAtOneAndFourThreads) {
+  const Graph g = TestSocialGraph(11);
+  for (const uint32_t threads : {1u, 4u}) {
+    TargetSelectionOptions options;
+    options.num_threads = threads;
+    Result<TargetSelectionResult> nsg = BuildPredefinedCostProblem(
+        g, 3.0, CostScheme::kUniform, TargetMethod::kNsg, options);
+    ASSERT_TRUE(nsg.ok()) << nsg.status().ToString();
+    EXPECT_EQ(Fingerprint(nsg.value()),
+              "targets 1 3 4 24 5 0 16 17 11 33 21 9 20 18 65 13 10 30 | "
+              "bound 0x1.6dee96fad42ebp+7") << "threads=" << threads;
+    Result<TargetSelectionResult> ndg = BuildPredefinedCostProblem(
+        g, 3.0, CostScheme::kUniform, TargetMethod::kNdg, options);
+    ASSERT_TRUE(ndg.ok()) << ndg.status().ToString();
+    EXPECT_EQ(Fingerprint(ndg.value()),
+              "targets 0 1 2 3 4 5 9 11 16 17 21 24 33 | bound "
+              "0x1.44e7ec935097fp+7") << "threads=" << threads;
+  }
 }
 
 }  // namespace
