@@ -239,9 +239,9 @@ int main() {
 
   // --- Observability artifacts. When tracing is on (ATPM_TRACE=1) the
   // whole run above was recorded as nested decision -> round -> pool-fill
-  // spans and mirrored into the process metric registry; persist both so
-  // CI can upload the timeline (Perfetto / chrome://tracing loadable) and
-  // sanity-check the metric run-report.
+  // spans, and the process metric registry holds the engine's latency and
+  // batch-size histograms; persist both so CI can upload the timeline
+  // (Perfetto / chrome://tracing loadable) and sanity-check the metrics.
   if (atpm::obs::TraceEnabled()) {
     const char* prefix = std::getenv("ATPM_OBS_OUT_PREFIX");
     if (prefix == nullptr) prefix = "fig9";
@@ -256,25 +256,18 @@ int main() {
         return 1;
       }
     }
-    const std::pair<std::string, std::string> reports[] = {
-        {std::string(prefix) + "_metrics.json",
-         atpm::obs::MetricsRegistry::Global().ExportJson()},
-        {std::string(prefix) + "_metrics.prom",
-         atpm::obs::MetricsRegistry::Global().ExportPrometheus()},
-    };
-    for (const auto& [path, body] : reports) {
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-      }
-      std::fputs(body.c_str(), f);
-      std::fclose(f);
+    const std::string prom_path = std::string(prefix) + "_metrics.prom";
+    std::FILE* f = std::fopen(prom_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", prom_path.c_str());
+      return 1;
     }
+    std::fputs(atpm::obs::MetricsRegistry::Global().ExportPrometheus().c_str(),
+               f);
+    std::fclose(f);
     std::printf(
-        "wrote %s_trace.{json,atrace} + %s_metrics.{json,prom} "
-        "(%zu spans kept, %llu dropped)\n",
-        prefix, prefix, atpm::obs::CollectTraceEvents().size(),
+        "wrote %s_trace.{json,atrace} + %s (%zu spans kept, %llu dropped)\n",
+        prefix, prom_path.c_str(), atpm::obs::CollectTraceEvents().size(),
         static_cast<unsigned long long>(atpm::obs::DroppedTraceEvents()));
   }
   return 0;

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "common/math_util.h"
-#include "common/metrics.h"
 
 namespace atpm {
 namespace failpoint {
@@ -53,8 +52,7 @@ constexpr size_t kNumSites = sizeof(kRegistry) / sizeof(kRegistry[0]);
 struct SiteState {
   bool armed = false;
   Spec spec;
-  uint64_t hits = 0;   // counted only while anything is armed
-  uint64_t fires = 0;  // schedule firings (exported via FireCounts)
+  uint64_t hits = 0;  // counted only while anything is armed
   // Chaos mode: probabilistic schedule keyed by (seed, site, hit).
   bool chaos = false;
   uint64_t chaos_seed = 0;
@@ -98,7 +96,6 @@ bool HitFires(size_t i, Action* action) {
                    (hit * 0x9e3779b97f4a7c15ull));
     if (roll >= st.chaos_threshold) return false;
     *action = kRegistry[i].default_action;
-    ++st.fires;
     return true;
   }
   if (hit < st.spec.fire_at) return false;
@@ -107,7 +104,6 @@ bool HitFires(size_t i, Action* action) {
     return false;
   }
   *action = st.spec.action;
-  ++st.fires;
   return true;
 }
 
@@ -128,27 +124,6 @@ const bool g_env_armed = [] {
                  status.ToString().c_str());
     std::abort();
   }
-  return true;
-}();
-
-/// Exposes fires-per-site as the labeled counter series
-/// `atpm_failpoint_fires_total{site=...}` in the global metrics registry.
-/// Sampled at scrape time; sites with zero fires are elided. Counts reset
-/// with DisarmAll(), matching the hit counters.
-const bool g_collector_registered = [] {
-  obs::MetricsRegistry::Global().RegisterCollector(
-      [](std::vector<obs::LabeledSample>* out) {
-        for (const auto& [site, fires] : FireCounts()) {
-          if (fires == 0) continue;
-          obs::LabeledSample sample;
-          sample.metric = "atpm_failpoint_fires_total";
-          sample.help = "Failpoint schedule firings per site";
-          sample.label_key = "site";
-          sample.label_value = site;
-          sample.value = fires;
-          out->push_back(std::move(sample));
-        }
-      });
   return true;
 }();
 
@@ -237,16 +212,6 @@ std::vector<std::string> RegisteredNames() {
   names.reserve(kNumSites);
   for (size_t i = 0; i < kNumSites; ++i) names.push_back(kRegistry[i].name);
   return names;
-}
-
-std::vector<std::pair<std::string, uint64_t>> FireCounts() {
-  std::vector<std::pair<std::string, uint64_t>> counts;
-  counts.reserve(kNumSites);
-  std::lock_guard<std::mutex> lock(g_mu);
-  for (size_t i = 0; i < kNumSites; ++i) {
-    counts.emplace_back(kRegistry[i].name, g_state[i].fires);
-  }
-  return counts;
 }
 
 Status ArmFromSpec(const std::string& spec) {

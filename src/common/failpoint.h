@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -96,11 +95,6 @@ Status ArmFromSpec(const std::string& spec);
 
 /// All registered failpoint names, in registration order.
 std::vector<std::string> RegisteredNames();
-
-/// (name, schedule firings) per site since the last DisarmAll, in
-/// registration order. Also exported at metrics-scrape time as the labeled
-/// series `atpm_failpoint_fires_total{site=...}` (zero sites elided).
-std::vector<std::pair<std::string, uint64_t>> FireCounts();
 
 namespace internal {
 

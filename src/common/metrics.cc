@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -32,10 +34,8 @@ namespace {
 /// ATPM_METRICS=0 turns the registry into pure relaxed-load no-ops before
 /// main() runs (benchmark baselines, overhead probes).
 const bool g_env_applied = [] {
-  const char* env = std::getenv("ATPM_METRICS");
-  if (env != nullptr && std::strcmp(env, "0") == 0) {
-    g_metrics_enabled.store(false, std::memory_order_relaxed);
-  }
+  g_metrics_enabled.store(SwitchFromEnv("ATPM_METRICS", true),
+                          std::memory_order_relaxed);
   return true;
 }();
 
@@ -78,36 +78,31 @@ std::string FormatDouble(double value) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 }  // namespace internal
 
 void SetMetricsEnabled(bool enabled) {
   internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
+}
+
+std::optional<bool> ParseSwitch(const char* value, bool fallback) {
+  // Exact text, not a number parse: "01" or "+1" is a typo, not a 1.
+  const std::string_view text = value != nullptr ? value : "";
+  if (text.empty()) return fallback;
+  if (text == "0") return false;
+  if (text == "1") return true;
+  return std::nullopt;
+}
+
+bool SwitchFromEnv(const char* var, bool fallback) {
+  const char* value = std::getenv(var);
+  const std::optional<bool> on = ParseSwitch(value, fallback);
+  if (!on.has_value()) {
+    std::fprintf(stderr, "%s: expected 0 or 1, got '%s'\n", var, value);
+    std::abort();
+  }
+  return *on;
 }
 
 // ----------------------------------------------------------------- Counter
@@ -118,12 +113,6 @@ uint64_t Counter::Value() const {
     total += stripe.value.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-void Counter::Reset() {
-  for (internal::Stripe& stripe : stripes_) {
-    stripe.value.store(0, std::memory_order_relaxed);
-  }
 }
 
 // --------------------------------------------------------------- Histogram
@@ -178,16 +167,6 @@ double Histogram::Sum() const {
   return total;
 }
 
-void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    for (size_t b = 0; b < num_buckets(); ++b) {
-      shard.buckets[b].store(0, std::memory_order_relaxed);
-    }
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum_bits.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        size_t count) {
   ATPM_CHECK(start > 0.0 && factor > 1.0 && count > 0);
@@ -226,79 +205,34 @@ bool MetricsRegistry::NameTaken(const std::string& name) const {
   for (const auto& c : counters_) {
     if (c->name() == name) return true;
   }
-  for (const auto& g : gauges_) {
-    if (g->name() == name) return true;
-  }
   for (const auto& h : histograms_) {
     if (h->name() == name) return true;
   }
   return false;
 }
 
-Counter* MetricsRegistry::TryRegisterCounter(const char* name,
-                                             const char* help) {
-  if (!ValidName(name)) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (NameTaken(name)) return nullptr;
-  counters_.emplace_back(
-      new Counter(name, help != nullptr ? help : ""));
-  return counters_.back().get();
-}
-
-Gauge* MetricsRegistry::TryRegisterGauge(const char* name, const char* help) {
-  if (!ValidName(name)) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (NameTaken(name)) return nullptr;
-  gauges_.emplace_back(new Gauge(name, help != nullptr ? help : ""));
-  return gauges_.back().get();
-}
-
-Histogram* MetricsRegistry::TryRegisterHistogram(const char* name,
-                                                 const char* help,
-                                                 std::vector<double> bounds) {
-  if (!ValidName(name)) return nullptr;
-  if (bounds.empty() || bounds.size() > 64) return nullptr;
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    if (!(bounds[i] > bounds[i - 1])) return nullptr;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (NameTaken(name)) return nullptr;
-  histograms_.emplace_back(new Histogram(
-      name, help != nullptr ? help : "", std::move(bounds)));
-  return histograms_.back().get();
-}
-
 Counter* MetricsRegistry::RegisterCounter(const char* name,
                                           const char* help) {
-  Counter* counter = TryRegisterCounter(name, help);
-  ATPM_CHECK(counter != nullptr);
-  return counter;
-}
-
-Gauge* MetricsRegistry::RegisterGauge(const char* name, const char* help) {
-  Gauge* gauge = TryRegisterGauge(name, help);
-  ATPM_CHECK(gauge != nullptr);
-  return gauge;
+  ATPM_CHECK(ValidName(name));
+  std::lock_guard<std::mutex> lock(mu_);
+  ATPM_CHECK(!NameTaken(name));
+  counters_.emplace_back(new Counter(name, help != nullptr ? help : ""));
+  return counters_.back().get();
 }
 
 Histogram* MetricsRegistry::RegisterHistogram(const char* name,
                                               const char* help,
                                               std::vector<double> bounds) {
-  Histogram* histogram = TryRegisterHistogram(name, help, std::move(bounds));
-  ATPM_CHECK(histogram != nullptr);
-  return histogram;
-}
-
-void MetricsRegistry::RegisterCollector(Collector collector) {
+  ATPM_CHECK(ValidName(name));
+  ATPM_CHECK(!bounds.empty() && bounds.size() <= 64);
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    ATPM_CHECK(bounds[i] > bounds[i - 1]);
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  collectors_.push_back(std::move(collector));
-}
-
-void MetricsRegistry::ResetValues() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& c : counters_) c->Reset();
-  for (auto& g : gauges_) g->Reset();
-  for (auto& h : histograms_) h->Reset();
+  ATPM_CHECK(!NameTaken(name));
+  histograms_.emplace_back(new Histogram(
+      name, help != nullptr ? help : "", std::move(bounds)));
+  return histograms_.back().get();
 }
 
 namespace {
@@ -316,12 +250,6 @@ std::vector<const T*> SortedByName(const std::vector<std::unique_ptr<T>>& v) {
   return out;
 }
 
-bool LabeledLess(const LabeledSample& a, const LabeledSample& b) {
-  if (a.metric != b.metric) return a.metric < b.metric;
-  if (a.label_key != b.label_key) return a.label_key < b.label_key;
-  return a.label_value < b.label_value;
-}
-
 }  // namespace
 
 std::string MetricsRegistry::ExportPrometheus() {
@@ -331,11 +259,6 @@ std::string MetricsRegistry::ExportPrometheus() {
     out += "# HELP " + c->name() + " " + c->help() + "\n";
     out += "# TYPE " + c->name() + " counter\n";
     out += c->name() + " " + std::to_string(c->Value()) + "\n";
-  }
-  for (const Gauge* g : SortedByName(gauges_)) {
-    out += "# HELP " + g->name() + " " + g->help() + "\n";
-    out += "# TYPE " + g->name() + " gauge\n";
-    out += g->name() + " " + std::to_string(g->Value()) + "\n";
   }
   for (const Histogram* h : SortedByName(histograms_)) {
     out += "# HELP " + h->name() + " " + h->help() + "\n";
@@ -352,82 +275,6 @@ std::string MetricsRegistry::ExportPrometheus() {
     out += h->name() + "_sum " + internal::FormatDouble(h->Sum()) + "\n";
     out += h->name() + "_count " + std::to_string(h->TotalCount()) + "\n";
   }
-  std::vector<LabeledSample> labeled;
-  for (const Collector& collector : collectors_) collector(&labeled);
-  std::stable_sort(labeled.begin(), labeled.end(), LabeledLess);
-  std::string last_metric;
-  for (const LabeledSample& sample : labeled) {
-    if (!ValidName(sample.metric.c_str())) continue;
-    if (sample.metric != last_metric) {
-      out += "# HELP " + sample.metric + " " + sample.help + "\n";
-      out += "# TYPE " + sample.metric + " counter\n";
-      last_metric = sample.metric;
-    }
-    out += sample.metric + "{" + sample.label_key + "=\"" +
-           sample.label_value + "\"} " + std::to_string(sample.value) + "\n";
-  }
-  return out;
-}
-
-std::string MetricsRegistry::ExportJson() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const Counter* c : SortedByName(counters_)) {
-    out += std::string(first ? "" : ",") + "\n    \"" + c->name() +
-           "\": " + std::to_string(c->Value());
-    first = false;
-  }
-  out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const Gauge* g : SortedByName(gauges_)) {
-    out += std::string(first ? "" : ",") + "\n    \"" + g->name() +
-           "\": " + std::to_string(g->Value());
-    first = false;
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const Histogram* h : SortedByName(histograms_)) {
-    out += std::string(first ? "" : ",") + "\n    \"" + h->name() +
-           "\": {\"count\": " + std::to_string(h->TotalCount()) +
-           ", \"sum\": " + internal::FormatDouble(h->Sum()) +
-           ", \"buckets\": [";
-    for (size_t b = 0; b < h->num_buckets(); ++b) {
-      if (b > 0) out += ", ";
-      out += "{\"le\": ";
-      out += b < h->bounds().size()
-                 ? internal::FormatDouble(h->bounds()[b])
-                 : std::string("\"+Inf\"");
-      out += ", \"count\": " + std::to_string(h->BucketCount(b)) + "}";
-    }
-    out += "]}";
-    first = false;
-  }
-  out += "\n  },\n  \"labeled\": {";
-  std::vector<LabeledSample> labeled;
-  for (const Collector& collector : collectors_) collector(&labeled);
-  std::stable_sort(labeled.begin(), labeled.end(), LabeledLess);
-  first = true;
-  std::string open_metric;
-  for (const LabeledSample& sample : labeled) {
-    if (!ValidName(sample.metric.c_str())) continue;
-    if (sample.metric != open_metric) {
-      if (!open_metric.empty()) out += "\n    ]";
-      out += std::string(first ? "" : ",") + "\n    \"" + sample.metric +
-             "\": [";
-      open_metric = sample.metric;
-      first = false;
-      out += "\n      {\"" + internal::JsonEscape(sample.label_key) +
-             "\": \"" + internal::JsonEscape(sample.label_value) +
-             "\", \"value\": " + std::to_string(sample.value) + "}";
-    } else {
-      out += ",\n      {\"" + internal::JsonEscape(sample.label_key) +
-             "\": \"" + internal::JsonEscape(sample.label_value) +
-             "\", \"value\": " + std::to_string(sample.value) + "}";
-    }
-  }
-  if (!open_metric.empty()) out += "\n    ]";
-  out += "\n  }\n}\n";
   return out;
 }
 

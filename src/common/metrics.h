@@ -1,7 +1,7 @@
 #ifndef ATPM_COMMON_METRICS_H_
 #define ATPM_COMMON_METRICS_H_
 
-/// Process-wide metric registry (the counter/gauge/histogram half of the
+/// Process-wide metric registry (the counter/histogram half of the
 /// atpm_obs observability layer; spans live in common/trace.h).
 ///
 /// Design constraints, in priority order:
@@ -19,16 +19,19 @@
 ///      registration (`atpm_`-prefixed snake_case, registered once) and
 ///      enforced by the `metrics-discipline` atpm_lint rule.
 ///
-/// Exports: Prometheus text exposition (ExportPrometheus) and a structured
-/// JSON run-report (ExportJson). Labeled series (e.g. per-site failpoint
-/// fires) enter through registered collectors so label churn stays off the
-/// hot path.
+/// Export: Prometheus text exposition (ExportPrometheus).
+///
+/// The registry holds only what has no other always-on home: latency and
+/// batch-size histograms, graph-store loads, I/O retries and graph
+/// detaches. Effort counts stay in the structs that own them exactly —
+/// SamplingStats per engine, AdaptiveRunResult per policy run,
+/// failpoint::HitCount per site — and are not mirrored here.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,6 +73,17 @@ inline bool MetricsEnabled() {
 }
 void SetMetricsEnabled(bool enabled);
 
+/// The on/off switch value `value` (an environment variable's text,
+/// nullptr when unset): `fallback` when unset or empty, false for "0",
+/// true for "1", and no value for anything else.
+std::optional<bool> ParseSwitch(const char* value, bool fallback);
+
+/// ParseSwitch of the environment variable `var`. A value it rejects
+/// prints the variable and aborts: a typo such as ATPM_TRACE=true must not
+/// silently leave the switch at its default. ATPM_METRICS and ATPM_TRACE
+/// are read this way before main() runs.
+bool SwitchFromEnv(const char* var, bool fallback);
+
 /// Monotonic counter. Increment is lock-free: one relaxed load (the enable
 /// gate) plus one relaxed fetch_add on the caller's stripe.
 class Counter {
@@ -91,40 +105,10 @@ class Counter {
   friend class MetricsRegistry;
   Counter(std::string name, std::string help)
       : name_(std::move(name)), help_(std::move(help)) {}
-  void Reset();
 
   std::string name_;
   std::string help_;
   internal::Stripe stripes_[internal::kStripes];
-};
-
-/// Last-writer-wins gauge (a point-in-time level, not a rate).
-class Gauge {
- public:
-  void Set(int64_t value) {
-    if (!MetricsEnabled()) return;
-    value_.store(value, std::memory_order_relaxed);
-  }
-  void Add(int64_t delta) {
-    if (!MetricsEnabled()) return;
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-  const std::string& help() const { return help_; }
-
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
- private:
-  friend class MetricsRegistry;
-  Gauge(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
-  std::string name_;
-  std::string help_;
-  std::atomic<int64_t> value_{0};
 };
 
 /// Fixed-bucket histogram (latencies in seconds, sizes in elements).
@@ -150,7 +134,6 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   Histogram(std::string name, std::string help, std::vector<double> bounds);
-  void Reset();
 
   struct Shard {
     std::unique_ptr<std::atomic<uint64_t>[]> buckets;
@@ -190,19 +173,6 @@ class ScopedLatency {
   uint64_t start_ns_;
 };
 
-/// One sample of a labeled series, produced by a collector at scrape time.
-/// Used for low-cardinality dimensions owned by another subsystem (the
-/// failpoint registry exports fires-per-site this way).
-struct LabeledSample {
-  std::string metric;       // validated metric name
-  std::string help;         // HELP line (first sample of a metric wins)
-  std::string label_key;    // e.g. "site"
-  std::string label_value;  // e.g. "alloc.pool_reserve"
-  uint64_t value = 0;
-};
-
-using Collector = std::function<void(std::vector<LabeledSample>*)>;
-
 /// Instrument registry. `Global()` is the process-wide instance every
 /// subsystem registers into; tests build private instances to exercise
 /// registration rules and export formats hermetically.
@@ -214,43 +184,26 @@ class MetricsRegistry {
 
   static MetricsRegistry& Global();
 
-  /// Nullptr on an invalid name or a duplicate registration (any kind).
-  Counter* TryRegisterCounter(const char* name, const char* help);
-  Gauge* TryRegisterGauge(const char* name, const char* help);
-  /// Additionally nullptr when `bounds` is empty or not strictly
-  /// increasing.
-  Histogram* TryRegisterHistogram(const char* name, const char* help,
-                                  std::vector<double> bounds);
-
-  /// Checked variants: abort on registration errors (programmer error —
-  /// names are literals, so a failure is a typo or a copy-paste dup).
+  /// Abort on an invalid name or a name already registered (either kind):
+  /// names are literals, so a failure is a typo or a copy-paste dup.
   Counter* RegisterCounter(const char* name, const char* help);
-  Gauge* RegisterGauge(const char* name, const char* help);
+  /// Additionally aborts when `bounds` is empty, longer than 64 or not
+  /// strictly increasing.
   Histogram* RegisterHistogram(const char* name, const char* help,
                                std::vector<double> bounds);
-
-  void RegisterCollector(Collector collector);
 
   /// `atpm_`-prefixed snake_case: atpm_[a-z0-9_]+.
   static bool ValidName(const char* name);
 
   /// Prometheus text exposition, instruments sorted by name.
   std::string ExportPrometheus();
-  /// Structured JSON run-report (counters/gauges/histograms/labeled).
-  std::string ExportJson();
-
-  /// Zeroes every instrument's value (registrations stay). Test support
-  /// and per-run report isolation.
-  void ResetValues();
 
  private:
   bool NameTaken(const std::string& name) const;  // caller holds mu_
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Counter>> counters_;
-  std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
-  std::vector<Collector> collectors_;
 };
 
 }  // namespace obs

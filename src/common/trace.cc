@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -60,10 +59,8 @@ thread_local uint32_t t_depth = 0;
 /// ATPM_TRACE=1 turns tracing on before main() (CI smoke runs, ad-hoc
 /// profiling without a code change).
 const bool g_env_applied = [] {
-  const char* env = std::getenv("ATPM_TRACE");
-  if (env != nullptr && std::strcmp(env, "1") == 0) {
-    g_trace_enabled.store(true, std::memory_order_relaxed);
-  }
+  g_trace_enabled.store(SwitchFromEnv("ATPM_TRACE", false),
+                        std::memory_order_relaxed);
   return true;
 }();
 

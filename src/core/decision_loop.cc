@@ -72,7 +72,6 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
 
     if (env != nullptr && env->IsActivated(u)) {
       step.decision = SeedDecision::kSkippedActivated;
-      NotePolicyDecision();
       result.steps.push_back(step);
       continue;
     }
@@ -142,7 +141,6 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
           step.first_round_speculative = true;
         }
         ++step.rounds;
-        NotePolicyRound();
         const double scale = nd / static_cast<double>(hits.theta);
         estimates.fest = static_cast<double>(hits.front) * scale;
         estimates.rest = static_cast<double>(hits.rear) * scale;
@@ -224,7 +222,6 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
         }
       }
     }
-    NotePolicyDecision();
     result.steps.push_back(step);
   }
 

@@ -1,68 +1,8 @@
 #include "core/policy.h"
 
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace atpm {
-
-namespace {
-
-/// Global-registry instruments of the adaptive decision loops. Registered
-/// once on first use.
-struct PolicyMetrics {
-  obs::Counter* decisions;
-  obs::Counter* rounds;
-  obs::Counter* spec_hits;
-  obs::Counter* spec_misses;
-  obs::Counter* spec_discards;
-  obs::Counter* degradation_total;
-  /// Indexed by DegradationReason's underlying value.
-  obs::Counter* degradation_by_reason[5];
-
-  static const PolicyMetrics& Get() {
-    static const PolicyMetrics* const metrics = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      auto* m = new PolicyMetrics();
-      m->decisions = reg.RegisterCounter(
-          "atpm_decisions_total",
-          "Candidate seed decisions concluded by adaptive policies");
-      m->rounds = reg.RegisterCounter(
-          "atpm_decision_rounds_total",
-          "Error-halving rounds run across all decisions");
-      m->spec_hits = reg.RegisterCounter(
-          "atpm_speculation_hits_total",
-          "Decisions whose first round was served from a speculative answer");
-      m->spec_misses = reg.RegisterCounter(
-          "atpm_speculation_misses_total",
-          "Speculating decisions that found no usable stored answer");
-      m->spec_discards = reg.RegisterCounter(
-          "atpm_speculation_discards_total",
-          "Stored speculative answers discarded stale or undersized");
-      m->degradation_total = reg.RegisterCounter(
-          "atpm_degradation_events_total",
-          "Decisions forced to conclude with less evidence than requested");
-      m->degradation_by_reason[0] = reg.RegisterCounter(
-          "atpm_degradation_deadline_total",
-          "Degraded decisions: RunBudget deadline passed");
-      m->degradation_by_reason[1] = reg.RegisterCounter(
-          "atpm_degradation_pool_bytes_total",
-          "Degraded decisions: RR-pool byte cap reached");
-      m->degradation_by_reason[2] = reg.RegisterCounter(
-          "atpm_degradation_cancelled_total",
-          "Degraded decisions: CancelToken cancelled");
-      m->degradation_by_reason[3] = reg.RegisterCounter(
-          "atpm_degradation_rr_budget_total",
-          "Degraded decisions: per-decision RR cap exhausted");
-      m->degradation_by_reason[4] = reg.RegisterCounter(
-          "atpm_degradation_alloc_failure_total",
-          "Degraded decisions: allocation failure absorbed");
-      return m;
-    }();
-    return *metrics;
-  }
-};
-
-}  // namespace
 
 void NoteDegradationEvent(const DegradationEvent& event) {
   ATPM_WARN(
@@ -72,15 +12,7 @@ void NoteDegradationEvent(const DegradationEvent& event) {
       static_cast<unsigned>(event.rounds_completed),
       static_cast<unsigned long long>(event.requested_theta),
       static_cast<unsigned long long>(event.achieved_theta));
-  const PolicyMetrics& metrics = PolicyMetrics::Get();
-  metrics.degradation_total->Increment();
-  const size_t reason = static_cast<size_t>(event.reason);
-  if (reason < 5) metrics.degradation_by_reason[reason]->Increment();
 }
-
-void NotePolicyDecision() { PolicyMetrics::Get().decisions->Increment(); }
-
-void NotePolicyRound() { PolicyMetrics::Get().rounds->Increment(); }
 
 const char* DegradationReasonName(DegradationReason reason) {
   switch (reason) {
@@ -144,25 +76,18 @@ void SpeculativeRoundPlanner::Begin(size_t position, [[maybe_unused]] NodeId u,
   kept_ = KeptCounts{};
   if (window_ == 0) return;
   ATPM_DCHECK(position < targets_.size() && targets_[position] == u);
-  // The per-planner stats stay the exact source the run result exports;
-  // the global counters are a scrape-time mirror of the same events.
-  const PolicyMetrics& metrics = PolicyMetrics::Get();
   Entry& entry = entries_[position];
   if (!entry.valid) {
     ++stats_.misses;
-    metrics.spec_misses->Increment();
     return;
   }
   entry.valid = false;  // one-shot either way
   if (entry.epoch != epoch || entry.theta < min_theta) {
     ++stats_.discarded;
     ++stats_.misses;
-    metrics.spec_discards->Increment();
-    metrics.spec_misses->Increment();
     return;
   }
   ++stats_.hits;
-  metrics.spec_hits->Increment();
   active_ = FirstRoundAnswer{entry.front_hits, entry.rear_hits, entry.theta};
 }
 

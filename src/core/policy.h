@@ -56,19 +56,12 @@ const char* DegradationReasonName(DegradationReason reason);
 
 struct DegradationEvent;
 
-/// Records one degraded decision in the global observability layer: a
-/// single WARN line (node, reason, rounds completed, achieved θ — so
-/// degraded bench/CI runs are visible without inspecting result structs)
-/// plus atpm_degradation_events_total and the per-reason counter. Policies
-/// call this exactly once per DegradationEvent they record.
+/// Logs one degraded decision as a single WARN line (node, reason, rounds
+/// completed, achieved θ), so degraded bench/CI runs are visible without
+/// inspecting result structs. The count itself is
+/// AdaptiveRunResult::degradation_events. Policies call this exactly once
+/// per DegradationEvent they record.
 void NoteDegradationEvent(const DegradationEvent& event);
-
-/// Global-registry bumpers for the adaptive decision loops (ADDATP / HATP /
-/// HNTP): one candidate decision concluded / one halving round run. A
-/// relaxed add on the hot path, a single relaxed load when metrics are
-/// disabled.
-void NotePolicyDecision();
-void NotePolicyRound();
 
 /// Maps the BudgetGate stop cause observed at a degraded round to the
 /// reason recorded in telemetry (kNone — which a degraded round should

@@ -17,14 +17,9 @@ namespace atpm {
 namespace {
 
 /// Global-registry instruments shared by both backends. Registered once on
-/// first use; every hot-path touch is a relaxed add (or a single relaxed
-/// load when metrics are disabled).
+/// first use; every touch is once per engine call, never per RR set. The
+/// effort counts themselves live in SamplingStats only.
 struct EngineMetrics {
-  obs::Counter* rr_sets;
-  obs::Counter* edges;
-  obs::Counter* draws;
-  obs::Counter* count_pools;
-  obs::Counter* coverage_queries;
   obs::Histogram* pool_fill_seconds;
   obs::Histogram* count_batch_seconds;
   obs::Histogram* batch_sets;
@@ -33,21 +28,6 @@ struct EngineMetrics {
     static const EngineMetrics* const metrics = [] {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       auto* m = new EngineMetrics();
-      m->rr_sets = reg.RegisterCounter(
-          "atpm_rr_sets_generated_total",
-          "RR sets sampled across all engines (pool + counting paths)");
-      m->edges = reg.RegisterCounter(
-          "atpm_rr_edges_examined_total",
-          "Edges examined while sampling RR sets (the IMM/EPT cost measure)");
-      m->draws = reg.RegisterCounter(
-          "atpm_rng_draws_total",
-          "64-bit RNG draws consumed by RR-set generators");
-      m->count_pools = reg.RegisterCounter(
-          "atpm_count_pools_total",
-          "Throwaway counting pools sampled for coverage-query batches");
-      m->coverage_queries = reg.RegisterCounter(
-          "atpm_coverage_queries_total",
-          "Coverage queries answered by counting pools");
       m->pool_fill_seconds = reg.RegisterHistogram(
           "atpm_pool_fill_seconds", "Latency of stored-pool generation calls",
           obs::ExponentialBuckets(1e-6, 4.0, 14));
@@ -87,19 +67,9 @@ void SamplingEngine::AccrueGeneration(uint64_t sets, uint64_t edges,
   stats_.rr_sets_generated += sets;
   stats_.edges_examined += edges;
   stats_.rng_draws += draws;
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  metrics.rr_sets->Increment(sets);
-  metrics.edges->Increment(edges);
-  metrics.draws->Increment(draws);
-  if (sets > 0) metrics.batch_sets->Observe(static_cast<double>(sets));
-}
-
-void SamplingEngine::AccrueCounting(uint64_t pools, uint64_t queries) {
-  stats_.count_pools += pools;
-  stats_.coverage_queries += queries;
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  metrics.count_pools->Increment(pools);
-  metrics.coverage_queries->Increment(queries);
+  if (sets > 0) {
+    EngineMetrics::Get().batch_sets->Observe(static_cast<double>(sets));
+  }
 }
 
 ParallelSamplingEngine::ParallelSamplingEngine(const Graph& graph,
@@ -329,7 +299,8 @@ Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
     sampled += worker.sampled;
   }
   AccrueGeneration(sampled, edges, draws);
-  AccrueCounting(1, num_queries);
+  ++stats_.count_pools;
+  stats_.coverage_queries += num_queries;
   return sampled;
 }
 

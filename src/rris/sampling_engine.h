@@ -173,12 +173,11 @@ class SamplingEngine {
   virtual std::string_view name() const = 0;
 
  protected:
-  /// Harvest helpers: fold a finished generation/counting batch into the
-  /// per-engine SamplingStats — kept exact, `stats()` stays a thin read —
-  /// and mirror the same deltas into the global atpm_obs registry
-  /// (atpm_rr_sets_generated_total & co).
+  /// Harvest helper: folds a finished generation batch into the
+  /// per-engine SamplingStats, the one exact record of sampling effort —
+  /// `stats()` stays a thin read — and observes the batch size into the
+  /// atpm_rr_batch_sets histogram.
   void AccrueGeneration(uint64_t sets, uint64_t edges, uint64_t draws);
-  void AccrueCounting(uint64_t pools, uint64_t queries);
 
   SamplingStats stats_;
   BudgetGate* budget_ = nullptr;

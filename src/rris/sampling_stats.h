@@ -16,10 +16,9 @@ namespace atpm {
 /// accumulate the same rng_draws / edges_examined measures, so
 /// DrawsPerEdge() is comparable across traversal directions.
 ///
-/// This struct stays the exact per-engine accounting source; the process
-/// metric registry (common/metrics.h: atpm_rr_sets_generated_total and
-/// friends) mirrors the same accruals across all engines and can be
-/// disabled without perturbing these counts.
+/// This struct is the one record of these counts: the process metric
+/// registry (common/metrics.h) keeps latency and batch-size histograms
+/// only, so there is no second copy to drift from it.
 struct SamplingStats {
   /// RR sets sampled by TryGeneratePool + every counting query.
   uint64_t rr_sets_generated = 0;

@@ -1,12 +1,16 @@
 // Registry-level tests for the atpm_obs metrics layer: name validation and
-// registration-collision rules, lock-free striped counters/histograms whose
-// scrape-time merge is exact under concurrency, bucket boundary semantics,
-// the Prometheus-text and JSON export goldens, collector-fed labeled
-// series, and the global enable gate being a true no-op switch.
+// registration rules (a bad registration aborts), lock-free striped
+// counters/histograms whose scrape-time merge is exact under concurrency,
+// bucket boundary semantics, the Prometheus-text export golden, the global
+// enable gate being a true no-op switch, and the on/off environment switch
+// parse shared with the tracer.
 #include "common/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,40 +42,54 @@ TEST_F(MetricsTest, NameValidationPinsTheExportSurface) {
   EXPECT_FALSE(MetricsRegistry::ValidName(over_limit.c_str()));
 }
 
-TEST_F(MetricsTest, RegistrationCollisionRules) {
+// Registration errors are programmer errors (names are literals), so every
+// one of them aborts. Each death runs in a forked child; the parent's
+// registry keeps only the successful registrations.
+TEST(MetricsDeathTest, RegistrationCollisionRules) {
   MetricsRegistry reg;
-  Counter* counter = reg.TryRegisterCounter("atpm_test_col_total", "first");
-  ASSERT_NE(counter, nullptr);
-  // Duplicates are rejected across every instrument kind, not just the
-  // registering one.
-  EXPECT_EQ(reg.TryRegisterCounter("atpm_test_col_total", "dup"), nullptr);
-  EXPECT_EQ(reg.TryRegisterGauge("atpm_test_col_total", "dup"), nullptr);
-  EXPECT_EQ(reg.TryRegisterHistogram("atpm_test_col_total", "dup", {1.0}),
+  ASSERT_NE(reg.RegisterCounter("atpm_test_col_total", "first"), nullptr);
+  ASSERT_NE(reg.RegisterHistogram("atpm_test_col_seconds", "first", {1.0}),
             nullptr);
+  // Duplicates are rejected across both instrument kinds, not just the
+  // registering one.
+  EXPECT_DEATH(reg.RegisterCounter("atpm_test_col_total", "dup"),
+               "NameTaken");
+  EXPECT_DEATH(reg.RegisterHistogram("atpm_test_col_total", "dup", {1.0}),
+               "NameTaken");
+  EXPECT_DEATH(reg.RegisterCounter("atpm_test_col_seconds", "dup"),
+               "NameTaken");
   // Invalid names never register.
   // atpm-lint: allow(metrics-discipline)
-  EXPECT_EQ(reg.TryRegisterCounter("unprefixed_total", "bad"), nullptr);
+  EXPECT_DEATH(reg.RegisterCounter("unprefixed_total", "bad"), "ValidName");
   // atpm-lint: allow(metrics-discipline)
-  EXPECT_EQ(reg.TryRegisterGauge("atpm_Bad_Case", "bad"), nullptr);
-  // A distinct valid name still registers after the failures.
-  EXPECT_NE(reg.TryRegisterGauge("atpm_test_other_depth", "ok"), nullptr);
+  EXPECT_DEATH(reg.RegisterHistogram("atpm_Bad_Case", "bad", {1.0}),
+               "ValidName");
+  // A distinct valid name still registers.
+  EXPECT_NE(reg.RegisterCounter("atpm_test_other_total", "ok"), nullptr);
 }
 
-TEST_F(MetricsTest, HistogramBoundsValidation) {
+TEST(MetricsDeathTest, HistogramBoundsValidation) {
   MetricsRegistry reg;
-  EXPECT_EQ(reg.TryRegisterHistogram("atpm_test_h0_seconds", "empty", {}),
-            nullptr);
-  EXPECT_EQ(reg.TryRegisterHistogram("atpm_test_h1_seconds", "flat",
+  EXPECT_DEATH(reg.RegisterHistogram("atpm_test_h0_seconds", "empty", {}),
+               "bounds");
+  EXPECT_DEATH(reg.RegisterHistogram("atpm_test_h1_seconds", "flat",
                                      {1.0, 1.0}),
-            nullptr);
-  EXPECT_EQ(reg.TryRegisterHistogram("atpm_test_h2_seconds", "descending",
+               "bounds");
+  EXPECT_DEATH(reg.RegisterHistogram("atpm_test_h2_seconds", "descending",
                                      {2.0, 1.0}),
+               "bounds");
+  // Strictly increasing, so only the length is at fault.
+  std::vector<double> oversized(65);
+  std::iota(oversized.begin(), oversized.end(), 1.0);
+  EXPECT_DEATH(reg.RegisterHistogram("atpm_test_h3_seconds", "oversized",
+                                     oversized),
+               "bounds");
+  oversized.pop_back();
+  EXPECT_NE(reg.RegisterHistogram("atpm_test_h3_seconds", "at the limit",
+                                  oversized),
             nullptr);
-  EXPECT_EQ(reg.TryRegisterHistogram("atpm_test_h3_seconds", "oversized",
-                                     std::vector<double>(65, 0.0)),
-            nullptr);
-  EXPECT_NE(reg.TryRegisterHistogram("atpm_test_h4_seconds", "ok",
-                                     {1.0, 2.0, 4.0}),
+  EXPECT_NE(reg.RegisterHistogram("atpm_test_h4_seconds", "ok",
+                                  {1.0, 2.0, 4.0}),
             nullptr);
 }
 
@@ -144,27 +162,15 @@ TEST_F(MetricsTest, HistogramConcurrentObserveIsExact) {
                    static_cast<double>(kThreads) * (kPerThread / 5) * 10.0);
 }
 
-TEST_F(MetricsTest, GaugeSetAndAdd) {
-  MetricsRegistry reg;
-  Gauge* gauge = reg.RegisterGauge("atpm_test_level_depth", "x");
-  gauge->Set(42);
-  EXPECT_EQ(gauge->Value(), 42);
-  gauge->Add(-50);
-  EXPECT_EQ(gauge->Value(), -8);
-}
-
 TEST_F(MetricsTest, DisabledInstrumentsAreNoOps) {
   MetricsRegistry reg;
   Counter* counter = reg.RegisterCounter("atpm_test_gate_total", "x");
-  Gauge* gauge = reg.RegisterGauge("atpm_test_gate_depth", "x");
   Histogram* h = reg.RegisterHistogram("atpm_test_gate_seconds", "x", {1.0});
   SetMetricsEnabled(false);
   counter->Increment();
-  gauge->Set(5);
   h->Observe(0.5);
   { ScopedLatency latency(h); }
   EXPECT_EQ(counter->Value(), 0u);
-  EXPECT_EQ(gauge->Value(), 0);
   EXPECT_EQ(h->TotalCount(), 0u);
   SetMetricsEnabled(true);
   counter->Increment();
@@ -183,30 +189,19 @@ TEST_F(MetricsTest, ScopedLatencyObservesElapsedSeconds) {
   EXPECT_LT(h->Sum(), 60.0);  // sane elapsed time, not garbage bits
 }
 
-// A registry populated with deterministic values; both export formats are
-// pinned byte for byte (sorted names, shortest round-trip doubles).
+// A registry populated with deterministic values; the export is pinned
+// byte for byte (sorted names, shortest round-trip doubles).
 class ExportFixture {
  public:
   explicit ExportFixture(MetricsRegistry* reg) {
     Counter* requests =
         reg->RegisterCounter("atpm_test_requests_total", "Requests observed");
     requests->Increment(3);
-    Gauge* depth = reg->RegisterGauge("atpm_test_queue_depth", "Queue depth");
-    depth->Set(-2);
     Histogram* latency = reg->RegisterHistogram("atpm_test_latency_seconds",
                                                 "Latency", {1.0, 2.0});
     latency->Observe(0.5);
     latency->Observe(1.5);
     latency->Observe(8.0);
-    reg->RegisterCollector([](std::vector<LabeledSample>* out) {
-      // Deliberately unsorted; export sorts. The invalid-name sample must
-      // be skipped, not exported.
-      out->push_back({"atpm_test_fires_total", "Fires per site", "site", "b",
-                      2});
-      out->push_back({"atpm_test_fires_total", "Fires per site", "site", "a",
-                      1});
-      out->push_back({"not a metric", "bad", "site", "c", 9});
-    });
   }
 };
 
@@ -217,67 +212,14 @@ TEST_F(MetricsTest, PrometheusExportGolden) {
       "# HELP atpm_test_requests_total Requests observed\n"
       "# TYPE atpm_test_requests_total counter\n"
       "atpm_test_requests_total 3\n"
-      "# HELP atpm_test_queue_depth Queue depth\n"
-      "# TYPE atpm_test_queue_depth gauge\n"
-      "atpm_test_queue_depth -2\n"
       "# HELP atpm_test_latency_seconds Latency\n"
       "# TYPE atpm_test_latency_seconds histogram\n"
       "atpm_test_latency_seconds_bucket{le=\"1\"} 1\n"
       "atpm_test_latency_seconds_bucket{le=\"2\"} 2\n"
       "atpm_test_latency_seconds_bucket{le=\"+Inf\"} 3\n"
       "atpm_test_latency_seconds_sum 10\n"
-      "atpm_test_latency_seconds_count 3\n"
-      "# HELP atpm_test_fires_total Fires per site\n"
-      "# TYPE atpm_test_fires_total counter\n"
-      "atpm_test_fires_total{site=\"a\"} 1\n"
-      "atpm_test_fires_total{site=\"b\"} 2\n";
+      "atpm_test_latency_seconds_count 3\n";
   EXPECT_EQ(reg.ExportPrometheus(), expected);
-}
-
-TEST_F(MetricsTest, JsonExportGolden) {
-  MetricsRegistry reg;
-  ExportFixture fixture(&reg);
-  const std::string expected =
-      "{\n"
-      "  \"counters\": {\n"
-      "    \"atpm_test_requests_total\": 3\n"
-      "  },\n"
-      "  \"gauges\": {\n"
-      "    \"atpm_test_queue_depth\": -2\n"
-      "  },\n"
-      "  \"histograms\": {\n"
-      "    \"atpm_test_latency_seconds\": {\"count\": 3, \"sum\": 10, "
-      "\"buckets\": [{\"le\": 1, \"count\": 1}, {\"le\": 2, \"count\": 1}, "
-      "{\"le\": \"+Inf\", \"count\": 1}]}\n"
-      "  },\n"
-      "  \"labeled\": {\n"
-      "    \"atpm_test_fires_total\": [\n"
-      "      {\"site\": \"a\", \"value\": 1},\n"
-      "      {\"site\": \"b\", \"value\": 2}\n"
-      "    ]\n"
-      "  }\n"
-      "}\n";
-  EXPECT_EQ(reg.ExportJson(), expected);
-}
-
-TEST_F(MetricsTest, ResetValuesZeroesValuesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  Counter* counter = reg.RegisterCounter("atpm_test_reset_total", "x");
-  Gauge* gauge = reg.RegisterGauge("atpm_test_reset_depth", "x");
-  Histogram* h = reg.RegisterHistogram("atpm_test_reset_seconds", "x", {1.0});
-  counter->Increment(9);
-  gauge->Set(9);
-  h->Observe(0.5);
-  reg.ResetValues();
-  EXPECT_EQ(counter->Value(), 0u);
-  EXPECT_EQ(gauge->Value(), 0);
-  EXPECT_EQ(h->TotalCount(), 0u);
-  EXPECT_DOUBLE_EQ(h->Sum(), 0.0);
-  // Registrations survive: the same name is still taken, the instrument
-  // still works.
-  EXPECT_EQ(reg.TryRegisterCounter("atpm_test_reset_total", "dup"), nullptr);
-  counter->Increment();
-  EXPECT_EQ(counter->Value(), 1u);
 }
 
 TEST_F(MetricsTest, GlobalRegistryIsSingletonAndUsable) {
@@ -287,7 +229,32 @@ TEST_F(MetricsTest, GlobalRegistryIsSingletonAndUsable) {
   // The export runs even mid-process with arbitrary subsystem
   // registrations present.
   EXPECT_NO_FATAL_FAILURE({ a.ExportPrometheus(); });
-  EXPECT_NO_FATAL_FAILURE({ a.ExportJson(); });
+}
+
+// ATPM_METRICS and ATPM_TRACE accept unset, empty, "0" and "1" only.
+TEST_F(MetricsTest, EnvSwitchAcceptsOnlyUnsetEmptyZeroAndOne) {
+  for (const bool fallback : {false, true}) {
+    EXPECT_EQ(ParseSwitch(nullptr, fallback), fallback);
+    EXPECT_EQ(ParseSwitch("", fallback), fallback);
+    EXPECT_EQ(ParseSwitch("0", fallback), false);
+    EXPECT_EQ(ParseSwitch("1", fallback), true);
+    for (const char* typo : {"true", " 1", "2", "01"}) {
+      EXPECT_EQ(ParseSwitch(typo, fallback), std::nullopt) << typo;
+    }
+  }
+}
+
+TEST(MetricsDeathTest, EnvSwitchTypoAbortsNamingTheVariable) {
+  EXPECT_DEATH(
+      {
+        setenv("ATPM_TEST_SWITCH", "true", 1);
+        SwitchFromEnv("ATPM_TEST_SWITCH", false);
+      },
+      "ATPM_TEST_SWITCH: expected 0 or 1, got 'true'");
+  setenv("ATPM_TEST_SWITCH", "1", 1);
+  EXPECT_TRUE(SwitchFromEnv("ATPM_TEST_SWITCH", false));
+  unsetenv("ATPM_TEST_SWITCH");
+  EXPECT_FALSE(SwitchFromEnv("ATPM_TEST_SWITCH", false));
 }
 
 }  // namespace

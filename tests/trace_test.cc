@@ -86,13 +86,16 @@ uint64_t ParallelGoldenSeededCount() {
   return CountOne(engine, 0, &base, nullptr, g.num_nodes(), 60000, 42);
 }
 
-Result<AdaptiveRunResult> RunGoldenHatp() {
-  const Graph g = WcGraph();
+// `engine`, when given, is injected into the policy; it must be bound to
+// WcGraph() under independent cascade.
+Result<AdaptiveRunResult> RunGoldenHatp(const Graph& g,
+                                        SamplingEngine* engine = nullptr) {
   auto selection =
       BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
   EXPECT_TRUE(selection.ok()) << selection.status().ToString();
   HatpOptions hopt;
   HatpPolicy policy(hopt);
+  policy.set_engine(engine);
   Rng world_rng(42);
   AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
   Rng rng(1);
@@ -367,38 +370,6 @@ TEST_F(TraceTest, ParallelSeededCountGoldenHoldsAcrossObservabilityStates) {
   EXPECT_EQ(ParallelGoldenSeededCount(), 817u);
 }
 
-TEST_F(TraceTest, HatpDecisionSequenceGoldenHoldsWithTracingOnAndOff) {
-  obs::SetMetricsEnabled(true);
-  ASSERT_FALSE(obs::TraceEnabled());
-  ExpectGoldenHatp(RunGoldenHatp());
-
-  obs::SetTraceEnabled(true);
-  ExpectGoldenHatp(RunGoldenHatp());
-  // The traced run emitted the nested decision -> round span hierarchy.
-  std::set<std::string> names;
-  for (const obs::TraceEvent& e : obs::CollectTraceEvents()) {
-    names.insert(e.name);
-  }
-  EXPECT_TRUE(names.count("decision"));
-  EXPECT_TRUE(names.count("round"));
-  EXPECT_TRUE(names.count("pool_fill"));
-  // And the mirrored process metrics moved: the global registry exports
-  // the sampling and decision series by name.
-  const std::string prom = obs::MetricsRegistry::Global().ExportPrometheus();
-  EXPECT_NE(prom.find("atpm_rr_sets_generated_total"), std::string::npos);
-  EXPECT_NE(prom.find("atpm_decisions_total"), std::string::npos);
-  EXPECT_NE(prom.find("atpm_pool_fill_seconds_bucket"), std::string::npos);
-
-  obs::SetMetricsEnabled(false);
-  obs::SetTraceEnabled(false);
-  ExpectGoldenHatp(RunGoldenHatp());
-}
-
-// ---- cost shape: instruments accrue per call, never per RR set, so the
-// enabled layer's cost does not grow with the batch. A pool fill and a
-// count batch of 64 and of 1024 sets (one chunk either way) must close the
-// same spans and add the same histogram observations.
-
 // Observations per histogram: every `<name>_count` series of the global
 // registry's Prometheus export.
 std::map<std::string, uint64_t> HistogramObservations() {
@@ -414,6 +385,44 @@ std::map<std::string, uint64_t> HistogramObservations() {
   }
   return counts;
 }
+
+TEST_F(TraceTest, HatpDecisionSequenceGoldenHoldsWithTracingOnAndOff) {
+  const Graph g = WcGraph();
+  obs::SetMetricsEnabled(true);
+  ASSERT_FALSE(obs::TraceEnabled());
+  ExpectGoldenHatp(RunGoldenHatp(g));
+
+  obs::SetTraceEnabled(true);
+  SerialSamplingEngine engine(g);
+  const uint64_t batches_before =
+      HistogramObservations()["atpm_count_batch_seconds_count"];
+  ExpectGoldenHatp(RunGoldenHatp(g, &engine));
+  // The traced run emitted the nested decision -> round span hierarchy.
+  std::set<std::string> names;
+  for (const obs::TraceEvent& e : obs::CollectTraceEvents()) {
+    names.insert(e.name);
+  }
+  EXPECT_TRUE(names.count("decision"));
+  EXPECT_TRUE(names.count("round"));
+  EXPECT_TRUE(names.count("pool_fill"));
+  // The count-batch latency histogram saw exactly the batches the engine's
+  // own stats counted: one observation per counting pool.
+  EXPECT_GT(engine.stats().count_pools, 0u);
+  EXPECT_EQ(HistogramObservations()["atpm_count_batch_seconds_count"] -
+                batches_before,
+            engine.stats().count_pools);
+  const std::string prom = obs::MetricsRegistry::Global().ExportPrometheus();
+  EXPECT_NE(prom.find("atpm_pool_fill_seconds_bucket"), std::string::npos);
+
+  obs::SetMetricsEnabled(false);
+  obs::SetTraceEnabled(false);
+  ExpectGoldenHatp(RunGoldenHatp(g));
+}
+
+// ---- cost shape: instruments accrue per call, never per RR set, so the
+// enabled layer's cost does not grow with the batch. A pool fill and a
+// count batch of 64 and of 1024 sets (one chunk either way) must close the
+// same spans and add the same histogram observations.
 
 struct InstrumentTouches {
   std::vector<std::string> spans;

@@ -45,7 +45,7 @@ that no general-purpose tool checks:
   metrics-discipline   Observability names are part of the export
                        surface: metric registrations and TraceSpan names
                        must be string literals, metric names must be
-                       `atpm_`-prefixed snake_case, and a checked
+                       `atpm_`-prefixed snake_case, and a
                        Register* name may appear only once under src/
                        (a second registration aborts at runtime).
                        Instrumented layers (src/core/, src/rris/) must
@@ -410,8 +410,7 @@ METRICS_EXEMPT_FILES = (
     "src/common/metrics.h", "src/common/metrics.cc",
     "src/common/trace.h", "src/common/trace.cc",
 )
-METRICS_REGISTER_RE = re.compile(
-    r"\b(Try)?Register(Counter|Gauge|Histogram)\s*\(")
+METRICS_REGISTER_RE = re.compile(r"\bRegister(Counter|Histogram)\s*\(")
 METRIC_NAME_RE = re.compile(r'\s*"([^"\\]*)"')
 METRIC_NAME_OK_RE = re.compile(r"atpm_[a-z0-9_]+\Z")
 TRACE_SPAN_RE = re.compile(r"\bTraceSpan\s+\w+\s*\(")
@@ -444,7 +443,7 @@ def regex_metrics_discipline(rel, raw, stripped, findings, root):
                 "metric name '%s' must be atpm_-prefixed snake_case "
                 "(atpm_[a-z0-9_]+)" % name))
             continue
-        if m.group(1) is None and rel.startswith("src/"):
+        if rel.startswith("src/"):
             sites = _metric_registration_sites.setdefault((root, name),
                                                           set())
             if sites and (rel, line) not in sites:
@@ -452,8 +451,8 @@ def regex_metrics_discipline(rel, raw, stripped, findings, root):
                 findings.append(Finding(
                     rel, line, "metrics-discipline",
                     "metric '%s' is already registered at %s:%d; a second "
-                    "checked registration aborts at runtime (use a shared "
-                    "static accessor)" % (name, prior[0], prior[1])))
+                    "registration aborts at runtime (use a shared static "
+                    "accessor)" % (name, prior[0], prior[1])))
             sites.add((rel, line))
     for m in TRACE_SPAN_RE.finditer(stripped):
         line = line_of(stripped, m.start())
