@@ -14,12 +14,14 @@
 // whose epoch never moved start with a free round; the pipelined-vs-
 // batched count-pools-per-decision ratio and the speculation hit rate are
 // reported. With ATPM_TRACE=1 the whole run is also written out as a
-// trace and a metrics report (see the end of main).
+// trace and a metrics report, and a per-span time summary is printed (see
+// the end of main).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_util/datasets.h"
 #include "bench_util/experiment.h"
@@ -83,6 +85,23 @@ HatpEffort SummarizeHatp(const atpm::AdaptiveRunResult& run, double seconds) {
     }
   }
   return effort;
+}
+
+// Writes `contents` to `path`; on a failed open or a short write or close,
+// reports the path and returns false.
+bool WriteArtifact(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  const bool closed = std::fclose(f) == 0;
+  if (written != contents.size() || !closed) {
+    std::fprintf(stderr, "short write on %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -241,34 +260,41 @@ int main() {
   // whole run above was recorded as nested decision -> round -> pool-fill
   // spans, and the process metric registry holds the engine's latency and
   // batch-size histograms; persist both so CI can upload the timeline
-  // (Perfetto / chrome://tracing loadable) and sanity-check the metrics.
+  // (Perfetto / chrome://tracing loadable) and sanity-check the metrics,
+  // and print where the traced time went per span name.
   if (atpm::obs::TraceEnabled()) {
     const char* prefix = std::getenv("ATPM_OBS_OUT_PREFIX");
     if (prefix == nullptr) prefix = "fig9";
-    const std::string trace_json = std::string(prefix) + "_trace.json";
-    const std::string trace_bin = std::string(prefix) + "_trace.atrace";
-    for (const auto& [path, status] :
-         {std::pair(trace_json, atpm::obs::WriteChromeTrace(trace_json)),
-          std::pair(trace_bin, atpm::obs::WriteBinaryTrace(trace_bin))}) {
-      if (!status.ok()) {
-        std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                     status.ToString().c_str());
-        return 1;
-      }
-    }
+    const std::string trace_path = std::string(prefix) + "_trace.json";
     const std::string prom_path = std::string(prefix) + "_metrics.prom";
-    std::FILE* f = std::fopen(prom_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", prom_path.c_str());
+    if (!WriteArtifact(trace_path, atpm::obs::ExportChromeTraceJson()) ||
+        !WriteArtifact(
+            prom_path,
+            atpm::obs::MetricsRegistry::Global().ExportPrometheus())) {
       return 1;
     }
-    std::fputs(atpm::obs::MetricsRegistry::Global().ExportPrometheus().c_str(),
-               f);
-    std::fclose(f);
-    std::printf(
-        "wrote %s_trace.{json,atrace} + %s (%zu spans kept, %llu dropped)\n",
-        prefix, prom_path.c_str(), atpm::obs::CollectTraceEvents().size(),
-        static_cast<unsigned long long>(atpm::obs::DroppedTraceEvents()));
+    const std::vector<atpm::obs::TraceEvent> events =
+        atpm::obs::CollectTraceEvents();
+    std::printf("\n=== Trace span summary (%zu spans kept, %llu dropped) ===\n",
+                events.size(),
+                static_cast<unsigned long long>(
+                    atpm::obs::DroppedTraceEvents()));
+    atpm::TablePrinter span_table(
+        {"span", "count", "total_ms", "self_ms", "mean_us", "max_us"});
+    // Span durations are in ns: totals print in ms, per-span figures in µs.
+    const auto ms = [](double ns) { return atpm::FormatDouble(ns * 1e-6, 3); };
+    const auto us = [](double ns) { return atpm::FormatDouble(ns * 1e-3, 3); };
+    for (const atpm::obs::SpanSummary& row :
+         atpm::obs::SummarizeSpans(events)) {
+      span_table.AddRow({row.name, std::to_string(row.count),
+                         ms(static_cast<double>(row.total_ns)),
+                         ms(static_cast<double>(row.self_ns)),
+                         us(static_cast<double>(row.total_ns) /
+                            static_cast<double>(row.count)),
+                         us(static_cast<double>(row.max_ns))});
+    }
+    span_table.Print(std::cout);
+    std::printf("wrote %s + %s\n", trace_path.c_str(), prom_path.c_str());
   }
   return 0;
 }

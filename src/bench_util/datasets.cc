@@ -128,14 +128,17 @@ Result<BenchDataset> BuildDataset(std::string_view name, double scale,
 namespace {
 
 // The value of `var` when it is one whole, finite number; `fallback` when
-// it is unset, empty, NaN/infinite or carries anything else (whitespace,
-// trailing characters).
+// it is unset or empty. Anything else (whitespace, trailing characters,
+// NaN, infinity) prints the variable and aborts, as SwitchFromEnv does: a
+// typo must not silently run the default configuration.
 double EnvDouble(const char* var, double fallback) {
   const char* raw = std::getenv(var);
+  if (raw == nullptr || *raw == '\0') return fallback;
   double parsed = 0.0;
-  if (raw == nullptr || !ParseWholeNumber(raw, &parsed) ||
-      !std::isfinite(parsed)) {
-    return fallback;
+  if (!ParseWholeNumber(raw, &parsed) || !std::isfinite(parsed)) {
+    std::fprintf(stderr, "%s: expected a finite number, got '%s'\n", var,
+                 raw);
+    std::abort();
   }
   return parsed;
 }

@@ -43,11 +43,15 @@ Result<BenchDataset> BuildDataset(std::string_view name, double scale,
 std::string DatasetStorePath(std::string_view name, double scale,
                              uint64_t seed);
 
-/// ATPM_BENCH_SCALE env var (default 1.0), clamped to [0.01, 1.0]. Scales
+/// The ATPM_BENCH_* numbers below take their default when the variable is
+/// unset or empty; any other value that is not one whole, finite number
+/// (e.g. "4abc", " 4", "nan") prints the variable and aborts.
+///
+/// ATPM_BENCH_SCALE env var (default 0.2), clamped to [0.01, 1.0]. Scales
 /// dataset sizes so the full suite stays runnable on small machines.
 double BenchScaleFromEnv();
 
-/// ATPM_BENCH_REALIZATIONS env var (default 3; the paper uses 20). Number
+/// ATPM_BENCH_REALIZATIONS env var (default 2; the paper uses 20). Number
 /// of possible worlds each configuration is averaged over.
 uint32_t BenchRealizationsFromEnv();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,11 +63,11 @@ const bool g_env_applied = [] {
   return true;
 }();
 
-std::string JsonEscape(const std::string& in) {
+/// Escapes a span name or annotation key (a literal; null reads as "").
+std::string JsonEscape(const char* in) {
   std::string out;
-  out.reserve(in.size() + 8);
-  for (char c : in) {
-    switch (c) {
+  for (; in != nullptr && *in != '\0'; ++in) {
+    switch (*in) {
       case '"':
         out += "\\\"";
         break;
@@ -82,7 +81,7 @@ std::string JsonEscape(const std::string& in) {
         out += "\\t";
         break;
       default:
-        out += c;
+        out += *in;
     }
   }
   return out;
@@ -161,26 +160,6 @@ void ResetTrace() {
 
 namespace {
 
-std::vector<OwnedTraceEvent> ToOwned(const std::vector<TraceEvent>& events) {
-  std::vector<OwnedTraceEvent> owned;
-  owned.reserve(events.size());
-  for (const TraceEvent& event : events) {
-    OwnedTraceEvent o;
-    o.name = event.name != nullptr ? event.name : "";
-    o.start_ns = event.start_ns;
-    o.dur_ns = event.dur_ns;
-    o.tid = event.tid;
-    o.depth = event.depth;
-    for (uint32_t a = 0; a < event.num_args; ++a) {
-      o.args.emplace_back(
-          event.arg_keys[a] != nullptr ? event.arg_keys[a] : "",
-          event.arg_values[a]);
-    }
-    owned.push_back(std::move(o));
-  }
-  return owned;
-}
-
 /// Formats nanoseconds as microseconds with sub-ns-safe fixed precision
 /// (Chrome's ts/dur unit is µs).
 std::string MicrosFromNs(uint64_t ns) {
@@ -194,7 +173,7 @@ std::string MicrosFromNs(uint64_t ns) {
 }  // namespace
 
 std::vector<SpanSummary> SummarizeSpans(
-    const std::vector<OwnedTraceEvent>& events) {
+    const std::vector<TraceEvent>& events) {
   // Spans on one tid at one depth never overlap, so a child's direct
   // parent is the latest-starting span one level up on its tid that starts
   // no later than the child; it is the parent iff it also contains it.
@@ -207,7 +186,7 @@ std::vector<SpanSummary> SummarizeSpans(
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return key(a) < key(b); });
   std::vector<uint64_t> child_ns(events.size(), 0);
-  for (const OwnedTraceEvent& child : events) {
+  for (const TraceEvent& child : events) {
     if (child.depth == 0) continue;
     // First span at (tid, depth - 1) starting after the child, minus one.
     auto it = std::upper_bound(
@@ -216,7 +195,7 @@ std::vector<SpanSummary> SummarizeSpans(
         [&](const auto& value, size_t i) { return value < key(i); });
     if (it == order.begin()) continue;
     const size_t parent = *--it;
-    const OwnedTraceEvent& p = events[parent];
+    const TraceEvent& p = events[parent];
     if (p.tid != child.tid || p.depth + 1 != child.depth) continue;
     if (child.start_ns + child.dur_ns <= p.start_ns + p.dur_ns) {
       child_ns[parent] += child.dur_ns;
@@ -224,9 +203,10 @@ std::vector<SpanSummary> SummarizeSpans(
   }
   std::map<std::string, SpanSummary> by_name;  // ordered: stable output
   for (size_t i = 0; i < events.size(); ++i) {
-    const OwnedTraceEvent& event = events[i];
-    SpanSummary& row = by_name[event.name];
-    row.name = event.name;
+    const TraceEvent& event = events[i];
+    const std::string name = event.name != nullptr ? event.name : "";
+    SpanSummary& row = by_name[name];
+    row.name = name;
     ++row.count;
     row.total_ns += event.dur_ns;
     row.self_ns += event.dur_ns - std::min(event.dur_ns, child_ns[i]);
@@ -238,11 +218,10 @@ std::vector<SpanSummary> SummarizeSpans(
   return rows;
 }
 
-std::string ChromeTraceJsonFromOwned(
-    const std::vector<OwnedTraceEvent>& events) {
+std::string ExportChromeTraceJson() {
   std::string out = "{\"traceEvents\": [";
   bool first = true;
-  for (const OwnedTraceEvent& event : events) {
+  for (const TraceEvent& event : CollectTraceEvents()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "  {\"name\": \"" + internal::JsonEscape(event.name) +
@@ -251,198 +230,14 @@ std::string ChromeTraceJsonFromOwned(
            MicrosFromNs(event.start_ns) + ", \"dur\": " +
            MicrosFromNs(event.dur_ns) + ", \"args\": {\"depth\": " +
            std::to_string(event.depth);
-    for (const auto& [key, value] : event.args) {
-      out += ", \"" + internal::JsonEscape(key) +
-             "\": " + std::to_string(value);
+    for (uint32_t a = 0; a < event.num_args; ++a) {
+      out += ", \"" + internal::JsonEscape(event.arg_keys[a]) +
+             "\": " + std::to_string(event.arg_values[a]);
     }
     out += "}}";
   }
   out += "\n], \"displayTimeUnit\": \"ms\"}\n";
   return out;
-}
-
-std::string ExportChromeTraceJson() {
-  return ChromeTraceJsonFromOwned(ToOwned(CollectTraceEvents()));
-}
-
-Status WriteChromeTrace(const std::string& path) {
-  const std::string json = ExportChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace output: " + path);
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != json.size() || !closed) {
-    return Status::IOError("short write on trace output: " + path);
-  }
-  return Status::OK();
-}
-
-// ------------------------------------------------- binary .atrace format
-//
-// Little-endian stream: "ATRC" magic, u32 version (1), u64 event count,
-// then per event: u16 name_len + name bytes, u64 start_ns, u64 dur_ns,
-// u32 tid, u32 depth, u32 num_args, and per arg u16 key_len + key bytes +
-// u64 value. Compact enough for CI artifacts; atpm_trace_dump turns it
-// into Chrome JSON or a summary.
-
-namespace {
-
-constexpr char kMagic[4] = {'A', 'T', 'R', 'C'};
-constexpr uint32_t kVersion = 1;
-
-void AppendU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-struct Cursor {
-  const unsigned char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool Take(void* out, size_t n) {
-    if (size - pos < n) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  bool TakeU16(uint16_t* v) {
-    unsigned char b[2];
-    if (!Take(b, 2)) return false;
-    *v = static_cast<uint16_t>(b[0] | (b[1] << 8));
-    return true;
-  }
-  bool TakeU32(uint32_t* v) {
-    unsigned char b[4];
-    if (!Take(b, 4)) return false;
-    *v = static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-    return true;
-  }
-  bool TakeU64(uint64_t* v) {
-    unsigned char b[8];
-    if (!Take(b, 8)) return false;
-    *v = 0;
-    for (int i = 7; i >= 0; --i) *v = (*v << 8) | b[i];
-    return true;
-  }
-  bool TakeString(std::string* s) {
-    uint16_t len = 0;
-    if (!TakeU16(&len)) return false;
-    if (size - pos < len) return false;
-    s->assign(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return true;
-  }
-};
-
-void AppendString(std::string* out, const std::string& s) {
-  const size_t len = s.size() < 65535 ? s.size() : 65535;
-  AppendU16(out, static_cast<uint16_t>(len));
-  out->append(s.data(), len);
-}
-
-}  // namespace
-
-Status WriteBinaryTrace(const std::string& path) {
-  const std::vector<OwnedTraceEvent> events = ToOwned(CollectTraceEvents());
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendU32(&out, kVersion);
-  AppendU64(&out, events.size());
-  for (const OwnedTraceEvent& event : events) {
-    AppendString(&out, event.name);
-    AppendU64(&out, event.start_ns);
-    AppendU64(&out, event.dur_ns);
-    AppendU32(&out, event.tid);
-    AppendU32(&out, event.depth);
-    AppendU32(&out, static_cast<uint32_t>(event.args.size()));
-    for (const auto& [key, value] : event.args) {
-      AppendString(&out, key);
-      AppendU64(&out, value);
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace output: " + path);
-  }
-  const size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != out.size() || !closed) {
-    return Status::IOError("short write on trace output: " + path);
-  }
-  return Status::OK();
-}
-
-Status ReadBinaryTrace(const std::string& path,
-                       std::vector<OwnedTraceEvent>* events) {
-  events->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace input: " + path);
-  }
-  std::string raw;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    raw.append(buf, got);
-  }
-  std::fclose(f);
-
-  Cursor cur{reinterpret_cast<const unsigned char*>(raw.data()), raw.size()};
-  char magic[4];
-  uint32_t version = 0;
-  uint64_t count = 0;
-  if (!cur.Take(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an .atrace file: " + path);
-  }
-  if (!cur.TakeU32(&version) || version != kVersion) {
-    return Status::InvalidArgument("unsupported .atrace version in " + path);
-  }
-  if (!cur.TakeU64(&count)) {
-    return Status::InvalidArgument("truncated .atrace header in " + path);
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    OwnedTraceEvent event;
-    uint32_t num_args = 0;
-    if (!cur.TakeString(&event.name) || !cur.TakeU64(&event.start_ns) ||
-        !cur.TakeU64(&event.dur_ns) || !cur.TakeU32(&event.tid) ||
-        !cur.TakeU32(&event.depth) || !cur.TakeU32(&num_args)) {
-      return Status::InvalidArgument("truncated .atrace event in " + path);
-    }
-    if (num_args > 1024) {
-      return Status::InvalidArgument("implausible arg count in " + path);
-    }
-    for (uint32_t a = 0; a < num_args; ++a) {
-      std::string key;
-      uint64_t value = 0;
-      if (!cur.TakeString(&key) || !cur.TakeU64(&value)) {
-        return Status::InvalidArgument("truncated .atrace arg in " + path);
-      }
-      event.args.emplace_back(std::move(key), value);
-    }
-    events->push_back(std::move(event));
-  }
-  if (cur.pos != cur.size) {
-    return Status::InvalidArgument("trailing garbage in .atrace: " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace obs

@@ -9,8 +9,9 @@
 /// kMaxSpanArgs numeric annotations. Closed spans land in per-thread ring
 /// buffers — no allocation, no locks on the hot path beyond the owning
 /// ring's uncontended mutex — and are exported as Chrome trace_event JSON
-/// ("X" complete events, loadable in Perfetto / chrome://tracing) or as a
-/// compact binary .atrace stream consumed by tools/atpm_trace_dump.
+/// ("X" complete events, loadable in Perfetto / chrome://tracing), the one
+/// trace file format. SummarizeSpans aggregates the live events per span
+/// name in-process (bench/fig9_sample_scaling prints it when tracing).
 ///
 /// Determinism contract (shared with metrics.h): a span never draws RNG
 /// state or reorders work; when tracing is disabled — the default — the
@@ -21,8 +22,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "common/status.h"
 
 namespace atpm {
 namespace obs {
@@ -107,25 +106,9 @@ void ResetTrace();
 /// Chrome trace_event JSON ({"traceEvents": [...]}, "X" complete events
 /// with ts/dur in microseconds), loadable in Perfetto / chrome://tracing.
 std::string ExportChromeTraceJson();
-Status WriteChromeTrace(const std::string& path);
 
-/// Compact binary stream for tools/atpm_trace_dump ("ATRC" magic). An
-/// event read back owns its strings.
-struct OwnedTraceEvent {
-  std::string name;
-  uint64_t start_ns = 0;
-  uint64_t dur_ns = 0;
-  uint32_t tid = 0;
-  uint32_t depth = 0;
-  std::vector<std::pair<std::string, uint64_t>> args;
-};
-Status WriteBinaryTrace(const std::string& path);
-Status ReadBinaryTrace(const std::string& path,
-                       std::vector<OwnedTraceEvent>* events);
-std::string ChromeTraceJsonFromOwned(
-    const std::vector<OwnedTraceEvent>& events);
-
-/// Per-span-name totals of a trace. `self_ns` is each span's duration minus
+/// Per-span-name totals of a set of events (typically
+/// CollectTraceEvents()). `self_ns` is each span's duration minus
 /// the durations of its direct children — the spans on the same tid at
 /// depth + 1 that lie inside it — summed over the name's spans, so the
 /// self times of a fully nested trace add up to its root spans' total.
@@ -137,8 +120,7 @@ struct SpanSummary {
   uint64_t max_ns = 0;
 };
 /// One row per distinct span name, sorted by name.
-std::vector<SpanSummary> SummarizeSpans(
-    const std::vector<OwnedTraceEvent>& events);
+std::vector<SpanSummary> SummarizeSpans(const std::vector<TraceEvent>& events);
 
 }  // namespace obs
 }  // namespace atpm

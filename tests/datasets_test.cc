@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "graph/graph_store.h"
 
@@ -95,7 +96,7 @@ TEST(BenchEnvTest, ScaleParsesAndClamps) {
   EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 0.5);
   setenv("ATPM_BENCH_SCALE", "7.0", 1);
   EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 1.0);
-  setenv("ATPM_BENCH_SCALE", "garbage", 1);
+  setenv("ATPM_BENCH_SCALE", "", 1);
   EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 0.2);  // default
   unsetenv("ATPM_BENCH_SCALE");
   EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 0.2);
@@ -106,11 +107,6 @@ TEST(BenchEnvTest, RealizationsParsesAndClamps) {
   EXPECT_EQ(BenchRealizationsFromEnv(), 20u);
   setenv("ATPM_BENCH_REALIZATIONS", "0", 1);
   EXPECT_EQ(BenchRealizationsFromEnv(), 1u);
-  // NaN is not a count: the default stands.
-  setenv("ATPM_BENCH_REALIZATIONS", "nan", 1);
-  EXPECT_EQ(BenchRealizationsFromEnv(), 2u);
-  setenv("ATPM_BENCH_REALIZATIONS", "inf", 1);
-  EXPECT_EQ(BenchRealizationsFromEnv(), 2u);
   unsetenv("ATPM_BENCH_REALIZATIONS");
   EXPECT_EQ(BenchRealizationsFromEnv(), 2u);
 }
@@ -125,9 +121,8 @@ TEST(BenchEnvTest, KMaxAndGrid) {
   grid = BenchSeedGrid(30);
   ASSERT_EQ(grid.size(), 2u);
   EXPECT_EQ(grid.back(), 25u);
-  setenv("ATPM_BENCH_K_MAX", "-nan", 1);
-  EXPECT_EQ(BenchKMaxFromEnv(), 200u);
   unsetenv("ATPM_BENCH_K_MAX");
+  EXPECT_EQ(BenchKMaxFromEnv(), 200u);
 }
 
 TEST(BenchEnvTest, GridNeverEmpty) {
@@ -141,13 +136,30 @@ TEST(BenchEnvTest, GridNeverEmpty) {
 TEST(BenchEnvTest, ThreadsParses) {
   setenv("ATPM_BENCH_THREADS", "4", 1);
   EXPECT_EQ(BenchThreadsFromEnv(), 4u);
-  // Only a whole token counts: trailing garbage or whitespace falls back.
-  setenv("ATPM_BENCH_THREADS", "4abc", 1);
-  EXPECT_EQ(BenchThreadsFromEnv(), 8u);
-  setenv("ATPM_BENCH_THREADS", " 4", 1);
-  EXPECT_EQ(BenchThreadsFromEnv(), 8u);
   unsetenv("ATPM_BENCH_THREADS");
   EXPECT_EQ(BenchThreadsFromEnv(), 8u);
+}
+
+TEST(BenchEnvDeathTest, MalformedNumberAbortsNamingTheVariable) {
+  // Only one whole, finite token counts: trailing garbage, whitespace, NaN
+  // and infinity abort instead of running the default configuration.
+  const std::pair<const char*, const char*> cases[] = {
+      {"ATPM_BENCH_SCALE", "garbage"},  {"ATPM_BENCH_REALIZATIONS", "nan"},
+      {"ATPM_BENCH_REALIZATIONS", "inf"}, {"ATPM_BENCH_K_MAX", "-nan"},
+      {"ATPM_BENCH_THREADS", "4abc"},   {"ATPM_BENCH_THREADS", " 4"},
+  };
+  for (const auto& [var, value] : cases) {
+    EXPECT_DEATH(
+        {
+          setenv(var, value, 1);
+          BenchScaleFromEnv();
+          BenchRealizationsFromEnv();
+          BenchKMaxFromEnv();
+          BenchThreadsFromEnv();
+        },
+        std::string(var) + ": expected a finite number")
+        << var << "='" << value << "'";
+  }
 }
 
 TEST(StoreCacheTest, PathEmptyWithoutEnvAndKeyedWithIt) {

@@ -1,17 +1,15 @@
 // Tracer tests: spans are no-ops while disabled, nest with correct depth
 // and annotations when enabled, survive ring wraparound with an honest
-// dropped-event count, export loadable Chrome trace_event JSON, round-trip
-// through the compact binary format, touch instruments per call rather
-// than per RR set, and — the contract the whole observability layer stands
-// on — leave every sampling stream and adaptive decision bit-identical
-// whether tracing/metrics are off or on.
+// dropped-event count, export loadable Chrome trace_event JSON, summarize
+// per span name with self times that add up, touch instruments per call
+// rather than per RR set, and — the contract the whole observability layer
+// stands on — leave every sampling stream and adaptive decision
+// bit-identical whether tracing/metrics are off or on.
 #include "common/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -126,12 +124,6 @@ class TraceTest : public ::testing::Test {
     obs::SetTraceEnabled(false);
     obs::ResetTrace();
     obs::SetMetricsEnabled(true);
-    std::remove(TracePath().c_str());
-  }
-
-  std::string TracePath() const {
-    return ::testing::TempDir() + "/atpm_trace_test_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this)) + ".atrace";
   }
 };
 
@@ -231,7 +223,7 @@ TEST(TraceSummaryTest, SelfTimeSubtractsDirectChildrenOnly) {
   // tid-1 root [200, 230) holds c [205, 215).
   const auto span = [](const char* name, uint32_t tid, uint32_t depth,
                        uint64_t start, uint64_t dur) {
-    obs::OwnedTraceEvent event;
+    obs::TraceEvent event;
     event.name = name;
     event.tid = tid;
     event.depth = depth;
@@ -239,7 +231,7 @@ TEST(TraceSummaryTest, SelfTimeSubtractsDirectChildrenOnly) {
     event.dur_ns = dur;
     return event;
   };
-  const std::vector<obs::OwnedTraceEvent> events = {
+  const std::vector<obs::TraceEvent> events = {
       span("child", 1, 1, 50, 20),   span("root", 1, 0, 0, 100),
       span("grand", 1, 2, 12, 5),    span("child", 1, 1, 10, 30),
       span("other", 2, 1, 20, 7),    span("root", 2, 0, 15, 30),
@@ -261,79 +253,6 @@ TEST(TraceSummaryTest, SelfTimeSubtractsDirectChildrenOnly) {
   EXPECT_EQ(rows[3].total_ns, 160u);
   // tid 1: (100 - 30 - 20) + (30 - 10); tid 2: 30 - 7.
   EXPECT_EQ(rows[3].self_ns, 50u + 20u + 23u);
-}
-
-TEST_F(TraceTest, BinaryRoundTrip) {
-  obs::SetTraceEnabled(true);
-  {
-    obs::TraceSpan outer("persist_outer");
-    outer.AnnotateU64("a", 1);
-    obs::TraceSpan inner("persist_inner");
-    inner.AnnotateU64("b", 2);
-    inner.AnnotateU64("c", 3);
-  }
-  const std::vector<obs::TraceEvent> live = obs::CollectTraceEvents();
-  ASSERT_EQ(live.size(), 2u);
-  ASSERT_TRUE(obs::WriteBinaryTrace(TracePath()).ok());
-
-  std::vector<obs::OwnedTraceEvent> loaded;
-  const Status read = obs::ReadBinaryTrace(TracePath(), &loaded);
-  ASSERT_TRUE(read.ok()) << read.ToString();
-  ASSERT_EQ(loaded.size(), live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    const obs::OwnedTraceEvent& got = loaded[i];
-    EXPECT_EQ(got.name, live[i].name);
-    EXPECT_EQ(got.start_ns, live[i].start_ns);
-    EXPECT_EQ(got.dur_ns, live[i].dur_ns);
-    EXPECT_EQ(got.tid, live[i].tid);
-    EXPECT_EQ(got.depth, live[i].depth);
-    ASSERT_EQ(got.args.size(), live[i].num_args);
-    for (size_t a = 0; a < got.args.size(); ++a) {
-      EXPECT_EQ(got.args[a].first, live[i].arg_keys[a]);
-      EXPECT_EQ(got.args[a].second, live[i].arg_values[a]);
-    }
-  }
-  // The owned events render to the same Chrome JSON as the live ones.
-  EXPECT_EQ(obs::ChromeTraceJsonFromOwned(loaded),
-            obs::ExportChromeTraceJson());
-}
-
-TEST_F(TraceTest, BinaryReadRejectsCorruption) {
-  obs::SetTraceEnabled(true);
-  { obs::TraceSpan span("short_lived"); }
-  ASSERT_TRUE(obs::WriteBinaryTrace(TracePath()).ok());
-  std::vector<obs::OwnedTraceEvent> scratch;
-
-  // Truncation.
-  std::string bytes;
-  {
-    std::ifstream in(TracePath(), std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 8u);
-  {
-    std::ofstream out(TracePath(), std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 5));
-  }
-  EXPECT_FALSE(obs::ReadBinaryTrace(TracePath(), &scratch).ok());
-
-  // Trailing garbage.
-  {
-    std::ofstream out(TracePath(), std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.write("junk", 4);
-  }
-  EXPECT_FALSE(obs::ReadBinaryTrace(TracePath(), &scratch).ok());
-
-  // Bad magic.
-  {
-    std::string bad = bytes;
-    bad[0] = 'X';
-    std::ofstream out(TracePath(), std::ios::binary | std::ios::trunc);
-    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-  }
-  EXPECT_FALSE(obs::ReadBinaryTrace(TracePath(), &scratch).ok());
 }
 
 // ---- bit-identity: the non-negotiable acceptance gate. The exact golden
@@ -397,17 +316,35 @@ TEST_F(TraceTest, HatpDecisionSequenceGoldenHoldsWithTracingOnAndOff) {
   const uint64_t batches_before =
       HistogramObservations()["atpm_count_batch_seconds_count"];
   ExpectGoldenHatp(RunGoldenHatp(g, &engine));
-  // The traced run emitted the nested decision -> round span hierarchy.
-  std::set<std::string> names;
-  for (const obs::TraceEvent& e : obs::CollectTraceEvents()) {
-    names.insert(e.name);
+  // The traced run emitted the nested decision -> round span hierarchy,
+  // and its span summary has one count_batch per counting pool.
+  ASSERT_EQ(obs::DroppedTraceEvents(), 0u);
+  const std::vector<obs::TraceEvent> events = obs::CollectTraceEvents();
+  std::map<std::string, obs::SpanSummary> rows;
+  for (const obs::SpanSummary& row : obs::SummarizeSpans(events)) {
+    rows[row.name] = row;
   }
-  EXPECT_TRUE(names.count("decision"));
-  EXPECT_TRUE(names.count("round"));
-  EXPECT_TRUE(names.count("pool_fill"));
+  for (const char* name : {"decision", "round", "pool_fill", "count_batch"}) {
+    EXPECT_TRUE(rows.count(name)) << name;
+  }
+  EXPECT_GT(engine.stats().count_pools, 0u);
+  EXPECT_EQ(rows["count_batch"].count, engine.stats().count_pools);
+  // Per thread, the self times add up to the thread's root spans' total.
+  std::map<uint32_t, std::vector<obs::TraceEvent>> by_tid;
+  std::map<uint32_t, uint64_t> root_ns;
+  for (const obs::TraceEvent& e : events) {
+    by_tid[e.tid].push_back(e);
+    if (e.depth == 0) root_ns[e.tid] += e.dur_ns;
+  }
+  for (const auto& [tid, tid_events] : by_tid) {
+    uint64_t self_ns = 0;
+    for (const obs::SpanSummary& row : obs::SummarizeSpans(tid_events)) {
+      self_ns += row.self_ns;
+    }
+    EXPECT_EQ(self_ns, root_ns[tid]) << "tid " << tid;
+  }
   // The count-batch latency histogram saw exactly the batches the engine's
   // own stats counted: one observation per counting pool.
-  EXPECT_GT(engine.stats().count_pools, 0u);
   EXPECT_EQ(HistogramObservations()["atpm_count_batch_seconds_count"] -
                 batches_before,
             engine.stats().count_pools);
