@@ -25,8 +25,8 @@ class AdditiveErrorRule final : public DoubleGreedyRule {
 
   // C2 stopping bar: fixed at 1 in Algorithm 3; raised adaptively in the
   // dynamic variant while 2 * (eta_sum + eta) + 2 <= ε * profit-so-far.
-  void BeginDecision(uint32_t num_activated,
-                     std::span<const NodeId> seeds) override {
+  void BeginDecision(uint32_t num_activated, std::span<const NodeId> seeds,
+                     ErrorSchedule* /*schedule*/) override {
     eta_ = 1.0;
     if (!options_.dynamic_threshold) return;
     const double profit_so_far =
@@ -39,7 +39,7 @@ class AdditiveErrorRule final : public DoubleGreedyRule {
   StopTest Stop(const RoundEstimates& e, const ErrorSchedule& s) override {
     const double rho_f = RhoFront(e);
     const double rho_r = RhoRear(e);
-    const double additive = e.nd * s.zeta;  // n_i ζ_i, in spread units
+    const double additive = s.nd * s.zeta;  // n_i ζ_i, in spread units
     const bool c1 = std::abs(rho_f - rho_r) >= 2.0 * additive ||
                     rho_f <= -additive || rho_r <= -additive;
     const bool c2 = additive <= eta_;

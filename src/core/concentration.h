@@ -34,32 +34,91 @@ double RelAddLowerTail(uint64_t theta, double eps, double zeta);
 /// (Alg 4, Line 8): both tails are <= δ/4 at this θ.
 uint64_t HatpSampleSize(double eps, double zeta, double delta);
 
-/// HATP's θ for round i (0-based) of a decision that keeps its counts:
-/// HatpSampleSize(ε, ζ, δ / (2i + 1)).
+/// Bernoulli Kullback–Leibler divergence KL(p‖q) = p ln(p/q) +
+/// (1−p) ln((1−p)/(1−q)), with 0 ln 0 = 0; +inf when q ∈ {0, 1} ≠ p.
+double BernoulliKl(double p, double q);
+
+/// Chernoff–KL upper confidence bound on a Bernoulli mean from the average
+/// `mean` of `theta` iid samples: max{μ ≥ mean : θ KL(mean‖μ) <= log_term}.
+/// For every fixed μ and θ, Pr[KlUpperBound(X̄) < μ] <= exp(−log_term)
+/// (Chernoff: Pr[X̄ <= x] <= exp(−θ KL(x‖μ)) for x <= μ). The bisection
+/// rounds outward, so the returned bound is never tighter than the exact
+/// one. KlUpperBound(1, ·, ·) = 1: the interval has no width above 1.
+double KlUpperBound(double mean, uint64_t theta, double log_term);
+
+/// The matching lower bound min{μ <= mean : θ KL(mean‖μ) <= log_term};
+/// Pr[KlLowerBound(X̄) > μ] <= exp(−log_term). KlLowerBound(0, ·, ·) = 0.
+double KlLowerBound(double mean, uint64_t theta, double log_term);
+
+/// The (ε, ζ) pair Lemma 7 certifies at θ samples and failure δ when ε is
+/// held fixed: the ζ at which HatpSampleSize(ε, ζ, δ) would be θ, capped
+/// at 1 (an additive error of every node).
+double HatpCertifiedZeta(double eps, uint64_t theta, double delta);
+
+/// The check grid of one HATP / HNTP decision that keeps its counts
+/// (batched rounds), fixed before any of the decision's samples are drawn.
 ///
-/// Why the split. With kept counts, round i estimates from the first θ_i
-/// RR sets of the decision's stream X_1, X_2, ...: the kept sets plus one
-/// top-up pool per round. Each top-up draws from its own seed, taken from
-/// the policy's Rng whatever the samples said, so every X_t is independent
-/// of X_1..X_{t−1} wherever a pool boundary falls — the stream is iid. But
-/// Tighten picks round i's (ε_i, ζ_i) from earlier estimates, so θ_i is a
-/// function of the very samples it reuses, and Lemma 7 does not apply to
-/// "the first θ_i sets" directly. It does apply to every FIXED prefix.
-/// Each Tighten takes two √2-steps: ε/2, ζ/2, or both /√2. After i rounds
-/// ε_i = max(ε_0 2^{−a/2}, ε) and ζ_i = max(ζ_0 2^{−b/2}, 1/n_i) with
-/// a + b = 2i (the clamps only merge points), so round i's parameters are
-/// one of at most 2i + 1 points fixed before any sampling; δ_i = δ_0 / 2^i
-/// and n_i do not depend on the samples. Sizing each point's prefix with
-/// δ_i / (2i + 1) bounds each of its four one-sided tails (front and rear,
-/// upper and lower) by δ_i / (4(2i + 1)). The union over the points and
-/// tails bounds round i's failure by δ_i, whichever point the data picks,
-/// and the union over rounds gives the same Σ δ_i <= 2 δ_0 per decision as
-/// fresh pools. ADDATP's schedule (ζ/√2 and δ/2 every round) reaches one
-/// point per round, so its θ needs no split. A round served from a
-/// speculative answer is not part of the stream: the counts start at the
-/// first sampled round.
-uint64_t HatpKeptSampleSize(double eps, double zeta, double delta,
-                            uint32_t round);
+/// Points j = 0..J draw θ_j = θ_0 2^j for j < J and θ_J at the last, with
+/// θ_0 = HatpSampleSize(ε_0, ζ_0, δ'), θ_J = HatpSampleSize(ε, ζ_floor, δ')
+/// and J the smallest j with θ_0 2^j >= θ_J, so θ_j grows strictly. The
+/// points share the decision's budget 2 δ_0 (Σ_i δ_0 / 2^i of Alg. 4)
+/// equally: δ' = 2 δ_0 / (J + 1) (δ_0 when J = 0, so that δ' < 1 whenever
+/// Alg. 4's own δ_0 is). J and δ' depend on each other; J is
+/// their fixed point (should ceilings ever make it step back, the grid
+/// keeps the smaller δ' of the larger J, so (J + 1) δ' <= 2 δ_0 holds).
+///
+/// Soundness. Round j estimates the front and rear coverage fractions from
+/// the first θ_j sets of the decision's stream X_1, X_2, ...: the kept sets
+/// plus one top-up pool per round. Each top-up draws from its own seed,
+/// taken from the policy's Rng whatever the samples said, so every X_t is
+/// independent of X_1..X_{t−1} wherever a pool boundary falls — the stream
+/// is iid, and the grid's θ_j depend only on (ε_0, ζ_0, ε, n_i, δ_0), never
+/// on the samples. At point j each fraction gets the two-sided interval
+/// [KlLowerBound, KlUpperBound] at log_term = ln(4/δ'); by the one-sided
+/// Chernoff–KL bound each of the four tails (front and rear, upper and
+/// lower) misses its mean with probability <= δ'/4 at that FIXED θ_j. The
+/// union over the four tails and the J + 1 points bounds the probability
+/// that ANY point's interval misses by (J + 1) δ' <= 2 δ_0 — so it holds at
+/// whichever point the data make the decision stop, the same per-decision
+/// budget as Alg. 4's fresh pools.
+///
+/// The floor. KL dominates Lemma 7's exponents: for x = (1+ε)μ + ζ <= 1,
+/// KL(x‖μ) >= 2εζ / (1+ε/3)², and for x = (1−ε)μ − ζ >= 0,
+/// KL(x‖μ) >= 2εζ (the lower one is (εμ − ζ)² >= 0 after
+/// KL(x‖μ) >= (μ − x)² / (2μ); both are checked on a grid in
+/// concentration_test). So at any θ >= HatpSampleSize(ε, ζ, δ') the KL
+/// interval of every X̄ lies inside Lemma 7's band
+/// [(X̄ − ζ)/(1+ε), (X̄ + ζ)/(1−ε)]: θ KL reaches ln(4/δ') at the band's
+/// edges. θ_J is that θ for (ε, ζ_floor), so C'2 may fire at the last point
+/// without a check; earlier points fire it once both intervals lie inside
+/// that band at (ε, ζ_floor). Either way the intervals certify the floors'
+/// (ε relative, one node additive) guarantee.
+///
+/// A round served from a speculative answer is not part of the stream —
+/// the counts start at the first sampled round — and is tested at its
+/// grid θ_j, which its (>= θ_j) pool covers conservatively. ADDATP's
+/// schedule (ζ/√2 and δ/2 every round) does not depend on the data, so its
+/// kept counts need no grid.
+struct KeptCountGrid {
+  /// θ_0.
+  uint64_t first_theta = 0;
+  /// θ_J.
+  uint64_t last_theta = 0;
+  /// J, the index of the last point.
+  uint32_t last = 0;
+  /// δ', each point's share of the decision's failure budget.
+  double delta = 0.0;
+
+  /// RR sets point j draws (j <= last).
+  uint64_t Theta(uint32_t j) const {
+    return j < last ? first_theta << j : last_theta;
+  }
+};
+
+/// The grid of a decision with initial errors (ε_0, ζ_0), floors
+/// (ε, ζ_floor) and per-round budget δ_0 (Alg. 4's δ_0 = 1/(k n)).
+KeptCountGrid HatpKeptCountGrid(double eps0, double zeta0, double eps,
+                                double zeta_floor, double delta0);
 
 }  // namespace atpm
 

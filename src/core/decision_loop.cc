@@ -75,8 +75,6 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
       result.steps.push_back(step);
       continue;
     }
-    rule->BeginDecision(env != nullptr ? env->num_activated() : 0,
-                        result.seeds);
 
     const uint32_t ni = env != nullptr ? env->num_remaining() : n;
     const double nd = static_cast<double>(ni);
@@ -86,14 +84,17 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
         env != nullptr ? env->residual_epoch() : result.seeds.size();
 
     ErrorSchedule schedule;
+    schedule.nd = nd;
     schedule.eps = config_.initial_relative_error;
     schedule.zeta =
         Clamp(config_.initial_spread_error / nd, ZetaFloor(nd), 0.5);
     schedule.delta =
         1.0 / (static_cast<double>(k) * static_cast<double>(n));
 
+    rule->BeginDecision(env != nullptr ? env->num_activated() : 0,
+                        result.seeds, &schedule);
+
     RoundEstimates estimates;
-    estimates.nd = nd;
     estimates.cost = problem.CostOf(u);
     uint64_t used_this_iter = 0;
     // Evidence the decision ends up standing on when the schedule is cut

@@ -15,13 +15,19 @@
 
 namespace atpm {
 
-/// Error parameters of one halving round (Algorithms 3/4 notation).
+/// Error parameters of one halving round (Algorithms 3/4 notation). The
+/// driver reports (eps, n_i zeta) of the round a decision stood on as its
+/// guarantee, so a rule keeps them at a pair that round's θ certifies.
 struct ErrorSchedule {
+  /// n_i: alive nodes of the residual graph (n throughout for HNTP); fixed
+  /// for the decision.
+  double nd = 0.0;
   /// Relative error ε_i (hybrid rules; stays 0 under ADDATP).
   double eps = 0.0;
   /// Additive error ζ_i, as a fraction of n_i.
   double zeta = 0.0;
-  /// Failure probability δ_i.
+  /// Failure probability δ_i (kept-count HATP / HNTP spend their budget on
+  /// a fixed grid instead, see KeptCountGrid).
   double delta = 0.0;
   /// Halving-round index i of the decision (0 for its first round).
   uint32_t round = 0;
@@ -44,8 +50,6 @@ enum class StopTest {
 
 /// What one completed round says about the candidate under examination.
 struct RoundEstimates {
-  /// n_i: alive nodes of the residual graph (n throughout for HNTP).
-  double nd = 0.0;
   /// c(u).
   double cost = 0.0;
   /// Front spread estimate n_i Cov(u | S) / θ.
@@ -70,9 +74,11 @@ class DoubleGreedyRule {
   /// Line 13: select u (true) or abandon it (false).
   virtual bool Select(const RoundEstimates& e) const = 0;
   /// Called before the first round of every candidate that is examined
-  /// (not skipped as already activated).
+  /// (not skipped as already activated), with the schedule the driver
+  /// built from the options — the rule may reshape it for round 0.
   virtual void BeginDecision(uint32_t /*num_activated*/,
-                             std::span<const NodeId> /*seeds*/) {}
+                             std::span<const NodeId> /*seeds*/,
+                             ErrorSchedule* /*schedule*/) {}
 };
 
 /// The k-sequential double-greedy loop shared by ADDATP, HATP and HNTP.

@@ -35,8 +35,7 @@ struct HatpOptions {
 ///  1. Sample sizes follow the Relative+Additive concentration bound
 ///     (Lemma 7): θ = (1+ε_i/3)² / (2 ε_i ζ_i) · ln(4/δ_i) — linear in
 ///     1/ζ_i instead of ADDATP's quadratic, an Θ(ε n) efficiency gain
-///     (Theorem 5). Batched rounds keep counts and size round i with
-///     δ_i / (2i + 1) (HatpKeptSampleSize).
+///     (Theorem 5).
 ///  2. The error pair (ε_i, ζ_i) is tuned adaptively per round (Lines
 ///     19–23): nodes with large marginal spread tighten the relative error,
 ///     nodes with small marginal spread tighten the additive error.
@@ -44,6 +43,13 @@ struct HatpOptions {
 /// Stopping rules: C'1 certifies the select/abandon comparison
 /// fest + rest vs 2c(u_i) under the hybrid confidence interval; C'2 fires
 /// once both errors reach their floors (ε_i <= ε and n_i ζ_i <= 1).
+///
+/// That is the literal schedule (batched_rounds = false). Batched rounds
+/// keep a decision's counts and replace the schedule by a grid of sample
+/// sizes fixed before sampling, θ_0 2^j up to the floors' θ, at which C'1
+/// and C'2 test exact Chernoff–KL intervals of the coverage fractions
+/// (KeptCountGrid in core/concentration.h): the same 2 δ_0 per decision,
+/// fewer RR sets.
 /// Theorem 4: expected profit >= (Λ(π_opt) − 2(k+εc(T))/(1−ε) − 2)/3.
 class HatpPolicy final : public AdaptivePolicy {
  public:

@@ -20,10 +20,9 @@ using HntpResult = AdaptiveRunResult;
 
 /// HNTP — the nonadaptive tailoring of HATP (Section VI-A). Identical
 /// estimation machinery (hybrid-error RR pools per candidate — by default
-/// one shared pool per round topping up the candidate's kept counts,
-/// C'1/C'2 stopping, adaptive ε/ζ schedule), but no seeding feedback: the
-/// graph is
-/// never updated, previously *selected* seeds stay in the graph, so the
+/// one shared pool per round topping up the candidate's kept counts and
+/// tested at HATP's fixed grid of sample sizes, C'1/C'2 stopping), but no
+/// seeding feedback: the graph is never updated, previously *selected* seeds stay in the graph, so the
 /// front estimate is the true conditional coverage Cov(u_i | S_{i-1}) and
 /// the rear base T_{i-1} \ {u_i} includes the selected seeds. The whole
 /// batch is returned for one-shot deployment.

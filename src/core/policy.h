@@ -169,7 +169,10 @@ struct AdaptiveRunResult {
   /// relative_error_threshold when no decision was degraded, the ε of the
   /// last completed round for forced decisions, and 1.0 (vacuous) when a
   /// decision got no round at all. ADDATP's guarantee is additive, so it
-  /// reports 0 here — see achieved_additive_error.
+  /// reports 0 here — see achieved_additive_error. Batched HATP / HNTP
+  /// rounds report the threshold itself, paired with the ζ Lemma 7
+  /// certifies at the round's θ, so a forced decision's looser guarantee
+  /// shows in achieved_additive_error.
   double effective_epsilon = 0.0;
   /// Worst per-decision additive spread error n_i ζ_i at the round each
   /// decision was made from; n (the trivial bound) for decisions with no
@@ -276,10 +279,11 @@ struct SpeculationStats {
 ///     the stored pool size).
 ///
 /// One stored answer serves every round of the consuming schedule whose
-/// required θ fits inside its pool — each round's (ε_r, ζ_r, δ_r) bound is
+/// required θ fits inside its pool — each round's bound at θ_r is
 /// individually certified by the larger sample, the loop just re-evaluates
 /// its tightening stopping conditions against the same estimate, and θ_r
-/// grows strictly (δ_r halves every unresolved round) so sampling always
+/// grows strictly (δ_r halves every unresolved round; HATP's kept-count
+/// grid doubles up to its last point) so sampling always
 /// resumes once the pool is outgrown. To make that window deep, later
 /// (larger-θ) rounds REFRESH stored answers that were taken on smaller
 /// pools.
@@ -296,8 +300,9 @@ struct SpeculationStats {
 /// θ_last RR sets instead of Σ θ_i. The counts start at the first sampled
 /// round — a round served from a speculative answer leaves them empty — and
 /// Begin resets them. Speculative queries ride each top-up pool and are
-/// stored at that pool's size. The θ schedule that reuses its own samples
-/// needs a union bound over the points it can reach (concentration.h).
+/// stored at that pool's size. Stopping on samples the decision keeps
+/// needs a union bound over the points it may stop at (KeptCountGrid in
+/// concentration.h).
 class SpeculativeRoundPlanner {
  public:
   /// `targets` is the policy's examination order; it must outlive the

@@ -43,9 +43,11 @@ struct CoverageQuery {
 /// across the halving rounds of one decision: the front query, the rear
 /// query and the residual graph do not change between them, so a round
 /// tops up the previous round's hits with an independent pool of
-/// θ_{i+1} − θ_i sets. The answers then influence only how many sets the
-/// next round counts; a union bound over the sample sizes the schedule can
-/// reach pays for that (HatpKeptSampleSize in core/concentration.h). What
+/// θ_{i+1} − θ_i sets. The answers then influence only WHEN the decision
+/// stops, never how many sets a round counts: HATP's rounds follow a grid
+/// of sample sizes fixed before sampling, and a union bound over its points
+/// pays for the data-chosen stop (KeptCountGrid in core/concentration.h;
+/// ADDATP's schedule never depends on the data). What
 /// a pool must NOT be shared across is a boundary where an answer changes
 /// the query itself — a new seed decision, whose bases and residual graph
 /// follow from the last one — or the analysis breaks: that query needs a

@@ -43,10 +43,11 @@ struct SamplingOptions {
   /// the rear coverage query through a CoverageQueryBatch, and a decision
   /// keeps its hits across its halving rounds, so round i+1 draws only the
   /// θ_{i+1} − θ_i sets that top them up — θ_last RR sets per decision
-  /// instead of 2 Σ θ_i. HATP's θ_i splits δ_i over the 2i + 1 error points
-  /// its schedule can reach (core/concentration.h). false restores the
-  /// literal two-independent-pools sampling of Algorithms 3/4 (the
-  /// reference its goldens pin).
+  /// instead of 2 Σ θ_i. HATP's θ_i then follow a grid fixed before the
+  /// decision samples, tested on Chernoff–KL intervals (KeptCountGrid in
+  /// core/concentration.h). false restores the literal
+  /// two-independent-pools sampling and error schedule of Algorithms 3/4
+  /// (the reference its goldens pin).
   bool batched_rounds = true;
   /// Speculative cross-candidate pipelining: every batched halving round's
   /// pool additionally answers the first-round front/rear queries of the

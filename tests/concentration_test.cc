@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "core/addatp.h"
+#include "core/decision_loop.h"
 #include "core/hatp.h"
 #include "core/hntp.h"
 #include "graph/generators.h"
@@ -98,25 +97,151 @@ TEST(HatpSampleSizeTest, LinearInInverseZeta) {
               0.01);
 }
 
-TEST(HatpKeptSampleSizeTest, SplitsDeltaOverTheReachablePoints) {
-  const double eps = 0.2;
-  const double zeta = 0.01;
-  const double delta = 1e-4;
-  // Round 0 reaches one point: the paper's θ.
-  EXPECT_EQ(HatpKeptSampleSize(eps, zeta, delta, 0),
-            HatpSampleSize(eps, zeta, delta));
-  uint64_t previous = HatpSampleSize(eps, zeta, delta);
-  for (uint32_t round = 1; round <= 12; ++round) {
-    const uint64_t theta = HatpKeptSampleSize(eps, zeta, delta, round);
-    EXPECT_EQ(theta, HatpSampleSize(eps, zeta, delta / (2.0 * round + 1.0)));
-    // The split adds ln(2i + 1) to ln(4/δ_i), growing with the round.
-    const double expected_ratio =
-        std::log(4.0 * (2.0 * round + 1.0) / delta) / std::log(4.0 / delta);
-    EXPECT_NEAR(static_cast<double>(theta) /
-                    static_cast<double>(HatpSampleSize(eps, zeta, delta)),
-                expected_ratio, 1e-3);
-    EXPECT_GT(theta, previous);
-    previous = theta;
+// Exact mass of Binomial(θ, μ) on the counts x where `outside(x)` holds.
+template <typename Pred>
+double BinomialMass(uint64_t theta, double mu, Pred outside) {
+  const double n = static_cast<double>(theta);
+  double mass = 0.0;
+  for (uint64_t x = 0; x <= theta; ++x) {
+    if (!outside(x)) continue;
+    const double k = static_cast<double>(x);
+    double log_pmf = std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
+                     std::lgamma(n - k + 1.0);
+    if (x > 0) log_pmf += k * std::log(mu);
+    if (x < theta) log_pmf += (n - k) * std::log1p(-mu);
+    mass += std::exp(log_pmf);
+  }
+  return mass;
+}
+
+TEST(KlBoundTest, BinomialMassOutsideEachBoundIsWithinItsShare) {
+  for (uint64_t theta : {10u, 100u, 1000u}) {
+    for (double share : {0.1, 1e-2, 1e-4}) {
+      const double log_term = std::log(1.0 / share);
+      for (double mu : {0.001, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999}) {
+        const double t = static_cast<double>(theta);
+        const double above = BinomialMass(theta, mu, [&](uint64_t x) {
+          return KlUpperBound(static_cast<double>(x) / t, theta, log_term) <
+                 mu;
+        });
+        const double below = BinomialMass(theta, mu, [&](uint64_t x) {
+          return KlLowerBound(static_cast<double>(x) / t, theta, log_term) >
+                 mu;
+        });
+        EXPECT_LE(above, share) << "theta " << theta << " mu " << mu;
+        EXPECT_LE(below, share) << "theta " << theta << " mu " << mu;
+      }
+    }
+  }
+}
+
+// The dominance that lets C'2 fire unchecked at the grid's last point:
+// KL at Lemma 7's deviation is at least Lemma 7's exponent per sample.
+TEST(KlBoundTest, KlExponentDominatesLemma7) {
+  int upper_checked = 0;
+  int lower_checked = 0;
+  for (double mu = 0.0005; mu < 1.0; mu *= 1.37) {
+    for (double eps : {0.01, 0.05, 0.1, 0.25, 0.5, 0.9}) {
+      for (double zeta : {1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.45}) {
+        const double high = (1.0 + eps) * mu + zeta;
+        if (high < 1.0) {
+          const double third = 1.0 + eps / 3.0;
+          EXPECT_GE(BernoulliKl(high, mu), 2.0 * eps * zeta / (third * third))
+              << "mu " << mu << " eps " << eps << " zeta " << zeta;
+          ++upper_checked;
+        }
+        const double low = (1.0 - eps) * mu - zeta;
+        if (low >= 0.0) {
+          EXPECT_GE(BernoulliKl(low, mu), 2.0 * eps * zeta)
+              << "mu " << mu << " eps " << eps << " zeta " << zeta;
+          ++lower_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(upper_checked, 500);
+  EXPECT_GT(lower_checked, 300);
+}
+
+TEST(KlBoundTest, EdgeMeansOfZeroAndOne) {
+  const double log_term = std::log(4.0 / 1e-3);
+  for (uint64_t theta : {1u, 10u, 1000u, 1000000u}) {
+    const double t = static_cast<double>(theta);
+    // No width beyond the range; the other side solves KL in closed form:
+    // KL(0‖μ) = −ln(1 − μ), KL(1‖μ) = −ln μ.
+    EXPECT_EQ(KlUpperBound(1.0, theta, log_term), 1.0);
+    EXPECT_EQ(KlLowerBound(0.0, theta, log_term), 0.0);
+    const double upper = -std::expm1(-log_term / t);
+    const double lower = std::exp(-log_term / t);
+    EXPECT_GE(KlUpperBound(0.0, theta, log_term), upper);
+    EXPECT_NEAR(KlUpperBound(0.0, theta, log_term), upper, 1e-12);
+    EXPECT_LE(KlLowerBound(1.0, theta, log_term), lower);
+    EXPECT_NEAR(KlLowerBound(1.0, theta, log_term), lower, 1e-12);
+  }
+  EXPECT_EQ(BernoulliKl(0.3, 0.3), 0.0);
+  EXPECT_TRUE(std::isinf(BernoulliKl(0.5, 0.0)));
+  EXPECT_TRUE(std::isinf(BernoulliKl(0.5, 1.0)));
+}
+
+TEST(KeptCountGridTest, PointsDoubleUpToTheFloorAndShareTwiceTheBudget) {
+  for (double n : {2.0, 3.0, 50.0, 400.0, 6080.0, 75879.0}) {
+    for (double k : {1.0, 5.0, 50.0}) {
+      const double delta0 = 1.0 / (k * n);
+      const double zeta0 = Clamp(64.0 / n, ZetaFloor(n), 0.5);
+      const KeptCountGrid grid =
+          HatpKeptCountGrid(0.5, zeta0, 0.05, ZetaFloor(n), delta0);
+      EXPECT_LE(static_cast<double>(grid.last + 1) * grid.delta,
+                2.0 * delta0 * (1.0 + 1e-12));
+      EXPECT_EQ(grid.first_theta, HatpSampleSize(0.5, zeta0, grid.delta));
+      EXPECT_EQ(grid.last_theta,
+                HatpSampleSize(0.05, ZetaFloor(n), grid.delta));
+      EXPECT_EQ(grid.Theta(grid.last), grid.last_theta);
+      for (uint32_t j = 0; j < grid.last; ++j) {
+        EXPECT_EQ(grid.Theta(j), grid.first_theta << j);
+        EXPECT_LT(grid.Theta(j), grid.Theta(j + 1)) << "n " << n;
+      }
+      if (grid.last > 0) {
+        EXPECT_LT(grid.Theta(grid.last - 1), grid.last_theta);
+      }
+      EXPECT_GE(grid.first_theta << grid.last, grid.last_theta);
+    }
+  }
+}
+
+// The floor θ against the δ-halving schedule this grid replaced: round 10
+// of that schedule, at n = 6080 and k = 5, split δ_0 / 2^10 over its 21
+// reachable (ε, ζ) points.
+TEST(KeptCountGridTest, FloorThetaBelowTheSplitHalvingSchedule) {
+  const double n = 6080.0;
+  const double delta0 = 1.0 / (5.0 * n);
+  const KeptCountGrid grid =
+      HatpKeptCountGrid(0.5, 64.0 / n, 0.05, 1.0 / n, delta0);
+  const uint64_t split = HatpSampleSize(0.05, 1.0 / n, delta0 / 1024.0 / 21.0);
+  EXPECT_LE(static_cast<double>(grid.last_theta),
+            0.65 * static_cast<double>(split));
+  EXPECT_EQ(grid.last, 9u);
+}
+
+// Lemma 7's dominance at work: at the last point every count's KL interval
+// lies inside the floor band [(X̄ − ζ)/(1+ε), (X̄ + ζ)/(1−ε)].
+TEST(KeptCountGridTest, LastPointIntervalsLieInsideTheFloorBand) {
+  const double eps = 0.05;
+  for (double n : {2.0, 20.0, 150.0}) {
+    const double zeta = ZetaFloor(n);
+    const KeptCountGrid grid = HatpKeptCountGrid(
+        0.5, Clamp(64.0 / n, zeta, 0.5), eps, zeta, 1.0 / (3.0 * n));
+    const uint64_t theta = grid.last_theta;
+    const double log_term = std::log(4.0 / grid.delta);
+    for (uint64_t x = 0; x <= theta; ++x) {
+      const double mean =
+          static_cast<double>(x) / static_cast<double>(theta);
+      ASSERT_GE(KlLowerBound(mean, theta, log_term),
+                (mean - zeta) / (1.0 + eps))
+          << "n " << n << " count " << x << " of " << theta;
+      ASSERT_LE(KlUpperBound(mean, theta, log_term),
+                (mean + zeta) / (1.0 - eps))
+          << "n " << n << " count " << x << " of " << theta;
+    }
   }
 }
 
@@ -181,11 +306,10 @@ TEST(KeptCountsSampleSizeTest, AddAtpDecisionSpendsItsLastUnsplitTheta) {
   EXPECT_GT(multi_round, 0u);
 }
 
-// HATP's θ_i at round i is HatpKeptSampleSize at one of the ≤ 2i + 1
-// (ε, ζ) points Tighten can reach: a decision of r rounds spends exactly
-// the split θ of one round-(r−1) point. HNTP runs HATP's rule with n_i = n
-// throughout, which makes every point computable up front.
-TEST(KeptCountsSampleSizeTest, HatpDecisionSpendsASplitLastRoundTheta) {
+// HATP's kept counts stop at a point of a grid fixed before sampling: a
+// decision of r rounds spends exactly the grid's θ_{r−1}. HNTP runs HATP's
+// rule with n_i = n throughout, so every decision shares one grid.
+TEST(KeptCountsSampleSizeTest, HntpDecisionSpendsOneGridTheta) {
   const Graph g = KeptCountsGraph();
   const ProfitProblem problem = KeptCountsProblem(g);
   HatpOptions options;
@@ -195,42 +319,18 @@ TEST(KeptCountsSampleSizeTest, HatpDecisionSpendsASplitLastRoundTheta) {
   ASSERT_TRUE(run.value().degradation_events.empty());
 
   const double n = static_cast<double>(g.num_nodes());
-  const double eps_floor = options.relative_error_threshold;
-  // points[i]: the (ε, ζ) pairs round i can run under, following the same
-  // divisions as Tighten.
-  std::vector<std::set<std::pair<double, double>>> points(1);
-  points[0].insert({options.initial_relative_error,
-                    Clamp(options.initial_spread_error / n, 1.0 / n, 0.5)});
+  const KeptCountGrid grid = HatpKeptCountGrid(
+      options.initial_relative_error,
+      Clamp(options.initial_spread_error / n, 1.0 / n, 0.5),
+      options.relative_error_threshold, 1.0 / n,
+      1.0 / (static_cast<double>(problem.k()) * n));
   uint32_t multi_round = 0;
   for (const AdaptiveStepRecord& step : run.value().steps) {
     ASSERT_GT(step.rounds, 0u);
-    while (points.size() < step.rounds) {
-      std::set<std::pair<double, double>> next;
-      for (const auto& [eps, zeta] : points.back()) {
-        const double r2 = std::sqrt(2.0);
-        for (const auto& [e, z] : {std::pair{eps / 2.0, zeta},
-                                   std::pair{eps, zeta / 2.0},
-                                   std::pair{eps / r2, zeta / r2}}) {
-          next.insert({std::max(e, eps_floor), std::max(z, 1.0 / n)});
-        }
-      }
-      points.push_back(std::move(next));
-    }
-    const uint32_t last = step.rounds - 1;
-    const double delta =
-        1.0 / (static_cast<double>(problem.k()) * n) / std::pow(2.0, last);
-    std::set<uint64_t> split;
-    std::set<uint64_t> unsplit;
-    for (const auto& [eps, zeta] : points[last]) {
-      split.insert(HatpKeptSampleSize(eps, zeta, delta, last));
-      unsplit.insert(HatpSampleSize(eps, zeta, delta));
-    }
-    EXPECT_TRUE(split.count(step.rr_sets_used))
+    ASSERT_LE(step.rounds, grid.last + 1) << "node " << step.node;
+    EXPECT_EQ(step.rr_sets_used, grid.Theta(step.rounds - 1))
         << "node " << step.node << ", " << step.rounds << " rounds";
-    if (last > 0) {
-      EXPECT_FALSE(unsplit.count(step.rr_sets_used)) << "node " << step.node;
-      ++multi_round;
-    }
+    if (step.rounds > 1) ++multi_round;
   }
   EXPECT_GT(multi_round, 0u);
 }

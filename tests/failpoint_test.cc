@@ -220,7 +220,7 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
   auto run = RunGoldenHatp(g, problem, hopt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 4, 7, 17, 9}));
-  EXPECT_EQ(run.value().total_rr_sets, 353410u);
+  EXPECT_EQ(run.value().total_rr_sets, 197907u);
   EXPECT_NEAR(run.value().realized_profit, 15.365744, 1e-4);
   std::vector<int> decisions;
   for (const AdaptiveStepRecord& step : run.value().steps) {
@@ -240,7 +240,8 @@ TEST_F(FailpointTest, InactiveSitesKeepHatpRunGolden) {
 // driver: clean runs, RR-cap truncation, and pre-cancelled runs, all
 // serial. The expected lines were captured from the three separate
 // decision loops the driver replaced, then re-captured when the engine
-// moved to chunk streams and when batched rounds began keeping counts (the
+// moved to chunk streams, when batched rounds began keeping counts, and
+// when kept-count HATP / HNTP moved to a fixed grid of sample sizes (the
 // unbatched HATP line, the literal Algorithm 4 sampling, did not move).
 
 // Runs `algorithm` ("ADDATP", "HATP", "HNTP") on the golden instance and
@@ -297,8 +298,8 @@ TEST_F(FailpointTest, CleanRunGoldens) {
             "1:12 2:0 | rr 2651928 pools 94 queries 188 | events | eps 0x0p+0 "
             "add 0x1.6a09e667f3bc8p+2 theta 15178");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", SerialSampling()),
-            "seeds 2 18 9 43 | rr 563671 pools 108 queries 216 | events | eps "
-            "0x1.999999999999ap-5 add 0x1p+0 theta 23140");
+            "seeds 2 18 9 43 | rr 300192 pools 97 queries 194 | events | eps "
+            "0x1.999999999999ap-5 add 0x1.e080a43b4b3d1p+1 theta 9088");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", unbatched),
             "seeds 2 7 18 17 9 | steps 0:11 1:11 0:11 0:11 0:10 0:11 1:10 2:0 "
             "1:9 2:0 | rr 1292900 pools 168 queries 168 | events | eps "
@@ -318,18 +319,17 @@ TEST_F(FailpointTest, RrCapTruncatedRunGoldens) {
             "3/5/8/22370/10689 | eps 0x0p+0 add 0x1.fffffffffffffp+2 theta "
             "10016");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", capped),
-            "seeds 2 7 18 17 9 | steps 0:9 1:9 0:9 0:9 0:9 0:9 1:9 2:0 1:9 2:0 "
-            "| rr 136799 pools 72 queries 144 | events 3/2/9/28800/13777 "
-            "3/4/9/34620/19211 3/7/9/34620/18890 3/18/9/32584/18081 "
-            "3/17/9/36083/17553 3/9/9/33450/16273 3/8/9/33140/16507 | eps "
-            "0x1.ffffffffffffdp-4 add 0x1.fffffffffffffp+1 theta 13777");
+            "seeds 2 7 18 17 9 | steps 0:9 1:9 0:9 0:9 0:9 0:9 1:9 2:0 1:8 2:0 "
+            "| rr 110208 pools 71 queries 142 | events 3/2/9/34116/18176 "
+            "3/4/9/28999/15360 3/7/9/28999/15360 3/18/9/27293/14592 "
+            "3/9/9/24564/13056 | eps 0x1.999999999999ap-5 add "
+            "0x1.dd2c6cbf88dc2p+1 theta 6528");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", capped),
-            "seeds 2 18 43 | rr 113334 pools 81 queries 162 | events "
-            "3/2/9/28800/13777 3/4/8/22601/11037 3/7/8/22224/10780 "
-            "3/18/8/22224/10780 3/17/8/23140/11406 3/9/8/22601/11037 "
-            "3/8/8/22601/11037 3/13/8/22601/11037 3/5/8/22601/11037 "
-            "3/43/8/23140/11406 | eps 0x1.6a09e667f3bcbp-3 add "
-            "0x1.fffffffffffffp+1 theta 10780");
+            "seeds 2 17 9 43 | rr 181760 pools 90 queries 180 | events "
+            "3/2/9/34116/18176 3/4/9/34116/18176 3/18/9/34116/18176 "
+            "3/17/9/34116/18176 3/9/9/34116/18176 3/13/9/34116/18176 "
+            "3/5/9/34116/18176 3/43/9/34116/18176 | eps 0x1.999999999999ap-5 "
+            "add 0x1.e080a43b4b3d1p+0 theta 18176");
 }
 
 TEST_F(FailpointTest, PreCancelledRunGoldens) {
@@ -346,13 +346,13 @@ TEST_F(FailpointTest, PreCancelledRunGoldens) {
             "2/5/0/111/0 2/43/0/111/0 | eps 0x0p+0 add 0x1.2cp+8 theta 0");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HATP", cancelled),
             "seeds | steps 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 3:0 | rr 0 "
-            "pools 0 queries 0 | events 2/2/0/60/0 2/4/0/60/0 2/7/0/60/0 "
-            "2/18/0/60/0 2/17/0/60/0 2/9/0/60/0 2/8/0/60/0 2/13/0/60/0 "
-            "2/5/0/60/0 2/43/0/60/0 | eps 0x1p+0 add 0x1.2cp+8 theta 0");
+            "pools 0 queries 0 | events 2/2/0/71/0 2/4/0/71/0 2/7/0/71/0 "
+            "2/18/0/71/0 2/17/0/71/0 2/9/0/71/0 2/8/0/71/0 2/13/0/71/0 "
+            "2/5/0/71/0 2/43/0/71/0 | eps 0x1p+0 add 0x1.2cp+8 theta 0");
   EXPECT_EQ(GoldenFingerprint(g, problem, "HNTP", cancelled),
-            "seeds | rr 0 pools 0 queries 0 | events 2/2/0/60/0 2/4/0/60/0 "
-            "2/7/0/60/0 2/18/0/60/0 2/17/0/60/0 2/9/0/60/0 2/8/0/60/0 "
-            "2/13/0/60/0 2/5/0/60/0 2/43/0/60/0 | eps 0x1p+0 add 0x1.2cp+8 "
+            "seeds | rr 0 pools 0 queries 0 | events 2/2/0/71/0 2/4/0/71/0 "
+            "2/7/0/71/0 2/18/0/71/0 2/17/0/71/0 2/9/0/71/0 2/8/0/71/0 "
+            "2/13/0/71/0 2/5/0/71/0 2/43/0/71/0 | eps 0x1p+0 add 0x1.2cp+8 "
             "theta 0");
 }
 

@@ -6,6 +6,7 @@
 
 #include "core/addatp.h"
 #include "core/adg.h"
+#include "core/decision_loop.h"
 #include "diffusion/spread_oracle.h"
 #include "graph/generators.h"
 #include "graph/weighting.h"
@@ -104,8 +105,11 @@ TEST(HatpTest, BorderlineNodeTerminatesViaC2Floors) {
 
 TEST(HatpTest, OneAliveNodeResidualGraphReachesC2Floors) {
   // Seeding node 0 (no edges are live) leaves node 1 alone in the residual
-  // graph, n_i = 1. Its spread equals its cost, so C'1 never certifies and
-  // the schedule runs to its floors; the ζ floor must stay below 1 there.
+  // graph, n_i = 1. Its spread equals its cost — a tie, whose upper bounds
+  // sit exactly on the bar with no width above a coverage of 1 — so C'1
+  // never certifies and the decision stops on C'2. The ζ floor must stay
+  // below 1 there: the grid sizes its last point at ZetaFloor(1) = 1/2 and
+  // HatpSampleSize rejects ζ >= 1.
   const Graph g = MakeCompleteGraph(2, 0.0);
   ProfitProblem problem = MakeProblem(g, {0, 1}, {0.0, 1.0});
   HatpPolicy policy;
@@ -115,8 +119,12 @@ TEST(HatpTest, OneAliveNodeResidualGraphReachesC2Floors) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_FALSE(run.value().seeds.empty());
   EXPECT_EQ(run.value().seeds[0], 0u);
-  EXPECT_GE(run.value().steps[1].rounds, 2u);
+  EXPECT_LT(ZetaFloor(1.0), 1.0);
+  EXPECT_TRUE(run.value().degradation_events.empty());
+  EXPECT_GE(run.value().steps[1].rounds, 1u);
   EXPECT_FALSE(run.value().steps[1].certified);
+  // The tie selects (Line 13).
+  EXPECT_EQ(run.value().steps[1].decision, SeedDecision::kSelected);
 }
 
 TEST(HatpTest, BudgetCapForcesDecisionByDefault) {

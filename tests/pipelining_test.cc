@@ -129,16 +129,19 @@ TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
   const Graph g = TestGraph(400);
   const ProfitProblem problem = CalibratedProblem(g);
 
-  // Budget admitting exactly the first (cheapest) round of the schedule:
-  // every examined candidate completes round 0, candidates wanting more
-  // rounds are truncated — never kBudgetExhausted.
+  // Budget admitting exactly the first (cheapest) point of the kept-count
+  // grid: every examined candidate completes round 0, candidates wanting
+  // more rounds are truncated — never kBudgetExhausted. Later decisions run
+  // on fewer alive nodes, whose larger ζ_0 only shrinks their θ_0.
   HatpOptions options;
   const double n0 = static_cast<double>(g.num_nodes());
-  const double zeta0 = options.initial_spread_error / n0;
   const double delta0 =
       1.0 / (static_cast<double>(problem.targets.size()) * n0);
   options.sampling.max_rr_sets_per_decision =
-      HatpSampleSize(options.initial_relative_error, zeta0, delta0);
+      HatpKeptCountGrid(options.initial_relative_error,
+                        options.initial_spread_error / n0,
+                        options.relative_error_threshold, 1.0 / n0, delta0)
+          .first_theta;
   options.fail_on_budget_exhausted = false;
   const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
 

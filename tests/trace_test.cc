@@ -103,7 +103,7 @@ Result<AdaptiveRunResult> RunGoldenHatp(const Graph& g,
 void ExpectGoldenHatp(const Result<AdaptiveRunResult>& run) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().seeds, (std::vector<NodeId>{2, 4, 7, 17, 9}));
-  EXPECT_EQ(run.value().total_rr_sets, 353410u);
+  EXPECT_EQ(run.value().total_rr_sets, 197907u);
   EXPECT_NEAR(run.value().realized_profit, 15.365744, 1e-4);
   std::vector<int> decisions;
   for (const AdaptiveStepRecord& step : run.value().steps) {
