@@ -104,7 +104,10 @@ KeptCountGrid HatpKeptCountGrid(double eps0, double zeta0, double eps,
     grid.first_theta = HatpSampleSize(eps0, zeta0, grid.delta);
     grid.last_theta = HatpSampleSize(eps, zeta_floor, grid.delta);
     grid.last = 0;
-    while ((grid.first_theta << grid.last) < grid.last_theta) ++grid.last;
+    for (uint64_t theta = grid.first_theta; theta < grid.last_theta;
+         theta = KeptCountGrid::Next(theta)) {
+      ++grid.last;
+    }
     if (grid.last + 1 <= points) return grid;
     points = grid.last + 1;
   }

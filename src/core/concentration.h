@@ -58,13 +58,17 @@ double HatpCertifiedZeta(double eps, uint64_t theta, double delta);
 /// The check grid of one HATP / HNTP decision that keeps its counts
 /// (batched rounds), fixed before any of the decision's samples are drawn.
 ///
-/// Points j = 0..J draw θ_j = θ_0 2^j for j < J and θ_J at the last, with
-/// θ_0 = HatpSampleSize(ε_0, ζ_0, δ'), θ_J = HatpSampleSize(ε, ζ_floor, δ')
-/// and J the smallest j with θ_0 2^j >= θ_J, so θ_j grows strictly. The
-/// points share the decision's budget 2 δ_0 (Σ_i δ_0 / 2^i of Alg. 4)
-/// equally: δ' = 2 δ_0 / (J + 1) (δ_0 when J = 0, so that δ' < 1 whenever
-/// Alg. 4's own δ_0 is). J and δ' depend on each other; J is
-/// their fixed point (should ceilings ever make it step back, the grid
+/// Point 0 draws θ_0 = HatpSampleSize(ε_0, ζ_0, δ'), each later point below
+/// the last steps by a quarter, θ_{j+1} = θ_j + ⌈θ_j / 4⌉, and the last
+/// point J draws θ_J = HatpSampleSize(ε, ζ_floor, δ'), J being the smallest
+/// j at which these steps from θ_0 reach θ_J; so θ_j grows strictly. A
+/// decision that could stop at θ* draws at most about 5/4 θ* (a doubling
+/// grid would draw up to 2 θ*), and pays log_{5/4} rather than log_2
+/// points in the union bound below, which raises θ_J only by the log of
+/// the point count. The points share the decision's budget 2 δ_0
+/// (Σ_i δ_0 / 2^i of Alg. 4) equally: δ' = 2 δ_0 / (J + 1) (δ_0 when
+/// J = 0, so that δ' < 1 whenever Alg. 4's own δ_0 is). J and δ' depend
+/// on each other; J is their fixed point (should ceilings ever make it step back, the grid
 /// keeps the smaller δ' of the larger J, so (J + 1) δ' <= 2 δ_0 holds).
 ///
 /// Soundness. Round j estimates the front and rear coverage fractions from
@@ -109,9 +113,15 @@ struct KeptCountGrid {
   /// δ', each point's share of the decision's failure budget.
   double delta = 0.0;
 
+  /// The step between points below the last: θ + ⌈θ / 4⌉.
+  static uint64_t Next(uint64_t theta) { return theta + (theta + 3) / 4; }
+
   /// RR sets point j draws (j <= last).
   uint64_t Theta(uint32_t j) const {
-    return j < last ? first_theta << j : last_theta;
+    if (j >= last) return last_theta;
+    uint64_t theta = first_theta;
+    for (uint32_t i = 0; i < j; ++i) theta = Next(theta);
+    return theta;
   }
 };
 

@@ -88,8 +88,10 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
     schedule.eps = config_.initial_relative_error;
     schedule.zeta =
         Clamp(config_.initial_spread_error / nd, ZetaFloor(nd), 0.5);
-    schedule.delta =
-        1.0 / (static_cast<double>(k) * static_cast<double>(n));
+    // δ_0 = 1/(k n), held below 1 as ZetaFloor holds ζ (k n = 1 would
+    // make it 1, a failure budget no sample size can meet).
+    schedule.delta = std::min(
+        1.0 / (static_cast<double>(k) * static_cast<double>(n)), 0.5);
 
     rule->BeginDecision(env != nullptr ? env->num_activated() : 0,
                         result.seeds, &schedule);
@@ -187,6 +189,8 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
     }
 
     step.rr_sets_used = used_this_iter;
+    step.front_estimate = estimates.fest;
+    step.rear_estimate = estimates.rest;
     result.total_rr_sets += used_this_iter;
     result.total_coverage_queries += step.coverage_queries;
     result.max_rr_sets_per_iteration =

@@ -46,10 +46,10 @@ struct HatpOptions {
 ///
 /// That is the literal schedule (batched_rounds = false). Batched rounds
 /// keep a decision's counts and replace the schedule by a grid of sample
-/// sizes fixed before sampling, θ_0 2^j up to the floors' θ, at which C'1
-/// and C'2 test exact Chernoff–KL intervals of the coverage fractions
-/// (KeptCountGrid in core/concentration.h): the same 2 δ_0 per decision,
-/// fewer RR sets.
+/// sizes fixed before sampling, each a quarter above the last, up to the
+/// floors' θ, at which C'1 and C'2 test exact Chernoff–KL intervals of the
+/// coverage fractions (KeptCountGrid in core/concentration.h): the same
+/// 2 δ_0 per decision, fewer RR sets.
 /// Theorem 4: expected profit >= (Λ(π_opt) − 2(k+εc(T))/(1−ε) − 2)/3.
 class HatpPolicy final : public AdaptivePolicy {
  public:

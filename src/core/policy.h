@@ -110,6 +110,10 @@ struct AdaptiveStepRecord {
   /// the last round's confidence intervals — rather than on the error
   /// floors (C2 / C'2) or a degradation.
   bool certified = false;
+  /// The front and rear spread estimates of the last completed round — the
+  /// pair the decision compared (0 with no round).
+  double front_estimate = 0.0;
+  double rear_estimate = 0.0;
 };
 
 /// Outcome of running an adaptive policy against one environment (i.e., one
@@ -283,7 +287,7 @@ struct SpeculationStats {
 /// individually certified by the larger sample, the loop just re-evaluates
 /// its tightening stopping conditions against the same estimate, and θ_r
 /// grows strictly (δ_r halves every unresolved round; HATP's kept-count
-/// grid doubles up to its last point) so sampling always
+/// grid steps by a quarter up to its last point) so sampling always
 /// resumes once the pool is outgrown. To make that window deep, later
 /// (larger-θ) rounds REFRESH stored answers that were taken on smaller
 /// pools.

@@ -263,20 +263,24 @@ void RRSetGenerator::BuildQueryMasks(const BitVector* removed,
   }
   // Layout: one W-word mask per kept base, then one per distinct node.
   query_masks_.assign((mask_bases_.size() + mask_nodes_.size()) * words, 0);
+  // Per-set state: dead and found, then the all-queries mask and the
+  // unkillable mask (queries with no kept base: once found, always hit).
+  set_masks_.assign(4 * words, 0);
+  uint64_t* all = set_masks_.data() + 2 * words;
+  uint64_t* unkillable = all + words;
   for (size_t q = 0; q < num_queries; ++q) {
     const uint64_t bit = 1ULL << (q & 63);
+    all[q / 64] |= bit;
+    unkillable[q / 64] |= bit;
     for (size_t b = 0; b < mask_bases_.size(); ++b) {
       if (mask_bases_[b] == queries[q].base) {
         query_masks_[b * words + q / 64] |= bit;
+        unkillable[q / 64] &= ~bit;
       }
     }
     const size_t node = mask_slot(&mask_nodes_, queries[q].node);
     query_masks_[(mask_bases_.size() + node) * words + q / 64] |= bit;
   }
-  // Per-set state: dead, found, and the all-queries mask.
-  set_masks_.assign(3 * words, 0);
-  uint64_t* all = set_masks_.data() + 2 * words;
-  for (size_t q = 0; q < num_queries; ++q) all[q / 64] |= 1ULL << (q & 63);
 }
 
 uint64_t RRSetGenerator::CountCoveringBatch(
@@ -295,12 +299,14 @@ uint64_t RRSetGenerator::CountCoveringBatch(
   uint64_t* dead = set_masks_.data();
   uint64_t* found = dead + words;
   const uint64_t* all = found + words;
+  const uint64_t* unkillable = all + words;
   alive_cache_valid_ = false;  // the residual graph may have moved on
   uint64_t edges_examined = 0;
   uint64_t draws = 0;
 
   // An interesting node (alive in some base, or a query node) folds its
-  // queries into the per-set masks; returns true once every query is dead.
+  // queries into the per-set masks; returns true once every query is
+  // settled: dead, or found with nothing left that could kill it.
   // Out of line: it runs on few visits, and inlined it slows every visit.
   const auto fold = [&](NodeId w) __attribute__((noinline)) {
     for (size_t b = 0; b < num_bases; ++b) {
@@ -313,7 +319,7 @@ uint64_t RRSetGenerator::CountCoveringBatch(
       break;
     }
     for (size_t k = 0; k < words; ++k) {
-      if (dead[k] != all[k]) return false;
+      if ((dead[k] | (found[k] & unkillable[k])) != all[k]) return false;
     }
     return true;
   };
@@ -321,7 +327,7 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     return (interesting_[w >> 6] >> (w & 63)) & 1ULL;
   };
   // Shared per-success handling for every kernel path: dead endpoints are
-  // ignored, a visit that kills the last live query aborts the walk, and
+  // ignored, a visit that settles the last open query aborts the walk, and
   // survivors are marked and enqueued.
   const auto process = [&](NodeId w) -> bool {
     if (visited_.IsMarked(w) || (removed != nullptr && removed->Test(w))) {
@@ -344,16 +350,15 @@ uint64_t RRSetGenerator::CountCoveringBatch(
 
     const NodeId root = SampleAliveRoot(removed, num_alive, rng, &draws);
     std::fill(dead, dead + 2 * words, 0);
-    // Every query disqualified at the root: nothing to walk.
-    if (interesting(root) && fold(root)) continue;
-
-    visited_.Mark(root);
-    scratch_.push_back(root);
-
-    for (size_t head = 0; head < scratch_.size(); ++head) {
-      if (!ExpandNode(scratch_[head], removed, rng, &draws, &edges_examined,
-                      process)) {
-        break;
+    // Every query settled at the root: nothing to walk, but its hits count.
+    if (!(interesting(root) && fold(root))) {
+      visited_.Mark(root);
+      scratch_.push_back(root);
+      for (size_t head = 0; head < scratch_.size(); ++head) {
+        if (!ExpandNode(scratch_[head], removed, rng, &draws, &edges_examined,
+                        process)) {
+          break;
+        }
       }
     }
     for (size_t k = 0; k < words; ++k) {

@@ -108,10 +108,13 @@ class RRSetGenerator {
   /// estimates) on the same residual graph: one shared pool of θ sets
   /// answers all of them instead of one pool per query.
   ///
-  /// A walk is aborted as soon as *every* query is disqualified (its base
-  /// was touched); with a single query this degenerates to the classic
-  /// abort-on-base-hit and is bit-identical — same RNG consumption, same
-  /// count — to the historical CountCovering under the same kernel.
+  /// A walk is aborted as soon as *every* query is settled: disqualified
+  /// (its base was touched), or found while unkillable — its base is null
+  /// or has no alive node, so nothing later in the walk can disqualify it
+  /// (the adaptive front query, whose seeds are all activated, is one). The
+  /// set's outcome is then fixed for every query, so the counts keep their
+  /// distribution; only the RNG stream after the cut moves. With a single
+  /// query that has an alive base this is the classic abort-on-base-hit.
   ///
   /// Cost per visited node is one bit test against a per-call
   /// "interesting" bitmap (the alive nodes of every base plus the query
@@ -194,7 +197,8 @@ class RRSetGenerator {
   std::vector<NodeId> mask_nodes_;
   /// W words per kept base (its queries), then W per distinct node.
   std::vector<uint64_t> query_masks_;
-  /// Per-set dead and found masks, then the all-queries mask.
+  /// Per-set dead and found masks, then the all-queries and the unkillable
+  /// masks.
   std::vector<uint64_t> set_masks_;
   uint64_t rng_draws_ = 0;
 

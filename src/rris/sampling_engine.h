@@ -44,10 +44,10 @@ struct SamplingOptions {
   /// keeps its hits across its halving rounds, so round i+1 draws only the
   /// θ_{i+1} − θ_i sets that top them up — θ_last RR sets per decision
   /// instead of 2 Σ θ_i. HATP's θ_i then follow a grid fixed before the
-  /// decision samples, tested on Chernoff–KL intervals (KeptCountGrid in
-  /// core/concentration.h). false restores the literal
-  /// two-independent-pools sampling and error schedule of Algorithms 3/4
-  /// (the reference its goldens pin).
+  /// decision samples, each point a quarter above the last, tested on
+  /// Chernoff–KL intervals (KeptCountGrid in core/concentration.h). false
+  /// restores the literal two-independent-pools sampling and error
+  /// schedule of Algorithms 3/4 (the reference its goldens pin).
   bool batched_rounds = true;
   /// Speculative cross-candidate pipelining: every batched halving round's
   /// pool additionally answers the first-round front/rear queries of the

@@ -53,6 +53,24 @@ TEST(AddAtpTest, AbandonsClearlyOverpricedNode) {
   EXPECT_DOUBLE_EQ(run.value().realized_profit, 0.0);
 }
 
+TEST(AddAtpTest, OneNodeGraphWithOneTargetDecides) {
+  // k n = 1 would make δ_0 = 1/(k n) equal to 1, which no sample size can
+  // meet; it is held at 1/2, so both samplings decide.
+  const Graph g = MakeCompleteGraph(1, 0.0);
+  ProfitProblem problem = MakeProblem(g, {0}, {0.5});
+  for (const bool batched : {true, false}) {
+    AddAtpOptions options;
+    options.sampling.batched_rounds = batched;
+    AddAtpPolicy policy(options);
+    AdaptiveEnvironment env = MakeEnv(g, 1);
+    Rng rng(2);
+    Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run.value().seeds, std::vector<NodeId>{0}) << batched;
+    EXPECT_DOUBLE_EQ(run.value().realized_profit, 0.5);
+  }
+}
+
 TEST(AddAtpTest, SkipsActivatedCandidates) {
   const Graph g = MakePathGraph(4, 1.0);
   ProfitProblem problem = MakeProblem(g, {0, 1, 2}, {0.1, 0.1, 0.1});

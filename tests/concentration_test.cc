@@ -183,7 +183,7 @@ TEST(KlBoundTest, EdgeMeansOfZeroAndOne) {
   EXPECT_TRUE(std::isinf(BernoulliKl(0.5, 1.0)));
 }
 
-TEST(KeptCountGridTest, PointsDoubleUpToTheFloorAndShareTwiceTheBudget) {
+TEST(KeptCountGridTest, PointsStepByAQuarterAndShareTwiceTheBudget) {
   for (double n : {2.0, 3.0, 50.0, 400.0, 6080.0, 75879.0}) {
     for (double k : {1.0, 5.0, 50.0}) {
       const double delta0 = 1.0 / (k * n);
@@ -195,31 +195,40 @@ TEST(KeptCountGridTest, PointsDoubleUpToTheFloorAndShareTwiceTheBudget) {
       EXPECT_EQ(grid.first_theta, HatpSampleSize(0.5, zeta0, grid.delta));
       EXPECT_EQ(grid.last_theta,
                 HatpSampleSize(0.05, ZetaFloor(n), grid.delta));
+      EXPECT_EQ(grid.Theta(0), grid.first_theta);
       EXPECT_EQ(grid.Theta(grid.last), grid.last_theta);
+      // θ_{j+1} = θ_j + ⌈θ_j / 4⌉ below the last point, which the step
+      // from the point before it reaches.
+      uint64_t stepped = grid.first_theta;
       for (uint32_t j = 0; j < grid.last; ++j) {
-        EXPECT_EQ(grid.Theta(j), grid.first_theta << j);
+        EXPECT_EQ(grid.Theta(j), stepped) << "n " << n << " j " << j;
         EXPECT_LT(grid.Theta(j), grid.Theta(j + 1)) << "n " << n;
+        stepped += (stepped + 3) / 4;
       }
-      if (grid.last > 0) {
-        EXPECT_LT(grid.Theta(grid.last - 1), grid.last_theta);
-      }
-      EXPECT_GE(grid.first_theta << grid.last, grid.last_theta);
+      EXPECT_GE(stepped, grid.last_theta) << "n " << n;
     }
   }
 }
 
-// The floor θ against the δ-halving schedule this grid replaced: round 10
-// of that schedule, at n = 6080 and k = 5, split δ_0 / 2^10 over its 21
+// The floor θ of the 5/4 grid at n = 6080 and k = 5. Its 29 points split
+// 2 δ_0 where a doubling grid split it over 10, so θ_J grows by the log of
+// that ratio (about 8%) and stays well below round 10 of the δ-halving
+// schedule both grids replaced, which split δ_0 / 2^10 over its 21
 // reachable (ε, ζ) points.
-TEST(KeptCountGridTest, FloorThetaBelowTheSplitHalvingSchedule) {
+TEST(KeptCountGridTest, FloorThetaPaysTheFinerGridOnlyInItsLog) {
   const double n = 6080.0;
   const double delta0 = 1.0 / (5.0 * n);
   const KeptCountGrid grid =
       HatpKeptCountGrid(0.5, 64.0 / n, 0.05, 1.0 / n, delta0);
+  EXPECT_EQ(grid.last, 28u);
+  EXPECT_EQ(grid.last_theta, 903857u);
+  const uint64_t doubling =
+      HatpSampleSize(0.05, 1.0 / n, 2.0 * delta0 / 10.0);
+  EXPECT_LE(static_cast<double>(grid.last_theta),
+            1.1 * static_cast<double>(doubling));
   const uint64_t split = HatpSampleSize(0.05, 1.0 / n, delta0 / 1024.0 / 21.0);
   EXPECT_LE(static_cast<double>(grid.last_theta),
-            0.65 * static_cast<double>(split));
-  EXPECT_EQ(grid.last, 9u);
+            0.7 * static_cast<double>(split));
 }
 
 // Lemma 7's dominance at work: at the last point every count's KL interval

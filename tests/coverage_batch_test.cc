@@ -18,6 +18,7 @@
 #include "diffusion/spread_oracle.h"
 #include "graph/generators.h"
 #include "graph/geometric_scan.h"
+#include "graph/graph_builder.h"
 #include "graph/weighting.h"
 #include "rris/coverage_batch.h"
 #include "rris/rr_collection.h"
@@ -102,9 +103,20 @@ TEST(AnswerBatchTest, EmptyBatchAndEmptyPoolAreNoops) {
 // are defined over the same RR-set distribution.
 
 TEST(CountCoveringBatchTest, MatchesStoredPoolCounting) {
-  const Graph g = TestGraph(300);
-  BitVector base(g.num_nodes());
-  for (NodeId v = 30; v < 60; ++v) base.Set(v);
+  // Two disjoint copies of the test graph: an RR set lies inside one copy,
+  // so queries on both copies are never all found in one set.
+  const Graph half = TestGraph(150);
+  const NodeId offset = half.num_nodes();
+  GraphBuilder builder;
+  for (NodeId v = 0; v < offset; ++v) {
+    const auto neighbors = half.OutNeighbors(v);
+    const auto probs = half.OutProbs(v);
+    for (size_t j = 0; j < neighbors.size(); ++j) {
+      builder.AddEdge(v, neighbors[j], probs[j]);
+      builder.AddEdge(offset + v, offset + neighbors[j], probs[j]);
+    }
+  }
+  const Graph g = builder.Build().value();
   const uint64_t theta = 3000;
 
   // Stored reference: generate theta sets from seed 99 and count exactly.
@@ -113,12 +125,13 @@ TEST(CountCoveringBatchTest, MatchesStoredPoolCounting) {
   Rng ref_rng(99);
   ref_pool.Generate(&ref_generator, nullptr, g.num_nodes(), theta, &ref_rng);
 
-  // Kernel with UNCONDITIONAL queries only: with no base to abort on, the
-  // kernel walks exactly the sets the reference stored (same stream), so
-  // the counts must match bit for bit.
+  // Kernel with UNCONDITIONAL queries only, spread over both copies: no
+  // base to abort on and never every query found, so no walk settles
+  // early and the kernel walks exactly the sets the reference stored (same
+  // stream), so the counts must match bit for bit.
   RRSetGenerator generator(g);
-  std::vector<CoverageQuery> queries = {{0, nullptr}, {1, nullptr},
-                                        {5, nullptr}};
+  std::vector<CoverageQuery> queries = {
+      {0, nullptr}, {1, nullptr}, {offset + 5, nullptr}};
   std::vector<uint64_t> hits(queries.size());
   Rng rng(99);
   generator.CountCoveringBatch(nullptr, g.num_nodes(), theta, queries,
@@ -126,7 +139,60 @@ TEST(CountCoveringBatchTest, MatchesStoredPoolCounting) {
 
   EXPECT_EQ(hits[0], ref_pool.CoverageOfNode(0));
   EXPECT_EQ(hits[1], ref_pool.CoverageOfNode(1));
-  EXPECT_EQ(hits[2], ref_pool.CoverageOfNode(5));
+  EXPECT_EQ(hits[2], ref_pool.CoverageOfNode(offset + 5));
+  EXPECT_GT(hits[2], 0u);
+}
+
+// On a p = 1 path only the roots draw (a certain edge fires without a
+// draw), so cutting a settled walk short leaves the stream untouched: the
+// counts must equal Generate's sets on the same seed, for fewer examined
+// edges. Queries 0 and 1 have no base: once found they are settled.
+// Query 2 stays open until its base {30} is hit or the walk ends.
+TEST(CountCoveringBatchTest, SettledWalksStopEarlyOnTheSameStream) {
+  const Graph g = MakePathGraph(60, 1.0);  // RR(r) = {0, ..., r}
+  BitVector base(g.num_nodes());
+  base.Set(30);
+  const std::vector<CoverageQuery> queries = {
+      {10, nullptr}, {25, nullptr}, {12, &base}};
+  const uint64_t theta = 4000;
+  RRSetGenerator counter(g);
+  std::vector<uint64_t> hits(queries.size());
+  Rng rng(31);
+  const uint64_t edges = counter.CountCoveringBatch(
+      nullptr, g.num_nodes(), theta, queries, hits.data(), &rng);
+
+  RRSetGenerator generator(g);
+  Rng ref_rng(31);
+  std::vector<NodeId> rr;
+  std::vector<uint64_t> expected(queries.size());
+  uint64_t full_edges = 0;
+  for (uint64_t t = 0; t < theta; ++t) {
+    full_edges += generator.Generate(nullptr, g.num_nodes(), &ref_rng, &rr);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      bool has_node = false;
+      bool hits_base = false;
+      for (NodeId v : rr) {
+        has_node |= v == queries[q].node;
+        hits_base |= queries[q].base != nullptr && queries[q].base->Test(v);
+      }
+      if (has_node && !hits_base) ++expected[q];
+    }
+  }
+  EXPECT_EQ(hits, expected);
+  EXPECT_EQ(counter.rng_draws(), theta);  // one root draw per set
+  EXPECT_EQ(generator.rng_draws(), theta);
+  EXPECT_EQ(rng.Next(), ref_rng.Next());
+  EXPECT_LT(edges, full_edges);
+
+  // Node 0 is in every set; a root at 0 settles the query before any walk
+  // and must still count.
+  const CoverageQuery everywhere{0, nullptr};
+  uint64_t all_hits = 0;
+  RRSetGenerator root_counter(g);
+  Rng root_rng(32);
+  root_counter.CountCoveringBatch(nullptr, g.num_nodes(), theta,
+                                  {&everywhere, 1}, &all_hits, &root_rng);
+  EXPECT_EQ(all_hits, theta);
 }
 
 TEST(CountCoveringBatchTest, SingleQueryBitIdenticalToCountCovering) {
@@ -156,8 +222,10 @@ TEST(CountCoveringBatchTest, SingleQueryBitIdenticalToCountCovering) {
 
 // CountCoveringBatch as it stood before the interesting bitmap and the
 // query masks: every visited node loops over all queries, probing each
-// base and comparing each target. Frozen here, with the kernel helpers it
-// called, as the reference the mask kernel must reproduce bit for bit.
+// base and comparing each target, and the walk stops once every query is
+// settled (dead, or found with no alive base node). Kept here, with the
+// kernel helpers it called, as the reference the mask kernel must
+// reproduce bit for bit.
 class PerQueryReferenceKernel {
  public:
   PerQueryReferenceKernel(const Graph& graph, DiffusionModel model,
@@ -175,9 +243,26 @@ class PerQueryReferenceKernel {
     for (size_t q = 0; q < num_queries; ++q) hits[q] = 0;
     if (num_queries == 0) return 0;
     std::vector<uint8_t> dead(num_queries), found(num_queries);
+    // A query no walk can disqualify: no base, or no alive base node.
+    std::vector<uint8_t> unkillable(num_queries, 1);
+    for (size_t q = 0; q < num_queries; ++q) {
+      for (NodeId v = 0; v < g_.num_nodes() && queries[q].base != nullptr;
+           ++v) {
+        if (queries[q].base->Test(v) &&
+            (removed == nullptr || !removed->Test(v))) {
+          unkillable[q] = 0;
+        }
+      }
+    }
     const bool jump = kernel_ == SamplingKernel::kGeometricJump;
     uint64_t edges_examined = 0;
-    size_t live = 0;
+    // The walk stops once every query is dead or found unkillable.
+    const auto settled = [&] {
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (!dead[q] && !(found[q] && unkillable[q])) return false;
+      }
+      return true;
+    };
     const auto skip = [&](NodeId w) {
       return visited_.IsMarked(w) ||
              (removed != nullptr && removed->Test(w));
@@ -188,15 +273,12 @@ class PerQueryReferenceKernel {
         if (!dead[q] && queries[q].base != nullptr &&
             queries[q].base->Test(w)) {
           dead[q] = 1;
-          --live;
         }
-      }
-      if (live == 0) return false;
-      visited_.Mark(w);
-      scratch_.push_back(w);
-      for (size_t q = 0; q < num_queries; ++q) {
         if (!dead[q] && w == queries[q].node) found[q] = 1;
       }
+      if (settled()) return false;
+      visited_.Mark(w);
+      scratch_.push_back(w);
       return true;
     };
     for (uint64_t t = 0; t < theta; ++t) {
@@ -208,18 +290,17 @@ class PerQueryReferenceKernel {
       visited_.NextEpoch();
       scratch_.clear();
       const NodeId root = SampleRoot(removed, num_alive, rng);
-      live = num_queries;
       for (size_t q = 0; q < num_queries; ++q) {
         const bool disqualified =
             queries[q].base != nullptr && queries[q].base->Test(root);
         dead[q] = disqualified;
         found[q] = !disqualified && root == queries[q].node;
-        if (disqualified) --live;
       }
-      if (live == 0) continue;
-      visited_.Mark(root);
-      scratch_.push_back(root);
-      for (size_t head = 0; head < scratch_.size() && live > 0; ++head) {
+      if (!settled()) {
+        visited_.Mark(root);
+        scratch_.push_back(root);
+      }
+      for (size_t head = 0; head < scratch_.size(); ++head) {
         const NodeId v = scratch_[head];
         if (model_ == DiffusionModel::kLinearThreshold) {
           edges_examined += g_.InDegree(v);

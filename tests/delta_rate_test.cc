@@ -8,6 +8,10 @@
 // a one-sided 95% Clopper–Pearson upper bound of that rate against the
 // budget — for kept counts (batched rounds), for fresh pools (the literal
 // two-pool rounds), and for first rounds served from a speculative answer.
+// HATP's kept-count stops on the error floors (C'2) are held to the same
+// budget: the estimates they decide on must lie within (ε relative, one
+// node additive) of the exact values. The count kernel's front and rear
+// fractions on the same graphs are checked against the exact values too.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bit_vector.h"
 #include "common/rng.h"
 #include "core/addatp.h"
 #include "core/hatp.h"
@@ -22,6 +27,7 @@
 #include "diffusion/realization.h"
 #include "diffusion/spread_oracle.h"
 #include "graph/graph_builder.h"
+#include "rris/rr_set.h"
 
 namespace atpm {
 namespace {
@@ -156,7 +162,20 @@ struct Rate {
   uint64_t certified = 0;
   uint64_t wrong = 0;
   uint64_t served = 0;  // checked decisions with a speculative first round
+  uint64_t floor = 0;   // checked decisions stopped on the error floors
+  // Floor stops whose front or rear estimate lies outside the floors' band
+  // (1 ± ε) x ± 1 node around its exact value x.
+  uint64_t floor_off = 0;
 };
+
+// Whether `estimate` lies in [(1 − ε) exact − 1, (1 + ε) exact + 1], the
+// band a floor stop promises in spread units (n_i ζ_floor = 1 node). The
+// slack covers edge probabilities stored as float.
+bool WithinFloorBand(double estimate, double exact, double eps) {
+  constexpr double kSlack = 1e-6;
+  return estimate >= (1.0 - eps) * exact - 1.0 - kSlack &&
+         estimate <= (1.0 + eps) * exact + 1.0 + kSlack;
+}
 
 // Runs `kRuns` policy seeds with the checked target priced at `cost`, and
 // counts the runs whose checked decision was certified, and certified
@@ -175,12 +194,14 @@ Rate MeasureRate(const Instance& instance, const Variant& variant,
   const double margin = instance.front + instance.rear - 2.0 * cost;
 
   std::unique_ptr<AdaptivePolicy> policy;
+  double eps_floor = 0.0;  // HATP's ε threshold
   SamplingOptions sampling;
   sampling.batched_rounds = variant.batched;
   sampling.lookahead_window = variant.window;
   if (std::string(variant.policy) == "HATP") {
     HatpOptions options;
     options.sampling = sampling;
+    eps_floor = options.relative_error_threshold;
     policy = std::make_unique<HatpPolicy>(options);
   } else {
     AddAtpOptions options;
@@ -204,6 +225,13 @@ Rate MeasureRate(const Instance& instance, const Variant& variant,
     }
     const AdaptiveStepRecord& step = steps.at(instance.checked);
     if (untouched && step.first_round_speculative) ++rate.served;
+    if (untouched && !step.certified && step.rounds > 0) {
+      ++rate.floor;
+      if (!WithinFloorBand(step.front_estimate, instance.front, eps_floor) ||
+          !WithinFloorBand(step.rear_estimate, instance.rear, eps_floor)) {
+        ++rate.floor_off;
+      }
+    }
     if (!untouched || !step.certified) continue;
     ++rate.certified;
     const bool selected = step.decision == SeedDecision::kSelected;
@@ -222,14 +250,18 @@ Rate MeasureRate(const Instance& instance, const Variant& variant,
 // kept counts test KL intervals, tight enough to certify within 5% of the
 // bar, where a certified stop is the easiest to get wrong; the grid asserts
 // that they did. The other rules' intervals do not certify there, so their
-// margin cells only bound the rate.
+// margin cells only bound the rate. HATP's kept-count floor stops bound the
+// rate of estimates outside the floors' band the same way, at every price.
 void ExpectRateWithinDelta(const Instance& instance, const Variant& variant) {
   const double n = static_cast<double>(instance.graph.num_nodes());
   const double k = static_cast<double>(instance.targets.size());
   const double budget = 2.0 / (k * n);  // Σ_i δ_0 / 2^i
+  const bool kept_hatp =
+      variant.batched && std::string(variant.policy) == "HATP";
   uint64_t certified = 0;
   uint64_t margin_certified = 0;
   uint64_t served = 0;
+  uint64_t floor = 0;
   for (double factor : {0.6, 0.8, 0.9, 0.95, 1.05, 1.1, 1.25, 1.5}) {
     const double cost = instance.bars.back() * factor;
     const Rate rate = MeasureRate(instance, variant, cost);
@@ -241,10 +273,18 @@ void ExpectRateWithinDelta(const Instance& instance, const Variant& variant) {
         << Describe(instance, variant) << " cost " << cost << ": "
         << rate.wrong << " wrong of " << rate.certified << " certified in "
         << kRuns << " runs";
+    if (kept_hatp) {
+      floor += rate.floor;
+      EXPECT_LE(BinomialUpperBound(rate.floor_off, kRuns, 0.05), budget)
+          << Describe(instance, variant) << " cost " << cost << ": "
+          << rate.floor_off << " off the floor band of " << rate.floor
+          << " floor stops in " << kRuns << " runs";
+    }
   }
   EXPECT_GT(certified, kRuns) << Describe(instance, variant);
-  if (variant.batched && std::string(variant.policy) == "HATP") {
+  if (kept_hatp) {
     EXPECT_GT(margin_certified, 0u) << Describe(instance, variant);
+    EXPECT_GT(floor, 0u) << Describe(instance, variant);
   }
   EXPECT_EQ(served > 0, variant.window > 0) << Describe(instance, variant);
 }
@@ -282,6 +322,73 @@ TEST(DeltaRateTest, AddAtpFreshPools) {
 // the first candidate, whose coverage contains most of its own.
 TEST(DeltaRateTest, HatpSpeculativeFirstRoundsAfterAbandon) {
   ExpectRateWithinDelta(OverlapAfterAbandonInstance(), {"HATP", true, 2});
+}
+
+// One residual graph in the adaptive shape: `activated` removed, the front
+// base the selected `seeds` (all activated, so no walk can disqualify the
+// front query and a walk may stop once it finds it and the rear query is
+// settled), the rear base the undecided `candidates`. For each of `nodes`,
+// the count kernel's front and rear fractions must lie within 5σ of the
+// exact Cov(u | seeds) and Cov(u | candidates) fractions.
+void ExpectKernelMatchesOracle(const Graph& g,
+                               const std::vector<NodeId>& activated,
+                               const std::vector<NodeId>& seeds,
+                               const std::vector<NodeId>& candidates,
+                               const std::vector<NodeId>& nodes) {
+  const NodeId n = g.num_nodes();
+  BitVector removed(n);
+  BitVector seed_base(n);
+  BitVector candidate_base(n);
+  for (NodeId v : activated) removed.Set(v);
+  for (NodeId v : seeds) seed_base.Set(v);
+  for (NodeId v : candidates) candidate_base.Set(v);
+  const uint32_t alive = n - static_cast<uint32_t>(activated.size());
+  const BitVector* residual = activated.empty() ? nullptr : &removed;
+
+  auto oracle = ExactSpreadOracle::Create(g, 16);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  std::vector<CoverageQuery> queries;
+  std::vector<double> exact;
+  const double candidate_spread =
+      oracle.value()->ExpectedSpread(candidates, residual);
+  for (NodeId u : nodes) {
+    std::vector<NodeId> with_u = candidates;
+    with_u.push_back(u);
+    queries.push_back({u, &seed_base});
+    exact.push_back(oracle.value()->ExpectedSpread({&u, 1}, residual) /
+                    alive);
+    queries.push_back({u, &candidate_base});
+    exact.push_back(
+        (oracle.value()->ExpectedSpread(with_u, residual) - candidate_spread) /
+        alive);
+  }
+
+  constexpr uint64_t kTheta = 20000;
+  for (const SamplingKernel kernel :
+       {SamplingKernel::kGeometricJump, SamplingKernel::kPerEdge}) {
+    RRSetGenerator generator(g, DiffusionModel::kIndependentCascade, kernel);
+    std::vector<uint64_t> hits(queries.size());
+    Rng rng(17);
+    generator.CountCoveringBatch(residual, alive, kTheta, queries,
+                                 hits.data(), &rng);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const double p = exact[q];
+      const double sigma = std::sqrt(p * (1.0 - p) / kTheta);
+      EXPECT_NEAR(static_cast<double>(hits[q]) / kTheta, p,
+                  5.0 * sigma + 1e-6)
+          << (q % 2 == 0 ? "front" : "rear") << " of node "
+          << queries[q].node << ", kernel " << SamplingKernelName(kernel);
+    }
+  }
+}
+
+TEST(DeltaRateTest, CountKernelFractionsMatchTheExactOracle) {
+  const Instance tree = TreeInstance();
+  ExpectKernelMatchesOracle(tree.graph, {}, {}, {8}, {0});
+  ExpectKernelMatchesOracle(tree.graph, {8, 9}, {8}, {3, 7}, {0, 1});
+  const Instance overlap = OverlapInstance();
+  ExpectKernelMatchesOracle(overlap.graph, {}, {}, {1}, {0});
+  ExpectKernelMatchesOracle(overlap.graph, {1, 8}, {1}, {3}, {0, 2});
 }
 
 }  // namespace

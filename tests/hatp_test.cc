@@ -127,6 +127,25 @@ TEST(HatpTest, OneAliveNodeResidualGraphReachesC2Floors) {
   EXPECT_EQ(run.value().steps[1].decision, SeedDecision::kSelected);
 }
 
+TEST(HatpTest, OneNodeGraphWithOneTargetDecides) {
+  // k n = 1 would make Alg. 4's δ_0 = 1/(k n) equal to 1, which no sample
+  // size can meet; it is held at 1/2, so both samplings decide.
+  const Graph g = MakeCompleteGraph(1, 0.0);
+  ProfitProblem problem = MakeProblem(g, {0}, {0.5});
+  for (const bool batched : {true, false}) {
+    HatpOptions options;
+    options.sampling.batched_rounds = batched;
+    HatpPolicy policy(options);
+    AdaptiveEnvironment env = MakeEnv(g, 1);
+    Rng rng(2);
+    Result<AdaptiveRunResult> run = policy.Run(problem, &env, &rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run.value().seeds, std::vector<NodeId>{0}) << batched;
+    EXPECT_DOUBLE_EQ(run.value().realized_profit, 0.5);
+    EXPECT_GE(run.value().steps[0].rounds, 1u) << batched;
+  }
+}
+
 TEST(HatpTest, BudgetCapForcesDecisionByDefault) {
   const Graph g = MakeStarGraph(200, 0.5);
   ProfitProblem problem = MakeProblem(g, {0}, {100.5});

@@ -42,6 +42,17 @@ TEST(HntpTest, DropsOverpricedNode) {
   EXPECT_TRUE(result.value().seeds.empty());
 }
 
+TEST(HntpTest, OneNodeGraphWithOneTargetDecides) {
+  // k n = 1 would make δ_0 = 1/(k n) equal to 1, which no sample size can
+  // meet; it is held at 1/2, so HNTP decides.
+  const Graph g = MakeCompleteGraph(1, 0.0);
+  ProfitProblem problem = MakeProblem(g, {0}, {0.5});
+  Rng rng(1);
+  Result<HntpResult> result = RunHntp(problem, HatpOptions{}, &rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().seeds, std::vector<NodeId>{0});
+}
+
 TEST(HntpTest, NoFeedbackCandidatesNeverSkipped) {
   // In the adaptive versions, seeding 0 on the p=1 path activates 1 and 2
   // which are then skipped. Nonadaptively all three are examined; all are

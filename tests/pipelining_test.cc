@@ -9,9 +9,11 @@
 #include <vector>
 
 #include "common/bit_vector.h"
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "core/addatp.h"
 #include "core/concentration.h"
+#include "core/decision_loop.h"
 #include "core/hatp.h"
 #include "core/hntp.h"
 #include "core/target_selection.h"
@@ -129,30 +131,44 @@ TEST(BudgetExhaustionTest, MidScheduleAbortDecidesFromLastCompletedRound) {
   const Graph g = TestGraph(400);
   const ProfitProblem problem = CalibratedProblem(g);
 
-  // Budget admitting exactly the first (cheapest) point of the kept-count
-  // grid: every examined candidate completes round 0, candidates wanting
+  // Budget admitting exactly the first point of the kept-count grid at
+  // n_i = n: every examined candidate completes round 0, candidates wanting
   // more rounds are truncated — never kBudgetExhausted. Later decisions run
-  // on fewer alive nodes, whose larger ζ_0 only shrinks their θ_0.
+  // on fewer alive nodes, whose larger ζ_0 shrinks their grid, so the cap
+  // may fit a further point of theirs; each spends one of its grid's θ_j
+  // within the cap.
   HatpOptions options;
   const double n0 = static_cast<double>(g.num_nodes());
   const double delta0 =
       1.0 / (static_cast<double>(problem.targets.size()) * n0);
-  options.sampling.max_rr_sets_per_decision =
-      HatpKeptCountGrid(options.initial_relative_error,
-                        options.initial_spread_error / n0,
-                        options.relative_error_threshold, 1.0 / n0, delta0)
-          .first_theta;
+  const auto grid_at = [&](double ni) {
+    return HatpKeptCountGrid(
+        options.initial_relative_error,
+        Clamp(options.initial_spread_error / ni, ZetaFloor(ni), 0.5),
+        options.relative_error_threshold, ZetaFloor(ni), delta0);
+  };
+  const uint64_t cap = grid_at(n0).first_theta;
+  options.sampling.max_rr_sets_per_decision = cap;
   options.fail_on_budget_exhausted = false;
   const AdaptiveRunResult run = RunPolicy<HatpPolicy>(g, problem, options);
 
   EXPECT_EQ(run.budget_exhausted_decisions, 0u);
   EXPECT_GT(run.budget_truncated_decisions, 0u);
   uint64_t truncated = 0;
+  double remaining = n0;  // n_i
   for (const AdaptiveStepRecord& step : run.steps) {
     EXPECT_NE(step.decision, SeedDecision::kBudgetExhausted);
-    if (step.decision == SeedDecision::kSkippedActivated) continue;
-    EXPECT_EQ(step.rounds, 1u);  // the budget fits exactly one round
-    ++truncated;
+    if (step.decision != SeedDecision::kSkippedActivated) {
+      const KeptCountGrid grid = grid_at(remaining);
+      ASSERT_GE(step.rounds, 1u);
+      EXPECT_EQ(step.rr_sets_used, grid.Theta(step.rounds - 1));
+      EXPECT_LE(step.rr_sets_used, cap);
+      if (remaining == n0) {
+        EXPECT_EQ(step.rounds, 1u);  // the budget fits exactly one round
+      }
+      ++truncated;
+    }
+    remaining -= static_cast<double>(step.newly_activated);
   }
   // A calibrated instance leaves at least one candidate wanting round 2.
   EXPECT_GE(truncated, run.budget_truncated_decisions);
