@@ -2,9 +2,10 @@
 // vs the naive generate-store-scan pipeline.
 //
 // ADDATP/HATP use each per-round RR pool for exactly one Cov(u | base)
-// query. CountCovering folds the query into generation: no pool storage,
+// query. A count batch folds the query into generation: no pool storage,
 // and a reverse BFS aborts the moment it touches `base`. This ablation
-// measures both implementations on identical workloads.
+// measures both implementations on identical workloads, and prints the
+// count batch's settled-walk share and mean walk size from SamplingStats.
 #include <cstdio>
 #include <iostream>
 
@@ -12,8 +13,10 @@
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "graph/weighting.h"
+#include "rris/coverage_batch.h"
 #include "rris/rr_collection.h"
 #include "rris/rr_set.h"
+#include "rris/sampling_engine.h"
 
 int main() {
   atpm::Rng graph_rng(7);
@@ -36,16 +39,24 @@ int main() {
               "(n=%u, |base|=64) ===\n",
               g.num_nodes());
   atpm::TablePrinter table({"theta", "count+abort (s)", "store+scan (s)",
-                            "speedup", "estimates agree?"});
+                            "speedup", "estimates agree?", "settled walks",
+                            "nodes/walk"});
 
   for (uint64_t theta : {1u << 14, 1u << 16, 1u << 18}) {
-    atpm::RRSetGenerator counting_gen(g);
+    atpm::SerialSamplingEngine counting_engine(g);
+    atpm::CoverageQueryBatch batch;
+    batch.Add(u, &base);
     atpm::Rng rng_a(11);
     atpm::WallTimer count_timer;
-    const uint64_t counted =
-        counting_gen.CountCovering(nullptr, g.num_nodes(), theta, u, &base,
-                                   &rng_a);
+    if (!counting_engine
+             .TryCountCoverageBatch(&batch, nullptr, g.num_nodes(), theta,
+                                    &rng_a)
+             .ok()) {
+      return 1;
+    }
+    const uint64_t counted = batch.hits(0);
     const double count_seconds = count_timer.ElapsedSeconds();
+    const atpm::SamplingStats& stats = counting_engine.stats();
 
     atpm::RRSetGenerator storing_gen(g);
     atpm::RRCollection pool(g.num_nodes());
@@ -62,7 +73,13 @@ int main() {
          atpm::FormatSeconds(store_seconds),
          atpm::FormatDouble(store_seconds / std::max(count_seconds, 1e-9),
                             1),
-         std::abs(cov_a - cov_b) < 0.02 ? "yes" : "NO"});
+         std::abs(cov_a - cov_b) < 0.02 ? "yes" : "NO",
+         atpm::FormatDouble(static_cast<double>(stats.settled_walks) /
+                                static_cast<double>(theta),
+                            3),
+         atpm::FormatDouble(static_cast<double>(stats.count_walk_nodes) /
+                                static_cast<double>(theta),
+                            2)});
   }
   table.Print(std::cout);
   return 0;

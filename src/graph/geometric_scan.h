@@ -153,6 +153,82 @@ inline bool MidRunNoSuccess(const ProbSegment& seg, size_t run_segments,
          run_segments <= (size_t{1} << 16);
 }
 
+/// The ledger walk over a run of the one jump segment `seg`, from its local
+/// index `from`: the local index of the first success for `target`, or
+/// seg.length when none lands. These are WalkLogSurvivalLedger's
+/// expressions with run_end = 1, where its running sum stays 0, so
+/// cum + mass and target - cum are exact and the result matches its
+/// position for every target.
+[[gnu::always_inline]] inline uint32_t WalkOneSegmentLedger(
+    const ProbSegment& seg, uint32_t from, double target) {
+  const uint32_t remaining = seg.length - from;
+  if (static_cast<double>(remaining) * seg.log1p_neg <= target) {
+    uint32_t k = static_cast<uint32_t>(target / seg.log1p_neg);
+    if (k >= remaining) k = remaining - 1;  // FP boundary clamp
+    return from + k;
+  }
+  return seg.length;
+}
+
+/// NextLedgerSuccess on a run of the one jump segment `seg`: the same
+/// table log, guard band and std::log1p fallback, on WalkOneSegmentLedger.
+[[gnu::always_inline]] inline uint32_t NextOneSegmentSuccess(
+    const ProbSegment& seg, uint32_t from, double u) {
+  const double approx = TableLog1pNeg(u);
+  const double band = LogGuardBand(approx);
+  const uint32_t late = WalkOneSegmentLedger(seg, from, approx - band);
+  const uint32_t early =
+      WalkOneSegmentLedger(seg, from, std::min(approx + band, 0.0));
+  if (late == early) return late;
+  return WalkOneSegmentLedger(seg, from, std::log1p(-u));
+}
+
+/// GeometricSegmentScan's trials over one segment with log1p_neg == 0:
+/// p >= 1 fires every index without a draw, a gate-rejected 0 < p < 1
+/// draws one Bernoulli per edge, and p <= 0 never fires. visit(j) gets the
+/// local index. Returns false iff a visit aborted.
+template <typename Visit>
+[[gnu::always_inline]] inline bool ScanNonJumpSegment(const ProbSegment& seg,
+                                                      Rng* rng,
+                                                      uint64_t* draws,
+                                                      Visit&& visit) {
+  if (seg.prob >= 1.0f) {  // everything fires, no draws
+    for (uint32_t j = 0; j < seg.length; ++j) {
+      if (!visit(j)) return false;
+    }
+  } else if (seg.prob > 0.0f) {  // gated: linear Bernoulli scan
+    for (uint32_t j = 0; j < seg.length; ++j) {
+      ++*draws;
+      if (rng->Bernoulli(seg.prob) && !visit(j)) return false;
+    }
+  }  // p <= 0: nothing ever fires, no draws
+  return true;
+}
+
+/// GeometricSegmentScan over the one jump segment `seg` (log1p_neg != 0,
+/// length >= 1): the same draws, the same visits in the same order, and
+/// the same compares, with the run bookkeeping of a multi-segment walk
+/// left out. The RR walk's step for a weighted-cascade node.
+template <typename Visit>
+[[gnu::always_inline]] inline bool OneSegmentJumpScan(const ProbSegment& seg,
+                                                      Rng* rng,
+                                                      uint64_t* draws,
+                                                      Visit&& visit) {
+  uint32_t j = 0;
+  do {
+    ++*draws;
+    const double u = rng->UniformDouble();
+    if (j == 0 ? seg.run_any_prob > 0.0 && u >= seg.run_any_prob
+               : MidRunNoSuccess(seg, 1, u)) {
+      break;
+    }
+    j = NextOneSegmentSuccess(seg, j, u);
+    if (j >= seg.length) break;  // no further success
+    if (!visit(j)) return false;
+  } while (++j < seg.length);
+  return true;
+}
+
 /// Samples independent Bernoulli(prob) trials over a node's jump-ordered
 /// segment view: visit(i) is called for every successful global index i
 /// (the position in the concatenation of all segments), in order.
@@ -193,16 +269,11 @@ bool GeometricSegmentScan(std::span<const ProbSegment> segments, Rng* rng,
   while (s < num_segments) {
     const ProbSegment& seg = segments[s];
     if (seg.log1p_neg == 0.0) {
-      if (seg.prob >= 1.0f) {  // everything fires, no draws
-        for (uint32_t j = 0; j < seg.length; ++j) {
-          if (!visit(base + j)) return false;
-        }
-      } else if (seg.prob > 0.0f) {  // gated: linear Bernoulli scan
-        for (uint32_t j = 0; j < seg.length; ++j) {
-          ++*draws;
-          if (rng->Bernoulli(seg.prob) && !visit(base + j)) return false;
-        }
-      }  // p <= 0: nothing ever fires, no draws
+      if (!ScanNonJumpSegment(seg, rng, draws, [&](uint32_t j) {
+            return visit(base + j);
+          })) {
+        return false;
+      }
       base += seg.length;
       ++s;
       continue;

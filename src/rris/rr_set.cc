@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "graph/geometric_scan.h"
 
@@ -10,10 +11,35 @@ namespace atpm {
 
 RRSetGenerator::RRSetGenerator(const Graph& graph, DiffusionModel model,
                                SamplingKernel kernel)
+    : RRSetGenerator(graph, model, kernel,
+                     MakeStepTable(graph, model, kernel)) {}
+
+RRSetGenerator::RRSetGenerator(const Graph& graph, DiffusionModel model,
+                               SamplingKernel kernel,
+                               std::shared_ptr<const StepTable> steps)
     : graph_(&graph),
       model_(model),
       kernel_(kernel),
-      visited_(graph.num_nodes()) {}
+      step_table_(std::move(steps)),
+      visited_(graph.num_nodes()) {
+  const bool reads_steps = model == DiffusionModel::kIndependentCascade &&
+                           kernel == SamplingKernel::kGeometricJump;
+  ATPM_CHECK(reads_steps == (step_table_ != nullptr));
+  if (step_table_ != nullptr) {
+    ATPM_CHECK(step_table_->size() == graph.num_nodes());
+    steps_ = step_table_->records();
+    step_in_adj_ = step_table_->in_adj();
+  }
+}
+
+std::shared_ptr<const StepTable> RRSetGenerator::MakeStepTable(
+    const Graph& graph, DiffusionModel model, SamplingKernel kernel) {
+  if (model != DiffusionModel::kIndependentCascade ||
+      kernel != SamplingKernel::kGeometricJump) {
+    return nullptr;
+  }
+  return std::make_shared<const StepTable>(graph);
+}
 
 void RRSetGenerator::RebuildAliveCache(const BitVector* removed,
                                        uint32_t num_alive) {
@@ -73,60 +99,59 @@ NodeId RRSetGenerator::SampleAliveRoot(const BitVector* removed,
   return v;
 }
 
-namespace {
-
-// Expands a jump-class node's in-edges, calling visit(u) for every
-// successful in-neighbor u. The jump classes draw first and let visit
-// discard dead (visited/removed) successes, which is
-// distribution-identical to skip-then-draw for independent trials.
-// kGeneral nodes are NOT handled here: ExpandNode routes them through the
-// historical per-edge loop, which is already the tuned fallback (and
-// skips dead endpoints before drawing). Returns false iff visit aborted.
-template <typename Visit>
-bool ExpandIcJump(const Graph& g, NodeId v, Rng* rng, uint64_t* draws,
-                  Visit&& visit) {
-  if (g.InWeightClass(v) == NodeWeightClass::kFewDistinct) {
-    const auto grouped = g.JumpInNeighbors(v);
-    return GeometricSegmentScan(g.InProbSegments(v), rng, draws,
-                                [&](uint32_t j) { return visit(grouped[j]); });
-  }
-  const auto neigh = g.InNeighbors(v);
-  return GeometricSegmentScan(g.InProbSegments(v), rng, draws,
-                              [&](uint32_t j) { return visit(neigh[j]); });
-}
-
-// True iff the jump kernel has a fast path for v's class (kEmpty expands
-// to nothing either way; kGeneral keeps the per-edge loop).
-bool HasJumpPath(const Graph& g, NodeId v) {
-  const NodeWeightClass cls = g.InWeightClass(v);
-  return cls == NodeWeightClass::kUniform ||
-         cls == NodeWeightClass::kFewDistinct;
-}
-
-}  // namespace
-
 template <typename Visit>
 [[gnu::always_inline]] inline bool RRSetGenerator::ExpandNode(
     NodeId v, const BitVector* removed, Rng* rng, uint64_t* draws,
     uint64_t* edges, Visit&& visit) {
   const Graph& g = *graph_;
-  const bool jump = kernel_ == SamplingKernel::kGeometricJump;
+  // The historical per-edge loop: kGeneral nodes under the jump kernel and
+  // every IC node under the per-edge kernel. It skips dead endpoints before
+  // drawing; the jump scans draw first and let visit discard dead
+  // successes, which is distribution-identical for independent trials.
+  const auto per_edge = [&] {
+    const auto neigh = g.InNeighbors(v);
+    const auto probs = g.InProbs(v);
+    for (uint32_t j = 0; j < neigh.size(); ++j) {
+      const NodeId u = neigh[j];
+      if (visited_.IsMarked(u)) continue;
+      if (removed != nullptr && removed->Test(u)) continue;
+      ++*draws;
+      if (rng->Bernoulli(probs[j]) && !visit(u)) return false;
+    }
+    return true;
+  };
+  if (steps_ != nullptr) {  // IC, geometric-jump kernel
+    const StepRecord& step = steps_[v];
+    *edges += step.InDegree();
+    const NodeId* neigh = step_in_adj_ + step.in_begin;
+    switch (step.Kind()) {
+      case StepKind::kEmpty:
+        return true;
+      case StepKind::kJump:
+        return OneSegmentJumpScan(step.segment, rng, draws, [&](uint32_t j) {
+          return visit(neigh[j]);
+        });
+      case StepKind::kScan:
+        return ScanNonJumpSegment(step.segment, rng, draws, [&](uint32_t j) {
+          return visit(neigh[j]);
+        });
+      case StepKind::kOther:
+        break;
+    }
+    if (g.InWeightClass(v) == NodeWeightClass::kFewDistinct) {
+      const auto grouped = g.JumpInNeighbors(v);
+      return GeometricSegmentScan(g.InProbSegments(v), rng, draws,
+                                  [&](uint32_t j) { return visit(grouped[j]); });
+    }
+    return per_edge();
+  }
   *edges += g.InDegree(v);
   if (model_ == DiffusionModel::kLinearThreshold) {
-    const uint32_t slot = PickLtInEdge(g, v, removed, jump, rng, draws);
+    const uint32_t slot = PickLtInEdge(
+        g, v, removed, kernel_ == SamplingKernel::kGeometricJump, rng, draws);
     return slot == kNoLtPick || visit(g.InNeighbors(v)[slot]);
   }
-  if (jump && HasJumpPath(g, v)) return ExpandIcJump(g, v, rng, draws, visit);
-  const auto neigh = g.InNeighbors(v);
-  const auto probs = g.InProbs(v);
-  for (uint32_t j = 0; j < neigh.size(); ++j) {
-    const NodeId u = neigh[j];
-    if (visited_.IsMarked(u)) continue;
-    if (removed != nullptr && removed->Test(u)) continue;
-    ++*draws;
-    if (rng->Bernoulli(probs[j]) && !visit(u)) return false;
-  }
-  return true;
+  return per_edge();
 }
 
 uint64_t RRSetGenerator::Generate(const BitVector* removed, uint32_t num_alive,
@@ -303,6 +328,8 @@ uint64_t RRSetGenerator::CountCoveringBatch(
   alive_cache_valid_ = false;  // the residual graph may have moved on
   uint64_t edges_examined = 0;
   uint64_t draws = 0;
+  uint64_t settled_walks = 0;
+  uint64_t walk_nodes = 0;
 
   // An interesting node (alive in some base, or a query node) folds its
   // queries into the per-set masks; returns true once every query is
@@ -351,16 +378,20 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     const NodeId root = SampleAliveRoot(removed, num_alive, rng, &draws);
     std::fill(dead, dead + 2 * words, 0);
     // Every query settled at the root: nothing to walk, but its hits count.
-    if (!(interesting(root) && fold(root))) {
+    bool settled = interesting(root) && fold(root);
+    if (!settled) {
       visited_.Mark(root);
       scratch_.push_back(root);
       for (size_t head = 0; head < scratch_.size(); ++head) {
         if (!ExpandNode(scratch_[head], removed, rng, &draws, &edges_examined,
                         process)) {
+          settled = true;
           break;
         }
       }
     }
+    settled_walks += settled;
+    walk_nodes += scratch_.size();
     for (size_t k = 0; k < words; ++k) {
       for (uint64_t live_hits = found[k] & ~dead[k]; live_hits != 0;
            live_hits &= live_hits - 1) {
@@ -369,6 +400,8 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     }
   }
   rng_draws_ += draws;
+  settled_walks_ += settled_walks;
+  count_walk_nodes_ += walk_nodes;
   return edges_examined;
 }
 

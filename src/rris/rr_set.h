@@ -1,6 +1,7 @@
 #ifndef ATPM_RRIS_RR_SET_H_
 #define ATPM_RRIS_RR_SET_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "diffusion/diffusion_model.h"
 #include "graph/graph.h"
 #include "rris/coverage_batch.h"
+#include "rris/step_table.h"
 
 namespace atpm {
 
@@ -36,17 +38,40 @@ namespace atpm {
 /// distributions) but consume different RNG streams; see the README's
 /// RR-generation-kernel section.
 ///
+/// Under IC with the geometric-jump kernel each reverse step reads one
+/// StepRecord (rris/step_table.h) of the expanded node: a weighted-cascade
+/// node takes the one-segment ledger walk and a gated or {0, 1}-probability
+/// uniform node the per-edge Bernoulli scan, both straight off the record;
+/// the other nodes read the Graph as before. Draws, edges and visit order
+/// are those of GeometricSegmentScan over the node's segments.
+///
 /// Stateful generator bound to one graph; reuses its internal frontier and
-/// visited marker across millions of calls.
+/// visited marker across millions of calls. The graph must not be
+/// reweighted while a generator is bound to it (the step table is a
+/// snapshot).
 class RRSetGenerator {
  public:
-  /// Creates a generator for `graph`. Under LT the reverse step keeps at
-  /// most one in-neighbor per node (random walk) instead of IC's
-  /// independent coin per in-edge; both yield the RIS identity above.
+  /// Creates a generator for `graph`, with its own step table when the
+  /// model and kernel read one. Under LT the reverse step keeps at most one
+  /// in-neighbor per node (random walk) instead of IC's independent coin
+  /// per in-edge; both yield the RIS identity above.
   explicit RRSetGenerator(
       const Graph& graph,
       DiffusionModel model = DiffusionModel::kIndependentCascade,
       SamplingKernel kernel = SamplingKernel::kGeometricJump);
+
+  /// Creates a generator that reads the shared `steps`, which must be
+  /// MakeStepTable(graph, model, kernel): the engines build one table and
+  /// hand it to every worker.
+  RRSetGenerator(const Graph& graph, DiffusionModel model,
+                 SamplingKernel kernel,
+                 std::shared_ptr<const StepTable> steps);
+
+  /// The step table a generator for (graph, model, kernel) reads: built
+  /// for IC with the geometric-jump kernel, null otherwise (LT and the
+  /// per-edge kernel read the Graph only).
+  static std::shared_ptr<const StepTable> MakeStepTable(
+      const Graph& graph, DiffusionModel model, SamplingKernel kernel);
 
   /// Samples one RR set on the residual graph G \ removed (pass nullptr for
   /// the full graph, in which case `num_alive` must equal n). `num_alive`
@@ -154,6 +179,12 @@ class RRSetGenerator {
   /// around every call to aggregate SamplingStats::rng_draws — the measure
   /// behind the kernel's draws-per-edge-examined reduction.
   uint64_t rng_draws() const { return rng_draws_; }
+  /// Cumulative CountCoveringBatch walks ended by the settle rule (a root
+  /// that settles every query included), and nodes those batches' walks
+  /// queued (the root included unless it settled the walk). Counted once
+  /// per walk; the engines harvest them into SamplingStats.
+  uint64_t settled_walks() const { return settled_walks_; }
+  uint64_t count_walk_nodes() const { return count_walk_nodes_; }
 
  private:
   /// One reverse BFS appended to `out` (root first, nothing cleared) —
@@ -165,10 +196,14 @@ class RRSetGenerator {
                        std::vector<NodeId>* out,
                        const BitVector* members = nullptr);
   /// One reverse step from v, the shared core of GenerateOne and
-  /// CountCoveringBatch: the LT pick, the IC jump scan, or the per-edge
-  /// loop (dead endpoints skipped before their draw). Calls visit(u) for
-  /// each picked or live in-neighbour u (the jump scans and the pick may
-  /// pass dead ones) and charges InDegree(v) to *edges. Returns false iff
+  /// CountCoveringBatch. Under IC with the jump kernel it dispatches on v's
+  /// StepRecord: kEmpty returns at once, kJump runs OneSegmentJumpScan and
+  /// kScan ScanNonJumpSegment off the record, and kOther takes the grouped
+  /// segment scan (kFewDistinct) or the per-edge loop (kGeneral) from the
+  /// Graph. LT takes the pick and the per-edge kernel the per-edge loop
+  /// (dead endpoints skipped before their draw). Calls visit(u) for each
+  /// picked or live in-neighbour u (the jump scans and the pick may pass
+  /// dead ones) and charges v's in-degree to *edges. Returns false iff
   /// visit aborted.
   template <typename Visit>
   bool ExpandNode(NodeId v, const BitVector* removed, Rng* rng,
@@ -182,6 +217,11 @@ class RRSetGenerator {
   const Graph* graph_;
   DiffusionModel model_;
   SamplingKernel kernel_;
+  /// The step table (null unless IC with the jump kernel), and its records
+  /// and in-CSR for the hot path.
+  std::shared_ptr<const StepTable> step_table_;
+  const StepRecord* steps_ = nullptr;
+  const NodeId* step_in_adj_ = nullptr;
   EpochVisitedSet visited_;
   /// Walk queue of CountCoveringBatch and of member-restricted walks.
   std::vector<NodeId> scratch_;
@@ -201,6 +241,8 @@ class RRSetGenerator {
   /// masks.
   std::vector<uint64_t> set_masks_;
   uint64_t rng_draws_ = 0;
+  uint64_t settled_walks_ = 0;
+  uint64_t count_walk_nodes_ = 0;
 
   /// Alive-node list for heavily depleted residual graphs: built (and then
   /// reused) once rejection sampling starts failing, so root draws on a

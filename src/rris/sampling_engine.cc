@@ -84,8 +84,12 @@ ParallelSamplingEngine::ParallelSamplingEngine(const Graph& graph,
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.resize(num_threads);
+  // One step table per engine, read by every worker.
+  const std::shared_ptr<const StepTable> steps =
+      RRSetGenerator::MakeStepTable(graph, model, kernel);
   for (Worker& worker : workers_) {
-    worker.generator = std::make_unique<RRSetGenerator>(graph, model, kernel);
+    worker.generator =
+        std::make_unique<RRSetGenerator>(graph, model, kernel, steps);
   }
   // Worker 0 is the calling thread.
   threads_.reserve(num_threads - 1);
@@ -168,14 +172,18 @@ Status ParallelSamplingEngine::RunChunks(uint64_t size, uint64_t seed,
   return Status::OK();
 }
 
-uint64_t ParallelSamplingEngine::TakeDraws() {
-  uint64_t draws = 0;
+ParallelSamplingEngine::WalkCounts ParallelSamplingEngine::TakeWalkCounts() {
+  WalkCounts delta;
   for (Worker& worker : workers_) {
-    const uint64_t now = worker.generator->rng_draws();
-    draws += now - worker.draws_seen;
-    worker.draws_seen = now;
+    const RRSetGenerator& generator = *worker.generator;
+    const WalkCounts now{generator.rng_draws(), generator.settled_walks(),
+                         generator.count_walk_nodes()};
+    delta.draws += now.draws - worker.seen.draws;
+    delta.settled_walks += now.settled_walks - worker.seen.settled_walks;
+    delta.walk_nodes += now.walk_nodes - worker.seen.walk_nodes;
+    worker.seen = now;
   }
-  return draws;
+  return delta;
 }
 
 Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
@@ -205,7 +213,7 @@ Status ParallelSamplingEngine::TryGeneratePool(const BitVector* removed,
         staged.set_end = worker.sizes.size();
         worker.chunks.push_back(staged);
       });
-  const uint64_t draws = TakeDraws();
+  const uint64_t draws = TakeWalkCounts().draws;
 
   uint64_t sets = 0;
   uint64_t nodes = 0;
@@ -280,9 +288,9 @@ Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
           worker.hits[q] += worker.chunk_hits[q];
         }
       });
-  const uint64_t draws = TakeDraws();
+  const WalkCounts walks = TakeWalkCounts();
   if (!status.ok()) {
-    AccrueGeneration(0, 0, draws);
+    AccrueGeneration(0, 0, walks.draws);
     return status;
   }
 
@@ -298,7 +306,9 @@ Result<uint64_t> ParallelSamplingEngine::TryCountCoverageBatchSeeded(
     edges += worker.edges;
     sampled += worker.sampled;
   }
-  AccrueGeneration(sampled, edges, draws);
+  AccrueGeneration(sampled, edges, walks.draws);
+  stats_.settled_walks += walks.settled_walks;
+  stats_.count_walk_nodes += walks.walk_nodes;
   ++stats_.count_pools;
   stats_.coverage_queries += num_queries;
   return sampled;

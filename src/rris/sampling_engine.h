@@ -185,9 +185,11 @@ class SamplingEngine {
 };
 
 /// The sampling engine: `num_threads` workers, each with its own
-/// RRSetGenerator (no shared mutable state on the hot path). The calling
-/// thread is worker 0 and workers 1.. are persistent pool threads, so one
-/// worker means no thread.
+/// RRSetGenerator (no shared mutable state on the hot path). The workers'
+/// generators share one read-only StepTable, built with the engine, so
+/// its memory (32 bytes per node) does not grow with the worker count. The
+/// calling thread is worker 0 and workers 1.. are persistent pool threads,
+/// so one worker means no thread.
 ///
 /// Every batch — a pool fill or a count — is cut into chunks of kChunkSets
 /// RR sets (the last one shorter), and chunk c draws from the stream
@@ -257,11 +259,19 @@ class ParallelSamplingEngine : public SamplingEngine {
     size_t set_begin, set_end;
   };
 
+  /// A generator's cumulative RNG draws, settled count walks and count-walk
+  /// nodes, or their growth since the last harvest.
+  struct WalkCounts {
+    uint64_t draws = 0;
+    uint64_t settled_walks = 0;
+    uint64_t walk_nodes = 0;
+  };
+
   /// Per-worker state; only its owning thread touches it during a batch.
   struct Worker {
     std::unique_ptr<RRSetGenerator> generator;
-    /// generator->rng_draws() at the last harvest (TakeDraws).
-    uint64_t draws_seen = 0;
+    /// The generator's counts at the last harvest (TakeWalkCounts).
+    WalkCounts seen;
     /// Edges examined and sets drawn by this worker's chunks of the batch.
     uint64_t edges = 0;
     uint64_t sampled = 0;
@@ -289,8 +299,8 @@ class ParallelSamplingEngine : public SamplingEngine {
   /// engine is always reusable afterwards.
   Status RunChunks(uint64_t size, uint64_t seed, const ChunkBody& body);
   void WorkerLoop(uint32_t index);
-  /// RNG draws all workers consumed since the last harvest.
-  uint64_t TakeDraws();
+  /// What all workers' generators counted since the last harvest.
+  WalkCounts TakeWalkCounts();
   /// Whether a batch of `size` sets runs on the calling thread.
   bool RunsInline(uint64_t size) const {
     return workers_.size() <= 1 || size < min_parallel_batch_;
@@ -369,7 +379,8 @@ std::unique_ptr<SamplingEngine> CreateSamplingEngine(
 /// Run() calls, so a parallel backend keeps its worker pool warm — an
 /// owned engine for the requested (graph, model, options). The cache keys
 /// on graph identity, so the graph passed to Get must stay alive (and
-/// unmoved) for as long as the handle may serve it.
+/// unmoved) for as long as the handle may serve it, and must not be
+/// reweighted meanwhile: the engine's step table is a snapshot.
 class SamplingEngineHandle {
  public:
   /// Injects an external engine (not owned; pass nullptr to clear). Its

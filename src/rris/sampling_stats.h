@@ -37,6 +37,14 @@ struct SamplingStats {
   /// rng_draws / edges_examined is the headline reduction of the
   /// weight-class-aware kernel.
   uint64_t rng_draws = 0;
+  /// Count-batch walks ended by the settle rule: every query dead, or found
+  /// with nothing left that could kill it (a root that settles the walk
+  /// included). Counted once per walk, by successful count batches only.
+  uint64_t settled_walks = 0;
+  /// Nodes the count-batch walks queued (the root included unless it
+  /// settled the walk); count_walk_nodes / count sets is the mean visited
+  /// set of a count walk. Counted once per walk, like settled_walks.
+  uint64_t count_walk_nodes = 0;
 
   /// Queries answered per throwaway pool (0 if no counting ran).
   double ReuseRatio() const {

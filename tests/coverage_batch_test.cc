@@ -166,8 +166,16 @@ TEST(CountCoveringBatchTest, SettledWalksStopEarlyOnTheSameStream) {
   std::vector<NodeId> rr;
   std::vector<uint64_t> expected(queries.size());
   uint64_t full_edges = 0;
+  // A root r >= 30 walks r, r-1, ..., touches the base at 30 and settles
+  // on finding 10, having queued r..11; a lower root never kills query 2,
+  // so its walk runs out, queuing r..0.
+  uint64_t expected_settled = 0;
+  uint64_t expected_nodes = 0;
   for (uint64_t t = 0; t < theta; ++t) {
     full_edges += generator.Generate(nullptr, g.num_nodes(), &ref_rng, &rr);
+    const NodeId root = rr.front();
+    expected_settled += root >= 30;
+    expected_nodes += root >= 30 ? root - 10 : root + 1;
     for (size_t q = 0; q < queries.size(); ++q) {
       bool has_node = false;
       bool hits_base = false;
@@ -183,9 +191,13 @@ TEST(CountCoveringBatchTest, SettledWalksStopEarlyOnTheSameStream) {
   EXPECT_EQ(generator.rng_draws(), theta);
   EXPECT_EQ(rng.Next(), ref_rng.Next());
   EXPECT_LT(edges, full_edges);
+  EXPECT_EQ(counter.settled_walks(), expected_settled);
+  EXPECT_EQ(counter.count_walk_nodes(), expected_nodes);
+  EXPECT_EQ(generator.settled_walks(), 0u);  // Generate counts no walks
+  EXPECT_EQ(generator.count_walk_nodes(), 0u);
 
   // Node 0 is in every set; a root at 0 settles the query before any walk
-  // and must still count.
+  // and must still count. Every walk settles: a root r > 0 queues r..1.
   const CoverageQuery everywhere{0, nullptr};
   uint64_t all_hits = 0;
   RRSetGenerator root_counter(g);
@@ -193,6 +205,33 @@ TEST(CountCoveringBatchTest, SettledWalksStopEarlyOnTheSameStream) {
   root_counter.CountCoveringBatch(nullptr, g.num_nodes(), theta,
                                   {&everywhere, 1}, &all_hits, &root_rng);
   EXPECT_EQ(all_hits, theta);
+  Rng root_ref_rng(32);
+  uint64_t root_sum = 0;
+  uint64_t zero_roots = 0;
+  for (uint64_t t = 0; t < theta; ++t) {
+    generator.Generate(nullptr, g.num_nodes(), &root_ref_rng, &rr);
+    root_sum += rr.front();
+    zero_roots += rr.front() == 0;
+  }
+  EXPECT_GT(zero_roots, 0u);
+  EXPECT_EQ(root_counter.settled_walks(), theta);
+  EXPECT_EQ(root_counter.count_walk_nodes(), root_sum);
+
+  // The engine harvests both counters into SamplingStats, once per
+  // successful count batch and never from a pool fill.
+  SerialSamplingEngine engine(g);
+  CoverageQueryBatch batch;
+  for (const CoverageQuery& query : queries) batch.Add(query.node, query.base);
+  CountBatch(engine, &batch, nullptr, g.num_nodes(), theta, 33);
+  Rng fill_rng(34);
+  FillPool(engine, nullptr, g.num_nodes(), 500, &fill_rng);
+  RRSetGenerator replay(g);
+  std::vector<uint64_t> replay_hits;
+  ChunkedReferenceCount(&replay, nullptr, g.num_nodes(), theta, queries, 33,
+                        &replay_hits);
+  EXPECT_GT(replay.settled_walks(), 0u);
+  EXPECT_EQ(engine.stats().settled_walks, replay.settled_walks());
+  EXPECT_EQ(engine.stats().count_walk_nodes, replay.count_walk_nodes());
 }
 
 TEST(CountCoveringBatchTest, SingleQueryBitIdenticalToCountCovering) {

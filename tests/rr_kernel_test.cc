@@ -5,6 +5,7 @@
 // against golden values recorded from the pre-kernel tree, the depleted-
 // graph alive-root cache, the rng_draws accounting behind the
 // draws-per-edge reduction, pinned exactly per path, weighting and kernel,
+// the step record's one-segment paths against the frozen reference scan,
 // and the exact LT picks of walks, counts and worlds.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "diffusion/spread_oracle.h"
 #include "graph/generators.h"
 #include "graph/geometric_scan.h"
+#include "graph/graph_builder.h"
 #include "graph/weighting.h"
 #include "rris/rr_set.h"
 #include "rris/sampling_engine.h"
@@ -569,6 +571,207 @@ TEST(GeometricScanExactnessTest, TableLogErrorStaysWithinBandOver1e8Draws) {
     check((1ULL << 53) - 1 - (rng.Next() >> 11) % scale);    // small 1 - u
   }
   EXPECT_LE(worst, 1.0 / 16.0) << "worst error / band = " << worst;
+}
+
+// ---- Exactness of the step record's one-segment paths.
+
+// The segment the weight-class index emits for a node with `degree`
+// in-edges of probability `p` (empty for in-degree 0).
+ProbSegment IndexedSegment(uint32_t degree, float p) {
+  GraphBuilder builder;
+  builder.ReserveNodes(degree + 1);
+  for (uint32_t i = 1; i <= degree; ++i) builder.AddEdge(i, 0, p);
+  const Graph g = builder.Build().value();
+  const auto segments = g.InProbSegments(0);
+  return segments.empty() ? ProbSegment{} : segments[0];
+}
+
+// A kUniform node's reverse step as ExpandNode takes it off the record:
+// kEmpty returns, kJump runs the one-segment walk, kScan the Bernoulli scan.
+template <typename Visit>
+bool OneSegmentStep(const ProbSegment& seg, Rng* rng, uint64_t* draws,
+                    Visit&& visit) {
+  if (seg.length == 0) return true;
+  if (seg.log1p_neg != 0.0) return OneSegmentJumpScan(seg, rng, draws, visit);
+  return ScanNonJumpSegment(seg, rng, draws, visit);
+}
+
+TEST(GeometricScanExactnessTest, OneSegmentStepMatchesFrozenReference) {
+  // Weighted cascade at every in-degree 4..64 and log-spaced up to 4096
+  // (all jump), the gated degrees 2 and 3, trivalency's values on uniform
+  // nodes, p = 1, p = 0 and in-degree 0. Each segment is scanned many
+  // times from one stream, some scans aborted at a random visit.
+  std::vector<ProbSegment> cases;
+  for (uint32_t d = 4; d <= 4096; d = d < 64 ? d + 1 : d + d / 8 + 1) {
+    cases.push_back(IndexedSegment(d, 1.0f / static_cast<float>(d)));
+    ASSERT_NE(cases.back().log1p_neg, 0.0) << "WC degree " << d;
+  }
+  cases.push_back(IndexedSegment(4096, 1.0f / 4096.0f));
+  for (uint32_t d : {2u, 3u}) {
+    cases.push_back(IndexedSegment(d, 1.0f / static_cast<float>(d)));
+    ASSERT_EQ(cases.back().log1p_neg, 0.0) << "WC degree " << d;
+  }
+  for (float p : {0.1f, 0.01f, 0.001f}) {
+    for (uint32_t d : {1u, 2u, 5u, 40u, 700u, 4096u}) {
+      cases.push_back(IndexedSegment(d, p));
+    }
+  }
+  for (uint32_t d : {1u, 3u, 17u}) {
+    cases.push_back(IndexedSegment(d, 1.0f));
+    cases.push_back(IndexedSegment(d, 0.0f));
+  }
+  cases.push_back(IndexedSegment(0, 0.5f));
+  Rng config_rng(2910);
+  uint64_t visits = 0;
+  uint64_t scans = 0;
+  for (const ProbSegment& seg : cases) {
+    const std::span<const ProbSegment> reference_view(&seg,
+                                                      seg.length > 0 ? 1 : 0);
+    const uint64_t seed = config_rng.Next();
+    Rng ref_rng(seed);
+    Rng new_rng(seed);
+    for (int r = 0; r < 20000; ++r, ++scans) {
+      const uint64_t abort_at =
+          r % 4 == 0 ? 1 + config_rng.UniformInt(4) : ~0ULL;
+      uint64_t ref_draws = 0, new_draws = 0;
+      uint64_t ref_hash = 0, new_hash = 0;
+      uint64_t ref_count = 0, new_count = 0;
+      const bool ref_done = ReferenceSegmentScan(
+          reference_view, &ref_rng, &ref_draws, [&](uint32_t j) {
+            ref_hash = ref_hash * 0x100000001b3ULL + j + 1;
+            return ++ref_count < abort_at;
+          });
+      const bool new_done =
+          OneSegmentStep(seg, &new_rng, &new_draws, [&](uint32_t j) {
+            new_hash = new_hash * 0x100000001b3ULL + j + 1;
+            return ++new_count < abort_at;
+          });
+      visits += new_count;
+      ASSERT_EQ(ref_done, new_done) << "length " << seg.length;
+      ASSERT_EQ(ref_count, new_count) << "length " << seg.length;
+      ASSERT_EQ(ref_hash, new_hash) << "length " << seg.length;
+      ASSERT_EQ(ref_draws, new_draws) << "length " << seg.length;
+      ASSERT_EQ(ref_rng.Next(), new_rng.Next()) << "length " << seg.length;
+    }
+  }
+  EXPECT_GT(visits, scans);
+}
+
+TEST(GeometricScanExactnessTest, OneSegmentBoundariesResolveExactly) {
+  // Adjacent grid draws whose reference outcomes differ, from a random
+  // position of a weighted-cascade or random-p jump segment. Every other
+  // bracket ends at u = 1 - 2^-53, so the bisection lands on the last
+  // success before "none": where the walk's FP clamp k >= remaining fires.
+  Rng rng(1911);
+  uint64_t boundaries = 0;
+  uint64_t fallbacks = 0;
+  uint64_t clamps = 0;
+  while (boundaries < 20000) {
+    const uint32_t d = 4 + static_cast<uint32_t>(rng.UniformInt(4093));
+    const float p =
+        rng.UniformInt(2) == 0
+            ? 1.0f / static_cast<float>(d)
+            : static_cast<float>(std::exp(-1.0 - rng.UniformDouble() * 12.0));
+    const ProbSegment seg = MakeJumpSegment(d, p);
+    const uint32_t from = static_cast<uint32_t>(rng.UniformInt(d));
+    const LedgerPosition start{0, from, 0, true};
+    const auto reference = [&](uint64_t m) {
+      const LedgerPosition pos = ReferenceWalk({&seg, 1}, 1, start, m);
+      return pos.found ? pos.index : seg.length;
+    };
+    uint64_t lo = rng.UniformInt(1ULL << 53);
+    uint64_t hi = boundaries % 2 == 0 ? (1ULL << 53) - 1
+                                      : rng.UniformInt(1ULL << 53);
+    if (lo > hi) std::swap(lo, hi);
+    const uint32_t at_hi = reference(hi);
+    if (reference(lo) == at_hi) continue;
+    while (hi - lo > 1) {  // the outcome is monotone in m
+      const uint64_t mid = lo + (hi - lo) / 2;
+      (reference(mid) == at_hi ? hi : lo) = mid;
+    }
+    ++boundaries;
+    for (uint64_t m = lo >= 2 ? lo - 2 : 0; m <= hi + 2 && m < (1ULL << 53);
+         ++m) {
+      const double u = static_cast<double>(m) * 0x1p-53;
+      const double approx = TableLog1pNeg(u);
+      const double band = LogGuardBand(approx);
+      if (WalkOneSegmentLedger(seg, from, approx - band) !=
+          WalkOneSegmentLedger(seg, from, std::min(approx + band, 0.0))) {
+        ++fallbacks;
+      }
+      const double target = std::log1p(-u);
+      const uint32_t remaining = seg.length - from;
+      if (static_cast<double>(remaining) * seg.log1p_neg <= target &&
+          static_cast<uint32_t>(target / seg.log1p_neg) >= remaining) {
+        ++clamps;
+      }
+      ASSERT_EQ(NextOneSegmentSuccess(seg, from, u), reference(m))
+          << "m = " << m << " length " << seg.length << " from " << from;
+    }
+  }
+  EXPECT_GT(fallbacks, boundaries);  // each boundary hit the fallback
+  EXPECT_GT(clamps, 0u);             // and the clamp's regime was reached
+}
+
+TEST(GeometricScanExactnessTest, RecordWalksMatchFrozenReferenceWalks) {
+  // Whole RR walks through the step records against a reverse BFS that
+  // scans every node's segments with the frozen reference scan (and the
+  // per-edge loop for general nodes): the same sets in the same order, the
+  // same edges and the same draws, on graphs that mix every step kind.
+  for (const Weighting weighting :
+       {Weighting::kWeightedCascade, Weighting::kTrivalency,
+        Weighting::kUniformRandom}) {
+    const Graph g = TestGraph(400, weighting, 4);
+    RRSetGenerator generator(g);
+    Rng rng(51);
+    Rng ref_rng(51);
+    uint64_t ref_draws = 0;
+    std::vector<NodeId> rr;
+    for (int t = 0; t < 3000; ++t) {
+      const uint64_t edges = generator.Generate(nullptr, g.num_nodes(), &rng,
+                                                &rr);
+      std::vector<NodeId> ref{static_cast<NodeId>(
+          ref_rng.UniformInt(g.num_nodes()))};
+      ++ref_draws;
+      std::vector<bool> seen(g.num_nodes(), false);
+      seen[ref[0]] = true;
+      uint64_t ref_edges = 0;
+      const auto admit = [&](NodeId u) {
+        if (!seen[u]) {
+          seen[u] = true;
+          ref.push_back(u);
+        }
+        return true;
+      };
+      for (size_t head = 0; head < ref.size(); ++head) {
+        const NodeId v = ref[head];
+        ref_edges += g.InDegree(v);
+        const auto neigh = g.InNeighbors(v);
+        switch (g.InWeightClass(v)) {
+          case NodeWeightClass::kUniform:
+            ReferenceSegmentScan(g.InProbSegments(v), &ref_rng, &ref_draws,
+                                 [&](uint32_t j) { return admit(neigh[j]); });
+            break;
+          case NodeWeightClass::kFewDistinct: {
+            const auto grouped = g.JumpInNeighbors(v);
+            ReferenceSegmentScan(g.InProbSegments(v), &ref_rng, &ref_draws,
+                                 [&](uint32_t j) { return admit(grouped[j]); });
+            break;
+          }
+          default:
+            for (uint32_t j = 0; j < neigh.size(); ++j) {
+              if (seen[neigh[j]]) continue;
+              ++ref_draws;
+              if (ref_rng.Bernoulli(g.InProbs(v)[j])) admit(neigh[j]);
+            }
+        }
+      }
+      ASSERT_EQ(rr, ref) << "set " << t;
+      ASSERT_EQ(edges, ref_edges) << "set " << t;
+    }
+    EXPECT_EQ(generator.rng_draws(), ref_draws);
+    EXPECT_EQ(rng.Next(), ref_rng.Next());
+  }
 }
 
 // ---- Exact kernel equivalence on degenerate probabilities: for p in

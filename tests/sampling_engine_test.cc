@@ -57,6 +57,8 @@ void ExpectSameStats(const SamplingStats& a, const SamplingStats& b) {
   EXPECT_EQ(a.count_pools, b.count_pools);
   EXPECT_EQ(a.coverage_queries, b.coverage_queries);
   EXPECT_EQ(a.rng_draws, b.rng_draws);
+  EXPECT_EQ(a.settled_walks, b.settled_walks);
+  EXPECT_EQ(a.count_walk_nodes, b.count_walk_nodes);
 }
 
 // (a) The stream rule: chunk c of a batch draws from Rng(SplitSeed(seed,
