@@ -62,6 +62,9 @@ class BitVector {
   /// for content hashing / equality without bit-by-bit walks.
   std::span<const uint64_t> words() const { return words_; }
 
+  /// Same size and same bits.
+  bool operator==(const BitVector&) const = default;
+
  private:
   size_t n_ = 0;
   std::vector<uint64_t> words_;

@@ -58,6 +58,18 @@ class AdditiveErrorRule final : public DoubleGreedyRule {
     return RhoFront(e) >= RhoRear(e);
   }
 
+  // Every round tightens ζ and δ alike, and C2 ends the decision at the
+  // first round with n_i ζ_i <= η_i (C1 may end it sooner).
+  void PlanLaterRounds(const ErrorSchedule& s,
+                       std::vector<uint64_t>* thetas) const override {
+    ErrorSchedule next = s;
+    while (next.nd * next.zeta > eta_) {
+      Tighten(RoundEstimates{}, &next);
+      ++next.round;
+      thetas->push_back(SampleSize(next));
+    }
+  }
+
  private:
   // Front / rear profit estimates ρ̃f = fest − c(u), ρ̃r = c(u) − rest.
   static double RhoFront(const RoundEstimates& e) { return e.fest - e.cost; }

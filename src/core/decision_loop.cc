@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bit_vector.h"
 #include "common/math_util.h"
@@ -61,6 +62,9 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
   // seeds in nonadaptive mode (adaptively they are activated and gone).
   BitVector candidates(n);
   for (NodeId t : problem.targets) candidates.Set(t);
+  // The θ of the rounds a decision may still run, when its rule fixes them
+  // in advance.
+  std::vector<uint64_t> later_thetas;
 
   for (size_t pos = 0; pos < problem.targets.size(); ++pos) {
     const NodeId u = problem.targets[pos];
@@ -108,6 +112,10 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
 
     for (;;) {
       const uint64_t theta = rule->SampleSize(schedule);
+      later_thetas.clear();
+      if (planner.plans_rounds()) {
+        rule->PlanLaterRounds(schedule, &later_thetas);
+      }
       obs::TraceSpan round_span("round");
       round_span.AnnotateU64("theta", theta);
       if (step.rounds == 0) planner.Begin(pos, u, epoch, theta);
@@ -118,7 +126,8 @@ Result<AdaptiveRunResult> DoubleGreedyDriver::Run(
       // pools R1, R2 of theta sets.
       FrontRearHits hits;
       const Result<RoundStep> round = planner.NextRound(
-          engine, u, seed_bitmap, candidates, removed, ni, theta, epoch,
+          engine, u, seed_bitmap, candidates, removed, ni, theta,
+          later_thetas, epoch,
           sampling.max_rr_sets_per_decision - used_this_iter, rng, &hits);
       if (!round.ok() && !round.status().IsResourceExhausted()) {
         // Allocation failure is absorbed below — the decision proceeds on

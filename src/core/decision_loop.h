@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -73,6 +74,12 @@ class DoubleGreedyRule {
   virtual void Tighten(const RoundEstimates& e, ErrorSchedule* s) const = 0;
   /// Line 13: select u (true) or abandon it (false).
   virtual bool Select(const RoundEstimates& e) const = 0;
+  /// Appends, in order, the θ of every round the decision may still run
+  /// after the round `s` describes — only when those sample sizes cannot
+  /// depend on the estimates (the engine then starts their chunks early,
+  /// SpeculativeRoundPlanner::NextRound). The default appends nothing.
+  virtual void PlanLaterRounds(const ErrorSchedule& /*s*/,
+                               std::vector<uint64_t>* /*thetas*/) const {}
   /// Called before the first round of every candidate that is examined
   /// (not skipped as already activated), with the schedule the driver
   /// built from the options — the rule may reshape it for round 0.

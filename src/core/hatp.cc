@@ -87,6 +87,16 @@ class HybridErrorRule final : public DoubleGreedyRule {
     return e.fest + e.rest >= 2.0 * e.cost;
   }
 
+  // Kept counts walk the grid, fixed before the decision samples, up to its
+  // last point; the literal schedule halves by what the estimates show.
+  void PlanLaterRounds(const ErrorSchedule& s,
+                       std::vector<uint64_t>* thetas) const override {
+    if (!kept_counts_) return;
+    for (uint32_t j = s.round + 1; j <= grid_.last; ++j) {
+      thetas->push_back(grid_.Theta(j));
+    }
+  }
+
  private:
   // C'1 / C'2 on the KL intervals of the coverage fractions at grid point
   // s.round (the soundness argument is at KeptCountGrid).

@@ -1,5 +1,7 @@
 #include "core/policy.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace atpm {
@@ -94,8 +96,8 @@ void SpeculativeRoundPlanner::Begin(size_t position, [[maybe_unused]] NodeId u,
 Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
     SamplingEngine* engine, NodeId u, const BitVector& front_base,
     const BitVector& rear_base, const BitVector* removed, uint32_t num_alive,
-    uint64_t theta, uint64_t epoch, uint64_t budget_remaining, Rng* rng,
-    FrontRearHits* hits) {
+    uint64_t theta, std::span<const uint64_t> later_thetas, uint64_t epoch,
+    uint64_t budget_remaining, Rng* rng, FrontRearHits* hits) {
   *hits = FrontRearHits{};
   if (std::optional<FirstRoundAnswer> served = Serve(theta)) {
     hits->front = served->front_hits;
@@ -114,7 +116,8 @@ Result<SpeculativeRoundPlanner::RoundStep> SpeculativeRoundPlanner::NextRound(
     return RoundStep::kOverBudget;
   }
   ATPM_RETURN_NOT_OK(SampleRound(engine, u, front_base, rear_base, removed,
-                                 num_alive, theta, epoch, rng, hits));
+                                 num_alive, theta, later_thetas, epoch,
+                                 budget_remaining, rng, hits));
   // A pool cut short mid-round (hits->theta < theta, possibly 0) is the
   // gate tripping between the check above and the batch finishing.
   return hits->theta == theta ? RoundStep::kSampled : RoundStep::kDegraded;
@@ -173,10 +176,30 @@ void SpeculativeRoundPlanner::AddSpeculativeQueries(
   stats_.speculative_queries += 2 * pending_.size();
 }
 
+void SpeculativeRoundPlanner::PlanTopUps(
+    uint64_t theta, std::span<const uint64_t> later_thetas,
+    uint64_t budget_left, const Rng& rng) {
+  // The seeds the later rounds will draw: this round's pool takes the next
+  // one.
+  Rng peek = rng;
+  peek.Next();
+  uint64_t kept = theta;
+  for (const uint64_t later : later_thetas) {
+    const uint64_t top_up = later > kept ? later - kept : 0;
+    // NextRound ends the decision at the first round the budget cannot
+    // fund.
+    if (top_up > budget_left) break;
+    budget_left -= top_up;
+    batch_.AddPlannedRound(top_up, peek.Next());
+    kept = std::max(kept, later);
+  }
+}
+
 Status SpeculativeRoundPlanner::SampleRound(
     SamplingEngine* engine, NodeId u, const BitVector& front_base,
     const BitVector& rear_base, const BitVector* removed, uint32_t num_alive,
-    uint64_t theta, uint64_t epoch, Rng* rng, FrontRearHits* hits) {
+    uint64_t theta, std::span<const uint64_t> later_thetas, uint64_t epoch,
+    uint64_t budget_remaining, Rng* rng, FrontRearHits* hits) {
   batch_.Clear();
   pending_.clear();
   if (!batched_) {
@@ -210,7 +233,11 @@ Status SpeculativeRoundPlanner::SampleRound(
   const uint64_t top_up = RoundDraw(theta);
   const uint32_t front = batch_.Add(u, &front_base);
   const uint32_t rear = batch_.Add(u, &rear_base);
-  if (window_ > 0) AddSpeculativeQueries(front_base, rear_base, epoch, top_up);
+  if (window_ > 0) {
+    AddSpeculativeQueries(front_base, rear_base, epoch, top_up);
+  } else {
+    PlanTopUps(theta, later_thetas, budget_remaining - top_up, *rng);
+  }
   const Result<uint64_t> sampled = engine->TryCountCoverageBatch(
       &batch_, removed, num_alive, top_up, rng);
   ATPM_RETURN_NOT_OK(sampled.status());

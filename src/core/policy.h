@@ -358,6 +358,16 @@ class SpeculativeRoundPlanner {
   /// `rear_base` (absent ones are already activated and will be skipped,
   /// never sampled); their answers are stored under `epoch`.
   ///
+  /// `later_thetas` lists the θ of the rounds the decision may run after
+  /// this one when its schedule cannot depend on the samples
+  /// (DoubleGreedyRule::PlanLaterRounds; empty otherwise). With batched
+  /// rounds and no window, the top-up pool's batch then carries the plan
+  /// of those rounds (CoverageQueryBatch::AddPlannedRound): each later
+  /// round's top-up, and its seed peeked from a copy of `rng` — the draw
+  /// that round will take — up to the last round `budget_remaining` still
+  /// funds. The plan only lets the engine start those rounds early; every
+  /// round still draws its own seed from `rng`.
+  ///
   /// A non-OK result means the engine failed (injected fault, worker
   /// exception, IO error): kResourceExhausted is the caller's cue to
   /// degrade onto the estimates it already has, anything else propagates.
@@ -368,9 +378,10 @@ class SpeculativeRoundPlanner {
                               const BitVector& front_base,
                               const BitVector& rear_base,
                               const BitVector* removed, uint32_t num_alive,
-                              uint64_t theta, uint64_t epoch,
-                              uint64_t budget_remaining, Rng* rng,
-                              FrontRearHits* hits);
+                              uint64_t theta,
+                              std::span<const uint64_t> later_thetas,
+                              uint64_t epoch, uint64_t budget_remaining,
+                              Rng* rng, FrontRearHits* hits);
 
   /// RR sets a sampled round of `theta` would draw — the budget-check
   /// quantity: the top-up over the kept counts when batched, R1 + R2 = 2θ
@@ -381,6 +392,10 @@ class SpeculativeRoundPlanner {
   }
   /// Whether speculative lookahead is active (batched and window > 0).
   bool speculating() const { return window_ > 0; }
+  /// Whether sampled rounds carry a plan of the decision's later rounds
+  /// (batched without a window: a window's queries for the next batch are
+  /// not known in advance).
+  bool plans_rounds() const { return batched_ && window_ == 0; }
 
   const SpeculationStats& stats() const { return stats_; }
 
@@ -411,8 +426,15 @@ class SpeculativeRoundPlanner {
   Status SampleRound(SamplingEngine* engine, NodeId u,
                      const BitVector& front_base, const BitVector& rear_base,
                      const BitVector* removed, uint32_t num_alive,
-                     uint64_t theta, uint64_t epoch, Rng* rng,
+                     uint64_t theta, std::span<const uint64_t> later_thetas,
+                     uint64_t epoch, uint64_t budget_remaining, Rng* rng,
                      FrontRearHits* hits);
+
+  /// Adds the plan of the decision's later rounds to batch_ (see
+  /// NextRound): this round counts `theta` sets, and `budget_left` RR sets
+  /// remain after it.
+  void PlanTopUps(uint64_t theta, std::span<const uint64_t> later_thetas,
+                  uint64_t budget_left, const Rng& rng);
 
   /// Appends up to window_ speculative first-round queries to batch_,
   /// refreshing stored answers whose pool is smaller than `pool_sets`.

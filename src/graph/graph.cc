@@ -262,6 +262,7 @@ void Graph::RebuildWeightIndex() {
   lt_plan_.Adopt(std::move(lt_plan));
   lt_alias_offsets_.Adopt(std::move(lt_alias_offsets));
   lt_alias_.Adopt(std::move(lt_alias));
+  ++weight_version_;
 }
 
 void Graph::EnsureOwnedStorage() {

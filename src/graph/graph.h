@@ -315,8 +315,14 @@ class Graph {
   /// Recomputes the weight-class index from the current in-edge
   /// probabilities — the hook GraphBuilder::Build and AssignProbabilities
   /// call. Public for callers that mutate probabilities outside
-  /// AssignProbabilities; idempotent.
+  /// AssignProbabilities; idempotent. Bumps weight_version().
   void RebuildWeightIndex();
+
+  /// How many times the weight-class index was rebuilt on this graph (a
+  /// loaded store starts at 0). Samplers snapshot it with their step
+  /// table and check it on every call, so a graph reweighted under a live
+  /// generator or engine aborts instead of sampling stale records.
+  uint64_t weight_version() const { return weight_version_; }
 
   // ---- Mapped storage (the graph-store mmap load path, graph_store.h).
   // A mapped graph's blocks are read-only views into one mapping.
@@ -410,6 +416,8 @@ class Graph {
   // Keeps the graph-store mapping alive for as long as any block views it
   // (type-erased to keep graph.h free of mmap details).
   std::shared_ptr<const void> backing_;
+  // See weight_version().
+  uint64_t weight_version_ = 0;
 };
 
 }  // namespace atpm

@@ -26,6 +26,16 @@ struct CoverageQuery {
   const BitVector* base = nullptr;
 };
 
+/// One later round of the decision a count batch belongs to: the top-up
+/// pool of `sets` RR sets it will draw from `seed`, with the same queries,
+/// bases and residual graph.
+struct PlannedRound {
+  uint64_t sets = 0;
+  uint64_t seed = 0;
+
+  bool operator==(const PlannedRound&) const = default;
+};
+
 /// A batch of coverage queries answered against ONE shared pool of RR sets.
 ///
 /// The adaptive policies (ADDATP Alg. 3, HATP Alg. 4) historically drew a
@@ -85,13 +95,31 @@ struct CoverageQuery {
 /// The batch owns the hit counters; an answering backend zeroes them
 /// (ZeroHits) and accumulates into hit_data(). Batches are plain value
 /// objects — reuse one across rounds to avoid reallocation.
+///
+/// A batch may carry a plan: the rounds its decision will still count after
+/// this one, each a {top-up, seed} pair (AddPlannedRound). Only a decision
+/// whose sample sizes are fixed before it samples has one — kept-count
+/// HATP / HNTP on their grid, batched ADDATP — and then the later rounds
+/// ask the same queries on the same residual graph, so the engine may
+/// start their chunks while the caller is still testing this round
+/// (ParallelSamplingEngine's count stream). A plan is a scheduling hint:
+/// the hits, sets and draws of a call never depend on it, and a later call
+/// that does not match the plan is answered exactly as if there was none.
 class CoverageQueryBatch {
  public:
-  /// Removes all queries (keeps capacity).
+  /// Removes all queries and the plan (keeps capacity).
   void Clear() {
     queries_.clear();
     hits_.clear();
+    plan_.clear();
   }
+
+  /// Appends a later round of the decision to the plan, in round order.
+  void AddPlannedRound(uint64_t sets, uint64_t seed) {
+    plan_.push_back(PlannedRound{sets, seed});
+  }
+  /// The planned later rounds (empty = no plan).
+  std::span<const PlannedRound> planned_rounds() const { return plan_; }
 
   /// Appends the query Cov(node | base) and returns its index within the
   /// batch. Pass base == nullptr for an unconditional Cov({node}) count.
@@ -126,6 +154,7 @@ class CoverageQueryBatch {
  private:
   std::vector<CoverageQuery> queries_;
   std::vector<uint64_t> hits_;
+  std::vector<PlannedRound> plan_;
 };
 
 }  // namespace atpm

@@ -21,12 +21,14 @@ RRSetGenerator::RRSetGenerator(const Graph& graph, DiffusionModel model,
       model_(model),
       kernel_(kernel),
       step_table_(std::move(steps)),
+      weight_version_(graph.weight_version()),
       visited_(graph.num_nodes()) {
   const bool reads_steps = model == DiffusionModel::kIndependentCascade &&
                            kernel == SamplingKernel::kGeometricJump;
   ATPM_CHECK(reads_steps == (step_table_ != nullptr));
   if (step_table_ != nullptr) {
     ATPM_CHECK(step_table_->size() == graph.num_nodes());
+    ATPM_CHECK(step_table_->weight_version() == weight_version_);
     steps_ = step_table_->records();
     step_in_adj_ = step_table_->in_adj();
   }
@@ -156,6 +158,7 @@ template <typename Visit>
 
 uint64_t RRSetGenerator::Generate(const BitVector* removed, uint32_t num_alive,
                                   Rng* rng, std::vector<NodeId>* out) {
+  CheckWeightVersion();
   out->clear();
   alive_cache_valid_ = false;  // the residual graph may have moved on
   return GenerateOne(removed, num_alive, rng, out);
@@ -172,6 +175,7 @@ uint64_t RRSetGenerator::GenerateBatch(const BitVector* removed,
   // paying the O(n) rebuild per set like a Generate loop would. Root
   // sampling consumes the same stream either way (cache validity never
   // changes RNG consumption), so the batch is bit-identical to the loop.
+  CheckWeightVersion();
   alive_cache_valid_ = false;
   uint64_t edges_examined = 0;
   size_t charged_nodes = nodes->size();
@@ -312,6 +316,7 @@ uint64_t RRSetGenerator::CountCoveringBatch(
     const BitVector* removed, uint32_t num_alive, uint64_t theta,
     std::span<const CoverageQuery> queries, uint64_t* hits, Rng* rng,
     const BudgetGate* budget, uint64_t* sampled) {
+  CheckWeightVersion();
   const size_t num_queries = queries.size();
   if (sampled != nullptr) *sampled = theta;
   for (size_t q = 0; q < num_queries; ++q) hits[q] = 0;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bit_vector.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/run_budget.h"
 #include "diffusion/diffusion_model.h"
@@ -48,7 +49,8 @@ namespace atpm {
 /// Stateful generator bound to one graph; reuses its internal frontier and
 /// visited marker across millions of calls. The graph must not be
 /// reweighted while a generator is bound to it (the step table is a
-/// snapshot).
+/// snapshot): every sampling call compares the graph's weight_version()
+/// with the one the generator was built at and aborts on a mismatch.
 class RRSetGenerator {
  public:
   /// Creates a generator for `graph`, with its own step table when the
@@ -170,6 +172,11 @@ class RRSetGenerator {
 
   /// The bound graph.
   const Graph& graph() const { return *graph_; }
+  /// Aborts when the graph was reweighted (Graph::weight_version moved)
+  /// after this generator was built.
+  void CheckWeightVersion() const {
+    ATPM_CHECK(graph_->weight_version() == weight_version_);
+  }
   /// The kernel this generator runs.
   SamplingKernel kernel() const { return kernel_; }
 
@@ -220,6 +227,8 @@ class RRSetGenerator {
   /// The step table (null unless IC with the jump kernel), and its records
   /// and in-CSR for the hot path.
   std::shared_ptr<const StepTable> step_table_;
+  /// The graph's weight_version() at construction.
+  uint64_t weight_version_;
   const StepRecord* steps_ = nullptr;
   const NodeId* step_in_adj_ = nullptr;
   EpochVisitedSet visited_;

@@ -132,6 +132,9 @@ class SamplingEngine {
   /// chunks, chunk c from the stream Rng(SplitSeed(seed, c)), and the hits
   /// are summed over chunks, so the counts are the same for any worker
   /// count. Returns the sets actually drawn (see TryCountCoverageBatch).
+  /// The batch's planned rounds (CoverageQueryBatch::AddPlannedRound) only
+  /// let an engine start the decision's later rounds early; decorators
+  /// pass the batch through unchanged so the plan reaches the engine.
   virtual Result<uint64_t> TryCountCoverageBatchSeeded(
       CoverageQueryBatch* batch, const BitVector* removed,
       uint32_t num_alive, uint64_t theta, uint64_t seed) = 0;
@@ -194,13 +197,36 @@ class SamplingEngine {
 /// Every batch — a pool fill or a count — is cut into chunks of kChunkSets
 /// RR sets (the last one shorter), and chunk c draws from the stream
 /// Rng(SplitSeed(base, c)), where `base` is the call's seed. Workers claim
-/// chunks from one atomic counter; a fill is spliced into the CSR pool in
-/// chunk order (RRCollection::AppendShard) and a count sums the per-worker
-/// hit shards. Pools, hit counts, edges and RNG draws therefore depend on
-/// (seed, θ) alone: never on the thread count, min_parallel_batch, or
-/// which worker ran which chunk. A batch below min_parallel_batch, or any
-/// batch of a one-worker engine, runs every chunk on the calling thread
-/// through the same chunk body; the threshold decides scheduling only.
+/// chunks in order; a fill is spliced into the CSR pool in chunk order
+/// (RRCollection::AppendShard) and a count sums its chunks' hits. Pools,
+/// hit counts, edges and RNG draws therefore depend on (seed, θ) alone:
+/// never on the thread count, min_parallel_batch, or which worker ran
+/// which chunk. A batch below min_parallel_batch, or any batch of a
+/// one-worker engine, runs every chunk on the calling thread through the
+/// same chunk body; the threshold decides scheduling only.
+///
+/// Counts run on a count stream. A count opens a stream of one round —
+/// itself — plus, when its batch carries a plan (the later rounds of a
+/// decision whose sample sizes are fixed in advance), one round per
+/// planned {top-up, seed}. Round r's chunks follow round r-1's in one
+/// chunk sequence and are claimed in that order, so workers with no chunk
+/// of the current round left start chunks of the following rounds, and
+/// keep counting them after the call returns, at most num_workers() chunks
+/// past the end of the round the caller waits on. The next call continues
+/// the stream when its θ, seed, num_alive, query nodes, plan and the
+/// contents of `removed` and of every base are the ones the stream was
+/// opened with; it then often finds some of its chunks already counted.
+/// Anything else closes the stream and opens a new one, so results never
+/// depend on the plan. A stream that runs ahead copies `removed`, each
+/// distinct base and the query list when it opens, so ahead work never
+/// reads caller memory after a call returns. Results are kept per chunk
+/// and reach SamplingStats only when their round is returned; chunks of
+/// rounds never returned are discarded when the stream closes (counted in
+/// the atpm_count_chunks_discarded_total registry counter). A fill, a
+/// count that does not continue the stream, ResetPool, set_budget and the
+/// destructor close it first. Run-ahead is off with one worker, while a
+/// BudgetGate is installed, and while any failpoint is armed: those runs
+/// claim exactly the chunks of the round they count.
 ///
 /// An exception thrown in a chunk (an injected fault, bad_alloc) becomes
 /// the batch's Status on whichever thread ran it. A failed batch adds no
@@ -210,7 +236,8 @@ class ParallelSamplingEngine : public SamplingEngine {
  public:
   /// Batches below this size run on the calling thread — fan-out overhead
   /// dominates tiny jobs, and the adaptive policies issue plenty of them
-  /// early in the error schedule.
+  /// early in the error schedule. A count is measured together with the
+  /// planned rounds it may run ahead into.
   static constexpr uint64_t kDefaultMinParallelBatch = 4096;
   /// RR sets per chunk: the unit of the stream layout and of claiming.
   static constexpr uint64_t kChunkSets = 1024;
@@ -233,6 +260,9 @@ class ParallelSamplingEngine : public SamplingEngine {
                                                uint32_t num_alive,
                                                uint64_t theta,
                                                uint64_t seed) override;
+
+  /// Closes the count stream, then installs the gate.
+  void set_budget(BudgetGate* budget) override;
 
   RRCollection& pool() override { return pool_; }
   void ResetPool() override;
@@ -265,6 +295,21 @@ class ParallelSamplingEngine : public SamplingEngine {
     uint64_t draws = 0;
     uint64_t settled_walks = 0;
     uint64_t walk_nodes = 0;
+
+    static WalkCounts Of(const RRSetGenerator& generator) {
+      return {generator.rng_draws(), generator.settled_walks(),
+              generator.count_walk_nodes()};
+    }
+    WalkCounts operator-(const WalkCounts& o) const {
+      return {draws - o.draws, settled_walks - o.settled_walks,
+              walk_nodes - o.walk_nodes};
+    }
+    WalkCounts& operator+=(const WalkCounts& o) {
+      draws += o.draws;
+      settled_walks += o.settled_walks;
+      walk_nodes += o.walk_nodes;
+      return *this;
+    }
   };
 
   /// Per-worker state; only its owning thread touches it during a batch.
@@ -272,19 +317,69 @@ class ParallelSamplingEngine : public SamplingEngine {
     std::unique_ptr<RRSetGenerator> generator;
     /// The generator's counts at the last harvest (TakeWalkCounts).
     WalkCounts seen;
-    /// Edges examined and sets drawn by this worker's chunks of the batch.
+    /// Pool fills: edges examined by this worker's chunks, and the chunks
+    /// in AppendShard layout.
     uint64_t edges = 0;
-    uint64_t sampled = 0;
-    /// Count batches: per-query hits summed over this worker's chunks, and
-    /// one chunk's hits.
-    std::vector<uint64_t> hits;
-    std::vector<uint64_t> chunk_hits;
-    /// Pool fills: this worker's chunks in AppendShard layout.
     std::vector<NodeId> nodes;
     std::vector<uint32_t> sizes;
     std::vector<StagedChunk> chunks;
-    /// Exception that escaped one of this worker's chunks, if any.
+    /// Exception that escaped one of this worker's fill chunks, if any.
     std::exception_ptr error;
+  };
+
+  /// One round of the count stream: `sets` RR sets from `seed`, counted
+  /// by the stream's chunks [first_chunk, end_chunk).
+  struct StreamRound {
+    uint64_t sets = 0;
+    uint64_t seed = 0;
+    uint64_t first_chunk = 0;
+    uint64_t end_chunk = 0;
+  };
+  /// What one chunk of the count stream drew; its hits are
+  /// CountStream::hits[chunk * queries.size() ...].
+  struct StreamChunk {
+    uint32_t round = 0;
+    uint64_t sampled = 0;
+    uint64_t edges = 0;
+    WalkCounts walks;
+    std::exception_ptr error;
+  };
+  /// The count stream (see the class comment). Chunks read the fields
+  /// above `returned`, which the caller writes only while no chunk of the
+  /// stream runs; a chunk's StreamChunk and hits are written by the thread
+  /// that counts it and read after its completion is seen under mu_.
+  struct CountStream {
+    std::vector<StreamRound> rounds;
+    std::vector<StreamChunk> chunks;
+    std::vector<uint64_t> hits;
+    /// The queries; their bases point at `base_copies` when `ahead`.
+    std::vector<CoverageQuery> queries;
+    const BitVector* removed = nullptr;
+    uint32_t num_alive = 0;
+    const BudgetGate* budget = nullptr;
+    /// Pool threads claim chunks too (false: the caller counts them all).
+    bool shared = false;
+    /// The stream runs ahead: its inputs are copies and it stays open
+    /// between calls.
+    bool ahead = false;
+    BitVector removed_copy;
+    std::vector<BitVector> base_copies;
+    /// Rounds returned so far (caller only); a continuation counts
+    /// rounds[returned].
+    size_t returned = 0;
+    // Guarded by mu_.
+    bool open = false;
+    /// Next unclaimed chunk; chunks at or past `limit` are not claimed.
+    uint64_t next = 0;
+    uint64_t limit = 0;
+    /// Chunks being counted.
+    uint32_t running = 0;
+    /// A chunk threw: nothing more is claimed.
+    bool failed = false;
+    /// The caller waits for chunks to finish.
+    bool waiting = false;
+    /// Finished chunks per round.
+    std::vector<uint64_t> done;
   };
 
   /// One chunk: `sets` RR sets drawn from `rng` by `worker`.
@@ -292,11 +387,10 @@ class ParallelSamplingEngine : public SamplingEngine {
       std::function<void(Worker& worker, uint64_t chunk, uint64_t sets,
                          Rng* rng)>;
 
-  /// Runs the ceil(size / kChunkSets) chunks of a batch and blocks until
-  /// all are done. Returns the first (by worker index) exception a chunk
-  /// threw, translated to a Status — std::bad_alloc to kResourceExhausted,
-  /// anything else to kInternal — after every worker has stopped, so the
-  /// engine is always reusable afterwards.
+  /// Runs the ceil(size / kChunkSets) chunks of a pool fill and blocks
+  /// until all are done. Returns the first (by worker index) exception a
+  /// chunk threw, translated to a Status (ExceptionToStatus) after every
+  /// worker has stopped, so the engine is always reusable afterwards.
   Status RunChunks(uint64_t size, uint64_t seed, const ChunkBody& body);
   void WorkerLoop(uint32_t index);
   /// What all workers' generators counted since the last harvest.
@@ -305,6 +399,36 @@ class ParallelSamplingEngine : public SamplingEngine {
   bool RunsInline(uint64_t size) const {
     return workers_.size() <= 1 || size < min_parallel_batch_;
   }
+  /// Aborts when the graph was reweighted after the engine was built.
+  void CheckWeightVersion() const {
+    workers_.front().generator->CheckWeightVersion();
+  }
+
+  /// Opens a stream for a count of `theta` sets from `seed`, plus the
+  /// batch's planned rounds when `ahead`. The stream must be closed.
+  void OpenStream(const CoverageQueryBatch& batch, const BitVector* removed,
+                  uint32_t num_alive, uint64_t theta, uint64_t seed,
+                  bool ahead, bool shared);
+  /// Whether this count is the open stream's next round, with the inputs
+  /// and the plan the stream was opened with.
+  bool ContinuesStream(const CoverageQueryBatch& batch,
+                       const BitVector* removed, uint32_t num_alive,
+                       uint64_t theta, uint64_t seed) const;
+  /// Counts the stream's next round, waits for it, and returns its sets
+  /// (its hits in `batch`), or the first error of its chunks.
+  Result<uint64_t> CountRound(CoverageQueryBatch* batch);
+  /// Stops claims, waits for running chunks, drops the stream, and
+  /// re-baselines the walk-count harvest. No-op on a closed stream.
+  void CloseStream();
+  /// Whether a pool thread may claim a stream chunk (mu_ held).
+  bool StreamClaimable() const {
+    return stream_.open && stream_.shared && !stream_.failed &&
+           stream_.next < stream_.limit;
+  }
+  /// Counts stream chunk `chunk` with `worker`'s generator (mu_ not held).
+  void CountStreamChunk(Worker& worker, uint64_t chunk);
+  /// Records that `chunk` finished (mu_ held).
+  void FinishStreamChunk(uint64_t chunk);
 
   RRCollection pool_;
   uint64_t edges_examined_ = 0;
@@ -312,6 +436,7 @@ class ParallelSamplingEngine : public SamplingEngine {
   uint64_t min_parallel_batch_;
 
   std::vector<Worker> workers_;
+  CountStream stream_;
   std::mutex mu_;
   std::condition_variable job_cv_;
   std::condition_variable done_cv_;
@@ -319,7 +444,7 @@ class ParallelSamplingEngine : public SamplingEngine {
   uint64_t job_epoch_ = 0;
   uint32_t pending_ = 0;
   bool stopping_ = false;
-  /// Next unclaimed chunk of the running batch.
+  /// Next unclaimed chunk of the running fill.
   std::atomic<uint64_t> next_chunk_{0};
   std::vector<std::thread> threads_;
 };
@@ -379,8 +504,8 @@ std::unique_ptr<SamplingEngine> CreateSamplingEngine(
 /// Run() calls, so a parallel backend keeps its worker pool warm — an
 /// owned engine for the requested (graph, model, options). The cache keys
 /// on graph identity, so the graph passed to Get must stay alive (and
-/// unmoved) for as long as the handle may serve it, and must not be
-/// reweighted meanwhile: the engine's step table is a snapshot.
+/// unmoved) for as long as the handle may serve it. A graph reweighted
+/// between Get calls gets a new engine (the step table is a snapshot).
 class SamplingEngineHandle {
  public:
   /// Injects an external engine (not owned; pass nullptr to clear). Its
@@ -395,6 +520,7 @@ class SamplingEngineHandle {
   SamplingEngine* external_ = nullptr;
   std::unique_ptr<SamplingEngine> owned_;
   SamplingOptions owned_options_{};
+  uint64_t owned_weight_version_ = 0;
 };
 
 }  // namespace atpm

@@ -6,7 +6,8 @@
 
 namespace atpm {
 
-StepTable::StepTable(const Graph& graph) : records_(graph.num_nodes()) {
+StepTable::StepTable(const Graph& graph)
+    : records_(graph.num_nodes()), weight_version_(graph.weight_version()) {
   const NodeId n = graph.num_nodes();
   if (n == 0) return;
   in_adj_ = graph.InNeighbors(0).data();

@@ -48,7 +48,9 @@ static_assert(sizeof(StepRecord) == 32);
 /// store mapping on a trusting load.
 ///
 /// A snapshot: a graph reweighted after the table was built
-/// (AssignProbabilities) needs a new table, and so new generators.
+/// (AssignProbabilities) needs a new table, and so new generators. The
+/// table records the graph's weight_version() it was built at, and every
+/// generator checks the graph still has it before it samples.
 class StepTable {
  public:
   explicit StepTable(const Graph& graph);
@@ -65,10 +67,13 @@ class StepTable {
   /// The in-CSR that the records' in_begin offsets index: v's
   /// in-neighbours start at in_adj() + (*this)[v].in_begin.
   const NodeId* in_adj() const { return in_adj_; }
+  /// The graph's weight_version() when the table was built.
+  uint64_t weight_version() const { return weight_version_; }
 
  private:
   std::vector<StepRecord> records_;
   const NodeId* in_adj_ = nullptr;
+  uint64_t weight_version_ = 0;
 };
 
 }  // namespace atpm

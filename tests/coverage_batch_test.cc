@@ -953,7 +953,7 @@ TEST(BatchedRoundsTest, KeptHitsEqualTheSumOfTopUpPools) {
     FrontRearHits hits;
     const Result<SpeculativeRoundPlanner::RoundStep> step =
         planner.NextRound(&engine, 0, front_base, rear_base, nullptr, n, theta,
-                          0, UINT64_MAX, &rng, &hits);
+                          {}, 0, UINT64_MAX, &rng, &hits);
     ASSERT_TRUE(step.ok()) << step.status().ToString();
     EXPECT_EQ(step.value(), SpeculativeRoundPlanner::RoundStep::kSampled);
 
@@ -982,12 +982,12 @@ TEST(BatchedRoundsTest, KeptHitsEqualTheSumOfTopUpPools) {
   FrontRearHits hits;
   EXPECT_EQ(planner
                 .NextRound(&engine, 0, front_base, rear_base, nullptr, n,
-                           20000, 0, 20000 - kept_sets - 1, &rng, &hits)
+                           20000, {}, 0, 20000 - kept_sets - 1, &rng, &hits)
                 .value(),
             SpeculativeRoundPlanner::RoundStep::kOverBudget);
   EXPECT_EQ(planner
                 .NextRound(&engine, 0, front_base, rear_base, nullptr, n,
-                           20000, 0, 20000 - kept_sets, &rng, &hits)
+                           20000, {}, 0, 20000 - kept_sets, &rng, &hits)
                 .value(),
             SpeculativeRoundPlanner::RoundStep::kSampled);
   EXPECT_EQ(hits.sets, 20000 - kept_sets);
@@ -999,7 +999,7 @@ TEST(BatchedRoundsTest, KeptHitsEqualTheSumOfTopUpPools) {
   rear_base.Clear(1);
   ASSERT_TRUE(planner
                   .NextRound(&engine, 1, front_base, rear_base, nullptr, n,
-                             1000, 0, UINT64_MAX, &rng, &hits)
+                             1000, {}, 0, UINT64_MAX, &rng, &hits)
                   .ok());
   EXPECT_EQ(hits.sets, 1000u);
   EXPECT_EQ(hits.theta, 1000u);

@@ -5,16 +5,22 @@
 // sample on a healthy engine: there a failed Status is a broken test, so it
 // is printed and the process aborts. Tests of the failure paths call the
 // engine's Status API directly. Also the engine's chunk-stream rule
-// replayed on a raw RRSetGenerator, the reference the engine must match.
+// replayed on a raw RRSetGenerator, the reference the engine must match,
+// and the accounting checks the engine tests share.
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "rris/coverage_batch.h"
@@ -104,6 +110,30 @@ inline uint64_t ChunkedReferenceCount(RRSetGenerator* generator,
     for (size_t q = 0; q < queries.size(); ++q) (*hits)[q] += chunk_hits[q];
   });
   return edges;
+}
+
+/// Every SamplingStats field is equal.
+inline void ExpectSameStats(const SamplingStats& a, const SamplingStats& b) {
+  EXPECT_EQ(a.rr_sets_generated, b.rr_sets_generated);
+  EXPECT_EQ(a.edges_examined, b.edges_examined);
+  EXPECT_EQ(a.count_pools, b.count_pools);
+  EXPECT_EQ(a.coverage_queries, b.coverage_queries);
+  EXPECT_EQ(a.rng_draws, b.rng_draws);
+  EXPECT_EQ(a.settled_walks, b.settled_walks);
+  EXPECT_EQ(a.count_walk_nodes, b.count_walk_nodes);
+}
+
+/// The global registry's atpm_count_chunks_discarded_total (0 before the
+/// first count stream closes).
+inline uint64_t DiscardedStreamChunks() {
+  std::istringstream prom(obs::MetricsRegistry::Global().ExportPrometheus());
+  const std::string series = "atpm_count_chunks_discarded_total ";
+  for (std::string line; std::getline(prom, line);) {
+    if (line.starts_with(series)) {
+      return std::stoull(line.substr(series.size()));
+    }
+  }
+  return 0;
 }
 
 }  // namespace atpm

@@ -728,6 +728,162 @@ TEST_F(FailpointTest, HatpAbsorbsInjectedAllocFailure) {
   EXPECT_GE(run.value().effective_epsilon, hopt.relative_error_threshold);
 }
 
+// Forwards every call to `inner` and records each count's θ. It can drop
+// the batch's plan of later rounds, and cancel `cancel` just before its
+// `cancel_at`-th count.
+class CountProbeEngine final : public SamplingEngine {
+ public:
+  explicit CountProbeEngine(SamplingEngine* inner) : inner_(inner) {}
+
+  bool strip_plan = false;
+  CancelToken* cancel = nullptr;
+  uint64_t cancel_at = 0;
+  /// θ of every count call, in call order.
+  std::vector<uint64_t> thetas;
+
+  Status TryGeneratePool(const BitVector* removed, uint32_t num_alive,
+                         uint64_t count, Rng* rng) override {
+    return inner_->TryGeneratePool(removed, num_alive, count, rng);
+  }
+  Result<uint64_t> TryCountCoverageBatchSeeded(CoverageQueryBatch* batch,
+                                               const BitVector* removed,
+                                               uint32_t num_alive,
+                                               uint64_t theta,
+                                               uint64_t seed) override {
+    thetas.push_back(theta);
+    if (cancel != nullptr && thetas.size() == cancel_at) cancel->Cancel();
+    if (!strip_plan) {
+      return inner_->TryCountCoverageBatchSeeded(batch, removed, num_alive,
+                                                 theta, seed);
+    }
+    CoverageQueryBatch bare;
+    for (const CoverageQuery& query : batch->queries()) {
+      bare.Add(query.node, query.base);
+    }
+    Result<uint64_t> sampled = inner_->TryCountCoverageBatchSeeded(
+        &bare, removed, num_alive, theta, seed);
+    std::copy(bare.hits().begin(), bare.hits().end(), batch->hit_data());
+    return sampled;
+  }
+  void set_budget(BudgetGate* budget) override {
+    SamplingEngine::set_budget(budget);
+    inner_->set_budget(budget);
+  }
+  RRCollection& pool() override { return inner_->pool(); }
+  void ResetPool() override { inner_->ResetPool(); }
+  uint64_t total_edges_examined() const override {
+    return inner_->total_edges_examined();
+  }
+  const Graph& graph() const override { return inner_->graph(); }
+  DiffusionModel model() const override { return inner_->model(); }
+  SamplingKernel kernel() const override { return inner_->kernel(); }
+  uint32_t num_workers() const override { return inner_->num_workers(); }
+  std::string_view name() const override { return inner_->name(); }
+
+ private:
+  SamplingEngine* inner_;
+};
+
+// An armed failpoint turns the count stream's run-ahead off, so a 4-worker
+// kept-count HATP run claims exactly the 1-worker run's chunks: a fault on
+// a planned round's chunk fires at the same hit, fails the same round, and
+// leaves the same accounting. The faulted round has one chunk, so which
+// worker claims it cannot move the draws either.
+TEST_F(FailpointTest, ParallelWorkerFaultOnPlannedRoundMatchesOneWorker) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  const uint64_t chunk = ParallelSamplingEngine::kChunkSets;
+  // The clean run's counts: fault the first chunk of the last later round
+  // that is one chunk long, so that earlier decisions ended with planned
+  // rounds left (whose chunks a run-ahead would have claimed).
+  std::vector<uint64_t> thetas;
+  {
+    SerialSamplingEngine serial(g);
+    CountProbeEngine probe(&serial);
+    HatpPolicy policy(HatpOptions{});
+    policy.set_engine(&probe);
+    ASSERT_TRUE(RunGoldenPolicy(g, problem, &policy).ok());
+    thetas = probe.thetas;
+  }
+  uint64_t fire_at = 0;
+  uint64_t hits = 0;
+  for (size_t i = 1; i < thetas.size(); ++i) {
+    hits += (thetas[i - 1] + chunk - 1) / chunk;
+    if (thetas[i] > 0 && thetas[i] <= chunk && thetas[i] < thetas[i - 1]) {
+      fire_at = hits + 1;
+    }
+  }
+  ASSERT_GT(fire_at, 0u) << "no one-chunk top-up in the run";
+
+  std::vector<Status> statuses;
+  std::vector<SamplingStats> drawn;
+  std::vector<uint64_t> fired;
+  for (uint32_t workers : {1u, 4u}) {
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                  workers, /*min_parallel_batch=*/1);
+    HatpPolicy policy(HatpOptions{});
+    policy.set_engine(&engine);
+    failpoint::Spec spec;
+    spec.fire_at = fire_at;
+    spec.count = 1;
+    ASSERT_TRUE(failpoint::Arm("engine.parallel_worker", spec));
+    auto run = RunGoldenPolicy(g, problem, &policy);
+    fired.push_back(failpoint::HitCount("engine.parallel_worker"));
+    failpoint::DisarmAll();
+    statuses.push_back(run.status());
+    drawn.push_back(engine.stats());
+  }
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.IsInternal()) << status.ToString();
+  }
+  // The message names the backend ("serial" / "parallel sampling: ...").
+  const std::string one = statuses[0].ToString();
+  const std::string four = statuses[1].ToString();
+  EXPECT_EQ(one.substr(one.find("sampling")),
+            four.substr(four.find("sampling")));
+  EXPECT_EQ(fired[0], fire_at);
+  EXPECT_EQ(fired[1], fired[0]);
+  ExpectSameStats(drawn[1], drawn[0]);
+}
+
+// An installed BudgetGate turns run-ahead off as well: a cancel landing
+// inside a planned round truncates the run exactly as an unplanned one, at
+// one worker and at four.
+TEST_F(FailpointTest, CancelledBudgetTruncatesPlannedRunsAsUnplanned) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  for (const uint64_t cancel_at : {2u, 5u}) {
+    std::vector<std::string> prints;
+    std::vector<SamplingStats> drawn;
+    for (uint32_t workers : {1u, 4u}) {
+      for (bool strip_plan : {false, true}) {
+        CancelToken cancel;
+        ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                      workers, /*min_parallel_batch=*/1);
+        CountProbeEngine probe(&engine);
+        probe.strip_plan = strip_plan;
+        probe.cancel = &cancel;
+        probe.cancel_at = cancel_at;
+        HatpOptions hopt;
+        hopt.sampling.budget.cancel = &cancel;
+        HatpPolicy policy(hopt);
+        policy.set_engine(&probe);
+        auto run = RunGoldenPolicy(g, problem, &policy);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        EXPECT_FALSE(run.value().degradation_events.empty());
+        prints.push_back(Fingerprint(run.value(), /*with_steps=*/true));
+        drawn.push_back(engine.stats());
+      }
+    }
+    for (size_t i = 1; i < prints.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "cancel_at " << cancel_at << " run " << i);
+      EXPECT_EQ(prints[i], prints[0]);
+      ExpectSameStats(drawn[i], drawn[0]);
+    }
+  }
+}
+
 TEST_F(FailpointTest, DeadlineBudgetedHatpTerminatesWithinTwiceBudget) {
   const Graph g = WcGraph();
   const ProfitProblem problem = GoldenProblem(g);
@@ -879,13 +1035,19 @@ TEST_F(FailpointTest, PoolByteCapChargesOnlyStoredEntriesOfRestrictedFill) {
 // schedule. Any outcome is acceptable except a crash or an unregistered
 // error — and the same seed must reproduce the same outcome exactly.
 
-TEST_F(FailpointTest, ChaosScheduleIsReproducibleAndContained) {
-  const Graph g = WcGraph();
-  const ProfitProblem problem = GoldenProblem(g);
+// The chaos schedule's seed: ATPM_CHAOS_SEED, or a fixed default.
+uint64_t ChaosSeed() {
   uint64_t chaos_seed = 20260808;
   if (const char* env = std::getenv("ATPM_CHAOS_SEED")) {
     chaos_seed = std::strtoull(env, nullptr, 10);
   }
+  return chaos_seed;
+}
+
+TEST_F(FailpointTest, ChaosScheduleIsReproducibleAndContained) {
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  const uint64_t chaos_seed = ChaosSeed();
   // Echoed so a CI failure names the schedule to replay.
   std::printf("[ chaos ] ATPM_CHAOS_SEED=%llu\n",
               static_cast<unsigned long long>(chaos_seed));
@@ -929,6 +1091,25 @@ TEST_F(FailpointTest, ChaosScheduleIsReproducibleAndContained) {
   ASSERT_TRUE(
       engine.TryGeneratePool(nullptr, g.num_nodes(), 2000, &rng).ok());
   EXPECT_EQ(PoolHash(engine.pool()), 1546245911037872209ull);
+}
+
+// Chaos arms every site, so even a 4-worker engine runs no chunk ahead.
+TEST_F(FailpointTest, ChaosScheduleKeepsRunAheadOff) {
+  obs::SetMetricsEnabled(true);
+  const Graph g = WcGraph();
+  const ProfitProblem problem = GoldenProblem(g);
+  const uint64_t before = DiscardedStreamChunks();
+  failpoint::ArmChaos(ChaosSeed(), 0.02);
+  {
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
+                                  /*min_parallel_batch=*/1);
+    HatpPolicy policy(HatpOptions{});
+    policy.set_engine(&engine);
+    auto run = RunGoldenPolicy(g, problem, &policy);
+    (void)run;
+  }
+  failpoint::DisarmAll();
+  EXPECT_EQ(DiscardedStreamChunks(), before);
 }
 
 }  // namespace

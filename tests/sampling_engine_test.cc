@@ -5,15 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <chrono>
+#include <initializer_list>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/bit_vector.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "core/addatp.h"
 #include "core/hatp.h"
+#include "core/hntp.h"
 #include "core/target_selection.h"
 #include "diffusion/adaptive_environment.h"
 #include "diffusion/realization.h"
@@ -49,16 +56,6 @@ void ExpectSamePools(const RRCollection& a, const RRCollection& b) {
       EXPECT_EQ(sa[j], sb[j]) << "set " << i << " slot " << j;
     }
   }
-}
-
-void ExpectSameStats(const SamplingStats& a, const SamplingStats& b) {
-  EXPECT_EQ(a.rr_sets_generated, b.rr_sets_generated);
-  EXPECT_EQ(a.edges_examined, b.edges_examined);
-  EXPECT_EQ(a.count_pools, b.count_pools);
-  EXPECT_EQ(a.coverage_queries, b.coverage_queries);
-  EXPECT_EQ(a.rng_draws, b.rng_draws);
-  EXPECT_EQ(a.settled_walks, b.settled_walks);
-  EXPECT_EQ(a.count_walk_nodes, b.count_walk_nodes);
 }
 
 // (a) The stream rule: chunk c of a batch draws from Rng(SplitSeed(seed,
@@ -304,24 +301,10 @@ TEST(ChunkStreamInvarianceTest, EveryThreadCountMatchesSerial) {
   }
 }
 
-TEST(ChunkStreamInvarianceTest, HatpRunIdenticalAcrossThreadCounts) {
-  const Graph g = TestGraph(300);
-  const Result<TargetSelectionResult> selection =
-      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
-  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-  std::vector<AdaptiveRunResult> runs;
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    HatpOptions options;
-    options.sampling.num_threads = threads;
-    HatpPolicy policy(options);
-    Rng world_rng(42);
-    AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
-    Rng rng(1);
-    Result<AdaptiveRunResult> run =
-        policy.Run(selection.value().problem, &env, &rng);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    runs.push_back(std::move(run).value());
-  }
+// The same run at every thread count, for each driver rule: HATP and HNTP
+// plan their later rounds on the kept-count grid and batched ADDATP on its
+// ζ/√2, δ/2 schedule, so their counts ride the count stream.
+void ExpectSameRuns(const std::vector<AdaptiveRunResult>& runs) {
   for (size_t i = 1; i < runs.size(); ++i) {
     const AdaptiveRunResult& a = runs.front();
     const AdaptiveRunResult& b = runs[i];
@@ -340,6 +323,409 @@ TEST(ChunkStreamInvarianceTest, HatpRunIdenticalAcrossThreadCounts) {
           << "step " << s;
     }
   }
+}
+
+TEST(ChunkStreamInvarianceTest, HatpRunIdenticalAcrossThreadCounts) {
+  const Graph g = TestGraph(300);
+  const Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  std::vector<AdaptiveRunResult> runs;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    HatpOptions options;
+    options.sampling.num_threads = threads;
+    HatpPolicy policy(options);
+    Rng world_rng(42);
+    AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
+    Rng rng(1);
+    Result<AdaptiveRunResult> run =
+        policy.Run(selection.value().problem, &env, &rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    runs.push_back(std::move(run).value());
+  }
+  ExpectSameRuns(runs);
+}
+
+TEST(ChunkStreamInvarianceTest, AddAtpRunIdenticalAcrossThreadCounts) {
+  const Graph g = TestGraph(300);
+  const Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  std::vector<AdaptiveRunResult> runs;
+  std::vector<SamplingStats> stats;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                  threads);
+    AddAtpOptions options;
+    options.fail_on_budget_exhausted = false;
+    AddAtpPolicy policy(options);
+    policy.set_engine(&engine);
+    Rng world_rng(42);
+    AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
+    Rng rng(1);
+    Result<AdaptiveRunResult> run =
+        policy.Run(selection.value().problem, &env, &rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    runs.push_back(std::move(run).value());
+    stats.push_back(engine.stats());
+  }
+  ExpectSameRuns(runs);
+  for (size_t i = 1; i < stats.size(); ++i) ExpectSameStats(stats[i], stats[0]);
+  EXPECT_GT(runs.front().total_rr_sets, 0u);
+}
+
+TEST(ChunkStreamInvarianceTest, HntpRunIdenticalAcrossThreadCounts) {
+  const Graph g = TestGraph(300);
+  const Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  std::vector<AdaptiveRunResult> runs;
+  std::vector<SamplingStats> stats;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                  threads);
+    Rng rng(1);
+    Result<HntpResult> run =
+        RunHntp(selection.value().problem, HatpOptions{}, &rng, &engine);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    runs.push_back(std::move(run).value());
+    stats.push_back(engine.stats());
+  }
+  ExpectSameRuns(runs);
+  for (size_t i = 1; i < stats.size(); ++i) ExpectSameStats(stats[i], stats[0]);
+  EXPECT_GT(runs.front().total_rr_sets, 0u);
+}
+
+// (b') The count stream: a decision's planned rounds give, round by round,
+// the hits and the accounting of one-shot counts, however the workers ran
+// ahead, wherever the decision stops, and whatever the next call asks.
+
+SamplingStats StatsDelta(const SamplingStats& after,
+                         const SamplingStats& before) {
+  SamplingStats d;
+  d.rr_sets_generated = after.rr_sets_generated - before.rr_sets_generated;
+  d.edges_examined = after.edges_examined - before.edges_examined;
+  d.count_pools = after.count_pools - before.count_pools;
+  d.coverage_queries = after.coverage_queries - before.coverage_queries;
+  d.rng_draws = after.rng_draws - before.rng_draws;
+  d.settled_walks = after.settled_walks - before.settled_walks;
+  d.count_walk_nodes = after.count_walk_nodes - before.count_walk_nodes;
+  return d;
+}
+
+// Counts round `i` of a decision whose rounds are `rounds`, asking
+// `queries`; with `plan` the batch carries rounds i+1.. as its plan.
+// Returns the hits; `*stats` gets the round's accounting.
+std::vector<uint64_t> CountDecisionRound(
+    SamplingEngine& engine, const std::vector<CoverageQuery>& queries,
+    const std::vector<PlannedRound>& rounds, size_t i, bool plan,
+    const BitVector* removed, uint32_t alive, SamplingStats* stats) {
+  CoverageQueryBatch batch;
+  for (const CoverageQuery& query : queries) batch.Add(query.node, query.base);
+  if (plan) {
+    for (size_t j = i + 1; j < rounds.size(); ++j) {
+      batch.AddPlannedRound(rounds[j].sets, rounds[j].seed);
+    }
+  }
+  const SamplingStats before = engine.stats();
+  EXPECT_EQ(CountBatch(engine, &batch, removed, alive, rounds[i].sets,
+                       rounds[i].seed),
+            rounds[i].sets);
+  if (stats != nullptr) *stats = StatsDelta(engine.stats(), before);
+  return std::vector<uint64_t>(batch.hits().begin(), batch.hits().end());
+}
+
+// The inputs of the stream tests: a 300-node graph, a residual graph, and
+// front / rear / unconditional queries.
+struct StreamFixture {
+  Graph g = TestGraph(300);
+  BitVector removed{g.num_nodes()};
+  BitVector front{g.num_nodes()};
+  BitVector rear{g.num_nodes()};
+  StreamFixture() {
+    for (NodeId v = 100; v < 140; ++v) removed.Set(v);
+    for (NodeId v = 10; v < 30; ++v) front.Set(v);
+    for (NodeId v = 40; v < 99; ++v) rear.Set(v);
+  }
+  std::vector<CoverageQuery> Queries(NodeId u = 0) const {
+    return {{u, &front}, {u, &rear}, {2, nullptr}};
+  }
+};
+
+std::vector<PlannedRound> Rounds(std::initializer_list<uint64_t> sets,
+                                 uint64_t seed) {
+  std::vector<PlannedRound> rounds;
+  for (uint64_t s : sets) rounds.push_back({s, SplitSeed(seed, rounds.size())});
+  return rounds;
+}
+
+TEST(CountStreamTest, PlannedRoundsMatchOneShotCounts) {
+  const StreamFixture f;
+  const uint64_t chunk = ParallelSamplingEngine::kChunkSets;
+  // One-chunk rounds, ragged rounds, and rounds of several chunks.
+  const std::vector<std::vector<PlannedRound>> plans = {
+      Rounds({300, 700, chunk, 50, chunk - 1}, 1),
+      Rounds({chunk + 500, 2 * chunk + 77, 3333, 777}, 2),
+      Rounds({5 * chunk, 4 * chunk + 3, 9 * chunk + 100}, 3)};
+  for (const BitVector* residual :
+       {static_cast<const BitVector*>(nullptr), &f.removed}) {
+    const uint32_t alive = f.g.num_nodes() - (residual != nullptr ? 40 : 0);
+    SerialSamplingEngine reference(f.g);
+    for (uint32_t threads : {1u, 2u, 3u, 4u}) {
+      for (uint64_t min_batch :
+           {uint64_t{1}, ParallelSamplingEngine::kDefaultMinParallelBatch}) {
+        ParallelSamplingEngine engine(f.g, DiffusionModel::kIndependentCascade,
+                                      threads, min_batch);
+        for (size_t p = 0; p < plans.size(); ++p) {
+          for (size_t i = 0; i < plans[p].size(); ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "residual " << (residual != nullptr)
+                         << " threads " << threads << " min_batch "
+                         << min_batch << " plan " << p << " round " << i);
+            SamplingStats want_stats;
+            SamplingStats got_stats;
+            const std::vector<uint64_t> want =
+                CountDecisionRound(reference, f.Queries(), plans[p], i, false,
+                                   residual, alive, &want_stats);
+            EXPECT_EQ(CountDecisionRound(engine, f.Queries(), plans[p], i,
+                                         true, residual, alive, &got_stats),
+                      want);
+            ExpectSameStats(got_stats, want_stats);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CountStreamTest, EarlyStopLeavesStatsOfAnUnplannedReplay) {
+  const StreamFixture f;
+  const uint32_t alive = f.g.num_nodes() - 40;
+  const std::vector<PlannedRound> rounds =
+      Rounds({300, 2000, 4500, 6000, 8000}, 4);
+  // What follows the stopped decision: a fill, an unrelated count, or
+  // ResetPool and then a fill.
+  for (int next = 0; next < 3; ++next) {
+    SCOPED_TRACE(::testing::Message() << "next " << next);
+    ParallelSamplingEngine planned(f.g, DiffusionModel::kIndependentCascade,
+                                   4, /*min_parallel_batch=*/1);
+    SerialSamplingEngine replay(f.g);
+    std::vector<uint64_t> unrelated;
+    for (bool plan : {true, false}) {
+      SamplingEngine& engine =
+          plan ? static_cast<SamplingEngine&>(planned) : replay;
+      // The decision stops after its second round; the workers have run
+      // ahead into the third.
+      for (size_t i = 0; i < 2; ++i) {
+        CountDecisionRound(engine, f.Queries(), rounds, i, plan, &f.removed,
+                           alive, nullptr);
+      }
+      Rng rng(9);
+      if (next == 0) {
+        FillPool(engine, &f.removed, alive, 3000, &rng);
+      } else if (next == 1) {
+        unrelated.push_back(CountOne(engine, 5, &f.front, nullptr,
+                                     f.g.num_nodes(), 2500, 77));
+      } else {
+        engine.ResetPool();
+        FillPool(engine, nullptr, f.g.num_nodes(), 2000, &rng);
+      }
+    }
+    if (next == 1) {
+      EXPECT_EQ(unrelated[0], unrelated[1]);
+    }
+    ExpectSameStats(planned.stats(), replay.stats());
+    ExpectSamePools(planned.pool(), replay.pool());
+    EXPECT_EQ(planned.total_edges_examined(), replay.total_edges_examined());
+  }
+}
+
+TEST(CountStreamTest, MismatchedContinuationRestartsAndMatches) {
+  const uint64_t chunk = ParallelSamplingEngine::kChunkSets;
+  const std::vector<PlannedRound> rounds =
+      Rounds({2 * chunk, 3 * chunk + 5, 4 * chunk, 5 * chunk}, 5);
+  // How round 1 departs from the plan round 0 carried.
+  enum class Change { kSeed, kTheta, kNode, kBase, kRemoved };
+  for (Change change : {Change::kSeed, Change::kTheta, Change::kNode,
+                        Change::kBase, Change::kRemoved}) {
+    SCOPED_TRACE(::testing::Message() << "change " << static_cast<int>(change));
+    StreamFixture f;
+    ParallelSamplingEngine engine(f.g, DiffusionModel::kIndependentCascade, 4,
+                                  /*min_parallel_batch=*/1);
+    SerialSamplingEngine reference(f.g);
+    CountDecisionRound(engine, f.Queries(), rounds, 0, true, &f.removed,
+                       f.g.num_nodes() - 40, nullptr);
+    CountDecisionRound(reference, f.Queries(), rounds, 0, false, &f.removed,
+                       f.g.num_nodes() - 40, nullptr);
+    std::vector<PlannedRound> asked = rounds;
+    NodeId node = 0;
+    uint32_t alive = f.g.num_nodes() - 40;
+    switch (change) {
+      case Change::kSeed:
+        asked[1].seed += 1;
+        break;
+      case Change::kTheta:
+        asked[1].sets -= 3;
+        break;
+      case Change::kNode:
+        node = 1;
+        break;
+      case Change::kBase:
+        f.rear.Clear(50);
+        break;
+      case Change::kRemoved:
+        f.removed.Set(200);
+        alive -= 1;
+        break;
+    }
+    // The departing round, then the rest of the new decision.
+    for (size_t i = 1; i < asked.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "round " << i);
+      SamplingStats want_stats;
+      SamplingStats got_stats;
+      const std::vector<uint64_t> want =
+          CountDecisionRound(reference, f.Queries(node), asked, i, false,
+                             &f.removed, alive, &want_stats);
+      EXPECT_EQ(CountDecisionRound(engine, f.Queries(node), asked, i, true,
+                                   &f.removed, alive, &got_stats),
+                want);
+      ExpectSameStats(got_stats, want_stats);
+    }
+    ExpectSameStats(engine.stats(), reference.stats());
+  }
+}
+
+TEST(CountStreamTest, InputsMutatedAfterARoundReturnsStayExact) {
+  const uint64_t chunk = ParallelSamplingEngine::kChunkSets;
+  const std::vector<PlannedRound> rounds =
+      Rounds({3 * chunk, 4 * chunk, 6 * chunk, 8 * chunk}, 6);
+  // What SeedAndObserve does between decisions: the caller's `removed`
+  // and bases change while ahead chunks are still counting. Restoring them
+  // before the next round continues the stream; keeping the change starts
+  // a new one. Ahead chunks that read the caller's bitmaps instead of the
+  // stream's copies count wrong hits here (and race under TSan).
+  for (bool restore : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "restore " << restore);
+    StreamFixture f;
+    ParallelSamplingEngine engine(f.g, DiffusionModel::kIndependentCascade, 4,
+                                  /*min_parallel_batch=*/1);
+    SerialSamplingEngine reference(f.g);
+    uint32_t alive = f.g.num_nodes() - 40;
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "round " << i);
+      SamplingStats want_stats;
+      SamplingStats got_stats;
+      const std::vector<uint64_t> got =
+          CountDecisionRound(engine, f.Queries(), rounds, i, true, &f.removed,
+                             alive, &got_stats);
+      const std::vector<uint64_t> want =
+          CountDecisionRound(reference, f.Queries(), rounds, i, false,
+                             &f.removed, alive, &want_stats);
+      EXPECT_EQ(got, want);
+      ExpectSameStats(got_stats, want_stats);
+      // Activate a batch of nodes right after the round returns.
+      for (NodeId v = 150 + 10 * static_cast<NodeId>(i);
+           v < 160 + 10 * static_cast<NodeId>(i); ++v) {
+        f.removed.Set(v);
+        f.front.Set(v);
+        f.rear.Clear(v - 100);
+      }
+      if (restore) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        for (NodeId v = 150 + 10 * static_cast<NodeId>(i);
+             v < 160 + 10 * static_cast<NodeId>(i); ++v) {
+          f.removed.Clear(v);
+          f.front.Clear(v);
+          f.rear.Set(v - 100);
+        }
+      } else {
+        alive -= 10;
+      }
+    }
+    ExpectSameStats(engine.stats(), reference.stats());
+  }
+}
+
+// The stream's discarded run-ahead: at most num_workers() chunks each time
+// a decision ends, and none of it in SamplingStats, which match one worker.
+TEST(CountStreamTest, WorkersRunAheadAtMostNumWorkersChunks) {
+  obs::SetMetricsEnabled(true);
+  const StreamFixture f;
+  const uint64_t chunk = ParallelSamplingEngine::kChunkSets;
+  // A one-chunk round planned before a long one: the three pool threads
+  // start the long round while the caller counts the short one, and keep
+  // going after it returns until the stream is four chunks past it.
+  const std::vector<PlannedRound> rounds = Rounds({chunk, 12 * chunk}, 8);
+  bool saw_full_run_ahead = false;
+  for (int attempt = 0; attempt < 10 && !saw_full_run_ahead; ++attempt) {
+    ParallelSamplingEngine engine(f.g, DiffusionModel::kIndependentCascade,
+                                  4, /*min_parallel_batch=*/1);
+    const uint64_t before = DiscardedStreamChunks();
+    CountDecisionRound(engine, f.Queries(), rounds, 0, true, nullptr,
+                       f.g.num_nodes(), nullptr);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 << attempt));
+    engine.ResetPool();  // the decision stopped after round 0
+    const uint64_t discarded = DiscardedStreamChunks() - before;
+    EXPECT_LE(discarded, uint64_t{engine.num_workers()});
+    saw_full_run_ahead = discarded == engine.num_workers();
+  }
+  EXPECT_TRUE(saw_full_run_ahead);
+}
+
+TEST(CountStreamTest, DiscardedRunAheadIsBoundedPerDecision) {
+  obs::SetMetricsEnabled(true);
+  const Graph g = TestGraph(1000);
+  const Result<TargetSelectionResult> selection =
+      BuildTopKTargetProblem(g, 10, CostScheme::kDegreeProportional);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  std::vector<AdaptiveRunResult> runs;
+  std::vector<SamplingStats> stats;
+  for (uint32_t threads : {1u, 4u}) {
+    ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade,
+                                  threads, /*min_parallel_batch=*/1);
+    HatpPolicy policy(HatpOptions{});
+    policy.set_engine(&engine);
+    Rng world_rng(42);
+    AdaptiveEnvironment env(Realization::Sample(g, &world_rng));
+    Rng rng(1);
+    const uint64_t before = DiscardedStreamChunks();
+    Result<AdaptiveRunResult> run =
+        policy.Run(selection.value().problem, &env, &rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    engine.ResetPool();  // closes the last decision's stream
+    const uint64_t discarded = DiscardedStreamChunks() - before;
+    uint64_t decisions = 0;
+    for (const AdaptiveStepRecord& step : run.value().steps) {
+      if (step.rounds > 0) ++decisions;
+    }
+    ASSERT_GT(decisions, 0u);
+    EXPECT_LE(discarded, uint64_t{threads} * decisions) << threads;
+    if (threads == 1) {
+      EXPECT_EQ(discarded, 0u);
+    }
+    runs.push_back(std::move(run).value());
+    stats.push_back(engine.stats());
+  }
+  ExpectSameRuns(runs);
+  ExpectSameStats(stats[1], stats[0]);
+}
+
+// (b'') A graph reweighted under a live engine aborts the next call instead
+// of sampling the engine's stale step table.
+
+TEST(WeightVersionDeathTest, ReweightUnderAFourWorkerEngineAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Graph g = TestGraph(300);
+  ParallelSamplingEngine engine(g, DiffusionModel::kIndependentCascade, 4,
+                                /*min_parallel_batch=*/1);
+  EXPECT_EQ(CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), 4096, 1),
+            CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), 4096, 1));
+  ApplyConstantProbability(&g, 0.05);
+  EXPECT_DEATH(CountOne(engine, 0, nullptr, nullptr, g.num_nodes(), 4096, 1),
+               "weight_version");
+  Rng rng(3);
+  EXPECT_DEATH(FillPool(engine, nullptr, g.num_nodes(), 4096, &rng),
+               "weight_version");
 }
 
 // (c) A failed batch — whichever worker's chunk threw — adds no sets,
@@ -667,6 +1053,26 @@ TEST(SamplingEngineHandleTest, CachesOwnedEngineAndHonorsInjection) {
   handle.Use(nullptr);
   EXPECT_NE(handle.Get(g, DiffusionModel::kIndependentCascade, options),
             &external);
+}
+
+TEST(SamplingEngineHandleTest, ReweightedGraphGetsAFreshEngine) {
+  Graph g = TestGraph(100);
+  SamplingOptions options;
+  options.num_threads = 2;
+  SamplingEngineHandle handle;
+  SamplingEngine* before =
+      handle.Get(g, DiffusionModel::kIndependentCascade, options);
+  ApplyConstantProbability(&g, 0.1);
+  SamplingEngine* after =
+      handle.Get(g, DiffusionModel::kIndependentCascade, options);
+  // The cached engine's step table predates the reweighting; a fresh one
+  // samples the new weights.
+  SerialSamplingEngine fresh(g);
+  EXPECT_EQ(CountOne(*after, 0, nullptr, nullptr, g.num_nodes(), 3000, 4),
+            CountOne(fresh, 0, nullptr, nullptr, g.num_nodes(), 3000, 4));
+  EXPECT_NE(after, before);
+  EXPECT_EQ(handle.Get(g, DiffusionModel::kIndependentCascade, options),
+            after);
 }
 
 }  // namespace
