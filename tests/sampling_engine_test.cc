@@ -452,6 +452,7 @@ struct StreamFixture {
   }
 };
 
+// A decision's rounds: one of each size in `sets`, each with its own seed.
 std::vector<PlannedRound> Rounds(std::initializer_list<uint64_t> sets,
                                  uint64_t seed) {
   std::vector<PlannedRound> rounds;
